@@ -462,6 +462,7 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
     queue length (after each prediction step, before any update at that
     time) against the simulated truth over the test day.
     """
+    _param_space(kind, dataset).check(params, kind)
     filt = _make_filter(kind, params, dataset.config)
     loglik, records = _run_queue_filter(filt, dataset, emit_from=dataset.test_start)
     pred_t = np.array([r[0] for r in records])

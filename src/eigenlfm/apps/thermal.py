@@ -48,6 +48,7 @@ DAY_MINUTES = 1440.0
 THERMAL_METHODS = (
     "with", "without", "quasi-sqm", "quasi-cqm", "quasi-wqm", "hart", "resonator",
 )
+_N_RESONATORS = 6  # resonator roster size unless params set n_resonators
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def _residual_forces(kind: str, params: dict, config: ThermalGenConfig, coupling
                                  params["ell_r_min"])
         return [lfm.NonPeriodicForce(blk, coupling)], [], None
     if kind == "resonator":
-        n_res = int(params.get("n_resonators", 6))
+        n_res = int(params.get("n_resonators", _N_RESONATORS))
         forces = []
         for j in range(n_res):
             blk = resonator_block(
@@ -330,7 +331,9 @@ def _run_thermal_filter(
     return loglik, state, records
 
 
-def _param_space(kind: str, config: ThermalGenConfig, envelope: bool) -> learn.ParamSpace:
+def _param_space(
+    kind: str, config: ThermalGenConfig, envelope: bool, n_res: int = _N_RESONATORS
+) -> learn.ParamSpace:
     params = [
         learn.Param("alpha", 1e-4, 0.1, 0.01),
         learn.Param("beta", 1e-3, 1.0, 0.1),
@@ -353,7 +356,6 @@ def _param_space(kind: str, config: ThermalGenConfig, envelope: bool) -> learn.P
             learn.Param("decay", 1e-8, 0.1, 1e-4),
             learn.Param("diffusion", 1e-12, 1e-2, 1e-7),
         ]
-        n_res = 6
         for j in range(n_res):
             params.append(
                 learn.Param(
@@ -410,6 +412,8 @@ def _metrics(dataset: ThermalDataset, records) -> dict:
 
 
 def _trained_state(dataset, kind, params, envelope):
+    n_res = int(params.get("n_resonators", _N_RESONATORS))
+    _param_space(kind, dataset.config, envelope, n_res).check(params, kind)
     model = thermal_build(kind, params, dataset.config, envelope=envelope)
     state = _initial_state(model, dataset, envelope)
     _, state, _ = _run_thermal_filter(

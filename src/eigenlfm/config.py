@@ -7,10 +7,12 @@ work; unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 
+from .apps.queueing import DAY_MINUTES
 from .errors import InvalidParameterError
 
 __all__ = ["load_config", "validate_config", "SCHEMAS"]
@@ -190,6 +192,16 @@ def validate_config(command: str, config: dict) -> dict:
         jsonschema.validate(config, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
         raise InvalidParameterError(f"invalid {command} config: {exc.message}") from exc
+    step = config.get("generator", {}).get("step")
+    if command in ("queue", "thermal") and step is not None:
+        # both applications cycle once a day: day boundaries (changepoints)
+        # and the daily schedules must fall on step boundaries
+        cycles = DAY_MINUTES / step
+        if not math.isclose(cycles, round(cycles), rel_tol=1e-9):
+            raise InvalidParameterError(
+                f"invalid {command} config: generator.step {step:g} does not divide "
+                f"the {DAY_MINUTES:g}-minute day"
+            )
     return config
 
 

@@ -5,7 +5,7 @@ the Rao-Blackwellised particle filter for a binary control input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,8 +16,6 @@ from .errors import InvalidParameterError, NumericError
 __all__ = [
     "GaussianState",
     "UpdateResult",
-    "Particle",
-    "ParticleSet",
     "predict",
     "update",
     "log_likelihood",
@@ -51,23 +49,6 @@ class UpdateResult:
     innovation: np.ndarray
     innovation_cov: np.ndarray
     log_density: float
-
-
-@dataclass
-class Particle:
-    state: GaussianState
-    heater: int
-    weight: float
-
-
-@dataclass
-class ParticleSet:
-    particles: list[Particle]
-
-    def __post_init__(self):
-        total = sum(p.weight for p in self.particles)
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidParameterError("particle weights must sum to 1")
 
 
 def predict(
@@ -157,17 +138,23 @@ def rbpf_predict_day(
     seed: int,
     *,
     temp_index: int = 0,
-    hysteresis: float = 0.0,
     sample_condition: bool = True,
 ) -> list[dict]:
     """Day-ahead prediction with particles over the binary heater input.
 
-    Per step and particle: the heater is set by the threshold controller from
-    the particle's last sampled temperature, the Kalman prediction runs with
-    that input held constant over the step, the temperature marginal is
+    Per step and particle: the heater is on while the particle's last sampled
+    temperature is strictly below the set point, the Kalman prediction runs
+    with that input held constant over the step, the temperature marginal is
     sampled, and the Gaussian is conditioned on that sample.  All particles
-    share one covariance (input changes only the mean), so the cost is
-    O(C^2 T (C + P)).
+    share one covariance (input changes only the mean), so every step is one
+    transition of the whole bank of means and the cost is O(C^2 T (C + P)).
+
+    Particle i draws from its own Philox stream keyed by (seed, i), so the
+    result does not depend on how particles are scheduled.  Each stream is
+    drawn once, up front, as a block of one normal per step (the same numbers
+    in the same order as that many scalar draws).  The k-th conditioning step
+    consumes column k of the block; a step that does not condition (sampling
+    off, or a vanishing temperature variance) consumes none.
 
     Returns one record per step: {"t", "mean", "var"} with the equal-weight
     mixture moments of the temperature marginal after the prediction.
@@ -182,23 +169,25 @@ def rbpf_predict_day(
         raise InvalidParameterError("setpoint must not be NaN")
 
     n_steps = int(round(horizon / step))
-    rngs = _particle_rngs(seed, n_particles)
+    draws = np.empty((n_particles, n_steps))
+    for row, rng in zip(draws, _particle_rngs(seed, n_particles)):
+        rng.standard_normal(out=row)
+    n_drawn = 0
 
+    on_input = np.asarray(model.binary_input, dtype=float)
     constant_weights = lfm.has_constant_weights(model)
-    plan = lfm.make_constant_step_plan(model, step) if constant_weights else None
+    if constant_weights:
+        plan = lfm.make_constant_step_plan(model, step)
+        off_input = np.zeros_like(on_input)
+        b_on = np.zeros(model.dim)
+        b_on[: on_input.size] = plan.input_response @ on_input
 
     means = np.tile(init.mean, (n_particles, 1))
     cov = init.cov.copy()
     t = init.t
 
-    on_input = np.asarray(model.binary_input, dtype=float)
-    off_input = np.zeros_like(on_input)
-
     # initial heater from the known initial temperature
-    samples = np.full(n_particles, float(init.mean[temp_index]))
-    heaters = np.array(
-        [_controller(s, setpoint(t), 0, hysteresis) for s in samples], dtype=int
-    )
+    heaters = _controller(np.full(n_particles, float(init.mean[temp_index])), setpoint(t))
 
     records = []
     changepoints = np.asarray(model.changepoints, dtype=float)
@@ -207,18 +196,18 @@ def rbpf_predict_day(
         # changepoints are aligned with step boundaries by construction
         hit = changepoints[(changepoints > t + 1e-9) & (changepoints <= t_next + 1e-9)]
 
+        # G and Q do not depend on the input, and the off input is zero, so a
+        # particle with its heater off gets no input term
         if constant_weights:
             trans = lfm.constant_weight_transition(
                 model, t, t_next, plan=plan, input_value=off_input
             )
-            b_on = np.zeros(model.dim)
-            b_on[: on_input.size] = plan.input_response @ on_input
         else:
-            trans = lfm.discretize(model, t, t_next, input_value=off_input)
-            b_on = lfm.discretize(model, t, t_next, input_value=on_input).input_term
+            trans = lfm.discretize(model, t, t_next, input_value=on_input)
+            b_on = trans.input_term
 
-        b = np.where(heaters[:, None] == 1, b_on[None, :], trans.input_term[None, :])
-        means = means @ trans.transition.T + b
+        means = means @ trans.transition.T
+        means[heaters] += b_on
         cov = _symmetrize(trans.transition @ cov @ trans.transition.T + trans.noise)
         t = t_next
 
@@ -232,8 +221,8 @@ def rbpf_predict_day(
         records.append({"t": t, "mean": mix_mean, "var": mix_var})
 
         if sample_condition and var_t > 1e-14:
-            xi = np.array([rng.standard_normal() for rng in rngs])
-            samples = m_t + math.sqrt(var_t) * xi
+            samples = m_t + math.sqrt(var_t) * draws[:, n_drawn]
+            n_drawn += 1
             gain_col = cov[:, temp_index] / var_t
             means = means + np.outer(samples - m_t, gain_col)
             cov = _symmetrize(cov - np.outer(cov[:, temp_index], cov[:, temp_index]) / var_t)
@@ -243,24 +232,11 @@ def rbpf_predict_day(
         sp = setpoint(t)
         if math.isnan(sp):
             raise InvalidParameterError("setpoint must not be NaN")
-        heaters = np.array(
-            [
-                _controller(s, sp, h, hysteresis)
-                for s, h in zip(samples, heaters)
-            ],
-            dtype=int,
-        )
+        heaters = _controller(samples, sp)
 
     return records
 
 
-def _controller(temp: float, setpoint: float, previous: int, hysteresis: float) -> int:
-    """Threshold controller: on strictly below the set point, with an optional
-    symmetric hysteresis band around it."""
-    if hysteresis <= 0.0:
-        return 1 if temp < setpoint else 0
-    if temp < setpoint - 0.5 * hysteresis:
-        return 1
-    if temp >= setpoint + 0.5 * hysteresis:
-        return 0
-    return previous
+def _controller(temps: np.ndarray, setpoint: float) -> np.ndarray:
+    """Threshold controller: the heater is on strictly below the set point."""
+    return temps < setpoint

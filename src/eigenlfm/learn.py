@@ -46,6 +46,14 @@ class ParamSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
+    def check(self, params: dict, method: str) -> None:
+        """Raise when `params` lacks a parameter of this space; extra keys pass."""
+        missing = [n for n in self.names if n not in params]
+        if missing:
+            raise InvalidParameterError(
+                f"params for method {method!r} lack {', '.join(missing)}"
+            )
+
     def transform(self, values: np.ndarray) -> np.ndarray:
         return np.array(
             [np.log(v) if p.log else v for p, v in zip(self.params, values)]

@@ -5,12 +5,10 @@ import pytest
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import lfm, lti
+from eigenlfm import filtering, lfm, lti
 from eigenlfm.errors import InvalidParameterError
 from eigenlfm.filtering import (
     GaussianState,
-    ParticleSet,
-    Particle,
     log_likelihood,
     predict,
     rbpf_predict_day,
@@ -104,13 +102,6 @@ def test_log_likelihood_empty():
         log_likelihood([])
 
 
-def test_particle_set_weights():
-    state = GaussianState(np.zeros(1), np.eye(1), 0.0)
-    ParticleSet([Particle(state, 0, 0.5), Particle(state, 1, 0.5)])
-    with pytest.raises(InvalidParameterError):
-        ParticleSet([Particle(state, 0, 0.6), Particle(state, 1, 0.5)])
-
-
 def _thermal_toy(beta: float):
     model = lfm.assemble(
         lfm.TargetModel(np.array([[-0.01]])),
@@ -192,3 +183,91 @@ def test_rbpf_mixture_mean_variance_shrinks_with_particles():
         spreads.append(np.var(finals))
     assert spreads[2] < spreads[0]
     assert spreads[1] < 4.0 * spreads[0]  # allow noise, but no blow-up
+
+
+def _periodic_toy(beta: float, force_kind: str):
+    # thermal toy with a periodic residual force of period 200 minutes
+    basis = eb.build(K.PeriodicMatern(0.5, 0.05, 0.5, 200.0), 40, 200.0, 0.01)
+    target = lfm.TargetModel(np.array([[-0.01]]))
+    ext = lfm.NonPeriodicForce(lti.matern32_block(2.0, 600.0), np.array([0.01]))
+    if force_kind == "cqm":
+        model = lfm.assemble(
+            target, nonperiodic=[ext], periodic=[lfm.cqm_force(basis, [1.0], 1.0, 300.0)]
+        )
+    else:
+        model = lfm.assemble(
+            target, nonperiodic=[ext], periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
+            changepoints=[200.0],
+        )
+    binary = np.zeros(model.layout.dim_za)
+    binary[0] = beta
+    model.binary_input = binary
+    return model
+
+
+def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
+    """Per-particle RBPF: one scalar draw per particle stream per step, the
+    scalar threshold rule, and separate off/on transitions every step.
+
+    Returns the records and how many particle steps had the heater on/off."""
+    rngs = filtering._particle_rngs(seed, n_particles)
+    on_input = model.binary_input
+    off_input = np.zeros_like(on_input)
+    constant = lfm.has_constant_weights(model)
+    plan = lfm.make_constant_step_plan(model, step) if constant else None
+
+    def transition(t0, t1, u):
+        if constant:
+            return lfm.constant_weight_transition(model, t0, t1, plan=plan, input_value=u)
+        return lfm.discretize(model, t0, t1, input_value=u)
+
+    means = [init.mean.copy() for _ in range(n_particles)]
+    cov = init.cov.copy()
+    t = init.t
+    heaters = [1 if init.mean[0] < setpoint(t) else 0 for _ in range(n_particles)]
+    records, n_on, n_off = [], 0, 0
+    for _ in range(int(round(horizon / step))):
+        t_next = t + step
+        off, on = transition(t, t_next, off_input), transition(t, t_next, on_input)
+        g = off.transition
+        means = [
+            g @ m + (on.input_term if h else off.input_term) for m, h in zip(means, heaters)
+        ]
+        n_on += sum(heaters)
+        n_off += n_particles - sum(heaters)
+        cov = g @ cov @ g.T + off.noise
+        cov = 0.5 * (cov + cov.T)
+        t = t_next
+        if np.any(np.abs(model.changepoints - t) < 1e-9):
+            bank, cov = lfm.apply_changepoint_moments(model, np.array(means), cov)
+            means = list(bank)
+
+        var = cov[0, 0]
+        temps = np.array([m[0] for m in means])
+        records.append(
+            {"t": t, "mean": temps.mean(), "var": var + np.mean(temps**2) - temps.mean() ** 2}
+        )
+        gain = cov[:, 0] / var
+        samples = [m[0] + math.sqrt(var) * rng.standard_normal() for m, rng in zip(means, rngs)]
+        means = [m + (s - m[0]) * gain for m, s in zip(means, samples)]
+        cov = cov - np.outer(cov[:, 0], cov[:, 0]) / var
+        cov = 0.5 * (cov + cov.T)
+        heaters = [1 if s < setpoint(t) else 0 for s in samples]
+    return records, n_on, n_off
+
+
+@pytest.mark.parametrize("force_kind", ["none", "cqm", "sqm"])
+def test_rbpf_matches_per_particle_reference(force_kind):
+    # constant weights (no periodic force, or sqm with a changepoint) and a
+    # cqm force whose Van Loan transition changes every step
+    model = _thermal_toy(0.1) if force_kind == "none" else _periodic_toy(0.1, force_kind)
+    init = lfm.initial_state(model, [1.0], [[0.01]])
+    args = (model, init, lambda t: 0.8, 16, 10.0, 300.0, 7)
+    recs = rbpf_predict_day(*args)
+    ref, n_on, n_off = _rbpf_reference(*args)
+    assert n_on > 0 and n_off > 0  # both input branches are exercised
+    assert len(recs) == len(ref) == 30
+    for r, q in zip(recs, ref):
+        assert r["t"] == q["t"]
+        assert r["mean"] == pytest.approx(q["mean"], rel=1e-12, abs=1e-12)
+        assert r["var"] == pytest.approx(q["var"], rel=1e-12, abs=1e-12)
