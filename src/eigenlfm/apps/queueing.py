@@ -17,7 +17,7 @@ cycle period is one day (1440 minutes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,17 +198,6 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
     )
 
 
-# ---------------------------------------------------------------------------
-# filtering
-#
-# The per-step propagation below specializes the generic transitions for a
-# scalar relinearized target: `constant_weight_transition` for constant
-# weights (exact) and the frozen-coupling exponential for OU weights and the
-# non-periodic force.  Both are checked against the generic model code in the
-# test suite.
-# ---------------------------------------------------------------------------
-
-
 def _int_exp(a: float, dt: float) -> float:
     """(exp(a dt) - 1) / a, robust at a -> 0."""
     x = a * dt
@@ -249,164 +238,120 @@ def _ou_target_step(f: float, c: float, q: float, dt: float):
 _GAUSS_X, _GAUSS_W = lfm.gauss_nodes(8)
 
 
-@dataclass
-class _QueueFilter:
-    """Scalar-target filter over (queue length, arrival-rate states)."""
-
-    kind: str
-    basis: eb.EigenBasis | None
-    jump: lti.JumpModel | None
-    mu_scaled: np.ndarray | None   # weight prior variances (quasi kinds)
-    weight_rate: float             # OU rate of the weights (cqm), else 0
-    weight_diffusion: np.ndarray | None  # per-weight OU diffusion (cqm)
-    force_sigma: float             # hart force scale
-    force_ell: float               # hart force time scale
-    obs_noise_var: float
-    step: float
-
-    mean: np.ndarray = field(init=False)
-    cov: np.ndarray = field(init=False)
-
-    def reset(self):
-        if self.kind == "hart":
-            dim = 2
-            prior = np.array([25.0, self.force_sigma**2])
+def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.AugmentedModel:
+    """State (queue length, arrival-rate states): an OU force for "hart",
+    eigenfunction weights of a periodic arrival rate otherwise.  The target
+    drift is relinearized at every step, so the model holds only the forces,
+    the prior, the day-boundary jumps and the measurement."""
+    if kind not in QUEUE_METHODS:
+        raise InvalidParameterError(f"unknown queue method {kind!r}")
+    coupling = np.array([1.0])
+    nonperiodic, periodic, changepoints = [], [], ()
+    if kind == "hart":
+        blk = lti.matern12_block(params["sigma_f"], params["ell_f"])
+        nonperiodic = [lfm.NonPeriodicForce(blk, coupling)]
+    else:
+        kernel = kernels.PeriodicMatern(0.5, params["sigma_p"], params["ell_p"], DAY_MINUTES)
+        basis = eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
+        if basis.n_selected > 30:
+            raise ContractViolationError("periodic roster exceeded 30 basis functions")
+        if kind == "with":
+            force = lfm.periodic_force(basis, coupling)
+        elif kind == "quasi-cqm":
+            force = lfm.cqm_force(basis, coupling, 1.0, params["ell_q"] * DAY_MINUTES)
+        elif kind == "quasi-sqm":
+            force = lfm.sqm_force(basis, coupling, 1.0, params["ell_q"])
         else:
-            dim = 1 + self.mu_scaled.size
-            prior = np.concatenate([[25.0], self.mu_scaled])
-        self.mean = np.zeros(dim)
-        self.cov = np.diag(prior)
+            force = lfm.wqm_force(basis, coupling, 1.0, params["xi"])
+        periodic = [force]
+        if force.jump is not None:
+            changepoints = DAY_MINUTES * np.arange(1, config.days)
+    model = lfm.assemble(
+        lfm.TargetModel(np.zeros((1, 1))),
+        nonperiodic=nonperiodic,
+        periodic=periodic,
+        changepoints=changepoints,
+    )
+    lfm.set_measurement(model, np.eye(1, model.dim), [[params["sigma_obs"] ** 2]])
+    return model
 
-    def predict(self, t0: float, f: float, phi_nodes: np.ndarray | None,
-                phi_t0: np.ndarray | None):
-        dt = self.step
-        m, p = self.mean, self.cov
-        if self.kind == "hart":
-            e_f, g, e_u, q11, q12, q22 = _ou_target_step(
-                f, 1.0 / self.force_ell, 2.0 * self.force_sigma**2 / self.force_ell, dt
-            )
-            gm = np.array([[e_f, g], [0.0, e_u]])
-            q = np.array([[q11, q12], [q12, q22]])
-            self.mean = gm @ m
-            self.cov = gm @ p @ gm.T + q
-            return
-        if self.weight_rate > 0.0:
-            # frozen-coupling step for OU weights
-            c = self.weight_rate
-            e_f, g_unit, e_u, q11_u, q12_u, q22_u = _ou_target_step(f, c, 1.0, dt)
-            coupling = phi_t0 * g_unit
-            qd = self.weight_diffusion
-            q11 = float(np.sum(qd * phi_t0**2)) * q11_u
-            q1w = qd * phi_t0 * q12_u
-            qww = qd * q22_u
-            a, b, w = p[0, 0], p[0, 1:], p[1:, 1:]
-            wc = w @ coupling
-            new_a = e_f**2 * a + 2.0 * e_f * (coupling @ b) + coupling @ wc
-            new_b = e_u * (e_f * b + wc)
-            new_w = e_u**2 * w + np.diag(qww)
-            self.mean = np.concatenate(
-                [[e_f * m[0] + coupling @ m[1:]], e_u * m[1:]]
-            )
-            self.cov = np.block(
-                [[np.array([[new_a + q11]]), (new_b + q1w)[None, :]],
-                 [(new_b + q1w)[:, None], new_w]]
-            )
-            return
-        # constant weights: exact quadrature coupling
+
+def _predict(model, mean, cov, f: float, dt: float, phi):
+    """Closed-form step of the model relinearized to dL/dt = f L + force.
+
+    The OU force (hart) and OU weights (cqm, coupling frozen at the step-start
+    eigenfunction row `phi`) use `_ou_target_step` with the rate c and the
+    diffusion read from the model; constant weights use the exact quadrature
+    coupling with `phi` the (n_nodes, J) rows at the Gauss nodes of the step.
+    """
+    if model.nonperiodic:
+        c = -model.nonperiodic[0].block.drift[0, 0]
+        e_f, g, e_u, q11, q12, q22 = _ou_target_step(f, c, model.diffusion[1, 1], dt)
+        gm = np.array([[e_f, g], [0.0, e_u]])
+        q = np.array([[q11, q12], [q12, q22]])
+        return gm @ mean, gm @ cov @ gm.T + q
+    a, b, w = cov[0, 0], cov[0, 1:], cov[1:, 1:]
+    c = -model.weight_rates[0]
+    if c > 0.0:
+        e_f, g_unit, e_u, q11_u, q12_u, q22_u = _ou_target_step(f, c, 1.0, dt)
+        coupling = phi * g_unit
+        qd = np.diag(model.diffusion)[1:]
+        q11 = float(np.sum(qd * phi**2)) * q11_u
+        q1w = qd * phi * q12_u
+        wc = w @ coupling
+        new_a = e_f**2 * a + 2.0 * e_f * (coupling @ b) + coupling @ wc + q11
+        new_b = e_u * (e_f * b + wc) + q1w
+        new_w = e_u**2 * w + np.diag(qd * q22_u)
+        new_mean = np.concatenate([[e_f * mean[0] + coupling @ mean[1:]], e_u * mean[1:]])
+    else:
         e_f = math.exp(f * dt)
         props = np.exp(f * dt * (1.0 - _GAUSS_X))
-        coupling = (dt * _GAUSS_W * props) @ phi_nodes
-        a, b, w = p[0, 0], p[0, 1:], p[1:, 1:]
+        coupling = (dt * _GAUSS_W * props) @ phi
         wc = w @ coupling
         new_a = e_f**2 * a + 2.0 * e_f * (coupling @ b) + coupling @ wc
         new_b = e_f * b + wc
-        self.mean = np.concatenate([[e_f * m[0] + coupling @ m[1:]], m[1:]])
-        self.cov = np.block(
-            [[np.array([[new_a]]), new_b[None, :]], [new_b[:, None], w]]
-        )
-
-    def changepoint(self):
-        if self.jump is None:
-            return
-        g, qv = self.jump.gain, self.jump.noise_var
-        self.mean[1:] *= g
-        self.cov[1:, :] *= g
-        self.cov[:, 1:] *= g
-        idx = np.arange(1, self.mean.size)
-        self.cov[idx, idx] += self.mu_scaled * qv
-
-    def measure(self, y: float) -> float:
-        h = np.zeros((1, self.mean.size))
-        h[0, 0] = 1.0
-        res = update(
-            GaussianState(self.mean, self.cov, 0.0), h, [[self.obs_noise_var]], [y]
-        )
-        self.mean, self.cov = res.state.mean, res.state.cov
-        return res.log_density
+        new_w = w
+        new_mean = np.concatenate([[e_f * mean[0] + coupling @ mean[1:]], mean[1:]])
+    return new_mean, np.block([[np.array([[new_a]]), new_b[None, :]], [new_b[:, None], new_w]])
 
 
-def _make_filter(kind: str, params: dict, config: QueueGenConfig) -> _QueueFilter:
-    if kind not in QUEUE_METHODS:
-        raise InvalidParameterError(f"unknown queue method {kind!r}")
-    obs_var = params["sigma_obs"] ** 2
-    if kind == "hart":
-        return _QueueFilter(
-            kind, None, None, None, 0.0, None,
-            params["sigma_f"], params["ell_f"], obs_var, config.step,
-        )
-    kernel = kernels.PeriodicMatern(0.5, params["sigma_p"], params["ell_p"], DAY_MINUTES)
-    basis = eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
-    mu = basis.scaled_eigenvalues()
-    jump = None
-    weight_rate = 0.0
-    weight_diffusion = None
-    if kind == "quasi-sqm":
-        jump = lti.sqm_jump(1.0, params["ell_q"])
-    elif kind == "quasi-wqm":
-        jump = lti.wqm_jump(params["xi"])
-    elif kind == "quasi-cqm":
-        weight_rate = 1.0 / (params["ell_q"] * DAY_MINUTES)
-        weight_diffusion = mu * 2.0 * weight_rate
-    return _QueueFilter(
-        kind, basis, jump, mu, weight_rate, weight_diffusion,
-        0.0, 1.0, obs_var, config.step,
-    )
-
-
-def _run_queue_filter(filt: _QueueFilter, dataset: QueueDataset, emit_from: float | None):
+def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
     """One full filtering pass; returns (loglik, emitted records)."""
-    config = dataset.config
+    dt = dataset.config.step
     times = dataset.times
+    n_steps = times.size - 1
+    jumps = set(lfm.changepoint_steps(model, times[0], dt, n_steps).tolist())
     meas = dict(zip(dataset.meas_times, dataset.meas_values))
-    quasi = filt.kind != "hart"
 
-    phi_nodes = phi_steps = None
-    if quasi:
-        n_steps = times.size - 1
-        node_times = (times[:-1, None] + config.step * _GAUSS_X[None, :]).ravel()
-        phi_nodes = eb.eigenfunction_matrix(filt.basis, node_times).reshape(
-            n_steps, _GAUSS_X.size, -1
-        )
-        phi_steps = eb.eigenfunction_matrix(filt.basis, times[:-1])
+    # per step, only the eigenfunction rows `_predict` reads
+    phi = None
+    if model.periodic:
+        basis = model.periodic[0].basis
+        if lfm.has_constant_weights(model):
+            node_times = (times[:-1, None] + dt * _GAUSS_X[None, :]).ravel()
+            phi = eb.eigenfunction_matrix(basis, node_times).reshape(n_steps, _GAUSS_X.size, -1)
+        else:
+            phi = eb.eigenfunction_matrix(basis, times[:-1])
 
-    filt.reset()
+    state = lfm.initial_state(model, [0.0], [[25.0]])
+    mean, cov = state.mean, state.cov
     loglik = 0.0
     records = []
-    for k in range(times.size - 1):
-        t0, t1 = times[k], times[k + 1]
-        f = queue_linearize(dataset.omega(t0), max(filt.mean[0], 0.0))
-        filt.predict(
-            t0, f,
-            phi_nodes[k] if quasi else None,
-            phi_steps[k] if quasi else None,
-        )
-        if quasi and (t1 % DAY_MINUTES) < 1e-9 and t1 < times[-1] - 1e-9:
-            filt.changepoint()
+    for k in range(n_steps):
+        f = queue_linearize(dataset.omega(times[k]), max(mean[0], 0.0))
+        mean, cov = _predict(model, mean, cov, f, dt, None if phi is None else phi[k])
+        t1 = times[k + 1]
+        if k + 1 in jumps:
+            means, cov = lfm.apply_changepoint_moments(model, mean[None, :], cov)
+            mean = means[0]
         if emit_from is not None and t1 > emit_from + 1e-9:
-            records.append((t1, filt.mean[0], filt.cov[0, 0]))
+            records.append((t1, mean[0], cov[0, 0]))
         y = meas.get(t1)
         if y is not None:
-            loglik += filt.measure(y)
+            res = update(GaussianState(mean, cov, t1), model.measurement_matrix,
+                         model.measurement_noise, [y])
+            mean, cov = res.state.mean, res.state.cov
+            loglik += res.log_density
     return loglik, records
 
 
@@ -447,8 +392,7 @@ def queue_fit(
     )
 
     def objective(p: dict) -> float:
-        filt = _make_filter(kind, p, dataset.config)
-        loglik, _ = _run_queue_filter(filt, train, emit_from=None)
+        loglik, _ = _run_queue_filter(_queue_model(kind, p, dataset.config), train, None)
         return loglik
 
     return learn.fit(objective, _param_space(kind, dataset), budget=budget,
@@ -463,8 +407,8 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
     time) against the simulated truth over the test day.
     """
     _param_space(kind, dataset).check(params, kind)
-    filt = _make_filter(kind, params, dataset.config)
-    loglik, records = _run_queue_filter(filt, dataset, emit_from=dataset.test_start)
+    model = _queue_model(kind, params, dataset.config)
+    loglik, records = _run_queue_filter(model, dataset, emit_from=dataset.test_start)
     pred_t = np.array([r[0] for r in records])
     pred_mean = np.array([r[1] for r in records])
     pred_var = np.maximum(np.array([r[2] for r in records]), 1e-12)
@@ -476,13 +420,10 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
             - 0.5 * (truth - pred_mean) ** 2 / pred_var
         )
     )
-    n_basis = 0 if filt.kind == "hart" else filt.mu_scaled.size
-    if n_basis > 30:
-        raise ContractViolationError("periodic roster exceeded 30 basis functions")
     return {
         "rmse": rmse,
         "ell": ell,
-        "n_basis": n_basis,
+        "n_basis": model.dim - model.layout.dim_za,
         "loglik": loglik,
         "pred_times": pred_t,
         "pred_mean": pred_mean,

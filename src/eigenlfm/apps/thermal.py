@@ -20,6 +20,7 @@ control cycle, and the residual cycle period is one day.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,8 +210,6 @@ def thermal_build(
     config: ThermalGenConfig,
     *,
     envelope: bool = False,
-    horizon_days: int | None = None,
-    ext_rho: float | None = None,
 ) -> lfm.AugmentedModel:
     """Assemble the thermal state-space model for one roster entry.
 
@@ -228,15 +227,14 @@ def thermal_build(
         ext_coupling = np.array([alpha])
         res_coupling = np.array([1.0])
 
-    ext_block = lti.matern32_block(params["sigma_ext"], params["ell_ext"], rho=ext_rho)
+    ext_block = lti.matern32_block(params["sigma_ext"], params["ell_ext"])
     nonperiodic = [lfm.NonPeriodicForce(ext_block, ext_coupling)]
     np_extra, periodic, _ = _residual_forces(kind, params, config, res_coupling)
     nonperiodic += np_extra
 
-    days = horizon_days if horizon_days is not None else config.days
     changepoints = ()
     if kind in ("quasi-sqm", "quasi-wqm"):
-        changepoints = DAY_MINUTES * np.arange(1, days)
+        changepoints = DAY_MINUTES * np.arange(1, config.days)
 
     model = lfm.assemble(
         lfm.TargetModel(drift),
@@ -281,48 +279,33 @@ def _run_thermal_filter(
     measure_every: float | None,
     emit: bool = False,
 ):
-    """Kalman pass with the known heater record over [t_start, t_end]."""
-    config = dataset.config
-    dt = config.step
+    """Kalman pass with the known heater record over [t_start, t_end],
+    measuring both temperatures every `measure_every` minutes (a whole number
+    of steps)."""
+    dt = dataset.config.step
     n_steps = int(round((t_end - t_start) / dt))
-    constant = lfm.has_constant_weights(model)
-    plan = lfm.make_constant_step_plan(model, dt) if constant else None
-    node_phi = None
-    if constant and model.periodic:
-        basis = model.periodic[0].basis
-        times = t_start + dt * np.arange(n_steps)
-        nodes = (times[:, None] + plan.node_offsets[None, :]).ravel()
-        node_phi = eb.eigenfunction_matrix(basis, nodes).reshape(
-            n_steps, plan.node_offsets.size, -1
-        )
-    b_on = plan.input_response @ model.binary_input if constant else None
+    every = None
+    if measure_every is not None:
+        every = int(round(measure_every / dt))
+        if every < 1 or not math.isclose(every * dt, measure_every, rel_tol=1e-9):
+            raise InvalidParameterError(
+                f"measurement interval {measure_every:g} min is not a whole number "
+                f"of {dt:g}-minute steps"
+            )
 
     h, z = model.measurement_matrix, model.measurement_noise
     loglik = 0.0
     records = []
     t = t_start
-    for k in range(n_steps):
-        t_next = t + dt
-        e_k = dataset.heater_at(t)
-        if constant:
-            tr = lfm.constant_weight_transition(
-                model, t, t_next, plan=plan,
-                node_phi=[node_phi[k]] if node_phi is not None else None,
-            )
-            b = e_k * b_on
-            b_full = np.zeros(model.dim)
-            b_full[: b.size] = b
-        else:
-            tr = lfm.discretize(model, t, t_next, input_value=e_k * model.binary_input)
-            b_full = tr.input_term
-        state = filtering.predict(state, tr.transition, tr.noise, b_full, t_new=t_next)
-        t = t_next
-        for tau in model.changepoints:
-            if abs(tau - t) < 1e-9:
-                state = lfm.apply_changepoint(model, state, tau)
+    for k, step in enumerate(lfm.pass_steps(model, t_start, dt, n_steps), start=1):
+        b = dataset.heater_at(t) * step.input_on
+        state = filtering.predict(state, step.transition, step.noise, b, t_new=step.t)
+        t = step.t
+        if step.changepoint:
+            state = lfm.apply_changepoint(model, state, t)
         if emit:
             records.append((t, state.mean[0], state.cov[0, 0]))
-        if measure_every is not None and (t - t_start) % measure_every < 1e-9:
+        if every is not None and k % every == 0:
             i = int(round(t))
             if i < dataset.minutes.size:
                 res = update(state, h, z, [dataset.meas_int[i], dataset.meas_ext[i]])
@@ -452,9 +435,12 @@ def thermal_predict_day(
     """Day-ahead prediction: no measurements, heater switching simulated by
     the Rao-Blackwellised particle filter against the set-point schedule."""
     model, state = _trained_state(dataset, kind, params, envelope)
+    dt = dataset.config.step
+    n_steps = int(round(DAY_MINUTES / dt))
     records = rbpf_predict_day(
-        model, state, dataset.setpoint_at, n_particles,
-        dataset.config.step, DAY_MINUTES, seed,
+        lfm.pass_steps(model, state.t, dt, n_steps), n_steps, state,
+        dataset.setpoint_at, n_particles, seed,
+        jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
     out = _metrics(dataset, [(r["t"], r["mean"], r["var"]) for r in records])
     out["n_basis"] = model.layout.dim - model.layout.dim_za

@@ -24,9 +24,11 @@ from .apps import io as app_io
 from .apps import queueing, thermal
 from .baselines.comparison import compare_linear_bases
 from .config import load_config
-from .errors import InvalidParameterError
+from .errors import ContractViolationError, InvalidParameterError, NumericError
 
-_PKG_ERRORS = (InvalidParameterError, ValueError, KeyError, OSError)
+_PKG_ERRORS = (
+    InvalidParameterError, ContractViolationError, NumericError, ValueError, KeyError, OSError,
+)
 
 
 def _fail(message: str) -> None:

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import jsonschema
 
-from .apps.queueing import DAY_MINUTES
+from .apps.queueing import DAY_MINUTES, QueueGenConfig
+from .apps.thermal import ThermalGenConfig
 from .errors import InvalidParameterError
 
 __all__ = ["load_config", "validate_config", "SCHEMAS"]
@@ -192,17 +193,29 @@ def validate_config(command: str, config: dict) -> dict:
         jsonschema.validate(config, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
         raise InvalidParameterError(f"invalid {command} config: {exc.message}") from exc
-    step = config.get("generator", {}).get("step")
-    if command in ("queue", "thermal") and step is not None:
-        # both applications cycle once a day: day boundaries (changepoints)
-        # and the daily schedules must fall on step boundaries
-        cycles = DAY_MINUTES / step
-        if not math.isclose(cycles, round(cycles), rel_tol=1e-9):
-            raise InvalidParameterError(
-                f"invalid {command} config: generator.step {step:g} does not divide "
-                f"the {DAY_MINUTES:g}-minute day"
-            )
+    if command not in ("queue", "thermal"):
+        return config
+    defaults = QueueGenConfig() if command == "queue" else ThermalGenConfig()
+    step = config.get("generator", {}).get("step", defaults.step)
+    # both applications cycle once a day: day boundaries (changepoints)
+    # and the daily schedules must fall on step boundaries
+    if not _whole_multiple(DAY_MINUTES, step):
+        raise InvalidParameterError(
+            f"invalid {command} config: generator.step {step:g} does not divide "
+            f"the {DAY_MINUTES:g}-minute day"
+        )
+    every = config.get("track_meas_every")
+    if command == "thermal" and every is not None and not _whole_multiple(every, step):
+        raise InvalidParameterError(
+            f"invalid thermal config: track_meas_every {every:g} is not a multiple "
+            f"of generator.step {step:g}"
+        )
     return config
+
+
+def _whole_multiple(value: float, step: float) -> bool:
+    ratio = value / step
+    return round(ratio) >= 1 and math.isclose(ratio, round(ratio), rel_tol=1e-9)
 
 
 def load_config(command: str, path: str | Path | None) -> dict:

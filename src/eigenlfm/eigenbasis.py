@@ -13,7 +13,6 @@ sum_j (mu_j / N) phi_j(t) phi_j(t').
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -178,30 +177,10 @@ def eigenfunction_second_derivative(basis: EigenBasis, j: int, t):
     return out if np.ndim(t) else float(out[0])
 
 
-def significant_count(
-    kernel: kernels.KernelLike,
-    n_points: int,
-    period: float,
-    gamma: float = 0.01,
-) -> int:
-    """Number of significant eigenpairs without keeping the basis around."""
-    return build(kernel, n_points, period, gamma).n_selected
-
-
 def spectrum_table(basis: EigenBasis) -> list[tuple[int, float]]:
     """Rows (j, mu_j / N) for the selected eigenpairs, for CSV emission."""
     scaled = basis.scaled_eigenvalues()
     return [(int(j), float(s)) for j, s in zip(basis.selected, scaled)]
-
-
-def sample_prior_force(
-    basis: EigenBasis, t: Sequence[float], rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one function from the basis-approximated GP prior on grid t."""
-    weights = rng.standard_normal(basis.n_selected) * np.sqrt(
-        basis.scaled_eigenvalues()
-    )
-    return eigenfunction_matrix(basis, t) @ weights
 
 
 def kpca_regress(

@@ -1,12 +1,16 @@
 """Gaussian filtering: Kalman predict/update, innovation log-likelihood, and
 the Rao-Blackwellised particle filter for a binary control input.
+
+This module knows nothing of how a model is discretized: a pass hands it
+transitions (for the particle filter, a stream of steps from
+`lfm.pass_steps`) and, where the model jumps, a jump callable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -129,18 +133,24 @@ def _particle_rngs(seed: int, n_particles: int) -> list[np.random.Generator]:
 
 
 def rbpf_predict_day(
-    model,
+    steps: Iterable,
+    n_steps: int,
     init: GaussianState,
     setpoint: Callable[[float], float],
     n_particles: int,
-    step: float,
-    horizon: float,
     seed: int,
     *,
-    temp_index: int = 0,
+    jump: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     sample_condition: bool = True,
 ) -> list[dict]:
     """Day-ahead prediction with particles over the binary heater input.
+
+    `steps` yields the `n_steps` steps of the pass in order, each with the
+    end time `t`, the `transition` G and `noise` Q, the input term
+    `input_on` of a heater that is on, and whether a `changepoint` falls on
+    the step end (see `lfm.pass_steps`); it may be lazy.  On such a step,
+    `jump(means, cov)` maps the bank of means and the shared covariance
+    across the changepoint.  The temperature is state 0.
 
     Per step and particle: the heater is on while the particle's last sampled
     temperature is strictly below the set point, the Kalman prediction runs
@@ -159,77 +169,49 @@ def rbpf_predict_day(
     Returns one record per step: {"t", "mean", "var"} with the equal-weight
     mixture moments of the temperature marginal after the prediction.
     """
-    from . import lfm  # deferred: lfm depends on this module for GaussianState
-
     if n_particles < 1:
         raise InvalidParameterError("need at least one particle")
-    if model.binary_input is None:
-        raise InvalidParameterError("model has no binary input channel")
     if math.isnan(setpoint(init.t)):
         raise InvalidParameterError("setpoint must not be NaN")
 
-    n_steps = int(round(horizon / step))
     draws = np.empty((n_particles, n_steps))
     for row, rng in zip(draws, _particle_rngs(seed, n_particles)):
         rng.standard_normal(out=row)
     n_drawn = 0
 
-    on_input = np.asarray(model.binary_input, dtype=float)
-    constant_weights = lfm.has_constant_weights(model)
-    if constant_weights:
-        plan = lfm.make_constant_step_plan(model, step)
-        off_input = np.zeros_like(on_input)
-        b_on = np.zeros(model.dim)
-        b_on[: on_input.size] = plan.input_response @ on_input
-
     means = np.tile(init.mean, (n_particles, 1))
     cov = init.cov.copy()
-    t = init.t
 
     # initial heater from the known initial temperature
-    heaters = _controller(np.full(n_particles, float(init.mean[temp_index])), setpoint(t))
+    heaters = _controller(np.full(n_particles, float(init.mean[0])), setpoint(init.t))
 
     records = []
-    changepoints = np.asarray(model.changepoints, dtype=float)
-    for _ in range(n_steps):
-        t_next = t + step
-        # changepoints are aligned with step boundaries by construction
-        hit = changepoints[(changepoints > t + 1e-9) & (changepoints <= t_next + 1e-9)]
-
+    for step in steps:
         # G and Q do not depend on the input, and the off input is zero, so a
         # particle with its heater off gets no input term
-        if constant_weights:
-            trans = lfm.constant_weight_transition(
-                model, t, t_next, plan=plan, input_value=off_input
-            )
-        else:
-            trans = lfm.discretize(model, t, t_next, input_value=on_input)
-            b_on = trans.input_term
+        g = step.transition
+        means = means @ g.T
+        means[heaters] += step.input_on
+        cov = _symmetrize(g @ cov @ g.T + step.noise)
+        if step.changepoint:
+            means, cov = jump(means, cov)
 
-        means = means @ trans.transition.T
-        means[heaters] += b_on
-        cov = _symmetrize(trans.transition @ cov @ trans.transition.T + trans.noise)
-        t = t_next
-
-        for tau in hit:
-            means, cov = lfm.apply_changepoint_moments(model, means, cov)
-
-        var_t = float(cov[temp_index, temp_index])
-        m_t = means[:, temp_index]
+        var_t = float(cov[0, 0])
+        m_t = means[:, 0]
         mix_mean = float(np.mean(m_t))
         mix_var = var_t + float(np.mean(m_t**2) - mix_mean**2)
-        records.append({"t": t, "mean": mix_mean, "var": mix_var})
+        records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
 
         if sample_condition and var_t > 1e-14:
             samples = m_t + math.sqrt(var_t) * draws[:, n_drawn]
             n_drawn += 1
-            gain_col = cov[:, temp_index] / var_t
+            gain_col = cov[:, 0] / var_t
             means = means + np.outer(samples - m_t, gain_col)
-            cov = _symmetrize(cov - np.outer(cov[:, temp_index], cov[:, temp_index]) / var_t)
+            cov = _symmetrize(cov - np.outer(cov[:, 0], cov[:, 0]) / var_t)
         else:
             samples = m_t
 
-        sp = setpoint(t)
+        sp = setpoint(step.t)
         if math.isnan(sp):
             raise InvalidParameterError("setpoint must not be NaN")
         heaters = _controller(samples, sp)

@@ -8,6 +8,7 @@ be maximized.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,12 +48,20 @@ class ParamSpace:
         return tuple(p.name for p in self.params)
 
     def check(self, params: dict, method: str) -> None:
-        """Raise when `params` lacks a parameter of this space; extra keys pass."""
+        """Raise when `params` lacks a parameter of this space or sets one
+        outside its [lower, upper] bounds; extra keys pass."""
         missing = [n for n in self.names if n not in params]
         if missing:
             raise InvalidParameterError(
                 f"params for method {method!r} lack {', '.join(missing)}"
             )
+        for p in self.params:
+            value = params[p.name]
+            if not (isinstance(value, numbers.Real) and p.lower <= value <= p.upper):
+                raise InvalidParameterError(
+                    f"params for method {method!r}: {p.name} = {value} "
+                    f"lies outside [{p.lower:g}, {p.upper:g}]"
+                )
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return np.array(

@@ -23,13 +23,18 @@ Two discretizations are provided:
   fixed-order Gauss-Legendre quadrature.
 
 Step quasi-periodic models perturb the weights at changepoints through
-per-force jump models applied by `apply_changepoint`.
+per-force jump models applied by `apply_changepoint_moments`.
+
+A filter pass over a regular step grid takes its steps from `pass_steps`,
+the one place that chooses between the two discretizations.  Changepoints
+are scheduled as integer step indices (`changepoint_steps`); one that is
+not on the step grid is a `ContractViolationError`, never a skipped jump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +56,7 @@ __all__ = [
     "StateLayout",
     "AugmentedModel",
     "Transition",
+    "PassStep",
     "assemble",
     "periodic_force",
     "cqm_force",
@@ -60,6 +66,8 @@ __all__ = [
     "constant_weight_transition",
     "make_constant_step_plan",
     "ConstantStepPlan",
+    "pass_steps",
+    "changepoint_steps",
     "apply_changepoint",
     "apply_changepoint_moments",
     "initial_state",
@@ -75,11 +83,9 @@ _BOUNDARY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TargetModel:
-    """Physical target block: drift F (E x E) and an optional known input
-    u(t) -> (E,) added to dz/dt."""
+    """Physical target block: drift F (E x E)."""
 
     drift: np.ndarray
-    known_input: Callable[[float], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -353,17 +359,14 @@ def _input_response(drift: np.ndarray, dt: float) -> np.ndarray:
     return scipy.linalg.expm(block * dt)[:n, n:]
 
 
-def _resolve_input(model: AugmentedModel, t0: float, input_value) -> np.ndarray | None:
-    if input_value is not None:
-        vec = np.asarray(input_value, dtype=float)
-        if vec.shape != (model.layout.dim_za,):
-            raise InvalidParameterError("input must have one entry per z_a state")
-        return vec
-    if model.target.known_input is not None:
-        vec = np.zeros(model.layout.dim_za)
-        vec[: model.layout.n_target] = np.asarray(model.target.known_input(t0), float)
-        return vec
-    return None
+def _input_vector(model: AugmentedModel, input_value) -> np.ndarray | None:
+    """The held z_a input, or None when there is none or it is zero."""
+    if input_value is None:
+        return None
+    vec = np.asarray(input_value, dtype=float)
+    if vec.shape != (model.layout.dim_za,):
+        raise InvalidParameterError("input must have one entry per z_a state")
+    return vec if vec.any() else None
 
 
 def discretize(
@@ -376,20 +379,19 @@ def discretize(
 ) -> Transition:
     """Frozen-m transition over [t0, t1]: G = expm(A(t0) dt) with the process
     noise computed jointly so the exact LTI solution covariance is reproduced.
-    The known input is held constant over the interval."""
+    The input (one entry per z_a state) is held constant over the interval.
+    Inputs enter only z_a and the drift is block upper-triangular, so the
+    input term comes from the z_a block of the drift alone."""
     dt = _check_step(model, t0, t1)
     drift = full_drift(model, t0, target_drift=target_drift)
     g, q = _van_loan(drift, model.diffusion, dt)
     if not np.all(np.isfinite(g)):
         raise NumericError("matrix exponential overflowed; reduce the step")
-
-    c = model.dim
-    b = np.zeros(c)
-    vec = _resolve_input(model, t0, input_value)
-    if vec is not None and vec.any():
-        padded = np.zeros(c)
-        padded[: model.layout.dim_za] = vec
-        b = _input_response(drift, dt) @ padded
+    b = np.zeros(model.dim)
+    vec = _input_vector(model, input_value)
+    if vec is not None:
+        cza = model.layout.dim_za
+        b[:cza] = _input_response(drift[:cza, :cza], dt) @ vec
     return Transition(g, q, b)
 
 
@@ -477,8 +479,8 @@ def constant_weight_transition(
         g[:cza, lo:hi] = cols.T @ phi
 
     b = np.zeros(c)
-    vec = _resolve_input(model, t0, input_value)
-    if vec is not None and vec.any():
+    vec = _input_vector(model, input_value)
+    if vec is not None:
         b[:cza] = plan.input_response @ vec
     return Transition(g, q, b)
 
@@ -510,6 +512,73 @@ def apply_changepoint(model: AugmentedModel, state: GaussianState, tau: float) -
         raise ContractViolationError(f"{tau} is not a registered changepoint")
     means, cov = apply_changepoint_moments(model, state.mean[None, :], state.cov)
     return GaussianState(means[0], cov, state.t)
+
+
+def changepoint_steps(model: AugmentedModel, t_start: float, dt: float, n_steps: int) -> np.ndarray:
+    """Integer indices k (1 <= k <= n_steps) of the steps of a pass whose end
+    t_start + k dt is a changepoint; changepoints outside the pass
+    (t_start, t_start + n_steps dt] are ignored.  Raises
+    ContractViolationError for a changepoint inside the pass that is not on
+    the step grid."""
+    t_end = t_start + n_steps * dt
+    tol = _BOUNDARY_TOL * max(1.0, abs(t_start), abs(t_end))
+    cps = model.changepoints
+    cps = cps[(cps > t_start + tol) & (cps <= t_end + tol)]
+    steps = np.rint((cps - t_start) / dt)
+    off = np.abs(t_start + steps * dt - cps) > tol
+    if np.any(off):
+        raise ContractViolationError(
+            f"changepoint at {cps[off][0]:g} is not on the step grid "
+            f"{t_start:g} + k * {dt:g}; the jump would be skipped"
+        )
+    return steps.astype(int)
+
+
+class PassStep(NamedTuple):
+    t: float                # end time of the step
+    transition: np.ndarray  # G, (C, C)
+    noise: np.ndarray       # Q, (C, C)
+    input_on: np.ndarray    # (C,) input term with the binary input on; zero without one
+    changepoint: bool       # a changepoint falls on the step end
+
+
+def pass_steps(
+    model: AugmentedModel, t_start: float, dt: float, n_steps: int
+) -> Iterator[PassStep]:
+    """The steps of one filter pass over [t_start, t_start + n_steps dt].
+
+    Constant-weight models step with `constant_weight_transition` from one
+    plan, with the node eigenfunction rows of every periodic force evaluated
+    in one batch up front; other models step with the frozen-m `discretize`.
+    The changepoint schedule is checked here, before the first step.  Steps
+    are produced lazily, so a pass never holds more than one (G, Q) pair.
+    """
+    jumps = np.zeros(n_steps + 1, dtype=bool)
+    jumps[changepoint_steps(model, t_start, dt, n_steps)] = True
+    on = model.binary_input
+    if has_constant_weights(model):
+        plan = make_constant_step_plan(model, dt)
+        nodes = ((t_start + dt * np.arange(n_steps))[:, None] + plan.node_offsets).ravel()
+        node_rows = [
+            eb.eigenfunction_matrix(force.basis, nodes).reshape(n_steps, plan.node_offsets.size, -1)
+            for force in model.periodic
+        ]
+
+        def transition(k, t0):
+            return constant_weight_transition(
+                model, t0, t0 + dt, plan=plan, node_phi=[rows[k] for rows in node_rows],
+                input_value=on,
+            )
+    else:
+        def transition(k, t0):
+            return discretize(model, t0, t0 + dt, input_value=on)
+
+    def steps():
+        for k in range(n_steps):
+            t0 = t_start + k * dt
+            tr = transition(k, t0)
+            yield PassStep(t0 + dt, tr.transition, tr.noise, tr.input_term, bool(jumps[k + 1]))
+    return steps()
 
 
 def initial_state(

@@ -66,57 +66,67 @@ def test_generated_sqm_intercycle_correlation():
     assert abs(corr - np.exp(-1.0 / ell_q)) < 0.1
 
 
+def _random_moments(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    return rng.standard_normal(dim), a @ a.T + np.eye(dim)
+
+
 def test_specialized_constant_weight_step_matches_generic():
+    # the queue's closed-form predict for constant weights against the generic
+    # constant-weight transition of a model with the linearized drift f
     cfg = qa.QueueGenConfig(days=2, n_basis_points=64)
     params = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
-    filt = qa._make_filter("quasi-sqm", params, cfg)
-    filt.reset()
-    rng = np.random.default_rng(0)
-    dim = 1 + filt.mu_scaled.size
-    a = rng.standard_normal((dim, dim))
-    p0 = a @ a.T + np.eye(dim)
-    m0 = rng.standard_normal(dim)
-    filt.mean, filt.cov = m0.copy(), p0.copy()
+    model = qa._queue_model("quasi-sqm", params, cfg)
+    basis = model.periodic[0].basis
+    m0, p0 = _random_moments(model.dim, 0)
 
-    force = lfm.sqm_force(filt.basis, [1.0], 1.0, 2.0)
+    force = lfm.sqm_force(basis, [1.0], 1.0, 2.0)
     f = -10.0 / 3.3
-    model = lfm.assemble(
+    generic = lfm.assemble(
         lfm.TargetModel(np.array([[f]])), periodic=[force], changepoints=[1440.0]
     )
-    tr = lfm.constant_weight_transition(model, 100.0, 102.0)
+    tr = lfm.constant_weight_transition(generic, 100.0, 102.0)
     ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), tr.transition, tr.noise)
-    phi_nodes = eb.eigenfunction_matrix(filt.basis, 100.0 + 2.0 * qa._GAUSS_X)
-    filt.predict(100.0, f, phi_nodes, None)
-    np.testing.assert_allclose(filt.mean, ref.mean, atol=1e-12)
-    np.testing.assert_allclose(filt.cov, ref.cov, atol=1e-12)
+    phi_nodes = eb.eigenfunction_matrix(basis, 100.0 + 2.0 * qa._GAUSS_X)
+    mean, cov = qa._predict(model, m0.copy(), p0.copy(), f, 2.0, phi_nodes)
+    np.testing.assert_allclose(mean, ref.mean, atol=1e-12)
+    np.testing.assert_allclose(cov, ref.cov, atol=1e-12)
 
-    ref_cp = lfm.apply_changepoint(model, ref, 1440.0)
-    filt.changepoint()
-    np.testing.assert_allclose(filt.mean, ref_cp.mean, atol=1e-12)
-    np.testing.assert_allclose(filt.cov, ref_cp.cov, atol=1e-12)
+    # the queue model registers the same day-boundary jump
+    np.testing.assert_array_equal(model.changepoints, generic.changepoints)
+    ref_cp = lfm.apply_changepoint(generic, ref, 1440.0)
+    means, cov = lfm.apply_changepoint_moments(model, mean[None, :], cov)
+    np.testing.assert_allclose(means[0], ref_cp.mean, atol=1e-12)
+    np.testing.assert_allclose(cov, ref_cp.cov, atol=1e-12)
 
 
 def test_specialized_cqm_step_matches_generic():
+    # the queue's closed-form predict for OU weights against the generic
+    # frozen-m Van Loan discretization
     cfg = qa.QueueGenConfig(days=2, n_basis_points=64)
     params = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
-    filt = qa._make_filter("quasi-cqm", params, cfg)
-    filt.reset()
-    rng = np.random.default_rng(1)
-    dim = 1 + filt.mu_scaled.size
-    a = rng.standard_normal((dim, dim))
-    p0 = a @ a.T + np.eye(dim)
-    m0 = rng.standard_normal(dim)
-    filt.mean, filt.cov = m0.copy(), p0.copy()
+    model = qa._queue_model("quasi-cqm", params, cfg)
+    basis = model.periodic[0].basis
+    m0, p0 = _random_moments(model.dim, 1)
 
-    force = lfm.cqm_force(filt.basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES)
+    force = lfm.cqm_force(basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES)
     f = -10.0 / 3.3
-    model = lfm.assemble(lfm.TargetModel(np.array([[f]])), periodic=[force])
-    tr = lfm.discretize(model, 100.0, 102.0)
+    generic = lfm.assemble(lfm.TargetModel(np.array([[f]])), periodic=[force])
+    tr = lfm.discretize(generic, 100.0, 102.0)
     ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), tr.transition, tr.noise)
-    phi_t0 = eb.eigenfunction_matrix(filt.basis, 100.0)[0]
-    filt.predict(100.0, f, None, phi_t0)
-    np.testing.assert_allclose(filt.mean, ref.mean, atol=1e-10)
-    np.testing.assert_allclose(filt.cov, ref.cov, atol=1e-10)
+    phi_t0 = eb.eigenfunction_matrix(basis, 100.0)[0]
+    mean, cov = qa._predict(model, m0.copy(), p0.copy(), f, 2.0, phi_t0)
+    np.testing.assert_allclose(mean, ref.mean, atol=1e-10)
+    np.testing.assert_allclose(cov, ref.cov, atol=1e-10)
+
+
+def test_track_rejects_changepoints_off_the_step_grid():
+    # a 7-minute step misses both day boundaries; the jumps must not be skipped
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=3, step=7.0), seed=0)
+    params = dict(sigma_obs=0.5, sigma_p=1.2, ell_p=0.5, ell_q=2.0)
+    with pytest.raises(ContractViolationError, match="changepoint at 1440"):
+        qa.queue_track(ds, "quasi-sqm", params)
 
 
 @pytest.mark.parametrize(

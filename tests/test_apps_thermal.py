@@ -5,7 +5,7 @@ from eigenlfm import lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import thermal as th
 from eigenlfm.errors import InvalidParameterError
-from eigenlfm.filtering import predict
+from eigenlfm.filtering import predict, update
 
 
 BASE_PARAMS = dict(
@@ -130,6 +130,31 @@ def test_track_and_predict_smoke():
         assert np.isfinite(tr["rmse"]) and np.isfinite(tr["ell"])
     pr = th.thermal_predict_day(ds, "quasi-sqm", BASE_PARAMS, n_particles=16, seed=0)
     assert np.isfinite(pr["rmse"])
+
+
+@pytest.mark.parametrize("every", [25.0, 15.0, 5.0])
+def test_measurement_interval_must_be_whole_steps(every):
+    cfg = th.ThermalGenConfig(days=2)
+    ds = th.generate_thermal_data(cfg, seed=7)
+    with pytest.raises(InvalidParameterError, match=f"interval {every:g} min"):
+        th.thermal_track_day(ds, "without", BASE_PARAMS, measure_every=every)
+
+
+def test_default_interval_measures_every_ten_steps(monkeypatch):
+    cfg = th.ThermalGenConfig(days=2)
+    ds = th.generate_thermal_data(cfg, seed=7)
+    model = th.thermal_build("without", BASE_PARAMS, cfg)
+    state = th._initial_state(model, ds, False)
+    state.t = ds.test_start
+    measured = []
+
+    def recording_update(state, *args):
+        measured.append(state.t)
+        return update(state, *args)
+
+    monkeypatch.setattr(th, "update", recording_update)
+    th._run_thermal_filter(model, ds, state, ds.test_start, ds.test_start + 1440.0, 100.0)
+    np.testing.assert_array_equal(measured, ds.test_start + 100.0 * np.arange(1, 15))
 
 
 def test_resonator_roster_runs():

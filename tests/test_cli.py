@@ -81,3 +81,90 @@ def test_params_missing_a_key_fail_with_its_name(tmp_path, config, command, meth
     result, _ = _invoke(tmp_path, {**config, "seeds": [0], "params": params}, *command)
     assert result.exit_code == 1
     assert f"params for method '{method}' lack sigma_obs" in result.output
+
+
+def _fails_cleanly(result, text):
+    # a package error ends in one "error: ..." line and exit 1, not a traceback
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output and text in result.output
+
+
+@pytest.mark.parametrize(
+    "config, command, text",
+    [
+        ({**QUEUE_CONFIG, "generator": {"days": 2, "step": 4.0, "gamma": 0.0005}},
+         ["queue", "track"], "periodic roster exceeded 30 basis functions"),
+        ({**THERMAL_CONFIG, "generator": {"days": 2, "gamma": 0.0005}},
+         ["thermal", "track"], "periodic roster exceeded 30 basis functions"),
+        ({**THERMAL_CONFIG, "params": {
+            **THERMAL_CONFIG["params"],
+            "quasi-sqm": {**THERMAL_CONFIG["params"]["quasi-sqm"], "ell_r": 0.1}}},
+         ["thermal", "track"], "ell_r = 0.1 lies outside [0.35, 1.5]"),
+    ],
+)
+def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
+    result, _ = _invoke(tmp_path, {**config, "seeds": [0]}, *command)
+    _fails_cleanly(result, text)
+
+
+def test_track_meas_every_must_be_a_multiple_of_the_step(tmp_path):
+    result, _ = _invoke(tmp_path, {**THERMAL_CONFIG, "track_meas_every": 25.0},
+                        "thermal", "track")
+    _fails_cleanly(result, "track_meas_every 25 is not a multiple of generator.step 10")
+
+
+def test_eigenbasis_writes_spectrum_and_eigenfunctions(tmp_path):
+    config = {
+        "kernel": {"variant": "periodic_matern",
+                   "params": {"nu": 0.5, "sigma": 1.0, "ell": 0.5, "period": 24.0}},
+        "period": 24.0,
+        "n_points": 40,
+        "grid": {"start": 0.0, "stop": 24.0, "count": 9},
+    }
+    result, out = _invoke(tmp_path, config, "eigenbasis")
+    assert result.exit_code == 0, result.output
+    spectrum = (out / "spectrum.csv").read_text().splitlines()
+    grid = (out / "eigenfunctions.csv").read_text().splitlines()
+    assert spectrum[0] == "j,mu_scaled" and len(spectrum) > 2
+    assert len(grid) == 10 and len(grid[0].split(",")) == len(spectrum)
+
+
+def test_compare_bases_writes_one_row_per_method(tmp_path):
+    config = {"n_points": 40, "n_basis": 6, "n_draws": 2, "grid_count": 60,
+              "ssgpr_multipliers": [1]}
+    result, out = _invoke(tmp_path, config, "compare-bases")
+    assert result.exit_code == 0, result.output
+    rows = (out / "compare_bases.csv").read_text().splitlines()
+    assert rows[0] == "method,basis_count,max_cov_error,rmse,ell"
+    assert len(rows) >= 3
+
+
+@pytest.mark.parametrize(
+    "app, files",
+    [
+        ("queue", ["arrivals.csv", "queue_truth.csv", "queue_meas.csv"]),
+        ("thermal", ["thermal.csv", "thermal_meas.csv"]),
+    ],
+)
+def test_simulate_writes_the_dataset(tmp_path, app, files):
+    config = {"generator": {"days": 2}, "seeds": [3]}
+    result, out = _invoke(tmp_path, config, app, "simulate")
+    assert result.exit_code == 0, result.output
+    for name in files:
+        assert len((out / f"{app}-s3" / name).read_text().splitlines()) > 2
+
+
+@pytest.mark.parametrize(
+    "config, app, method",
+    [(QUEUE_CONFIG, "queue", "hart"), (THERMAL_CONFIG, "thermal", "without")],
+)
+def test_fit_writes_a_fit_report(tmp_path, config, app, method):
+    fit_config = {"generator": config["generator"], "methods": [method], "seeds": [0],
+                  "budget": 8}
+    result, out = _invoke(tmp_path, fit_config, app, "fit")
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / f"{app}-s0" / f"fit-{method}.json").read_text())
+    assert report["evaluations"] <= 8
+    assert set(config["params"][method]) == set(report["params"])
+    assert not (out / "metrics.json").exists()

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -102,6 +103,16 @@ def test_log_likelihood_empty():
         log_likelihood([])
 
 
+def _rbpf(model, init, setpoint, n_particles, step, horizon, seed, **kwargs):
+    """RBPF over the steps of `lfm.pass_steps`, jumping with the model's moments."""
+    n_steps = int(round(horizon / step))
+    return rbpf_predict_day(
+        lfm.pass_steps(model, init.t, step, n_steps), n_steps, init, setpoint,
+        n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
+        **kwargs,
+    )
+
+
 def _thermal_toy(beta: float):
     model = lfm.assemble(
         lfm.TargetModel(np.array([[-0.01]])),
@@ -119,9 +130,9 @@ def test_rbpf_validation():
     model = _thermal_toy(0.1)
     init = lfm.initial_state(model, [1.0], [[0.01]])
     with pytest.raises(InvalidParameterError):
-        rbpf_predict_day(model, init, lambda t: 0.0, 0, 10.0, 100.0, 0)
+        _rbpf(model, init, lambda t: 0.0, 0, 10.0, 100.0, 0)
     with pytest.raises(InvalidParameterError):
-        rbpf_predict_day(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
+        _rbpf(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
 
 
 def test_rbpf_degenerate_matches_plain_kf():
@@ -129,7 +140,7 @@ def test_rbpf_degenerate_matches_plain_kf():
     # single particle the run is exactly the deterministic KF with no input
     model = _thermal_toy(0.1)
     init = lfm.initial_state(model, [1.0], [[0.01]])
-    recs = rbpf_predict_day(
+    recs = _rbpf(
         model, init, lambda t: -np.inf, 1, 10.0, 200.0, 0, sample_condition=False
     )
     state = init
@@ -145,7 +156,7 @@ def test_rbpf_heater_irrelevant_when_beta_zero():
     # sits in a Monte-Carlo band around the single-filter variance
     model = _thermal_toy(0.0)
     init = lfm.initial_state(model, [1.0], [[0.01]])
-    recs = rbpf_predict_day(model, init, lambda t: 1.0, 64, 10.0, 400.0, 3)
+    recs = _rbpf(model, init, lambda t: 1.0, 64, 10.0, 400.0, 3)
     state = init
     for r in recs:
         tr = lfm.discretize(model, state.t, r["t"])
@@ -158,12 +169,12 @@ def test_rbpf_heater_irrelevant_when_beta_zero():
 def test_rbpf_bit_reproducible():
     model = _thermal_toy(0.1)
     init = lfm.initial_state(model, [0.0], [[0.04]])
-    a = rbpf_predict_day(model, init, lambda t: 0.5, 16, 10.0, 300.0, 42)
-    b = rbpf_predict_day(model, init, lambda t: 0.5, 16, 10.0, 300.0, 42)
+    a = _rbpf(model, init, lambda t: 0.5, 16, 10.0, 300.0, 42)
+    b = _rbpf(model, init, lambda t: 0.5, 16, 10.0, 300.0, 42)
     assert all(
         ra["mean"] == rb["mean"] and ra["var"] == rb["var"] for ra, rb in zip(a, b)
     )
-    c = rbpf_predict_day(model, init, lambda t: 0.5, 16, 10.0, 300.0, 43)
+    c = _rbpf(model, init, lambda t: 0.5, 16, 10.0, 300.0, 43)
     assert any(ra["mean"] != rc["mean"] for ra, rc in zip(a, c))
 
 
@@ -175,7 +186,7 @@ def test_rbpf_mixture_mean_variance_shrinks_with_particles():
     spreads = []
     for n_particles in (16, 64, 256):
         finals = [
-            rbpf_predict_day(model, init, lambda t: 0.3, n_particles, 10.0, 300.0, s)[-1][
+            _rbpf(model, init, lambda t: 0.3, n_particles, 10.0, 300.0, s)[-1][
                 "mean"
             ]
             for s in range(20)
@@ -263,7 +274,7 @@ def test_rbpf_matches_per_particle_reference(force_kind):
     model = _thermal_toy(0.1) if force_kind == "none" else _periodic_toy(0.1, force_kind)
     init = lfm.initial_state(model, [1.0], [[0.01]])
     args = (model, init, lambda t: 0.8, 16, 10.0, 300.0, 7)
-    recs = rbpf_predict_day(*args)
+    recs = _rbpf(*args)
     ref, n_on, n_off = _rbpf_reference(*args)
     assert n_on > 0 and n_off > 0  # both input branches are exercised
     assert len(recs) == len(ref) == 30

@@ -111,3 +111,15 @@ def test_ou_scale_recovery_band():
         ok_ell = 2.5 <= result.params["ell"] <= 10.0
         hits += ok_sigma and ok_ell
     assert hits >= 16
+
+
+def test_check_rejects_missing_and_out_of_bounds_params():
+    space = quadratic_space()
+    space.check({"a": 1e-3, "b": 100.0, "extra": -1.0}, "m")  # bounds are inclusive
+    with pytest.raises(InvalidParameterError, match="lack b"):
+        space.check({"a": 1.0}, "m")
+    with pytest.raises(InvalidParameterError, match=r"'m': b = 200.0 lies outside \[0.001, 100\]"):
+        space.check({"a": 1.0, "b": 200.0}, "m")
+    for bad in (0.0, float("nan"), "1.0"):
+        with pytest.raises(InvalidParameterError, match="a = .* lies outside"):
+            space.check({"a": bad, "b": 1.0}, "m")

@@ -239,6 +239,77 @@ def test_input_term_integration():
     assert tr2.input_term[0] == pytest.approx(tr.input_term[0], rel=1e-12)
 
 
+def test_discretize_input_term_matches_full_drift_reference():
+    # the input term from the z_a block equals B0 @ [u; 0] with B0 from the
+    # exponential of the full frozen drift
+    basis = sample_basis()
+    model = lfm.assemble(
+        lfm.TargetModel(np.array([[-0.5]])),
+        nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), np.array([0.8]))],
+        periodic=[lfm.cqm_force(basis, [1.3], 1.0, 20.0)],
+    )
+    u = np.array([0.7, -0.2, 0.4])
+    t0, dt = 1.3, 0.5
+    tr = lfm.discretize(model, t0, t0 + dt, input_value=u)
+
+    c, cza = model.dim, model.layout.dim_za
+    drift = np.zeros((c, c))
+    drift[:cza, :cza] = model.drift_za
+    drift[0, cza:] = 1.3 * eb.eigenfunction_matrix(basis, t0)[0]
+    drift[cza:, cza:] = np.diag(model.weight_rates)
+    block = np.zeros((2 * c, 2 * c))
+    block[:c, :c] = drift
+    block[:c, c:] = np.eye(c)
+    b0 = scipy.linalg.expm(block * dt)[:c, c:]
+    ref = b0 @ np.concatenate([u, np.zeros(c - cza)])
+    assert np.abs(ref[cza:]).max() < 1e-14  # inputs never reach the weights
+    np.testing.assert_allclose(tr.input_term, ref, rtol=0.0, atol=1e-12)
+
+
+def _stepper_model(kind, changepoints):
+    basis = sample_basis()
+    force = (
+        lfm.sqm_force(basis, [1.0], 1.0, 2.0) if kind == "sqm"
+        else lfm.cqm_force(basis, [1.0], 1.0, 20.0)
+    )
+    model = lfm.assemble(
+        lfm.TargetModel(np.array([[-0.5]])),
+        nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
+        periodic=[force],
+        changepoints=changepoints,
+    )
+    model.binary_input = np.array([0.3, 0.0])
+    return model
+
+
+@pytest.mark.parametrize("kind", ["sqm", "cqm"])
+def test_pass_steps_match_direct_transitions(kind):
+    # the pass covers (1, 7]: 2.0 and 5.0 end steps 2 and 8, 7.5 and 20.0
+    # lie beyond the pass, and 1.0 is its start, not a step end
+    model = _stepper_model(kind, [1.0, 2.0, 5.0, 7.5, 20.0])
+    np.testing.assert_array_equal(lfm.changepoint_steps(model, 1.0, 0.5, 12), [2, 8])
+    direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
+    steps = list(lfm.pass_steps(model, 1.0, 0.5, 12))
+    assert [s.changepoint for s in steps] == [k in (2, 8) for k in range(1, 13)]
+    for k, step in enumerate(steps):
+        t0 = 1.0 + 0.5 * k
+        ref = direct(model, t0, t0 + 0.5, input_value=model.binary_input)
+        assert step.t == t0 + 0.5
+        np.testing.assert_allclose(step.transition, ref.transition, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(step.noise, ref.noise, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(step.input_on, ref.input_term, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["sqm", "cqm"])
+def test_pass_steps_reject_changepoint_off_the_grid(kind):
+    model = _stepper_model(kind, [2.25])
+    with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
+        lfm.pass_steps(model, 1.0, 0.5, 12)  # raises before the first step
+    with pytest.raises(ContractViolationError):
+        lfm.changepoint_steps(model, 1.0, 0.5, 12)
+    assert lfm.changepoint_steps(model, 1.0, 0.5, 2).size == 0  # beyond the pass
+
+
 def test_plan_reuse_matches_direct():
     basis = sample_basis()
     model = lfm.assemble(
