@@ -316,12 +316,16 @@ def _predict(model, mean, cov, f: float, dt: float, phi):
 
 
 def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
-    """One full filtering pass; returns (loglik, emitted records)."""
+    """One full filtering pass; returns (loglik, emitted records).  Jumps and
+    measurements are looked up by integer step index, so a measurement time
+    off the step grid raises `ContractViolationError` instead of being
+    dropped."""
     dt = dataset.config.step
     times = dataset.times
     n_steps = times.size - 1
     jumps = set(lfm.changepoint_steps(model, times[0], dt, n_steps).tolist())
-    meas = dict(zip(dataset.meas_times, dataset.meas_values))
+    meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, n_steps, "measurement")
+    meas = dict(zip(meas_steps.tolist(), dataset.meas_values))
 
     # per step, only the eigenfunction rows `_predict` reads
     phi = None
@@ -346,7 +350,7 @@ def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
             mean = means[0]
         if emit_from is not None and t1 > emit_from + 1e-9:
             records.append((t1, mean[0], cov[0, 0]))
-        y = meas.get(t1)
+        y = meas.get(k + 1)
         if y is not None:
             res = update(GaussianState(mean, cov, t1), model.measurement_matrix,
                          model.measurement_noise, [y])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import eigenbasis as eb
 from .. import filtering, kernels, learn, lfm, lti
-from ..baselines.resonator import resonator_block
+from ..baselines.resonator import resonator_bank
 from ..errors import ContractViolationError, InvalidParameterError
 from ..filtering import GaussianState, rbpf_predict_day, update
 from .synth import draw_matern32, draw_ou, draw_periodic_force
@@ -177,13 +177,8 @@ def _residual_forces(kind: str, params: dict, config: ThermalGenConfig, coupling
         return [lfm.NonPeriodicForce(blk, coupling)], [], None
     if kind == "resonator":
         n_res = int(params.get("n_resonators", _N_RESONATORS))
-        forces = []
-        for j in range(n_res):
-            blk = resonator_block(
-                params[f"freq_{j}"], -params["decay"], params["diffusion"]
-            )
-            forces.append(lfm.NonPeriodicForce(blk, coupling))
-        forces.append(lfm.NonPeriodicForce(lti.constant_weight_block(), coupling))
+        freqs = [params[f"freq_{j}"] for j in range(n_res)]
+        forces = resonator_bank(freqs, np.full(n_res, -params["decay"]), params["diffusion"], coupling)
         return forces, [], None
     kernel = kernels.PeriodicMatern(
         0.5, params["sigma_r"] * config.residual_scale, params["ell_r"], DAY_MINUTES

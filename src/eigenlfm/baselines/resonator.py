@@ -6,8 +6,11 @@ uses are covered here:
 * a time-varying coefficient profile A(t) = -(2 pi f(t))^2 derived from an
   eigenfunction, which makes the resonator trajectory coincide with that
   eigenfunction (the offset trick keeps the profile bounded near zeros);
-* a constant-coefficient bank of resonators plus a bias, fitted to data by
-  maximum likelihood through a Kalman filter.
+* a constant-coefficient bank of resonators plus a bias (`resonator_bank`),
+  fitted to data by maximum likelihood.  The fit runs on the engine: the bank
+  is assembled by `lfm`, stepped by `lfm.pass_steps` and filtered by
+  `filtering.predict`/`update`.  Thermal's "resonator" roster entry builds
+  its residual force from the same bank.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import numpy as np
 import scipy.linalg
 
 from .. import eigenbasis as eb
-from .. import learn, lti
+from .. import learn, lfm, lti
 from ..errors import InvalidParameterError, NumericError
-from ..filtering import GaussianState, log_likelihood, predict, update
+from ..filtering import GaussianState, predict, update
 
 __all__ = [
     "ResonatorModel",
     "resonator_block",
+    "resonator_bank",
     "resonator_frequency_profile",
     "resonator_integrate",
     "resonator_fit",
@@ -127,6 +131,18 @@ def resonator_integrate(
     return out
 
 
+def resonator_bank(freqs, decays, diffusion: float, coupling) -> list[lfm.NonPeriodicForce]:
+    """Resonator bank as `lfm` forces: one `resonator_block` per (frequency,
+    decay) pair, then the constant bias block, each feeding the target
+    through `coupling`."""
+    forces = [
+        lfm.NonPeriodicForce(resonator_block(f, b, diffusion), coupling)
+        for f, b in zip(freqs, decays)
+    ]
+    forces.append(lfm.NonPeriodicForce(lti.constant_weight_block(), coupling))
+    return forces
+
+
 def _resonator_loglik(
     times: np.ndarray,
     values: np.ndarray,
@@ -136,53 +152,26 @@ def _resonator_loglik(
     noise_variance: float,
     init_variance: float,
 ) -> float:
-    n_res = freqs.size
-    dim = 2 * n_res + 1
-    h = np.zeros((1, dim))
-    h[0, 0:2 * n_res:2] = 1.0
-    h[0, -1] = 1.0
+    """Kalman log-likelihood of evenly spaced `values` observed as the sum of
+    the resonator bank (no target states), under a diagonal prior that shares
+    `init_variance` equally between the resonators and the bias."""
+    model = lfm.assemble(
+        lfm.TargetModel(np.zeros((0, 0))),
+        nonperiodic=resonator_bank(freqs, decays, diffusion, np.zeros(0)),
+    )
+    h = sum(lfm.nonperiodic_force_row(model, i) for i in range(len(model.nonperiodic)))[None, :]
+    share = init_variance / (freqs.size + 1)
+    prior = np.full(model.dim, share)
+    prior[1:-1:2] *= (2.0 * np.pi * freqs) ** 2
+    noise = [[noise_variance]]
 
-    mean = np.zeros(dim)
-    cov = np.zeros((dim, dim))
-    share = init_variance / (n_res + 1)
-    for j in range(n_res):
-        cov[2 * j, 2 * j] = share
-        cov[2 * j + 1, 2 * j + 1] = share * (2.0 * np.pi * freqs[j]) ** 2
-    cov[-1, -1] = share
-    state = GaussianState(mean, cov, times[0])
-
-    blocks = [
-        resonator_block(f, b, diffusion) for f, b in zip(freqs, decays)
-    ]
-    updates = []
-    prev_t = times[0]
-    for t, y in zip(times, values):
-        dt = t - prev_t
-        if dt > 0.0:
-            g = np.zeros((dim, dim))
-            q = np.zeros((dim, dim))
-            for j, blk in enumerate(blocks):
-                sl = slice(2 * j, 2 * j + 2)
-                gb = scipy.linalg.expm(blk.drift * dt)
-                g[sl, sl] = gb
-                if diffusion > 0.0:
-                    top = scipy.linalg.expm(
-                        np.block(
-                            [
-                                [blk.drift, diffusion * blk.noise @ blk.noise.T],
-                                [np.zeros((2, 2)), -blk.drift.T],
-                            ]
-                        )
-                        * dt
-                    )[:2, :]
-                    qb = top[:, 2:] @ gb.T
-                    q[sl, sl] = 0.5 * (qb + qb.T)
-            g[-1, -1] = 1.0
-            state = predict(state, g, q, t_new=t)
-        updates.append(update(state, h, [[noise_variance]], [y]))
-        state = updates[-1].state
-        prev_t = t
-    return log_likelihood(updates)
+    res = update(GaussianState(np.zeros(model.dim), np.diag(prior), times[0]), h, noise, [values[0]])
+    loglik = res.log_density
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    for step, y in zip(lfm.pass_steps(model, times[0], dt, times.size - 1), values[1:]):
+        res = update(predict(res.state, step.transition, step.noise, t_new=step.t), h, noise, [y])
+        loglik += res.log_density
+    return loglik
 
 
 def resonator_fit(
@@ -195,11 +184,17 @@ def resonator_fit(
     restarts: int = 1,
 ) -> tuple[ResonatorModel, learn.FitResult]:
     """Fit frequencies and decay coefficients of a resonator bank by maximum
-    likelihood, starting from distinct contiguous multiples of 1/period."""
+    likelihood, starting from distinct contiguous multiples of 1/period.
+    The series must be observed at two or more evenly spaced times."""
     if n_resonators < 1:
         raise InvalidParameterError("need at least one resonator")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if values.shape != times.shape:
+        raise InvalidParameterError("values must have one entry per time")
+    gaps = np.diff(times)
+    if gaps.size == 0 or not (gaps[0] > 0.0 and np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0)):
+        raise InvalidParameterError("times must be two or more evenly spaced, increasing points")
     scale = float(np.var(values)) or 1.0
 
     params = []

@@ -196,7 +196,8 @@ def validate_config(command: str, config: dict) -> dict:
     if command not in ("queue", "thermal"):
         return config
     defaults = QueueGenConfig() if command == "queue" else ThermalGenConfig()
-    step = config.get("generator", {}).get("step", defaults.step)
+    generator = config.get("generator", {})
+    step = generator.get("step", defaults.step)
     # both applications cycle once a day: day boundaries (changepoints)
     # and the daily schedules must fall on step boundaries
     if not _whole_multiple(DAY_MINUTES, step):
@@ -204,12 +205,19 @@ def validate_config(command: str, config: dict) -> dict:
             f"invalid {command} config: generator.step {step:g} does not divide "
             f"the {DAY_MINUTES:g}-minute day"
         )
-    every = config.get("track_meas_every")
-    if command == "thermal" and every is not None and not _whole_multiple(every, step):
-        raise InvalidParameterError(
-            f"invalid thermal config: track_meas_every {every:g} is not a multiple "
-            f"of generator.step {step:g}"
-        )
+    if command == "thermal":
+        intervals = {"track_meas_every": config.get("track_meas_every")}
+    else:
+        intervals = {
+            f"generator.{key}": generator.get(key)
+            for key in ("train_meas_every", "test_meas_every")
+        }
+    for key, every in intervals.items():
+        if every is not None and not _whole_multiple(every, step):
+            raise InvalidParameterError(
+                f"invalid {command} config: {key} {every:g} is not a multiple "
+                f"of generator.step {step:g}"
+            )
     return config
 
 

@@ -152,27 +152,13 @@ def reconstruct(basis: EigenBasis, t, tp):
     return out
 
 
-def _derivative_rows(basis: EigenBasis, t, order: int) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    deriv = (
-        kernels.first_time_derivative if order == 1 else kernels.second_time_derivative
-    )
-    return np.asarray(deriv(basis.kernel, t[:, None], basis.sample_points[None, :]))
-
-
-def eigenfunction_first_derivative(basis: EigenBasis, j: int, t):
-    """d phi_j / dt via the kernel derivative row (twice-differentiable
-    kernels only)."""
-    col = _check_selected(basis, j)
-    rows = _derivative_rows(basis, t, order=1)
-    out = basis._scale_selected[col] * (rows @ basis._v_selected[:, col])
-    return out if np.ndim(t) else float(out[0])
-
-
 def eigenfunction_second_derivative(basis: EigenBasis, j: int, t):
     """d^2 phi_j / dt^2 via the kernel second-derivative row."""
     col = _check_selected(basis, j)
-    rows = _derivative_rows(basis, t, order=2)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    rows = np.asarray(
+        kernels.second_time_derivative(basis.kernel, ts[:, None], basis.sample_points[None, :])
+    )
     out = basis._scale_selected[col] * (rows @ basis._v_selected[:, col])
     return out if np.ndim(t) else float(out[0])
 

@@ -1,5 +1,6 @@
-"""Gaussian filtering: Kalman predict/update, innovation log-likelihood, and
-the Rao-Blackwellised particle filter for a binary control input.
+"""Gaussian filtering: Kalman predict/update (each update returns the
+innovation log-density), and the Rao-Blackwellised particle filter for a
+binary control input.
 
 This module knows nothing of how a model is discretized: a pass hands it
 transitions (for the particle filter, a stream of steps from
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +23,6 @@ __all__ = [
     "UpdateResult",
     "predict",
     "update",
-    "log_likelihood",
     "rbpf_predict_day",
 ]
 
@@ -114,13 +114,6 @@ def update(
         innovation_cov=s,
         log_density=log_density,
     )
-
-
-def log_likelihood(updates: Sequence[UpdateResult]) -> float:
-    """Innovation (prediction-error) decomposition of the run log-likelihood."""
-    if len(updates) == 0:
-        raise InvalidParameterError("log-likelihood needs at least one update")
-    return float(sum(u.log_density for u in updates))
 
 
 def _particle_rngs(seed: int, n_particles: int) -> list[np.random.Generator]:

@@ -7,8 +7,8 @@ kernel of the phase is automatically periodic in time.  Quasi-periodic step
 variants (StepQuasi / WienerStepQuasi) depend on time only through the cycle
 index ``floor((t - epoch) / period)``.
 
-The non-stationary periodic variant additionally supports closed-form first
-and second derivatives in its first time argument, which the eigenfunction
+The non-stationary periodic variant additionally supports a closed-form
+second derivative in its first time argument, which the eigenfunction
 machinery needs for resonator frequency profiles.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "cycle_index",
     "eval_kernel",
     "eval_matrix",
-    "first_time_derivative",
     "second_time_derivative",
     "kernel_to_config",
     "kernel_from_config",
@@ -329,19 +328,6 @@ def _nonstat_pieces(kernel: NonStatPeriodic, t: np.ndarray, tp: np.ndarray):
 
     e_tp = np.exp(-alpha * np.clip(phase(tp, period), 0.0, 1.0) ** 2)
     return m, dm, d2m, e_t, de_t, d2e_t, e_tp
-
-
-def first_time_derivative(kernel: KernelLike, t, tp):
-    """dK/dt for the non-stationary periodic variant."""
-    if not isinstance(kernel, NonStatPeriodic):
-        raise NotDifferentiableError(
-            "closed-form time derivatives are only available for NonStatPeriodic"
-        )
-    t = np.asarray(t, dtype=float)
-    tp = np.asarray(tp, dtype=float)
-    m, dm, _, e_t, de_t, _, e_tp = _nonstat_pieces(kernel, t, tp)
-    out = (dm * e_t + m * de_t) * e_tp
-    return out if out.ndim else float(out)
 
 
 def second_time_derivative(kernel: KernelLike, t, tp):

@@ -27,8 +27,9 @@ per-force jump models applied by `apply_changepoint_moments`.
 
 A filter pass over a regular step grid takes its steps from `pass_steps`,
 the one place that chooses between the two discretizations.  Changepoints
-are scheduled as integer step indices (`changepoint_steps`); one that is
-not on the step grid is a `ContractViolationError`, never a skipped jump.
+and measurements are scheduled as integer step indices (`grid_steps`); a
+time that is not on the step grid is a `ContractViolationError`, never a
+skipped jump or measurement.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "ConstantStepPlan",
     "pass_steps",
     "changepoint_steps",
+    "grid_steps",
     "apply_changepoint",
     "apply_changepoint_moments",
     "initial_state",
@@ -291,15 +293,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-def _effective_drift_za(model: AugmentedModel, target_drift) -> np.ndarray:
-    if target_drift is None:
-        return model.drift_za
-    e = model.layout.n_target
-    out = model.drift_za.copy()
-    out[:e, :e] = np.atleast_2d(np.asarray(target_drift, dtype=float))
-    return out
-
-
 def m_matrix(model: AugmentedModel, t: float) -> np.ndarray:
     """Coupling of the weights into dz_a/dt at time t: (dim_za, n_weights)."""
     cols = []
@@ -311,11 +304,11 @@ def m_matrix(model: AugmentedModel, t: float) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def full_drift(model: AugmentedModel, t: float, target_drift=None) -> np.ndarray:
+def full_drift(model: AugmentedModel, t: float) -> np.ndarray:
     """Frozen drift [[F_a, m(t)], [0, F_A]] of the full state."""
     c, cza = model.layout.dim, model.layout.dim_za
     out = np.zeros((c, c))
-    out[:cza, :cza] = _effective_drift_za(model, target_drift)
+    out[:cza, :cza] = model.drift_za
     out[:cza, cza:] = m_matrix(model, t)
     out[cza:, cza:] = np.diag(model.weight_rates)
     return out
@@ -375,7 +368,6 @@ def discretize(
     t1: float,
     *,
     input_value=None,
-    target_drift=None,
 ) -> Transition:
     """Frozen-m transition over [t0, t1]: G = expm(A(t0) dt) with the process
     noise computed jointly so the exact LTI solution covariance is reproduced.
@@ -383,7 +375,7 @@ def discretize(
     Inputs enter only z_a and the drift is block upper-triangular, so the
     input term comes from the z_a block of the drift alone."""
     dt = _check_step(model, t0, t1)
-    drift = full_drift(model, t0, target_drift=target_drift)
+    drift = full_drift(model, t0)
     g, q = _van_loan(drift, model.diffusion, dt)
     if not np.all(np.isfinite(g)):
         raise NumericError("matrix exponential overflowed; reduce the step")
@@ -414,10 +406,8 @@ class ConstantStepPlan:
     node_coupling: tuple[np.ndarray, ...]  # per force: (n, dim_za)
 
 
-def make_constant_step_plan(
-    model: AugmentedModel, dt: float, order: int = 8, target_drift=None
-) -> ConstantStepPlan:
-    drift_za = _effective_drift_za(model, target_drift)
+def make_constant_step_plan(model: AugmentedModel, dt: float, order: int = 8) -> ConstantStepPlan:
+    drift_za = model.drift_za
     cza = model.layout.dim_za
     x, w = gauss_nodes(order)
     phi_za, noise_za = _van_loan(drift_za, model.diffusion[:cza, :cza], dt)
@@ -444,7 +434,6 @@ def constant_weight_transition(
     plan: ConstantStepPlan | None = None,
     node_phi: Sequence[np.ndarray] | None = None,
     input_value=None,
-    target_drift=None,
 ) -> Transition:
     """Exact transition when all eigenfunction weights are constant.
 
@@ -458,8 +447,8 @@ def constant_weight_transition(
             "constant_weight_transition requires constant weight blocks"
         )
     dt = _check_step(model, t0, t1)
-    if plan is None or target_drift is not None:
-        plan = make_constant_step_plan(model, dt, target_drift=target_drift)
+    if plan is None:
+        plan = make_constant_step_plan(model, dt)
     elif abs(plan.dt - dt) > 1e-9 * max(1.0, abs(dt)):
         raise InvalidParameterError("plan was built for a different step size")
 
@@ -514,24 +503,34 @@ def apply_changepoint(model: AugmentedModel, state: GaussianState, tau: float) -
     return GaussianState(means[0], cov, state.t)
 
 
+def _grid_tol(t_start: float, dt: float, n_steps: int) -> float:
+    return _BOUNDARY_TOL * max(1.0, abs(t_start), abs(t_start + n_steps * dt))
+
+
+def grid_steps(times, t_start: float, dt: float, n_steps: int, what: str) -> np.ndarray:
+    """Integer indices k of `times` on the step grid t_start + k dt of a pass
+    of `n_steps` steps.  Raises ContractViolationError, naming `what`, for a
+    time that is not on the grid: an event there would be skipped."""
+    times = np.asarray(times, dtype=float)
+    steps = np.rint((times - t_start) / dt)
+    off = np.abs(t_start + steps * dt - times) > _grid_tol(t_start, dt, n_steps)
+    if np.any(off):
+        raise ContractViolationError(
+            f"{what} at {times[off][0]:g} is not on the step grid "
+            f"{t_start:g} + k * {dt:g}; it would be skipped"
+        )
+    return steps.astype(int)
+
+
 def changepoint_steps(model: AugmentedModel, t_start: float, dt: float, n_steps: int) -> np.ndarray:
     """Integer indices k (1 <= k <= n_steps) of the steps of a pass whose end
     t_start + k dt is a changepoint; changepoints outside the pass
-    (t_start, t_start + n_steps dt] are ignored.  Raises
-    ContractViolationError for a changepoint inside the pass that is not on
-    the step grid."""
-    t_end = t_start + n_steps * dt
-    tol = _BOUNDARY_TOL * max(1.0, abs(t_start), abs(t_end))
+    (t_start, t_start + n_steps dt] are ignored, one inside it off the step
+    grid raises (see `grid_steps`)."""
+    tol = _grid_tol(t_start, dt, n_steps)
     cps = model.changepoints
-    cps = cps[(cps > t_start + tol) & (cps <= t_end + tol)]
-    steps = np.rint((cps - t_start) / dt)
-    off = np.abs(t_start + steps * dt - cps) > tol
-    if np.any(off):
-        raise ContractViolationError(
-            f"changepoint at {cps[off][0]:g} is not on the step grid "
-            f"{t_start:g} + k * {dt:g}; the jump would be skipped"
-        )
-    return steps.astype(int)
+    cps = cps[(cps > t_start + tol) & (cps <= t_start + n_steps * dt + tol)]
+    return grid_steps(cps, t_start, dt, n_steps, "changepoint")
 
 
 class PassStep(NamedTuple):
@@ -586,13 +585,12 @@ def initial_state(
     target_mean,
     target_cov,
     t0: float = 0.0,
-    marginal_block_variance: float = 1.0,
 ) -> GaussianState:
     """Block-diagonal prior: given target moments, stationary non-periodic
     blocks, and weight variances from the scaled eigenvalues.
 
     Marginally stable blocks (e.g. constant bias states) have no stationary
-    distribution; they get a diagonal prior of `marginal_block_variance`.
+    distribution; they get a unit diagonal prior.
     """
     c = model.dim
     e = model.layout.n_target
@@ -604,7 +602,7 @@ def initial_state(
         try:
             cov[lo:hi, lo:hi] = lti.stationary_covariance(force.block)
         except NoStationaryDistributionError:
-            cov[lo:hi, lo:hi] = marginal_block_variance * np.eye(hi - lo)
+            cov[lo:hi, lo:hi] = np.eye(hi - lo)
     for r, force in enumerate(model.periodic):
         lo, hi = model.layout.weight_spans[r]
         idx = np.arange(lo, hi)

@@ -7,7 +7,7 @@ from eigenlfm import lfm, lti
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
-from eigenlfm.filtering import GaussianState, predict
+from eigenlfm.filtering import GaussianState, predict, update
 
 
 def test_linearize_values():
@@ -127,6 +127,21 @@ def test_track_rejects_changepoints_off_the_step_grid():
     params = dict(sigma_obs=0.5, sigma_p=1.2, ell_p=0.5, ell_q=2.0)
     with pytest.raises(ContractViolationError, match="changepoint at 1440"):
         qa.queue_track(ds, "quasi-sqm", params)
+
+
+def test_track_uses_every_measurement_or_fails_loudly(monkeypatch):
+    # at an 8-minute step the default 180-minute held-out interval puts every
+    # other measurement between steps; such a time must not be dropped
+    params = dict(sigma_obs=0.5, sigma_f=1.2, ell_f=120.0)
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=8.0), seed=0)
+    with pytest.raises(ContractViolationError, match="measurement at 1620"):
+        qa.queue_track(ds, "hart", params)
+
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=8.0, test_meas_every=176.0), seed=0)
+    updates = []
+    monkeypatch.setattr(qa, "update", lambda *args: updates.append(args) or update(*args))
+    qa.queue_track(ds, "hart", params)
+    assert len(updates) == ds.meas_times.size == 36 + 8
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
@@ -16,7 +17,9 @@ from eigenlfm.baselines import (
     ssgpr_regress,
 )
 from eigenlfm.baselines.comparison import compare_linear_bases
+from eigenlfm.baselines.resonator import _resonator_loglik, resonator_block
 from eigenlfm.errors import InvalidParameterError
+from eigenlfm.filtering import GaussianState, predict, update
 
 
 def test_gp_prior_with_no_data():
@@ -167,18 +170,18 @@ def test_frequency_profile_reproduces_eigenfunction():
     grid = np.linspace(0.0, 10.0, 12001)
     j = int(basis.selected[1])
     phi = eb.eigenfunction(basis, j, grid)
+    h = 1e-5
+    dpsi0 = (eb.eigenfunction(basis, j, grid[0] + h) - eb.eigenfunction(basis, j, grid[0] - h)) / (2 * h)
     offset = 3.0 * np.max(np.abs(phi))
     profile = resonator_frequency_profile(basis, j, grid, offset)
     psi = resonator_integrate(
-        grid, profile=profile, psi0=phi[0] + offset,
-        dpsi0=eb.eigenfunction_first_derivative(basis, j, grid[0]),
+        grid, profile=profile, psi0=phi[0] + offset, dpsi0=dpsi0,
     )
     assert np.max(np.abs(psi - offset - phi)) < 1e-3
     # doubling the offset barely moves the recovered eigenfunction
     profile2 = resonator_frequency_profile(basis, j, grid, 2.0 * offset)
     psi2 = resonator_integrate(
-        grid, profile=profile2, psi0=phi[0] + 2.0 * offset,
-        dpsi0=eb.eigenfunction_first_derivative(basis, j, grid[0]),
+        grid, profile=profile2, psi0=phi[0] + 2.0 * offset, dpsi0=dpsi0,
     )
     assert np.max(np.abs((psi2 - 2.0 * offset) - (psi - offset))) < 1e-6
 
@@ -197,3 +200,77 @@ def test_resonator_fit_recovers_sinusoid():
 def test_resonator_fit_validation():
     with pytest.raises(InvalidParameterError):
         resonator_fit([0.0, 1.0], [0.0, 1.0], 0, 10.0)
+    with pytest.raises(InvalidParameterError, match="times"):
+        resonator_fit([0.0, 1.0, 2.0, 3.5, 4.5], np.zeros(5), 1, 10.0)
+
+
+def _reference_loglik(times, values, freqs, decays, diffusion, noise_variance, init_variance):
+    """Hand-written Kalman loop over the resonator bank (per-resonator
+    exponential and Van Loan at every step), kept as the reference for the
+    engine log-likelihood."""
+    n_res = freqs.size
+    dim = 2 * n_res + 1
+    h = np.zeros((1, dim))
+    h[0, 0:2 * n_res:2] = 1.0
+    h[0, -1] = 1.0
+
+    cov = np.zeros((dim, dim))
+    share = init_variance / (n_res + 1)
+    for j in range(n_res):
+        cov[2 * j, 2 * j] = share
+        cov[2 * j + 1, 2 * j + 1] = share * (2.0 * np.pi * freqs[j]) ** 2
+    cov[-1, -1] = share
+    state = GaussianState(np.zeros(dim), cov, times[0])
+
+    blocks = [resonator_block(f, b, diffusion) for f, b in zip(freqs, decays)]
+    loglik = 0.0
+    prev_t = times[0]
+    for t, y in zip(times, values):
+        dt = t - prev_t
+        if dt > 0.0:
+            g = np.zeros((dim, dim))
+            q = np.zeros((dim, dim))
+            for j, blk in enumerate(blocks):
+                sl = slice(2 * j, 2 * j + 2)
+                gb = scipy.linalg.expm(blk.drift * dt)
+                g[sl, sl] = gb
+                if diffusion > 0.0:
+                    top = scipy.linalg.expm(
+                        np.block(
+                            [
+                                [blk.drift, diffusion * blk.noise @ blk.noise.T],
+                                [np.zeros((2, 2)), -blk.drift.T],
+                            ]
+                        )
+                        * dt
+                    )[:2, :]
+                    qb = top[:, 2:] @ gb.T
+                    q[sl, sl] = 0.5 * (qb + qb.T)
+            g[-1, -1] = 1.0
+            state = predict(state, g, q, t_new=t)
+        res = update(state, h, [[noise_variance]], [y])
+        state = res.state
+        loglik += res.log_density
+        prev_t = t
+    return loglik
+
+
+@pytest.mark.parametrize(
+    "freqs, decays, diffusion, noise_variance",
+    [
+        ([0.1, 0.2, 0.3], [1e-7, 1e-3, 0.1], 1e-6, 1e-2),
+        ([0.05, 0.21, 0.47], [0.5, 0.01, 1.0], 0.1, 0.1),
+        ([0.02, 0.33, 0.58], [1e-9, 2.0, 1e-4], 3.0, 0.5),
+    ],
+)
+def test_resonator_loglik_matches_reference_loop(freqs, decays, diffusion, noise_variance):
+    # the data and the parameter bounds of resonator_fit(times, values, 3, period=10)
+    times = np.linspace(0.0, 30.0, 120)
+    values = np.sin(2.0 * np.pi * 0.2 * times + 0.4)
+    scale = float(np.var(values))
+    args = (
+        times, values, np.array(freqs), -np.array(decays),
+        diffusion * scale, noise_variance * scale, scale,
+    )
+    assert _resonator_loglik(*args) == pytest.approx(_reference_loglik(*args), rel=1e-10)
+

@@ -114,6 +114,20 @@ def test_track_meas_every_must_be_a_multiple_of_the_step(tmp_path):
     _fails_cleanly(result, "track_meas_every 25 is not a multiple of generator.step 10")
 
 
+def test_queue_meas_every_must_be_a_multiple_of_the_step(tmp_path):
+    for key in ("train_meas_every", "test_meas_every"):
+        generator = {"days": 2, "step": 8.0, key: 180.0}
+        result, _ = _invoke(tmp_path / key, {**QUEUE_CONFIG, "generator": generator},
+                            "queue", "track")
+        _fails_cleanly(result, f"generator.{key} 180 is not a multiple of generator.step 8")
+        with pytest.raises(InvalidParameterError, match=f"generator.{key}"):
+            validate_config("queue", {"generator": generator})
+    # left at its default, the off-grid interval fails in the pass
+    result, _ = _invoke(tmp_path / "default", {**QUEUE_CONFIG, "generator": {"days": 2, "step": 8.0}},
+                        "queue", "track")
+    _fails_cleanly(result, "measurement at 1620 is not on the step grid")
+
+
 def test_eigenbasis_writes_spectrum_and_eigenfunctions(tmp_path):
     config = {
         "kernel": {"variant": "periodic_matern",

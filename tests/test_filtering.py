@@ -10,7 +10,6 @@ from eigenlfm import filtering, lfm, lti
 from eigenlfm.errors import InvalidParameterError
 from eigenlfm.filtering import (
     GaussianState,
-    log_likelihood,
     predict,
     rbpf_predict_day,
     update,
@@ -86,7 +85,7 @@ def test_update_joseph_form_ill_conditioned():
 def test_log_likelihood_single_measurement():
     state = GaussianState(np.array([0.0]), np.array([[1.0]]), 0.0)
     res = update(state, [[1.0]], [[1.0]], [0.0])
-    assert log_likelihood([res]) == pytest.approx(-0.5 * math.log(4.0 * math.pi))
+    assert res.log_density == pytest.approx(-0.5 * math.log(4.0 * math.pi))
     assert res.log_density == pytest.approx(-1.26551, abs=5e-6)
 
 
@@ -96,11 +95,6 @@ def test_log_likelihood_block_independence():
     a = update(GaussianState(np.array([0.0]), [[1.0]], 0.0), [[1.0]], [[0.5]], [0.3])
     b = update(GaussianState(np.array([1.0]), [[2.0]], 0.0), [[1.0]], [[0.25]], [0.6])
     assert joint.log_density == pytest.approx(a.log_density + b.log_density, rel=1e-12)
-
-
-def test_log_likelihood_empty():
-    with pytest.raises(InvalidParameterError):
-        log_likelihood([])
 
 
 def _rbpf(model, init, setpoint, n_particles, step, horizon, seed, **kwargs):

@@ -164,17 +164,6 @@ def test_second_derivative_matches_finite_differences():
     assert np.max(np.abs(fd - cf) / np.maximum(1e-3, np.abs(cf))) < 1e-4
 
 
-def test_first_derivative_matches_finite_differences():
-    k = K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8)
-    rng = np.random.default_rng(6)
-    t = rng.uniform(0, 10, 50)
-    tp = rng.uniform(0, 10, 50)
-    h = 1e-5
-    fd = (K.eval_kernel(k, t + h, tp) - K.eval_kernel(k, t - h, tp)) / (2 * h)
-    cf = K.first_time_derivative(k, t, tp)
-    assert np.max(np.abs(fd - cf)) < 1e-6 * max(1.0, np.max(np.abs(cf)))
-
-
 def test_second_derivative_periodic_in_t():
     k = K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8)
     t = np.linspace(0, 10, 37)
