@@ -327,15 +327,18 @@ def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
     meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, n_steps, "measurement")
     meas = dict(zip(meas_steps.tolist(), dataset.meas_values))
 
-    # per step, only the eigenfunction rows `_predict` reads
+    # only the eigenfunction rows `_predict` reads, for one cycle of steps:
+    # step k reads those of step k mod n_cycle
+    n_cycle = lfm.cycle_steps(model, dt)
     phi = None
     if model.periodic:
         basis = model.periodic[0].basis
+        starts = times[: min(n_cycle, n_steps)]
         if lfm.has_constant_weights(model):
-            node_times = (times[:-1, None] + dt * _GAUSS_X[None, :]).ravel()
-            phi = eb.eigenfunction_matrix(basis, node_times).reshape(n_steps, _GAUSS_X.size, -1)
+            node_times = (starts[:, None] + dt * _GAUSS_X[None, :]).ravel()
+            phi = eb.eigenfunction_matrix(basis, node_times).reshape(starts.size, _GAUSS_X.size, -1)
         else:
-            phi = eb.eigenfunction_matrix(basis, times[:-1])
+            phi = eb.eigenfunction_matrix(basis, starts)
 
     state = lfm.initial_state(model, [0.0], [[25.0]])
     mean, cov = state.mean, state.cov
@@ -343,7 +346,7 @@ def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
     records = []
     for k in range(n_steps):
         f = queue_linearize(dataset.omega(times[k]), max(mean[0], 0.0))
-        mean, cov = _predict(model, mean, cov, f, dt, None if phi is None else phi[k])
+        mean, cov = _predict(model, mean, cov, f, dt, None if phi is None else phi[k % n_cycle])
         t1 = times[k + 1]
         if k + 1 in jumps:
             means, cov = lfm.apply_changepoint_moments(model, mean[None, :], cov)

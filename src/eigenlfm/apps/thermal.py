@@ -95,10 +95,6 @@ class ThermalDataset:
         i = min(int(t), self.setpoint.size - 1)
         return float(self.setpoint[i])
 
-    def heater_at(self, t: float) -> float:
-        i = min(int(t), self.heater.size - 1)
-        return float(self.heater[i])
-
 
 def _setpoint_profile(config: ThermalGenConfig, minutes: np.ndarray) -> np.ndarray:
     hod = (minutes % DAY_MINUTES) / 60.0
@@ -276,7 +272,9 @@ def _run_thermal_filter(
 ):
     """Kalman pass with the known heater record over [t_start, t_end],
     measuring both temperatures every `measure_every` minutes (a whole number
-    of steps)."""
+    of steps).  Step starts and measurement times are mapped to indices of
+    the one-minute record once, up front; a time off that grid or past the
+    record raises ContractViolationError."""
     dt = dataset.config.step
     n_steps = int(round((t_end - t_start) / dt))
     every = None
@@ -288,25 +286,41 @@ def _run_thermal_filter(
                 f"of {dt:g}-minute steps"
             )
 
+    # minute of each step boundary t_start + k dt, k = 0 .. n_steps
+    minute = _record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
+    heater = dataset.heater[minute[:-1]]
+
     h, z = model.measurement_matrix, model.measurement_noise
     loglik = 0.0
     records = []
-    t = t_start
     for k, step in enumerate(lfm.pass_steps(model, t_start, dt, n_steps), start=1):
-        b = dataset.heater_at(t) * step.input_on
-        state = filtering.predict(state, step.transition, step.noise, b, t_new=step.t)
-        t = step.t
+        state = filtering.predict(
+            state, step.transition, step.noise, heater[k - 1] * step.input_on, t_new=step.t
+        )
         if step.changepoint:
-            state = lfm.apply_changepoint(model, state, t)
+            state = lfm.apply_changepoint(model, state, step.t)
         if emit:
-            records.append((t, state.mean[0], state.cov[0, 0]))
+            records.append((step.t, state.mean[0], state.cov[0, 0]))
         if every is not None and k % every == 0:
-            i = int(round(t))
-            if i < dataset.minutes.size:
-                res = update(state, h, z, [dataset.meas_int[i], dataset.meas_ext[i]])
-                state = res.state
-                loglik += res.log_density
+            i = minute[k]
+            res = update(state, h, z, [dataset.meas_int[i], dataset.meas_ext[i]])
+            state = res.state
+            loglik += res.log_density
     return loglik, state, records
+
+
+def _record_minutes(dataset: ThermalDataset, times: np.ndarray) -> np.ndarray:
+    """Indices of `times` in the one-minute record (`lfm.grid_steps`); a time
+    off the minute grid or past the end of the record raises."""
+    minutes = dataset.minutes
+    idx = lfm.grid_steps(times, minutes[0], 1.0, minutes.size - 1, "thermal pass time")
+    past = (idx < 0) | (idx >= minutes.size)
+    if np.any(past):
+        raise ContractViolationError(
+            f"thermal pass time {times[past][0]:g} lies outside the record "
+            f"[{minutes[0]:g}, {minutes[-1]:g}]"
+        )
+    return idx
 
 
 def _param_space(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidParameterError, NumericError
 
@@ -83,8 +82,11 @@ def update(
 ) -> UpdateResult:
     """Measurement update with the Joseph-stabilized covariance form.
 
-    Returns the posterior together with the innovation, its covariance, and
-    the Gaussian log-density of the observation under the predictive.
+    Returns the posterior together with the innovation, its covariance S, and
+    the Gaussian log-density of the observation under the predictive.  The
+    d x d innovation covariance is factored once, S = L L^T, and its
+    triangular inverse gives the gain P H^T L^-T L^-1, the whitened innovation
+    L^-1 v and log det S = 2 sum log diag L; a singular S raises NumericError.
     """
     h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     z = np.atleast_2d(np.asarray(obs_noise, dtype=float))
@@ -93,19 +95,21 @@ def update(
         raise InvalidParameterError("observation matrix does not match state size")
 
     innovation = y - h @ state.mean
-    s = _symmetrize(h @ state.cov @ h.T + z)
+    hp = h @ state.cov
+    s = _symmetrize(hp @ h.T + z)
     try:
-        chol = scipy.linalg.cho_factor(s, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
         raise NumericError("innovation covariance is singular") from exc
+    chol_inv = np.linalg.inv(chol)
 
-    gain = scipy.linalg.cho_solve(chol, h @ state.cov).T
+    gain = (chol_inv @ hp).T @ chol_inv
+    white = chol_inv @ innovation
     mean = state.mean + gain @ innovation
     closed = np.eye(state.dim) - gain @ h
     cov = _symmetrize(closed @ state.cov @ closed.T + gain @ z @ gain.T)
 
-    white = scipy.linalg.solve_triangular(chol[0], innovation, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     log_density = -0.5 * (y.size * math.log(2.0 * math.pi) + log_det + float(white @ white))
 
     return UpdateResult(
@@ -116,13 +120,21 @@ def update(
     )
 
 
-def _particle_rngs(seed: int, n_particles: int) -> list[np.random.Generator]:
-    # counter-based streams keyed by (seed, particle index): reproducible
-    # regardless of how particles are scheduled
-    return [
-        np.random.Generator(np.random.Philox(key=[seed, i]))
-        for i in range(n_particles)
-    ]
+def _particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
+    """(n_particles, n_draws) standard normals: row i is the start of the
+    counter-based Philox stream keyed by (seed, i), the stream of
+    `Generator(Philox(key=[seed, i]))`, so a particle's draws do not depend
+    on how particles are scheduled.  One generator is re-keyed per row (key
+    (seed, i), counter 0, empty buffer) instead of building one per particle."""
+    bit_gen = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
+    draws = np.empty((n_particles, n_draws))
+    for i, row in enumerate(draws):
+        fresh["state"]["key"][1] = i
+        bit_gen.state = fresh
+        rng.standard_normal(out=row)
+    return draws
 
 
 def rbpf_predict_day(
@@ -167,9 +179,7 @@ def rbpf_predict_day(
     if math.isnan(setpoint(init.t)):
         raise InvalidParameterError("setpoint must not be NaN")
 
-    draws = np.empty((n_particles, n_steps))
-    for row, rng in zip(draws, _particle_rngs(seed, n_particles)):
-        rng.standard_normal(out=row)
+    draws = _particle_draws(seed, n_particles, n_steps)
     n_drawn = 0
 
     means = np.tile(init.mean, (n_particles, 1))

@@ -30,6 +30,12 @@ the one place that chooses between the two discretizations.  Changepoints
 and measurements are scheduled as integer step indices (`grid_steps`); a
 time that is not on the step grid is a `ContractViolationError`, never a
 skipped jump or measurement.
+
+The periodic forces repeat every period, and so do the eigenfunction rows
+that couple the weights into the target: the transition of step k equals
+that of step k + `cycle_steps(model, dt)`.  A pass therefore computes the
+steps of its first cycle only and reuses them for every later cycle; a step
+that does not divide the period is a `ContractViolationError`.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ __all__ = [
     "make_constant_step_plan",
     "ConstantStepPlan",
     "pass_steps",
+    "cycle_steps",
     "changepoint_steps",
     "grid_steps",
     "apply_changepoint",
@@ -533,12 +540,43 @@ def changepoint_steps(model: AugmentedModel, t_start: float, dt: float, n_steps:
     return grid_steps(cps, t_start, dt, n_steps, "changepoint")
 
 
+def cycle_steps(model: AugmentedModel, dt: float) -> int:
+    """Steps per period of the periodic forces, after which every transition
+    repeats: `period / dt`, or 1 for a model with no periodic force.
+
+    Raises ContractViolationError, naming the numbers, when the forces'
+    periods differ or `dt` does not divide the period (the `grid_steps`
+    tolerance): the transitions would then not repeat."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError("step must be finite and > 0")
+    periods = [force.basis.period for force in model.periodic]
+    if not periods:
+        return 1
+    period = periods[0]
+    if any(abs(p - period) > _BOUNDARY_TOL * max(1.0, period) for p in periods):
+        raise ContractViolationError(
+            f"periodic forces have different periods {periods}; a pass needs one cycle"
+        )
+    n = int(np.rint(period / dt))
+    if n < 1 or abs(n * dt - period) > _grid_tol(0.0, dt, n):
+        raise ContractViolationError(
+            f"step {dt:g} does not divide the period {period:g} of the periodic forces"
+        )
+    return n
+
+
 class PassStep(NamedTuple):
     t: float                # end time of the step
-    transition: np.ndarray  # G, (C, C)
-    noise: np.ndarray       # Q, (C, C)
+    transition: np.ndarray  # G, (C, C), read-only
+    noise: np.ndarray       # Q, (C, C), read-only
     input_on: np.ndarray    # (C,) input term with the binary input on; zero without one
     changepoint: bool       # a changepoint falls on the step end
+
+
+def _read_only(tr: Transition) -> Transition:
+    for a in tr:
+        a.flags.writeable = False
+    return tr
 
 
 def pass_steps(
@@ -549,17 +587,26 @@ def pass_steps(
     Constant-weight models step with `constant_weight_transition` from one
     plan, with the node eigenfunction rows of every periodic force evaluated
     in one batch up front; other models step with the frozen-m `discretize`.
-    The changepoint schedule is checked here, before the first step.  Steps
-    are produced lazily, so a pass never holds more than one (G, Q) pair.
+    The changepoint schedule, then the cycle (`cycle_steps`), is checked
+    here, before the first step.
+
+    Only the first cycle is computed, at its actual step starts
+    t_start + k dt, so it is what a direct call gives; step k reuses the
+    arrays of step k mod n_cycle, which are therefore read-only.  Steps are
+    produced lazily, and a pass keeps a step's arrays only while a later step
+    of the pass will read them: a pass of one cycle or less holds one
+    (G, Q) pair at a time, a longer one at most one cycle of them.
     """
     jumps = np.zeros(n_steps + 1, dtype=bool)
     jumps[changepoint_steps(model, t_start, dt, n_steps)] = True
+    n_cycle = cycle_steps(model, dt)
     on = model.binary_input
     if has_constant_weights(model):
         plan = make_constant_step_plan(model, dt)
-        nodes = ((t_start + dt * np.arange(n_steps))[:, None] + plan.node_offsets).ravel()
+        n_rows = min(n_cycle, n_steps)
+        nodes = ((t_start + dt * np.arange(n_rows))[:, None] + plan.node_offsets).ravel()
         node_rows = [
-            eb.eigenfunction_matrix(force.basis, nodes).reshape(n_steps, plan.node_offsets.size, -1)
+            eb.eigenfunction_matrix(force.basis, nodes).reshape(n_rows, plan.node_offsets.size, -1)
             for force in model.periodic
         ]
 
@@ -573,9 +620,13 @@ def pass_steps(
             return discretize(model, t0, t0 + dt, input_value=on)
 
     def steps():
+        kept = {}
         for k in range(n_steps):
             t0 = t_start + k * dt
-            tr = transition(k, t0)
+            slot = k % n_cycle
+            tr = kept.pop(slot) if k >= n_cycle else _read_only(transition(k, t0))
+            if k + n_cycle < n_steps:
+                kept[slot] = tr
             yield PassStep(t0 + dt, tr.transition, tr.noise, tr.input_term, bool(jumps[k + 1]))
     return steps()
 

@@ -4,7 +4,7 @@ import pytest
 from eigenlfm import lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import thermal as th
-from eigenlfm.errors import InvalidParameterError
+from eigenlfm.errors import ContractViolationError, InvalidParameterError
 from eigenlfm.filtering import predict, update
 
 
@@ -155,6 +155,22 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
     monkeypatch.setattr(th, "update", recording_update)
     th._run_thermal_filter(model, ds, state, ds.test_start, ds.test_start + 1440.0, 100.0)
     np.testing.assert_array_equal(measured, ds.test_start + 100.0 * np.arange(1, 15))
+
+
+def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
+    # a pass past the end of the record used to skip its last measurements,
+    # and a step start between minutes used to floor its heater lookup
+    for step, t_end, match in [
+        (10.0, 2880.0 + 100.0, "time 2890 lies outside the record"),
+        (2.5, 2880.0, "time at 1442.5 is not on the step grid"),
+    ]:
+        cfg = th.ThermalGenConfig(days=2, step=step)
+        ds = th.generate_thermal_data(cfg, seed=7)
+        model = th.thermal_build("without", BASE_PARAMS, cfg)
+        state = th._initial_state(model, ds, False)
+        state.t = ds.test_start
+        with pytest.raises(ContractViolationError, match=match):
+            th._run_thermal_filter(model, ds, state, ds.test_start, t_end, 100.0)
 
 
 def test_resonator_roster_runs():

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import filtering, lfm, lti
-from eigenlfm.errors import InvalidParameterError
+from eigenlfm import lfm, lti
+from eigenlfm.errors import InvalidParameterError, NumericError
 from eigenlfm.filtering import (
     GaussianState,
     predict,
@@ -80,6 +81,46 @@ def test_update_joseph_form_ill_conditioned():
     res = update(state, h, [[1e-4]], [3.0])
     eigs = np.linalg.eigvalsh(res.state.cov)
     assert eigs.min() >= -1e-10 * np.trace(res.state.cov)
+
+
+def _reference_update(state, h, z, y):
+    """Joseph update with scipy's Cholesky wrappers: (mean, cov, log_density)."""
+    innovation = y - h @ state.mean
+    s = h @ state.cov @ h.T + z
+    s = 0.5 * (s + s.T)
+    chol = scipy.linalg.cho_factor(s, lower=True)
+    gain = scipy.linalg.cho_solve(chol, h @ state.cov).T
+    mean = state.mean + gain @ innovation
+    closed = np.eye(state.dim) - gain @ h
+    cov = closed @ state.cov @ closed.T + gain @ z @ gain.T
+    white = scipy.linalg.solve_triangular(chol[0], innovation, lower=True)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
+    return mean, 0.5 * (cov + cov.T), -0.5 * (y.size * math.log(2.0 * math.pi) + log_det + white @ white)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_update_matches_scipy_reference(d):
+    rng = np.random.default_rng(d)
+    c = 28
+    for _ in range(10):
+        a = rng.standard_normal((c, c))
+        state = GaussianState(rng.standard_normal(c), a @ a.T / c + 0.01 * np.eye(c), 0.0)
+        h = rng.standard_normal((d, c))
+        b = rng.standard_normal((d, d))
+        z = b @ b.T + 0.1 * np.eye(d)
+        y = rng.standard_normal(d)
+        res = update(state, h, z, y)
+        mean, cov, log_density = _reference_update(state, h, z, y)
+        np.testing.assert_allclose(res.state.mean, mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.state.cov, cov, rtol=1e-12, atol=1e-12)
+        assert res.log_density == pytest.approx(log_density, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(res.innovation_cov, h @ state.cov @ h.T + z, rtol=1e-12)
+
+
+def test_update_singular_innovation_raises():
+    state = GaussianState(np.zeros(2), np.diag([1.0, 0.0]), 0.0)
+    with pytest.raises(NumericError, match="singular"):
+        update(state, [[0.0, 1.0]], [[0.0]], [1.0])
 
 
 def test_log_likelihood_single_measurement():
@@ -215,7 +256,7 @@ def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
     scalar threshold rule, and separate off/on transitions every step.
 
     Returns the records and how many particle steps had the heater on/off."""
-    rngs = filtering._particle_rngs(seed, n_particles)
+    rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_particles)]
     on_input = model.binary_input
     off_input = np.zeros_like(on_input)
     constant = lfm.has_constant_weights(model)

@@ -1,7 +1,9 @@
 """The package layering runs one way: the engine (kernels -> eigenbasis ->
 lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
-`lfm`.  Checked on the source with `ast`, so no module is imported."""
+`lfm`.  Every pass takes its transitions from `lfm.pass_steps`, so no pass
+bypasses the per-cycle reuse.  Checked on the source with `ast`, so no module
+is imported."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,35 @@ def test_filtering_does_not_import_lfm():
 @pytest.mark.parametrize("module", ENGINE)
 def test_engine_imports_no_outer_layer(module):
     assert not _imports(module) & OUTER
+
+
+STEP_BUILDERS = {"discretize", "constant_weight_transition", "make_constant_step_plan"}
+
+
+def _step_builder_uses() -> set[tuple[str, str, str]]:
+    """(file, enclosing top-level function, builder) for every reference to a
+    step builder in the package, by bare name or as an attribute, so a call
+    through an alias or `functools.partial` counts too."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in STEP_BUILDERS:
+                    where = getattr(top, "name", "<module>")
+                    found.add((str(path.relative_to(PACKAGE)), where, name))
+    return found
+
+
+def test_only_pass_steps_builds_steps():
+    uses = _step_builder_uses()
+    assert ("lfm.py", "pass_steps", "discretize") in uses  # the walk sees references
+    # a one-off constant-weight step builds its own plan when none is given
+    allowed = {("lfm.py", "constant_weight_transition", "make_constant_step_plan")}
+    assert {u for u in uses if u[:2] != ("lfm.py", "pass_steps")} <= allowed

@@ -268,14 +268,16 @@ def test_discretize_input_term_matches_full_drift_reference():
 
 def _stepper_model(kind, changepoints):
     basis = sample_basis()
-    force = (
-        lfm.sqm_force(basis, [1.0], 1.0, 2.0) if kind == "sqm"
-        else lfm.cqm_force(basis, [1.0], 1.0, 20.0)
-    )
+    periodic = {
+        "none": [],
+        "with": [lfm.periodic_force(basis, [1.0])],
+        "sqm": [lfm.sqm_force(basis, [1.0], 1.0, 2.0)],
+        "cqm": [lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
+    }[kind]
     model = lfm.assemble(
         lfm.TargetModel(np.array([[-0.5]])),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
-        periodic=[force],
+        periodic=periodic,
         changepoints=changepoints,
     )
     model.binary_input = np.array([0.3, 0.0])
@@ -308,6 +310,52 @@ def test_pass_steps_reject_changepoint_off_the_grid(kind):
     with pytest.raises(ContractViolationError):
         lfm.changepoint_steps(model, 1.0, 0.5, 12)
     assert lfm.changepoint_steps(model, 1.0, 0.5, 2).size == 0  # beyond the pass
+
+
+@pytest.mark.parametrize("kind", ["none", "with", "sqm", "cqm"])
+def test_pass_steps_reuse_the_first_cycle(kind):
+    # 2.5 cycles of 20 steps from t = 1.3: every step, reused ones included,
+    # matches a direct transition at its actual start time
+    model = _stepper_model(kind, [6.3, 21.3])
+    t_start, dt, n_steps = 1.3, 0.5, 50
+    n_cycle = 1 if kind == "none" else 20
+    assert lfm.cycle_steps(model, dt) == n_cycle
+    direct = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
+    steps = list(lfm.pass_steps(model, t_start, dt, n_steps))
+    assert len(steps) == n_steps
+    assert [s.changepoint for s in steps] == [k in (10, 40) for k in range(1, n_steps + 1)]
+    for k, step in enumerate(steps):
+        t0 = t_start + k * dt
+        assert step.t == t0 + dt
+        assert step.transition is steps[k % n_cycle].transition
+        ref = direct(model, t0, t0 + dt, input_value=model.binary_input)
+        np.testing.assert_allclose(step.transition, ref.transition, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(step.noise, ref.noise, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(step.input_on, ref.input_term, rtol=1e-12, atol=1e-12)
+
+
+def test_pass_step_arrays_reject_writes():
+    model = _stepper_model("sqm", [])
+    for step in lfm.pass_steps(model, 1.0, 0.5, 25):
+        for array in (step.transition, step.noise, step.input_on):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_cycle_must_be_whole_steps():
+    with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
+        lfm.cycle_steps(_stepper_model("with", []), 0.3)
+    with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
+        lfm.pass_steps(_stepper_model("cqm", []), 1.0, 0.3, 5)
+    assert lfm.cycle_steps(_stepper_model("none", []), 0.3) == 1
+    # the changepoint schedule is checked first
+    with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
+        lfm.pass_steps(_stepper_model("sqm", [2.25]), 1.0, 0.3, 5)
+
+    forces = [lfm.periodic_force(sample_basis(period=p), [1.0]) for p in (10.0, 5.0)]
+    model = lfm.assemble(lfm.TargetModel(np.array([[-0.5]])), periodic=forces)
+    with pytest.raises(ContractViolationError, match="different periods"):
+        lfm.cycle_steps(model, 0.5)
 
 
 def test_plan_reuse_matches_direct():
