@@ -53,37 +53,58 @@ def queue_linearize(omega: float, lbar: float) -> float:
 def queue_simulate(times, arrival, omega, l0: float, substep: float = 0.25) -> np.ndarray:
     """Integrate the nonlinear PSFFA with classical RK4 at fixed substeps.
 
-    `arrival` and `omega` are callables of time; the queue length is clamped
-    at zero after every substep (the mean-queue equation can otherwise go
-    negative under negative arrival rates).  The substep must resolve the
-    fastest service time constant (1/omega) for RK4 stability.
+    `arrival` and `omega` are functions of time that take an array of times
+    (a constant function may return a scalar).  Each is called once, on the
+    RK4 stage times of the whole record: the start, midpoint and end of
+    every substep, where the substep starts accumulate as `t += h` from each
+    grid time.  The integration then runs over Python floats.  The queue
+    length is clamped at zero after every substep (the mean-queue equation
+    can otherwise go negative under negative arrival rates).  The substep
+    must resolve the fastest service time constant (1/omega) for RK4
+    stability.
     """
     times = np.asarray(times, dtype=float)
     if substep <= 0.0:
         raise InvalidParameterError("substep must be > 0")
 
-    def rhs(t, l):
-        # the service term is only meaningful for non-negative queues; the
-        # clamp also keeps RK4 stages away from the pole at l = -1
-        lc = max(l, 0.0)
-        return -omega(t) * lc / (1.0 + lc) + arrival(t)
-
-    out = np.empty(times.size)
-    state = float(l0)
-    out[0] = state
-    for k in range(times.size - 1):
-        t, t_end = times[k], times[k + 1]
+    starts, widths, last = [], [], []
+    for t, t_end in zip(times[:-1].tolist(), times[1:].tolist()):
         n_sub = max(1, int(round((t_end - t) / substep)))
         h = (t_end - t) / n_sub
         for _ in range(n_sub):
-            k1 = rhs(t, state)
-            k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = rhs(t + h, state + h * k3)
-            state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            state = max(state, 0.0)
+            starts.append(t)
+            widths.append(h)
             t += h
-        out[k + 1] = state
+        last.append(len(starts) - 1)
+    starts, widths = np.array(starts), np.array(widths)
+    stages = (starts, starts + 0.5 * widths, starts + widths)
+    zeta = [np.broadcast_to(arrival(s), s.shape).tolist() for s in stages]
+    rate = [np.broadcast_to(omega(s), s.shape).tolist() for s in stages]
+
+    state = float(l0)
+    path = []
+    for h, z0, zm, z1, w0, wm, w1 in zip(widths.tolist(), *zeta, *rate):
+        # the service term is only meaningful for non-negative queues; the
+        # clamp (max(l, 0), spelled out) also keeps RK4 stages away from the
+        # pole at l = -1
+        lc = 0.0 if state < 0.0 else state
+        k1 = -w0 * lc / (1.0 + lc) + z0
+        lc = state + 0.5 * h * k1
+        lc = 0.0 if lc < 0.0 else lc
+        k2 = -wm * lc / (1.0 + lc) + zm
+        lc = state + 0.5 * h * k2
+        lc = 0.0 if lc < 0.0 else lc
+        k3 = -wm * lc / (1.0 + lc) + zm
+        lc = state + h * k3
+        lc = 0.0 if lc < 0.0 else lc
+        k4 = -w1 * lc / (1.0 + lc) + z1
+        state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if state < 0.0:
+            state = 0.0
+        path.append(state)
+    out = np.empty(times.size)
+    out[0] = l0
+    out[1:] = np.array(path)[last]
     return out
 
 
@@ -120,23 +141,25 @@ class QueueDataset:
     meas_times: np.ndarray
     meas_values: np.ndarray
     test_start: float            # beginning of the held-out day
-    omega: object                # callable t -> service rate
+    omega: object                # t -> service rate, for scalar or array t
     config: QueueGenConfig
 
 
 def _omega_profile(config: QueueGenConfig):
+    """Service rate as a function of time: `omega_train` until the test day,
+    then the `omega_test` pieces (each from its start minute in the day).
+    The function takes a scalar or an array of times; a scalar gives a
+    scalar."""
     test_start = (config.days - 1) * DAY_MINUTES
     pieces = sorted(config.omega_test)
 
     def omega(t):
-        if t < test_start or not pieces:
-            return config.omega_train
+        t = np.asarray(t, dtype=float)
+        rate = np.full(t.shape, float(config.omega_train))
         within = t - test_start
-        rate = config.omega_train
         for start, r in pieces:
-            if within >= start:
-                rate = r
-        return rate
+            rate[(t >= test_start) & (within >= start)] = r
+        return rate if rate.ndim else float(rate)
 
     return omega
 
@@ -170,7 +193,9 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
     omega = _omega_profile(config)
 
     def arrival(t):
-        i = min(int(t), rate_fine.size - 2)
+        # linear interpolation of the 1-minute record, written out rather
+        # than np.interp so that the arithmetic is fixed
+        i = np.minimum(t.astype(int), rate_fine.size - 2)
         frac = t - i
         return (1.0 - frac) * rate_fine[i] + frac * rate_fine[i + 1]
 
@@ -312,14 +337,19 @@ def _predict(model, mean, cov, f: float, dt: float, phi):
         new_b = e_f * b + wc
         new_w = w
         new_mean = np.concatenate([[e_f * mean[0] + coupling @ mean[1:]], mean[1:]])
-    return new_mean, np.block([[np.array([[new_a]]), new_b[None, :]], [new_b[:, None], new_w]])
+    new_cov = np.empty_like(cov)
+    new_cov[0, 0] = new_a
+    new_cov[0, 1:] = new_b
+    new_cov[1:, 0] = new_b
+    new_cov[1:, 1:] = new_w
+    return new_mean, new_cov
 
 
 def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
     """One full filtering pass; returns (loglik, emitted records).  Jumps and
     measurements are looked up by integer step index, so a measurement time
     off the step grid raises `ContractViolationError` instead of being
-    dropped."""
+    dropped.  The service rate is evaluated on the step grid once."""
     dt = dataset.config.step
     times = dataset.times
     n_steps = times.size - 1
@@ -340,12 +370,13 @@ def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
         else:
             phi = eb.eigenfunction_matrix(basis, starts)
 
+    omega = dataset.omega(times[:n_steps]).tolist()
     state = lfm.initial_state(model, [0.0], [[25.0]])
     mean, cov = state.mean, state.cov
     loglik = 0.0
     records = []
     for k in range(n_steps):
-        f = queue_linearize(dataset.omega(times[k]), max(mean[0], 0.0))
+        f = queue_linearize(omega[k], max(mean[0], 0.0))
         mean, cov = _predict(model, mean, cov, f, dt, None if phi is None else phi[k % n_cycle])
         t1 = times[k + 1]
         if k + 1 in jumps:

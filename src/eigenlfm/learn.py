@@ -3,6 +3,11 @@
 Nelder-Mead over log-transformed (for positive scales) coordinates, with
 deterministic seed-jittered restarts.  The objective is a log-likelihood to
 be maximized.
+
+`scipy.optimize` is imported inside `fit`, not at module level: of the
+commands that import this module only a fit runs the optimizer, and the
+import costs about 0.2 s of every CLI start-up.  A fit pays it on its first
+call.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import InvalidParameterError
 
@@ -133,6 +137,8 @@ def fit(
     if restarts < 1:
         raise InvalidParameterError("need at least one restart")
 
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     bounds = space.bounds_transformed()
     trace: list[float] = []
@@ -170,7 +176,7 @@ def fit(
         if remaining < dim + 2:
             truncated = True
             break
-        res = scipy.optimize.minimize(
+        res = minimize(
             negated,
             start,
             method="Nelder-Mead",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -114,6 +118,17 @@ def test_track_meas_every_must_be_a_multiple_of_the_step(tmp_path):
     _fails_cleanly(result, "track_meas_every 25 is not a multiple of generator.step 10")
 
 
+def test_thermal_step_must_be_whole_minutes(tmp_path):
+    # 7.5 divides the day, but the heater holds on whole minutes of the record
+    config = {**THERMAL_CONFIG, "generator": {"days": 2, "step": 7.5},
+              "track_meas_every": 15.0}
+    result, _ = _invoke(tmp_path, config, "thermal", "track")
+    _fails_cleanly(result, "generator.step 7.5 is not a whole number of minutes")
+    with pytest.raises(InvalidParameterError, match="generator.step"):
+        validate_config("thermal", config)
+    assert validate_config("queue", {"generator": {"step": 7.5}})
+
+
 def test_queue_meas_every_must_be_a_multiple_of_the_step(tmp_path):
     for key in ("train_meas_every", "test_meas_every"):
         generator = {"days": 2, "step": 8.0, key: 180.0}
@@ -182,3 +197,18 @@ def test_fit_writes_a_fit_report(tmp_path, config, app, method):
     assert report["evaluations"] <= 8
     assert set(config["params"][method]) == set(report["params"])
     assert not (out / "metrics.json").exists()
+
+
+def test_cli_import_leaves_out_the_optimizer_and_the_process_pool():
+    # only a fit needs scipy.optimize and only --jobs > 1 a process pool;
+    # neither may cost every command its import time
+    probe = (
+        "import sys, eigenlfm.cli; "
+        "print([m for m in ('scipy.optimize', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
