@@ -107,6 +107,11 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
     heater, and internal temperature at one-minute resolution."""
     if config.days < 2:
         raise InvalidParameterError("need at least one training day plus the test day")
+    if not (config.step >= 1.0 and float(config.step).is_integer()):
+        raise InvalidParameterError(
+            f"step {config.step:g} is not a positive whole number of minutes: the heater "
+            "holds its decision on whole minutes of the record"
+        )
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_MINUTES
     minutes = np.arange(0.0, horizon + 1e-9, 1.0)
@@ -129,10 +134,8 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
     # RK4 over Python floats, one minute per step, with the external
     # temperature and residual interpolated at the three stage offsets of
     # every minute up front.  The heater holds its thermostat decision for
-    # the step in whole minutes of the record (config validation rejects a
-    # step that is not whole; a filter pass fails on its first step start
-    # off the minute grid)
-    hold = max(1, round(config.step))
+    # the step, a whole number of minutes of the record
+    hold = int(config.step)
     setpoint = _setpoint_profile(config, minutes)
     sp = setpoint.tolist()
     ext0, ext_mid, ext1 = ((1.0 - w) * t_ext[:-1] + w * t_ext[1:] for w in (0.0, 0.5, 1.0))
@@ -270,7 +273,7 @@ def _initial_state(model, dataset: ThermalDataset, envelope: bool) -> GaussianSt
 
 
 def _run_thermal_filter(
-    model,
+    cycle: lfm.StepCycle,
     dataset: ThermalDataset,
     state: GaussianState,
     t_start: float,
@@ -278,12 +281,12 @@ def _run_thermal_filter(
     measure_every: float | None,
     emit: bool = False,
 ):
-    """Kalman pass with the known heater record over [t_start, t_end],
-    measuring both temperatures every `measure_every` minutes (a whole number
-    of steps).  Step starts and measurement times are mapped to indices of
-    the one-minute record once, up front; a time off that grid or past the
-    record raises ContractViolationError."""
-    dt = dataset.config.step
+    """Kalman pass with the known heater record over [t_start, t_end], on the
+    steps of `cycle`, measuring both temperatures every `measure_every`
+    minutes (a whole number of steps).  Step starts and measurement times
+    are mapped to indices of the one-minute record once, up front; a time
+    off that grid or past the record raises ContractViolationError."""
+    model, dt = cycle.model, cycle.dt
     n_steps = int(round((t_end - t_start) / dt))
     every = None
     if measure_every is not None:
@@ -301,12 +304,13 @@ def _run_thermal_filter(
     h, z = model.measurement_matrix, model.measurement_noise
     loglik = 0.0
     records = []
-    for k, step in enumerate(lfm.pass_steps(model, t_start, dt, n_steps), start=1):
+    for k, step in enumerate(lfm.pass_steps(cycle, t_start, n_steps), start=1):
         state = filtering.predict(
             state, step.transition, step.noise, heater[k - 1] * step.input_on, t_new=step.t
         )
         if step.changepoint:
-            state = lfm.apply_changepoint(model, state, step.t)
+            means, cov = lfm.apply_changepoint_moments(model, state.mean[None, :], state.cov)
+            state = GaussianState(means[0], cov, step.t)
         if emit:
             records.append((step.t, state.mean[0], state.cov[0, 0]))
         if every is not None and k % every == 0:
@@ -389,7 +393,8 @@ def thermal_fit(
         model = thermal_build(kind, p, dataset.config, envelope=envelope)
         state = _initial_state(model, dataset, envelope)
         loglik, _, _ = _run_thermal_filter(
-            model, dataset, state, 0.0, dataset.test_start, dataset.config.step
+            lfm.step_cycle(model, 0.0, dataset.config.step), dataset, state,
+            0.0, dataset.test_start, dataset.config.step,
         )
         return loglik
 
@@ -412,14 +417,17 @@ def _metrics(dataset: ThermalDataset, records) -> dict:
 
 
 def _trained_state(dataset, kind, params, envelope):
+    """The model's step cycle, which the held-out pass reuses, and the state
+    after the training pass."""
     n_res = int(params.get("n_resonators", _N_RESONATORS))
     _param_space(kind, dataset.config, envelope, n_res).check(params, kind)
     model = thermal_build(kind, params, dataset.config, envelope=envelope)
+    cycle = lfm.step_cycle(model, 0.0, dataset.config.step)
     state = _initial_state(model, dataset, envelope)
     _, state, _ = _run_thermal_filter(
-        model, dataset, state, 0.0, dataset.test_start, dataset.config.step
+        cycle, dataset, state, 0.0, dataset.test_start, dataset.config.step
     )
-    return model, state
+    return cycle, state
 
 
 def thermal_track_day(
@@ -431,13 +439,13 @@ def thermal_track_day(
 ) -> dict:
     """Filter the held-out day with the known heater record and sparse
     measurements; scores the predictive marginals at every control step."""
-    model, state = _trained_state(dataset, kind, params, envelope)
+    cycle, state = _trained_state(dataset, kind, params, envelope)
     _, _, records = _run_thermal_filter(
-        model, dataset, state, dataset.test_start,
+        cycle, dataset, state, dataset.test_start,
         dataset.test_start + DAY_MINUTES, measure_every, emit=True,
     )
     out = _metrics(dataset, records)
-    out["n_basis"] = model.layout.dim - model.layout.dim_za
+    out["n_basis"] = cycle.model.layout.dim - cycle.model.layout.dim_za
     return out
 
 
@@ -451,11 +459,11 @@ def thermal_predict_day(
 ) -> dict:
     """Day-ahead prediction: no measurements, heater switching simulated by
     the Rao-Blackwellised particle filter against the set-point schedule."""
-    model, state = _trained_state(dataset, kind, params, envelope)
-    dt = dataset.config.step
-    n_steps = int(round(DAY_MINUTES / dt))
+    cycle, state = _trained_state(dataset, kind, params, envelope)
+    model = cycle.model
+    n_steps = int(round(DAY_MINUTES / cycle.dt))
     records = rbpf_predict_day(
-        lfm.pass_steps(model, state.t, dt, n_steps), n_steps, state,
+        lfm.pass_steps(cycle, state.t, n_steps), n_steps, state,
         dataset.setpoint_at, n_particles, seed,
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )

@@ -8,9 +8,9 @@ uses are covered here:
   eigenfunction (the offset trick keeps the profile bounded near zeros);
 * a constant-coefficient bank of resonators plus a bias (`resonator_bank`),
   fitted to data by maximum likelihood.  The fit runs on the engine: the bank
-  is assembled by `lfm`, stepped by `lfm.pass_steps` and filtered by
-  `filtering.predict`/`update`.  Thermal's "resonator" roster entry builds
-  its residual force from the same bank.
+  is assembled by `lfm`, stepped by `lfm.pass_steps` on one `lfm.step_cycle`
+  and filtered by `filtering.predict`/`update`.  Thermal's "resonator"
+  roster entry builds its residual force from the same bank.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ def _resonator_loglik(
     res = update(GaussianState(np.zeros(model.dim), np.diag(prior), times[0]), h, noise, [values[0]])
     loglik = res.log_density
     dt = (times[-1] - times[0]) / (times.size - 1)
-    for step, y in zip(lfm.pass_steps(model, times[0], dt, times.size - 1), values[1:]):
+    steps = lfm.pass_steps(lfm.step_cycle(model, times[0], dt), times[0], times.size - 1)
+    for step, y in zip(steps, values[1:]):
         res = update(predict(res.state, step.transition, step.noise, t_new=step.t), h, noise, [y])
         loglik += res.log_density
     return loglik

@@ -12,11 +12,15 @@ where z_a holds the target and non-periodic blocks, the weights `a` multiply
 eigenfunctions of the periodic force kernels, and m(t) couples each weight
 into the target through its eigenfunction value and coupling column.
 
-Two discretizations are provided:
+Two kinds of step are built, each for a batch of steps at once:
 
-* `discretize` freezes m at the interval start and computes the transition
-  and process-noise covariance jointly from one augmented matrix exponential
-  (exact for the LTI part, O(dt^2) in the m-variation);
+* `discretize` freezes m at each step start.  The weights of a periodic
+  force are independent OU processes with one rate, so the step has a
+  closed block form: the weight columns of G and Q are outer products of
+  the eigenfunction row phi(t0) with vectors from one Van Loan exponential
+  of size dim_za + 1 per force, and the z_a noise gains a term linear in
+  sum_j q_j phi_j(t0)^2 (exact for the LTI part, O(dt^2) in the
+  m-variation).  No exponential of the full state is taken.
 * `constant_weight_transition` is exact when all weights are constant between
   changepoints: the weight columns of the transition are the convolution
   integrals of the target transition with the eigenfunctions, evaluated by
@@ -25,17 +29,19 @@ Two discretizations are provided:
 Step quasi-periodic models perturb the weights at changepoints through
 per-force jump models applied by `apply_changepoint_moments`.
 
-A filter pass over a regular step grid takes its steps from `pass_steps`,
-the one place that chooses between the two discretizations.  Changepoints
-and measurements are scheduled as integer step indices (`grid_steps`); a
-time that is not on the step grid is a `ContractViolationError`, never a
-skipped jump or measurement.
-
 The periodic forces repeat every period, and so do the eigenfunction rows
 that couple the weights into the target: the transition of step k equals
-that of step k + `cycle_steps(model, dt)`.  A pass therefore computes the
-steps of its first cycle only and reuses them for every later cycle; a step
-that does not divide the period is a `ContractViolationError`.
+that of step k + `cycle_steps(model, dt)`.  `step_cycle(model, t0, dt)`
+builds the steps of one period from t0 once, in one batch, as an immutable
+`StepCycle`; a step that does not divide the period is a
+`ContractViolationError`.
+
+A filter pass over a regular step grid takes its steps from
+`pass_steps(cycle, t_start, n_steps)` and from nothing else, so every pass
+over a model can share one cycle.  The pass start must lie on the cycle's
+step grid.  Changepoints and measurements are scheduled as integer step
+indices (`grid_steps`); a time that is not on the step grid is a
+`ContractViolationError`, never a skipped jump or measurement.
 """
 
 from __future__ import annotations
@@ -73,14 +79,14 @@ __all__ = [
     "constant_weight_transition",
     "make_constant_step_plan",
     "ConstantStepPlan",
+    "StepCycle",
+    "step_cycle",
     "pass_steps",
     "cycle_steps",
     "changepoint_steps",
     "grid_steps",
-    "apply_changepoint",
     "apply_changepoint_moments",
     "initial_state",
-    "force_values",
     "periodic_force_row",
     "nonperiodic_force_row",
     "has_constant_weights",
@@ -169,9 +175,9 @@ class StateLayout:
 
 
 class Transition(NamedTuple):
-    transition: np.ndarray  # G, (C, C)
-    noise: np.ndarray       # Q, (C, C)
-    input_term: np.ndarray  # b, (C,)
+    transition: np.ndarray  # G, (C, C), or (n, C, C) for a batch of n steps
+    noise: np.ndarray       # Q, shaped as G
+    input_term: np.ndarray  # b, (C,), the same for every step of a batch
 
 
 @dataclass
@@ -300,39 +306,30 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-def m_matrix(model: AugmentedModel, t: float) -> np.ndarray:
-    """Coupling of the weights into dz_a/dt at time t: (dim_za, n_weights)."""
-    cols = []
-    for force, pad in zip(model.periodic, model.coupling_pad):
-        phi = eb.eigenfunction_matrix(force.basis, t)[0]
-        cols.append(np.outer(pad, phi))
-    if not cols:
-        return np.zeros((model.layout.dim_za, 0))
-    return np.concatenate(cols, axis=1)
-
-
-def full_drift(model: AugmentedModel, t: float) -> np.ndarray:
-    """Frozen drift [[F_a, m(t)], [0, F_A]] of the full state."""
-    c, cza = model.layout.dim, model.layout.dim_za
-    out = np.zeros((c, c))
-    out[:cza, :cza] = model.drift_za
-    out[:cza, cza:] = m_matrix(model, t)
-    out[cza:, cza:] = np.diag(model.weight_rates)
-    return out
-
-
-def _check_step(model: AugmentedModel, t0: float, t1: float) -> float:
-    if not (np.isfinite(t0) and np.isfinite(t1)) or t1 <= t0:
+def _check_steps(model: AugmentedModel, t0, t1) -> tuple[np.ndarray, float]:
+    """Starts and common length of the steps [t0, t1] of a batch (scalars, or
+    1-D arrays of one shape).  A changepoint strictly inside a step raises
+    ContractViolationError: its jump would fall mid-step."""
+    starts = np.atleast_1d(np.asarray(t0, dtype=float))
+    ends = np.atleast_1d(np.asarray(t1, dtype=float))
+    if starts.ndim != 1 or starts.size == 0 or starts.shape != ends.shape:
+        raise InvalidParameterError("t0 and t1 must be scalars or 1-D arrays of one shape")
+    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends))) or np.any(ends <= starts):
         raise InvalidParameterError("need finite t1 > t0")
+    lengths = ends - starts
+    dt = float(lengths[0])
+    if np.any(np.abs(lengths - dt) > _BOUNDARY_TOL * max(1.0, dt)):
+        raise InvalidParameterError("the steps of a batch must have one length")
     cps = model.changepoints
     if cps.size:
-        inside = (cps > t0 + _BOUNDARY_TOL) & (cps < t1 - _BOUNDARY_TOL)
+        inside = (cps > starts[:, None] + _BOUNDARY_TOL) & (cps < ends[:, None] - _BOUNDARY_TOL)
         if np.any(inside):
+            k, j = np.argwhere(inside)[0]
             raise ContractViolationError(
-                f"changepoint at {cps[inside][0]} lies strictly inside ({t0}, {t1}); "
+                f"changepoint at {cps[j]} lies strictly inside ({starts[k]}, {ends[k]}); "
                 "split the step at the changepoint"
             )
-    return t1 - t0
+    return starts, dt
 
 
 def _van_loan(drift: np.ndarray, diffusion: np.ndarray, dt: float):
@@ -369,29 +366,83 @@ def _input_vector(model: AugmentedModel, input_value) -> np.ndarray | None:
     return vec if vec.any() else None
 
 
+def _batch(t0, g: np.ndarray, q: np.ndarray, b: np.ndarray) -> Transition:
+    """A batch's stacked (G, Q) and its input term; one (C, C) pair when the
+    step bounds were scalars."""
+    if np.ndim(t0) == 0:
+        g, q = g[0], q[0]
+    return Transition(g, q, b)
+
+
+def _weight_response(model: AugmentedModel, pad: np.ndarray, rate: float, dt: float):
+    """How one periodic force's weights drive z_a over a step of length dt.
+
+    One Van Loan of size dim_za + 1 on [z_a, s], with s' = rate s + unit
+    white noise and z_a' = F_a z_a + pad s, gives
+    psi = int_0^dt e^{F_a (dt - u)} pad e^{rate u} du (the z_a response to
+    a unit weight), the weight decay e^{rate dt}, and the noise moments
+    Z = int_0^dt psi(u) psi(u)^T du, xi = int_0^dt psi(u) e^{rate u} du and
+    v = int_0^dt e^{2 rate u} du."""
+    n = model.layout.dim_za
+    drift = np.zeros((n + 1, n + 1))
+    drift[:n, :n] = model.drift_za
+    drift[:n, n] = pad
+    drift[n, n] = rate
+    unit = np.zeros((n + 1, n + 1))
+    unit[n, n] = 1.0
+    g, q = _van_loan(drift, unit, dt)
+    return g[:n, n], g[n, n], q[:n, :n], q[:n, n], q[n, n]
+
+
 def discretize(
     model: AugmentedModel,
-    t0: float,
-    t1: float,
+    t0,
+    t1,
     *,
     input_value=None,
 ) -> Transition:
-    """Frozen-m transition over [t0, t1]: G = expm(A(t0) dt) with the process
-    noise computed jointly so the exact LTI solution covariance is reproduced.
-    The input (one entry per z_a state) is held constant over the interval.
-    Inputs enter only z_a and the drift is block upper-triangular, so the
-    input term comes from the z_a block of the drift alone."""
-    dt = _check_step(model, t0, t1)
-    drift = full_drift(model, t0)
-    g, q = _van_loan(drift, model.diffusion, dt)
+    """Frozen-m transitions of the steps [t0, t1], with m(t) held at each
+    step start; exact for the LTI part, O(dt^2) in the m-variation.
+
+    `t0` and `t1` are scalars (one step: G and Q are (C, C)) or 1-D arrays
+    of the starts and ends of a batch of steps of one length (G and Q are
+    stacked, (n, C, C)).  The weights of each periodic force r are OU with
+    rate lambda_r and variances q, so the step has a block form built from
+    `_weight_response` and one batch of eigenfunction rows phi(t0):
+
+        G_aA = psi_r phi^T, with e^{lambda_r dt} on the weight diagonal;
+        Q_aA = xi_r (q * phi)^T;   Q_AA = diag(q v_r);
+        Q_aa = Q_za + sum_r (sum_j q_j phi_j^2) Z_r.
+
+    The input (one entry per z_a state) is held constant over the step; it
+    enters z_a only, so its term (C,) comes from the z_a drift alone and is
+    the same for every step of the batch."""
+    starts, dt = _check_steps(model, t0, t1)
+    n, c, cza = starts.size, model.dim, model.layout.dim_za
+    phi_za, noise_za = _van_loan(model.drift_za, model.diffusion[:cza, :cza], dt)
+    g = np.zeros((n, c, c))
+    q = np.zeros((n, c, c))
+    g[:, :cza, :cza] = phi_za
+    q[:, :cza, :cza] = noise_za
+    weight_var = np.diag(model.diffusion)
+    for force, pad, (lo, hi) in zip(model.periodic, model.coupling_pad, model.layout.weight_spans):
+        psi, decay, z, xi, v = _weight_response(model, pad, model.weight_rates[lo - cza], dt)
+        phi = eb.eigenfunction_matrix(force.basis, starts)  # (n, J)
+        q_phi = phi * weight_var[lo:hi]
+        idx = np.arange(lo, hi)
+        g[:, :cza, lo:hi] = psi[:, None] * phi[:, None, :]
+        g[:, idx, idx] = decay
+        q[:, :cza, :cza] += (q_phi * phi).sum(axis=1)[:, None, None] * z
+        q[:, :cza, lo:hi] = xi[:, None] * q_phi[:, None, :]
+        q[:, lo:hi, :cza] = q[:, :cza, lo:hi].transpose(0, 2, 1)
+        q[:, idx, idx] = weight_var[lo:hi] * v
     if not np.all(np.isfinite(g)):
         raise NumericError("matrix exponential overflowed; reduce the step")
-    b = np.zeros(model.dim)
+    b = np.zeros(c)
     vec = _input_vector(model, input_value)
     if vec is not None:
-        cza = model.layout.dim_za
-        b[:cza] = _input_response(drift[:cza, :cza], dt) @ vec
-    return Transition(g, q, b)
+        b[:cza] = _input_response(model.drift_za, dt) @ vec
+    return _batch(t0, g, q, b)
 
 
 def gauss_nodes(order: int = 8) -> tuple[np.ndarray, np.ndarray]:
@@ -435,50 +486,52 @@ def make_constant_step_plan(model: AugmentedModel, dt: float, order: int = 8) ->
 
 def constant_weight_transition(
     model: AugmentedModel,
-    t0: float,
-    t1: float,
+    t0,
+    t1,
     *,
     plan: ConstantStepPlan | None = None,
-    node_phi: Sequence[np.ndarray] | None = None,
     input_value=None,
 ) -> Transition:
-    """Exact transition when all eigenfunction weights are constant.
+    """Exact transitions of the steps [t0, t1] when all eigenfunction weights
+    are constant; step bounds and result shapes as for `discretize`.
 
     The weight columns of G are the quadrature-evaluated convolutions of the
     z_a transition with each eigenfunction; the weight rows are identity.
-    `node_phi` may supply precomputed eigenfunction values at the quadrature
-    nodes of this step (one (n_nodes, J_r) array per periodic force).
+    The eigenfunction rows at the quadrature nodes of every step of the
+    batch come from one evaluation per periodic force, and the columns of
+    all steps from one batched product with the node couplings.
     """
     if not has_constant_weights(model):
         raise ContractViolationError(
             "constant_weight_transition requires constant weight blocks"
         )
-    dt = _check_step(model, t0, t1)
+    starts, dt = _check_steps(model, t0, t1)
     if plan is None:
         plan = make_constant_step_plan(model, dt)
     elif abs(plan.dt - dt) > 1e-9 * max(1.0, abs(dt)):
         raise InvalidParameterError("plan was built for a different step size")
 
-    c, cza = model.dim, model.layout.dim_za
-    g = np.eye(c)
-    g[:cza, :cza] = plan.phi_za
-    q = np.zeros((c, c))
-    q[:cza, :cza] = plan.noise_za
+    n, c, cza = starts.size, model.dim, model.layout.dim_za
+    g = np.zeros((n, c, c))
+    g[:, :cza, :cza] = plan.phi_za
+    idx = np.arange(cza, c)
+    g[:, idx, idx] = 1.0
+    q = np.zeros((n, c, c))
+    q[:, :cza, :cza] = plan.noise_za
 
-    for r, force in enumerate(model.periodic):
-        lo, hi = model.layout.weight_spans[r]
-        if node_phi is not None:
-            phi = np.asarray(node_phi[r])
-        else:
-            phi = eb.eigenfunction_matrix(force.basis, t0 + plan.node_offsets)
-        cols = plan.node_coupling[r] * plan.node_weights[:, None]  # (n, dim_za)
-        g[:cza, lo:hi] = cols.T @ phi
+    nodes = (starts[:, None] + plan.node_offsets).ravel()
+    for force, coupling, (lo, hi) in zip(
+        model.periodic, plan.node_coupling, model.layout.weight_spans
+    ):
+        phi = eb.eigenfunction_matrix(force.basis, nodes).reshape(n, plan.node_offsets.size, hi - lo)
+        cols = coupling * plan.node_weights[:, None]  # (n_nodes, dim_za)
+        g[:, :cza, lo:hi] = cols.T @ phi
 
     b = np.zeros(c)
     vec = _input_vector(model, input_value)
     if vec is not None:
         b[:cza] = plan.input_response @ vec
-    return Transition(g, q, b)
+    return _batch(t0, g, q, b)
 
 
 def apply_changepoint_moments(
@@ -500,16 +553,6 @@ def apply_changepoint_moments(
     return means, cov
 
 
-def apply_changepoint(model: AugmentedModel, state: GaussianState, tau: float) -> GaussianState:
-    """Perturb the weight variables across the registered changepoint tau."""
-    if not model.changepoints.size or not np.any(
-        np.isclose(model.changepoints, tau, rtol=0.0, atol=_BOUNDARY_TOL)
-    ):
-        raise ContractViolationError(f"{tau} is not a registered changepoint")
-    means, cov = apply_changepoint_moments(model, state.mean[None, :], state.cov)
-    return GaussianState(means[0], cov, state.t)
-
-
 def _grid_tol(t_start: float, dt: float, n_steps: int) -> float:
     return _BOUNDARY_TOL * max(1.0, abs(t_start), abs(t_start + n_steps * dt))
 
@@ -517,14 +560,14 @@ def _grid_tol(t_start: float, dt: float, n_steps: int) -> float:
 def grid_steps(times, t_start: float, dt: float, n_steps: int, what: str) -> np.ndarray:
     """Integer indices k of `times` on the step grid t_start + k dt of a pass
     of `n_steps` steps.  Raises ContractViolationError, naming `what`, for a
-    time that is not on the grid: an event there would be skipped."""
+    time that is not on the grid (an event there would be skipped)."""
     times = np.asarray(times, dtype=float)
     steps = np.rint((times - t_start) / dt)
     off = np.abs(t_start + steps * dt - times) > _grid_tol(t_start, dt, n_steps)
     if np.any(off):
         raise ContractViolationError(
             f"{what} at {times[off][0]:g} is not on the step grid "
-            f"{t_start:g} + k * {dt:g}; it would be skipped"
+            f"{t_start:g} + k * {dt:g}"
         )
     return steps.astype(int)
 
@@ -565,6 +608,43 @@ def cycle_steps(model: AugmentedModel, dt: float) -> int:
     return n
 
 
+@dataclass(frozen=True, eq=False)
+class StepCycle:
+    """One period of steps of a model, built once by `step_cycle` and shared
+    by every pass over the model.
+
+    Slot k holds the transition of the step [t0 + k dt, t0 + (k + 1) dt];
+    a step a whole number of steps away from slot k repeats it, since the
+    periodic forces do.  The arrays are read-only."""
+
+    model: AugmentedModel
+    t0: float
+    dt: float
+    transitions: np.ndarray  # G, (n_cycle, C, C)
+    noises: np.ndarray       # Q, (n_cycle, C, C)
+    input_on: np.ndarray     # (C,) input term with the binary input on; zero without one
+
+    @property
+    def n_cycle(self) -> int:
+        return self.transitions.shape[0]
+
+
+def step_cycle(model: AugmentedModel, t0: float, dt: float) -> StepCycle:
+    """The `cycle_steps(model, dt)` steps of one period from t0, built in one
+    batch: by `constant_weight_transition` when every weight is constant,
+    else by the frozen-m `discretize`.  The input term is the model's binary
+    input, on.  Raises ContractViolationError when `dt` does not divide the
+    period (see `cycle_steps`) or a changepoint lies strictly inside a step
+    of the cycle."""
+    n_cycle = cycle_steps(model, dt)
+    starts = t0 + dt * np.arange(n_cycle)
+    build = constant_weight_transition if has_constant_weights(model) else discretize
+    tr = build(model, starts, starts + dt, input_value=model.binary_input)
+    for array in tr:
+        array.flags.writeable = False
+    return StepCycle(model, float(t0), float(dt), *tr)
+
+
 class PassStep(NamedTuple):
     t: float                # end time of the step
     transition: np.ndarray  # G, (C, C), read-only
@@ -573,61 +653,32 @@ class PassStep(NamedTuple):
     changepoint: bool       # a changepoint falls on the step end
 
 
-def _read_only(tr: Transition) -> Transition:
-    for a in tr:
-        a.flags.writeable = False
-    return tr
+def pass_steps(cycle: StepCycle, t_start: float, n_steps: int) -> Iterator[PassStep]:
+    """The steps of one filter pass over [t_start, t_start + n_steps dt],
+    read from `cycle` (step length dt = `cycle.dt`).
 
-
-def pass_steps(
-    model: AugmentedModel, t_start: float, dt: float, n_steps: int
-) -> Iterator[PassStep]:
-    """The steps of one filter pass over [t_start, t_start + n_steps dt].
-
-    Constant-weight models step with `constant_weight_transition` from one
-    plan, with the node eigenfunction rows of every periodic force evaluated
-    in one batch up front; other models step with the frozen-m `discretize`.
-    The changepoint schedule, then the cycle (`cycle_steps`), is checked
-    here, before the first step.
-
-    Only the first cycle is computed, at its actual step starts
-    t_start + k dt, so it is what a direct call gives; step k reuses the
-    arrays of step k mod n_cycle, which are therefore read-only.  Steps are
-    produced lazily, and a pass keeps a step's arrays only while a later step
-    of the pass will read them: a pass of one cycle or less holds one
-    (G, Q) pair at a time, a longer one at most one cycle of them.
+    Two checks run here, before the first step: the changepoint schedule of
+    the pass (`changepoint_steps`), then that t_start lies on the cycle's
+    step grid cycle.t0 + k dt (the `grid_steps` rule, naming the pass
+    start).  Step k of the pass then reads slot (offset + k) mod n_cycle,
+    where offset is t_start's index on that grid; its arrays are the cycle's
+    read-only ones.  Steps are produced lazily.
     """
+    model, dt = cycle.model, cycle.dt
     jumps = np.zeros(n_steps + 1, dtype=bool)
     jumps[changepoint_steps(model, t_start, dt, n_steps)] = True
-    n_cycle = cycle_steps(model, dt)
-    on = model.binary_input
-    if has_constant_weights(model):
-        plan = make_constant_step_plan(model, dt)
-        n_rows = min(n_cycle, n_steps)
-        nodes = ((t_start + dt * np.arange(n_rows))[:, None] + plan.node_offsets).ravel()
-        node_rows = [
-            eb.eigenfunction_matrix(force.basis, nodes).reshape(n_rows, plan.node_offsets.size, -1)
-            for force in model.periodic
-        ]
-
-        def transition(k, t0):
-            return constant_weight_transition(
-                model, t0, t0 + dt, plan=plan, node_phi=[rows[k] for rows in node_rows],
-                input_value=on,
-            )
-    else:
-        def transition(k, t0):
-            return discretize(model, t0, t0 + dt, input_value=on)
+    span = int(np.rint((t_start - cycle.t0) / dt))
+    offset = int(grid_steps([t_start], cycle.t0, dt, span, "pass start")[0])
+    n_cycle = cycle.n_cycle
 
     def steps():
-        kept = {}
         for k in range(n_steps):
             t0 = t_start + k * dt
-            slot = k % n_cycle
-            tr = kept.pop(slot) if k >= n_cycle else _read_only(transition(k, t0))
-            if k + n_cycle < n_steps:
-                kept[slot] = tr
-            yield PassStep(t0 + dt, tr.transition, tr.noise, tr.input_term, bool(jumps[k + 1]))
+            slot = (offset + k) % n_cycle
+            yield PassStep(
+                t0 + dt, cycle.transitions[slot], cycle.noises[slot], cycle.input_on,
+                bool(jumps[k + 1]),
+            )
     return steps()
 
 
@@ -674,13 +725,3 @@ def nonperiodic_force_row(model: AugmentedModel, i: int) -> np.ndarray:
     lo, hi = model.layout.nonperiodic_spans[i]
     row[lo:hi] = model.nonperiodic[i].block.extract
     return row
-
-
-def force_values(model: AugmentedModel, state_mean: np.ndarray, t: float) -> np.ndarray:
-    """Reconstructed forces at time t, non-periodic first, then periodic."""
-    state_mean = np.asarray(state_mean, dtype=float)
-    if state_mean.shape != (model.dim,):
-        raise InvalidParameterError("state mean does not match the model layout")
-    vals = [nonperiodic_force_row(model, i) @ state_mean for i in range(len(model.nonperiodic))]
-    vals += [periodic_force_row(model, r, t) @ state_mean for r in range(len(model.periodic))]
-    return np.asarray(vals)

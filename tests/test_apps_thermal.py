@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
         if envelope_flag:
             state.mean[1] = ds.meas_ext[0]  # start the envelope at the exterior
         _, _, recs = th._run_thermal_filter(
-            model, ds, state, 0.0, 1440.0, None, emit=True
+            lfm.step_cycle(model, 0.0, cfg.step), ds, state, 0.0, 1440.0, None, emit=True
         )
         return np.array([r[1] for r in recs])
 
@@ -153,24 +155,52 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
         return update(state, *args)
 
     monkeypatch.setattr(th, "update", recording_update)
-    th._run_thermal_filter(model, ds, state, ds.test_start, ds.test_start + 1440.0, 100.0)
+    cycle = lfm.step_cycle(model, 0.0, cfg.step)
+    th._run_thermal_filter(cycle, ds, state, ds.test_start, ds.test_start + 1440.0, 100.0)
     np.testing.assert_array_equal(measured, ds.test_start + 100.0 * np.arange(1, 15))
 
 
 def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
     # a pass past the end of the record used to skip its last measurements,
-    # and a step start between minutes used to floor its heater lookup
+    # and a step start between minutes used to floor its heater lookup; the
+    # 2.5-minute pass runs on a valid 10-minute record
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=7)
     for step, t_end, match in [
         (10.0, 2880.0 + 100.0, "time 2890 lies outside the record"),
         (2.5, 2880.0, "time at 1442.5 is not on the step grid"),
     ]:
-        cfg = th.ThermalGenConfig(days=2, step=step)
-        ds = th.generate_thermal_data(cfg, seed=7)
-        model = th.thermal_build("without", BASE_PARAMS, cfg)
-        state = th._initial_state(model, ds, False)
-        state.t = ds.test_start
+        run = dataclasses.replace(ds, config=dataclasses.replace(ds.config, step=step))
+        model = th.thermal_build("without", BASE_PARAMS, run.config)
+        state = th._initial_state(model, run, False)
+        state.t = run.test_start
+        cycle = lfm.step_cycle(model, 0.0, run.config.step)
         with pytest.raises(ContractViolationError, match=match):
-            th._run_thermal_filter(model, ds, state, ds.test_start, t_end, 100.0)
+            th._run_thermal_filter(cycle, run, state, run.test_start, t_end, 100.0)
+
+
+@pytest.mark.parametrize("step", [2.5, 0.5, 0.0])
+def test_generator_rejects_a_step_that_is_not_whole_minutes(step):
+    with pytest.raises(InvalidParameterError, match=f"step {step:g} is not a positive whole"):
+        th.generate_thermal_data(th.ThermalGenConfig(days=2, step=step), seed=0)
+
+
+@pytest.mark.parametrize("kind", ["with", "quasi-cqm", "without"])
+def test_track_and_predict_build_one_cycle_per_model(monkeypatch, kind):
+    # the held-out pass and the RBPF reuse the training pass's cycle
+    cfg = th.ThermalGenConfig(days=2)
+    ds = th.generate_thermal_data(cfg, seed=3)
+    built = []
+    step_cycle = lfm.step_cycle
+
+    def counting_step_cycle(model, t0, dt):
+        built.append(model)
+        return step_cycle(model, t0, dt)
+
+    monkeypatch.setattr(lfm, "step_cycle", counting_step_cycle)
+    th.thermal_track_day(ds, kind, BASE_PARAMS)
+    assert len(built) == 1
+    th.thermal_predict_day(ds, kind, BASE_PARAMS, n_particles=4, seed=0)
+    assert len(built) == 2 and built[0] is not built[1]
 
 
 def test_resonator_roster_runs():

@@ -141,8 +141,9 @@ def test_log_likelihood_block_independence():
 def _rbpf(model, init, setpoint, n_particles, step, horizon, seed, **kwargs):
     """RBPF over the steps of `lfm.pass_steps`, jumping with the model's moments."""
     n_steps = int(round(horizon / step))
+    cycle = lfm.step_cycle(model, init.t, step)
     return rbpf_predict_day(
-        lfm.pass_steps(model, init.t, step, n_steps), n_steps, init, setpoint,
+        lfm.pass_steps(cycle, init.t, n_steps), n_steps, init, setpoint,
         n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
         **kwargs,
     )

@@ -1,9 +1,9 @@
 """The package layering runs one way: the engine (kernels -> eigenbasis ->
 lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
-`lfm`.  Every pass takes its transitions from `lfm.pass_steps`, so no pass
-bypasses the per-cycle reuse.  Checked on the source with `ast`, so no module
-is imported."""
+`lfm`.  Every pass takes its transitions from a `lfm.step_cycle` through
+`lfm.pass_steps`, so no pass bypasses the cycle.  Checked on the source with
+`ast`, so no module is imported."""
 
 import ast
 from pathlib import Path
@@ -70,9 +70,9 @@ def _step_builder_uses() -> set[tuple[str, str, str]]:
     return found
 
 
-def test_only_pass_steps_builds_steps():
+def test_only_step_cycle_builds_steps():
     uses = _step_builder_uses()
-    assert ("lfm.py", "pass_steps", "discretize") in uses  # the walk sees references
-    # a one-off constant-weight step builds its own plan when none is given
+    assert ("lfm.py", "step_cycle", "discretize") in uses  # the walk sees references
+    # a constant-weight batch builds its own plan when none is given
     allowed = {("lfm.py", "constant_weight_transition", "make_constant_step_plan")}
-    assert {u for u in uses if u[:2] != ("lfm.py", "pass_steps")} <= allowed
+    assert {u for u in uses if u[:2] != ("lfm.py", "step_cycle")} <= allowed

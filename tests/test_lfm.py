@@ -152,10 +152,9 @@ def test_apply_changepoint_sqm():
     )
     # the constant kernel has mu_scaled = 1, so the weight carries unit prior
     assert model.weight_scaled_eigs[0][0] == pytest.approx(1.0, rel=1e-12)
-    state = GaussianState(np.array([0.0, 1.0]), np.diag([1.0, 1.0]), 5.0)
-    out = lfm.apply_changepoint(model, state, 5.0)
-    assert out.mean[1] == pytest.approx(0.36788, abs=5e-6)
-    assert out.cov[1, 1] == pytest.approx(1.0, rel=1e-10)  # variance preserved
+    means, cov = lfm.apply_changepoint_moments(model, np.array([[0.0, 1.0]]), np.eye(2))
+    assert means[0, 1] == pytest.approx(0.36788, abs=5e-6)
+    assert cov[1, 1] == pytest.approx(1.0, rel=1e-10)  # variance preserved
 
 
 def test_apply_changepoint_wqm_and_cross_covariance():
@@ -166,12 +165,13 @@ def test_apply_changepoint_wqm_and_cross_covariance():
         changepoints=[5.0],
     )
     cov = np.array([[2.0, 0.7], [0.7, 1.0]])
-    state = GaussianState(np.array([1.5, -0.5]), cov, 5.0)
-    out = lfm.apply_changepoint(model, state, 5.0)
-    assert out.mean[1] == -0.5                      # unit gain
-    assert out.cov[1, 1] == pytest.approx(3.0)      # variance + xi
-    assert out.cov[0, 1] == pytest.approx(0.7)      # cross scaled by gain = 1
-    assert out.cov[0, 0] == 2.0                     # target untouched
+    mean = np.array([[1.5, -0.5]])
+    means, out = lfm.apply_changepoint_moments(model, mean, cov)
+    assert means[0, 1] == -0.5                      # unit gain
+    assert out[1, 1] == pytest.approx(3.0)          # variance + xi
+    assert out[0, 1] == pytest.approx(0.7)          # cross scaled by gain = 1
+    assert out[0, 0] == 2.0                         # target untouched
+    assert cov[1, 1] == 1.0                         # the inputs are not written
 
     # gain scaling of the cross term for a step jump
     model2 = lfm.assemble(
@@ -179,21 +179,9 @@ def test_apply_changepoint_wqm_and_cross_covariance():
         periodic=[lfm.sqm_force(basis, [1.0], 1.0, 2.0)],
         changepoints=[5.0],
     )
-    out2 = lfm.apply_changepoint(model2, state, 5.0)
+    _, out2 = lfm.apply_changepoint_moments(model2, mean, cov)
     gain = lti.sqm_jump(1.0, 2.0).gain
-    assert out2.cov[0, 1] == pytest.approx(0.7 * gain)
-
-
-def test_apply_changepoint_unregistered():
-    basis = sample_basis()
-    model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
-        periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
-        changepoints=[5.0],
-    )
-    state = lfm.initial_state(model, [0.0], [[1.0]])
-    with pytest.raises(ContractViolationError):
-        lfm.apply_changepoint(model, state, 4.0)
+    assert out2[0, 1] == pytest.approx(0.7 * gain)
 
 
 def test_changepoint_inside_step_rejected():
@@ -210,24 +198,6 @@ def test_changepoint_inside_step_rejected():
     # steps touching the boundary are fine
     lfm.discretize(model, 4.5, 5.0)
     lfm.discretize(model, 5.0, 5.5)
-
-
-def test_force_values():
-    basis = sample_basis()
-    model = lfm.assemble(
-        lfm.TargetModel(np.array([[-1.0]])),
-        nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 1.0), np.array([1.0]))],
-        periodic=[lfm.periodic_force(basis, [1.0])],
-    )
-    mean = np.zeros(model.dim)
-    np.testing.assert_array_equal(lfm.force_values(model, mean, 1.0), [0.0, 0.0])
-    mean[1] = 0.7  # the OU force state
-    lo, _ = model.layout.weight_spans[0]
-    mean[lo] = 2.0  # first eigenfunction weight
-    vals = lfm.force_values(model, mean, 1.3)
-    assert vals[0] == pytest.approx(0.7)
-    phi1 = eb.eigenfunction(basis, int(basis.selected[0]), 1.3)
-    assert vals[1] == pytest.approx(2.0 * phi1)
 
 
 def test_input_term_integration():
@@ -291,7 +261,7 @@ def test_pass_steps_match_direct_transitions(kind):
     model = _stepper_model(kind, [1.0, 2.0, 5.0, 7.5, 20.0])
     np.testing.assert_array_equal(lfm.changepoint_steps(model, 1.0, 0.5, 12), [2, 8])
     direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
-    steps = list(lfm.pass_steps(model, 1.0, 0.5, 12))
+    steps = list(lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 12))
     assert [s.changepoint for s in steps] == [k in (2, 8) for k in range(1, 13)]
     for k, step in enumerate(steps):
         t0 = 1.0 + 0.5 * k
@@ -305,8 +275,13 @@ def test_pass_steps_match_direct_transitions(kind):
 @pytest.mark.parametrize("kind", ["sqm", "cqm"])
 def test_pass_steps_reject_changepoint_off_the_grid(kind):
     model = _stepper_model(kind, [2.25])
+    # the changepoint lies inside a step of a cycle built from 1.0 ...
+    with pytest.raises(ContractViolationError, match="changepoint at 2.25 lies strictly inside"):
+        lfm.step_cycle(model, 1.0, 0.5)
+    # ... and of a pass from 1.0 on a cycle built where it does not
+    cycle = lfm.step_cycle(model, 11.0, 0.5)
     with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
-        lfm.pass_steps(model, 1.0, 0.5, 12)  # raises before the first step
+        lfm.pass_steps(cycle, 1.0, 12)  # raises before the first step
     with pytest.raises(ContractViolationError):
         lfm.changepoint_steps(model, 1.0, 0.5, 12)
     assert lfm.changepoint_steps(model, 1.0, 0.5, 2).size == 0  # beyond the pass
@@ -321,13 +296,16 @@ def test_pass_steps_reuse_the_first_cycle(kind):
     n_cycle = 1 if kind == "none" else 20
     assert lfm.cycle_steps(model, dt) == n_cycle
     direct = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
-    steps = list(lfm.pass_steps(model, t_start, dt, n_steps))
+    cycle = lfm.step_cycle(model, t_start, dt)
+    assert cycle.n_cycle == n_cycle
+    assert cycle.transitions.shape == cycle.noises.shape == (n_cycle, model.dim, model.dim)
+    steps = list(lfm.pass_steps(cycle, t_start, n_steps))
     assert len(steps) == n_steps
     assert [s.changepoint for s in steps] == [k in (10, 40) for k in range(1, n_steps + 1)]
     for k, step in enumerate(steps):
         t0 = t_start + k * dt
         assert step.t == t0 + dt
-        assert step.transition is steps[k % n_cycle].transition
+        assert np.shares_memory(step.transition, cycle.transitions[k % n_cycle])
         ref = direct(model, t0, t0 + dt, input_value=model.binary_input)
         np.testing.assert_allclose(step.transition, ref.transition, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(step.noise, ref.noise, rtol=1e-12, atol=1e-12)
@@ -336,26 +314,170 @@ def test_pass_steps_reuse_the_first_cycle(kind):
 
 def test_pass_step_arrays_reject_writes():
     model = _stepper_model("sqm", [])
-    for step in lfm.pass_steps(model, 1.0, 0.5, 25):
+    for step in lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 25):
         for array in (step.transition, step.noise, step.input_on):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["none", "sqm", "cqm"])
+def test_cycle_arrays_reject_writes(kind):
+    cycle = lfm.step_cycle(_stepper_model(kind, []), 1.0, 0.5)
+    for array in (cycle.transitions, cycle.noises, cycle.input_on):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(AttributeError):
+        cycle.t0 = 2.0
 
 
 def test_cycle_must_be_whole_steps():
     with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
         lfm.cycle_steps(_stepper_model("with", []), 0.3)
     with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
-        lfm.pass_steps(_stepper_model("cqm", []), 1.0, 0.3, 5)
+        lfm.step_cycle(_stepper_model("cqm", []), 1.0, 0.3)
     assert lfm.cycle_steps(_stepper_model("none", []), 0.3) == 1
-    # the changepoint schedule is checked first
-    with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
-        lfm.pass_steps(_stepper_model("sqm", [2.25]), 1.0, 0.3, 5)
+    # a pass checks its changepoint schedule before its start
+    cycle = lfm.step_cycle(_stepper_model("sqm", [12.4]), 1.0, 0.5)
+    with pytest.raises(ContractViolationError, match="changepoint at 12.4"):
+        lfm.pass_steps(cycle, 1.25, 25)
+    with pytest.raises(ContractViolationError, match="pass start at 1.25"):
+        lfm.pass_steps(cycle, 1.25, 20)
 
     forces = [lfm.periodic_force(sample_basis(period=p), [1.0]) for p in (10.0, 5.0)]
     model = lfm.assemble(lfm.TargetModel(np.array([[-0.5]])), periodic=forces)
     with pytest.raises(ContractViolationError, match="different periods"):
         lfm.cycle_steps(model, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["none", "with", "sqm", "cqm"])
+def test_pass_from_a_shared_cycle_equals_a_cycle_built_at_its_start(kind):
+    # a cycle built at 1.3 serves passes that start 4 periods, 7 steps or 3
+    # steps before it: each equals a pass on a cycle built at its own start
+    model = _stepper_model(kind, [])
+    dt = 0.5
+    shared = lfm.step_cycle(model, 1.3, dt)
+    scale = np.abs(shared.transitions).max()
+    for start in (1.3 + 4 * 10.0, 1.3 + 7 * dt, 1.3 - 3 * dt):
+        own = lfm.step_cycle(model, start, dt)
+        for a, b in zip(lfm.pass_steps(shared, start, 30), lfm.pass_steps(own, start, 30)):
+            assert a.t == b.t
+            np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(a.noise, b.noise, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_array_equal(a.input_on, b.input_on)
+    with pytest.raises(ContractViolationError, match=r"pass start at 1.55 is not on the step grid 1.3 \+ k \* 0.5"):
+        lfm.pass_steps(shared, 1.55, 5)
+
+
+def _full_drift(model, t):
+    """Frozen drift [[F_a, m(t)], [0, F_A]] of the full state."""
+    c, cza = model.dim, model.layout.dim_za
+    out = np.zeros((c, c))
+    out[:cza, :cza] = model.drift_za
+    for force, pad, (lo, hi) in zip(model.periodic, model.coupling_pad, model.layout.weight_spans):
+        out[:cza, lo:hi] = np.outer(pad, eb.eigenfunction_matrix(force.basis, t)[0])
+    out[cza:, cza:] = np.diag(model.weight_rates)
+    return out
+
+
+def _van_loan_reference(model, t0, t1, input_value=None):
+    """The frozen-m step from exponentials of size 2C on the full drift:
+    (G, Q) by Van Loan's matrix fraction, the input term from [[A, I], [0, 0]]."""
+    c, dt = model.dim, t1 - t0
+    drift = _full_drift(model, t0)
+    block = np.zeros((2 * c, 2 * c))
+    block[:c, :c] = drift
+    block[:c, c:] = model.diffusion
+    block[c:, c:] = -drift.T
+    top = scipy.linalg.expm(block * dt)[:c]
+    g = top[:, :c]
+    q = top[:, c:] @ g.T
+    b = np.zeros(c)
+    if input_value is not None:
+        block = np.zeros((2 * c, 2 * c))
+        block[:c, :c] = drift
+        block[:c, c:] = np.eye(c)
+        u = np.concatenate([input_value, np.zeros(c - model.layout.dim_za)])
+        b = scipy.linalg.expm(block * dt)[:c, c:] @ u
+    return g, 0.5 * (q + q.T), b
+
+
+def _random_ou_model(n_target, seed):
+    # a stable random target, one Matern-3/2 force, and two periodic forces
+    # whose OU weights decorrelate at different rates
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_target, n_target))
+    drift = a - (np.abs(np.linalg.eigvals(a)).max() + 0.5) * np.eye(n_target)
+    return lfm.assemble(
+        lfm.TargetModel(drift),
+        nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), rng.standard_normal(n_target))],
+        periodic=[
+            lfm.cqm_force(sample_basis(ell=0.5), rng.standard_normal(n_target), 1.2, 3.0),
+            lfm.cqm_force(sample_basis(ell=0.9), rng.standard_normal(n_target), 0.7, 15.0),
+        ],
+    )
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("n_target", [1, 2, 3])
+@pytest.mark.parametrize("with_input", [False, True])
+def test_discretize_matches_the_full_state_van_loan(n_target, with_input):
+    model = _random_ou_model(n_target, seed=n_target)
+    assert len(set(model.weight_rates)) == 2
+    rng = np.random.default_rng(10 + n_target)
+    u = rng.standard_normal(model.layout.dim_za) if with_input else None
+    starts = np.array([0.0, 1.7, 4.35, 9.9])
+    batch = lfm.discretize(model, starts, starts + 0.4, input_value=u)
+    assert batch.transition.shape == (starts.size, model.dim, model.dim)
+    for k, t0 in enumerate(starts):
+        g, q, b = _van_loan_reference(model, t0, t0 + 0.4, u)
+        one = lfm.discretize(model, t0, t0 + 0.4, input_value=u)
+        for tr in (one, lfm.Transition(batch.transition[k], batch.noise[k], batch.input_term)):
+            assert _rel_err(tr.transition, g) <= 1e-12
+            assert _rel_err(tr.noise, q) <= 1e-12
+            if with_input:
+                assert _rel_err(tr.input_term, b) <= 1e-12
+            else:
+                assert not tr.input_term.any()
+
+
+def test_constant_weight_batch_matches_per_step_quadrature():
+    # two constant-weight forces: the batch equals the per-step quadrature
+    # sum_i w_i dt expm(F_a dt (1 - x_i)) pad phi(t0 + x_i dt)^T
+    periodic = [
+        lfm.periodic_force(sample_basis(ell=0.5), [1.0, -0.4]),
+        lfm.sqm_force(sample_basis(ell=0.9), [0.3, 0.8], 1.0, 2.0),
+    ]
+    model = lfm.assemble(
+        lfm.TargetModel(np.array([[-0.5, 0.2], [0.1, -0.3]])),
+        nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0, 0.5]))],
+        periodic=periodic,
+    )
+    cza, dt = model.layout.dim_za, 0.5
+    starts = 1.3 + dt * np.arange(20)
+    batch = lfm.constant_weight_transition(model, starts, starts + dt)
+    x, w = lfm.gauss_nodes(8)
+    props = [scipy.linalg.expm(model.drift_za * dt * (1.0 - xi)) for xi in x]
+    for k, t0 in enumerate(starts):
+        g = np.eye(model.dim)
+        g[:cza, :cza] = scipy.linalg.expm(model.drift_za * dt)
+        for force, pad, (lo, hi) in zip(model.periodic, model.coupling_pad, model.layout.weight_spans):
+            rows = eb.eigenfunction_matrix(force.basis, t0 + x * dt)
+            g[:cza, lo:hi] = sum(
+                wi * dt * np.outer(p @ pad, row) for wi, p, row in zip(w, props, rows)
+            )
+        np.testing.assert_allclose(batch.transition[k], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+        np.testing.assert_array_equal(batch.noise[k][cza:], 0.0)
+
+
+def test_batch_steps_must_share_one_length():
+    model = _stepper_model("cqm", [])
+    with pytest.raises(InvalidParameterError, match="one length"):
+        lfm.discretize(model, [0.0, 1.0], [0.5, 1.6])
+    with pytest.raises(InvalidParameterError, match="t1 > t0"):
+        lfm.discretize(model, [0.0, 1.0], [0.5, 1.0])
 
 
 def test_plan_reuse_matches_direct():
