@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .. import eigenbasis as eb
-from .. import kernels, lti
+from .. import lti
 from ..errors import InvalidParameterError
 
 __all__ = ["draw_periodic_force", "draw_ou", "draw_matern32"]

@@ -1,11 +1,6 @@
 from .dense_gp import DenseGp, gp_regress, log_marginal_likelihood, stationary_lfm_kernel
 from .ssgpr import SsgprModel, ssgpr_build, ssgpr_regress, implied_covariance
-from .resonator import (
-    ResonatorModel,
-    resonator_frequency_profile,
-    resonator_integrate,
-    resonator_fit,
-)
+from .resonator import ResonatorModel, resonator_fit
 
 __all__ = [
     "DenseGp",
@@ -17,7 +12,5 @@ __all__ = [
     "ssgpr_regress",
     "implied_covariance",
     "ResonatorModel",
-    "resonator_frequency_profile",
-    "resonator_integrate",
     "resonator_fit",
 ]

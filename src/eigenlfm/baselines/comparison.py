@@ -13,7 +13,6 @@ import numpy as np
 
 from .. import eigenbasis as eb
 from .. import kernels
-from .dense_gp import DenseGp
 from .ssgpr import implied_covariance, ssgpr_build, ssgpr_regress
 
 __all__ = ["compare_linear_bases"]

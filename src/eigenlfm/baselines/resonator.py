@@ -1,16 +1,11 @@
 """Second-order resonator basis models.
 
-A resonator obeys d^2 psi/dt^2 = A(t) psi + B dpsi/dt (+ white noise).  Two
-uses are covered here:
-
-* a time-varying coefficient profile A(t) = -(2 pi f(t))^2 derived from an
-  eigenfunction, which makes the resonator trajectory coincide with that
-  eigenfunction (the offset trick keeps the profile bounded near zeros);
-* a constant-coefficient bank of resonators plus a bias (`resonator_bank`),
-  fitted to data by maximum likelihood.  The fit runs on the engine: the bank
-  is assembled by `lfm`, stepped by `lfm.pass_steps` on one `lfm.step_cycle`
-  and filtered by `filtering.predict`/`update`.  Thermal's "resonator"
-  roster entry builds its residual force from the same bank.
+A resonator obeys d^2 psi/dt^2 = A psi + B dpsi/dt (+ white noise).  A
+constant-coefficient bank of resonators plus a bias (`resonator_bank`) is
+fitted to data by maximum likelihood.  The fit runs on the engine: the bank
+is assembled by `lfm`, stepped by `lfm.pass_steps` on one `lfm.step_cycle`
+and filtered by `filtering.predict`/`update`.  Thermal's "resonator" roster
+entry builds its residual force from the same bank.
 """
 
 from __future__ import annotations
@@ -18,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .. import eigenbasis as eb
 from .. import learn, lfm, lti
 from ..errors import InvalidParameterError, NumericError
 from ..filtering import GaussianState, predict, update
@@ -29,8 +22,6 @@ __all__ = [
     "ResonatorModel",
     "resonator_block",
     "resonator_bank",
-    "resonator_frequency_profile",
-    "resonator_integrate",
     "resonator_fit",
 ]
 
@@ -61,74 +52,6 @@ def resonator_block(frequency: float, decay: float, diffusion: float) -> lti.Lti
         diffusion=diffusion,
         extract=np.array([1.0, 0.0]),
     )
-
-
-def resonator_frequency_profile(
-    basis: eb.EigenBasis, j: int, grid, offset: float
-) -> np.ndarray:
-    """Squared angular frequency profile (2 pi f)^2(t) = -phi''(t) / (phi(t) + offset).
-
-    Adding the offset before forming the ratio keeps the profile bounded away
-    from the zeros of the eigenfunction; the integrated resonator then tracks
-    phi + offset, and subtracting the offset recovers the eigenfunction.
-    Negative profile values are legitimate and model basis decay.
-    """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    shifted = eb.eigenfunction(basis, j, grid) + offset
-    if np.min(np.abs(shifted)) < 1e-6:
-        raise InvalidParameterError(
-            "offset too small: shifted eigenfunction approaches zero on the grid"
-        )
-    second = eb.eigenfunction_second_derivative(basis, j, grid)
-    return -second / shifted
-
-
-def _step_matrix(coeff_a: float, coeff_b: float, dt: float) -> np.ndarray:
-    """Exact one-step propagator of psi'' = a psi + b psi'."""
-    return scipy.linalg.expm(np.array([[0.0, 1.0], [coeff_a, coeff_b]]) * dt)
-
-
-def resonator_integrate(
-    grid,
-    *,
-    profile=None,
-    coeff_a: float | None = None,
-    coeff_b: float = 0.0,
-    psi0: float,
-    dpsi0: float,
-) -> np.ndarray:
-    """Integrate one noise-free resonator over `grid`.
-
-    Either `profile` gives (2 pi f)^2 on the grid (so A(t) = -profile, B = 0),
-    or constant coefficients (coeff_a, coeff_b) are used.  Coefficients are
-    frozen per step at the step midpoint and propagated by the exact 2x2
-    exponential.  Returns psi at the grid points.
-    """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if profile is not None:
-        profile = np.asarray(profile, dtype=float)
-        if profile.shape != grid.shape:
-            raise InvalidParameterError("profile must be given on the grid")
-        if not np.all(np.isfinite(profile)):
-            raise InvalidParameterError("profile must be finite")
-        a_mid = -0.5 * (profile[:-1] + profile[1:])
-        b_mid = np.zeros(grid.size - 1)
-    elif coeff_a is not None:
-        a_mid = np.full(grid.size - 1, float(coeff_a))
-        b_mid = np.full(grid.size - 1, float(coeff_b))
-    else:
-        raise InvalidParameterError("need either a profile or constant coefficients")
-
-    out = np.empty(grid.size)
-    state = np.array([psi0, dpsi0], dtype=float)
-    out[0] = state[0]
-    for k in range(grid.size - 1):
-        dt = grid[k + 1] - grid[k]
-        if dt <= 0.0:
-            raise InvalidParameterError("grid must be strictly increasing")
-        state = _step_matrix(a_mid[k], b_mid[k], dt) @ state
-        out[k + 1] = state[0]
-    return out
 
 
 def resonator_bank(freqs, decays, diffusion: float, coupling) -> list[lfm.NonPeriodicForce]:

@@ -65,11 +65,10 @@ def build(
     n_points: int,
     period: float,
     gamma: float = 0.01,
-    start: float = 0.0,
 ) -> EigenBasis:
     """Build the Nystrom basis of `kernel` sampled on one window.
 
-    Sample points are start + i * period / n_points for i = 0 .. n_points-1
+    Sample points are i * period / n_points for i = 0 .. n_points-1
     (left-closed so a periodic wrap does not duplicate a point).  The Gram
     matrix is symmetrized before the self-adjoint eigendecomposition, the
     eigenvector signs are fixed by making each largest-magnitude entry
@@ -82,7 +81,7 @@ def build(
     if not (0.0 < gamma <= 1.0):
         raise InvalidParameterError("gamma must lie in (0, 1]")
 
-    points = start + period * np.arange(n_points) / n_points
+    points = period * np.arange(n_points) / n_points
     gram = kernels.eval_matrix(kernel, points, points)
     if not np.all(np.isfinite(gram)):
         raise NumericError("kernel produced non-finite Gram entries")
@@ -119,22 +118,6 @@ def build(
     )
 
 
-def _check_selected(basis: EigenBasis, j: int) -> int:
-    pos = np.flatnonzero(basis.selected == j)
-    if pos.size == 0:
-        raise IndexError(f"eigenpair {j} is not in the significant set")
-    return int(pos[0])
-
-
-def eigenfunction(basis: EigenBasis, j: int, t):
-    """Nystrom eigenfunction phi_j evaluated at t (scalar or array)."""
-    col = _check_selected(basis, j)
-    row = kernels.eval_kernel(basis.kernel, np.asarray(t, dtype=float)[..., None],
-                              basis.sample_points)
-    out = basis._scale_selected[col] * (row @ basis._v_selected[:, col])
-    return out if np.ndim(out) else float(out)
-
-
 def eigenfunction_matrix(basis: EigenBasis, t) -> np.ndarray:
     """Matrix of all selected eigenfunctions at t: shape (len(t), J)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -150,17 +133,6 @@ def reconstruct(basis: EigenBasis, t, tp):
     if np.ndim(t) == 0 and np.ndim(tp) == 0:
         return float(out[0, 0])
     return out
-
-
-def eigenfunction_second_derivative(basis: EigenBasis, j: int, t):
-    """d^2 phi_j / dt^2 via the kernel second-derivative row."""
-    col = _check_selected(basis, j)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    rows = np.asarray(
-        kernels.second_time_derivative(basis.kernel, ts[:, None], basis.sample_points[None, :])
-    )
-    out = basis._scale_selected[col] * (rows @ basis._v_selected[:, col])
-    return out if np.ndim(t) else float(out[0])
 
 
 def spectrum_table(basis: EigenBasis) -> list[tuple[int, float]]:

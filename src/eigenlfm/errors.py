@@ -5,10 +5,6 @@ class InvalidParameterError(ValueError):
     """A parameter violates its documented domain (e.g. a non-positive scale)."""
 
 
-class NotDifferentiableError(TypeError):
-    """Requested a derivative of a kernel that is not twice differentiable."""
-
-
 class NumericError(ArithmeticError):
     """A numerical operation failed (singular system, non-finite values, ...)."""
 

@@ -38,9 +38,6 @@ class GaussianState:
     cov: np.ndarray
     t: float
 
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.mean.copy(), self.cov.copy(), self.t)
-
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -146,7 +143,6 @@ def rbpf_predict_day(
     seed: int,
     *,
     jump: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    sample_condition: bool = True,
 ) -> list[dict]:
     """Day-ahead prediction with particles over the binary heater input.
 
@@ -168,8 +164,8 @@ def rbpf_predict_day(
     result does not depend on how particles are scheduled.  Each stream is
     drawn once, up front, as a block of one normal per step (the same numbers
     in the same order as that many scalar draws).  The k-th conditioning step
-    consumes column k of the block; a step that does not condition (sampling
-    off, or a vanishing temperature variance) consumes none.
+    consumes column k of the block; a step that does not condition (a
+    vanishing temperature variance) consumes none.
 
     Returns one record per step: {"t", "mean", "var"} with the equal-weight
     mixture moments of the temperature marginal after the prediction.
@@ -205,7 +201,7 @@ def rbpf_predict_day(
         mix_var = var_t + float(np.mean(m_t**2) - mix_mean**2)
         records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
 
-        if sample_condition and var_t > 1e-14:
+        if var_t > 1e-14:
             samples = m_t + math.sqrt(var_t) * draws[:, n_drawn]
             n_drawn += 1
             gain_col = cov[:, 0] / var_t

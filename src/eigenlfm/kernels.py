@@ -6,10 +6,6 @@ are driven by the phase map ``kappa(tau) = |sin(pi tau / period)|`` so that a
 kernel of the phase is automatically periodic in time.  Quasi-periodic step
 variants (StepQuasi / WienerStepQuasi) depend on time only through the cycle
 index ``floor((t - epoch) / period)``.
-
-The non-stationary periodic variant additionally supports a closed-form
-second derivative in its first time argument, which the eigenfunction
-machinery needs for resonator frequency profiles.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotDifferentiableError
+from .errors import InvalidParameterError
 
 __all__ = [
     "Matern",
@@ -38,7 +34,6 @@ __all__ = [
     "cycle_index",
     "eval_kernel",
     "eval_matrix",
-    "second_time_derivative",
     "kernel_to_config",
     "kernel_from_config",
 ]
@@ -173,8 +168,7 @@ class Product:
 @dataclass(frozen=True)
 class NonStatPeriodic:
     """Periodic Matern-3/2 of the phase, modulated by exp(-alpha kappa(t)^2)
-    at each argument.  Perfectly periodic, non-stationary, and twice
-    differentiable everywhere."""
+    at each argument.  Perfectly periodic and non-stationary."""
 
     sigma: float
     ell: float
@@ -292,60 +286,6 @@ def eval_matrix(kernel: KernelLike, a, b) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         raise InvalidParameterError("input sequences must be non-empty")
     return np.asarray(eval_kernel(kernel, a[:, None], b[None, :]), dtype=float)
-
-
-def _nonstat_pieces(kernel: NonStatPeriodic, t: np.ndarray, tp: np.ndarray):
-    """Factors of the non-stationary kernel and their t-derivatives.
-
-    Returns (m, dm, d2m, e_t, de_t, d2e_t, e_tp) where m is the periodic
-    Matern-3/2 factor as a function of tau = t - t' and e_* are the
-    exponential phase modulations.
-    """
-    sig, ell, period, alpha = kernel.sigma, kernel.ell, kernel.period, kernel.alpha
-    tau = t - tp
-    kap_tau = np.clip(phase(tau, period), 0.0, 1.0)
-    kap_t = np.clip(phase(t, period), 0.0, 1.0)
-
-    decay = np.exp(-math.sqrt(3.0) * kap_tau / ell)
-    m = sig**2 * (1.0 + math.sqrt(3.0) * kap_tau / ell) * decay
-    dm = -(3.0 * np.pi * sig**2 / (2.0 * period * ell**2)) * np.sin(
-        2.0 * np.pi * tau / period
-    ) * decay
-    d2m = (
-        (3.0 * np.pi**2 * sig**2 / (period**2 * ell**3))
-        * decay
-        * (math.sqrt(3.0) * kap_tau * (1.0 - kap_tau**2) - ell * (1.0 - 2.0 * kap_tau**2))
-    )
-
-    e_t = np.exp(-alpha * kap_t**2)
-    de_t = -(np.pi * alpha / period) * np.sin(2.0 * np.pi * t / period) * e_t
-    one_m2k = 1.0 - 2.0 * kap_t**2
-    d2e_t = (
-        -(2.0 * np.pi**2 * alpha / period**2)
-        * (0.5 * alpha * (one_m2k**2 - 1.0) + one_m2k)
-        * e_t
-    )
-
-    e_tp = np.exp(-alpha * np.clip(phase(tp, period), 0.0, 1.0) ** 2)
-    return m, dm, d2m, e_t, de_t, d2e_t, e_tp
-
-
-def second_time_derivative(kernel: KernelLike, t, tp):
-    """d^2K/dt^2 for the non-stationary periodic variant.
-
-    Product-rule expansion over the Matern-3/2 phase factor and the
-    exponential modulation of the first argument; the modulation of the
-    second argument is a constant factor.
-    """
-    if not isinstance(kernel, NonStatPeriodic):
-        raise NotDifferentiableError(
-            "closed-form time derivatives are only available for NonStatPeriodic"
-        )
-    t = np.asarray(t, dtype=float)
-    tp = np.asarray(tp, dtype=float)
-    m, dm, d2m, e_t, de_t, d2e_t, e_tp = _nonstat_pieces(kernel, t, tp)
-    out = (d2m * e_t + m * d2e_t + 2.0 * dm * de_t) * e_tp
-    return out if out.ndim else float(out)
 
 
 _VARIANT_NAMES = {

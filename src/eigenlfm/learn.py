@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -453,9 +453,9 @@ def gauss_nodes(order: int = 8) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ConstantStepPlan:
-    """Per-(model, dt) cache for `constant_weight_transition`."""
+    """What every constant-weight step of length dt shares, for
+    `constant_weight_transition`."""
 
-    dt: float
     phi_za: np.ndarray           # expm(F_a dt)
     noise_za: np.ndarray         # exact z_a process noise over one step
     input_response: np.ndarray   # (dim_za, dim_za), b = input_response @ u
@@ -464,17 +464,16 @@ class ConstantStepPlan:
     node_coupling: tuple[np.ndarray, ...]  # per force: (n, dim_za)
 
 
-def make_constant_step_plan(model: AugmentedModel, dt: float, order: int = 8) -> ConstantStepPlan:
+def make_constant_step_plan(model: AugmentedModel, dt: float) -> ConstantStepPlan:
     drift_za = model.drift_za
     cza = model.layout.dim_za
-    x, w = gauss_nodes(order)
+    x, w = gauss_nodes()
     phi_za, noise_za = _van_loan(drift_za, model.diffusion[:cza, :cza], dt)
     props = [_expm(drift_za * (dt * (1.0 - xi))) for xi in x]
     coupling = tuple(
         np.stack([p @ pad for p in props]) for pad in model.coupling_pad
     )
     return ConstantStepPlan(
-        dt=dt,
         phi_za=phi_za,
         noise_za=noise_za,
         input_response=_input_response(drift_za, dt),
@@ -489,7 +488,6 @@ def constant_weight_transition(
     t0,
     t1,
     *,
-    plan: ConstantStepPlan | None = None,
     input_value=None,
 ) -> Transition:
     """Exact transitions of the steps [t0, t1] when all eigenfunction weights
@@ -506,10 +504,7 @@ def constant_weight_transition(
             "constant_weight_transition requires constant weight blocks"
         )
     starts, dt = _check_steps(model, t0, t1)
-    if plan is None:
-        plan = make_constant_step_plan(model, dt)
-    elif abs(plan.dt - dt) > 1e-9 * max(1.0, abs(dt)):
-        raise InvalidParameterError("plan was built for a different step size")
+    plan = make_constant_step_plan(model, dt)
 
     n, c, cza = starts.size, model.dim, model.layout.dim_za
     g = np.zeros((n, c, c))

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
+from eigenlfm import lfm
 from eigenlfm.baselines import (
     DenseGp,
     ResonatorModel,
@@ -11,8 +12,6 @@ from eigenlfm.baselines import (
     implied_covariance,
     log_marginal_likelihood,
     resonator_fit,
-    resonator_frequency_profile,
-    resonator_integrate,
     ssgpr_build,
     ssgpr_regress,
 )
@@ -117,73 +116,34 @@ def test_ssgpr_implied_error_exceeds_kpca_in_most_seeds():
     assert worse >= 18
 
 
+def _resonator_path(f, b, dt, n_steps, psi0, dpsi0):
+    """Noise-free path of one force-only `resonator_block(f, b, 0)`, stepped
+    through the engine's cycle: the step end times and psi there."""
+    model = lfm.assemble(
+        lfm.TargetModel(np.zeros((0, 0))),
+        nonperiodic=[lfm.NonPeriodicForce(resonator_block(f, b, 0.0), np.zeros(0))],
+    )
+    state = np.array([psi0, dpsi0])
+    times, psi = [], []
+    for step in lfm.pass_steps(lfm.step_cycle(model, 0.0, dt), 0.0, n_steps):
+        state = step.transition @ state
+        times.append(step.t)
+        psi.append(state[0])
+    return np.array(times), np.array(psi)
+
+
 def test_resonator_constant_frequency_is_cosine():
     f = 0.35
-    grid = np.linspace(0.0, 3.0 / f, int(3 * 1000) + 1)
-    psi = resonator_integrate(
-        grid, coeff_a=-((2.0 * np.pi * f) ** 2), psi0=1.0, dpsi0=0.0
-    )
-    np.testing.assert_allclose(psi, np.cos(2.0 * np.pi * f * grid), atol=1e-6)
-
-
-def test_resonator_energy_conservation():
-    f = 0.2
-    omega = 2.0 * np.pi * f
-    grid = np.linspace(0.0, 1.0 / f, 2001)
-    psi = resonator_integrate(grid, coeff_a=-(omega**2), psi0=0.7, dpsi0=0.3)
-    # reconstruct the derivative by finite differences for the energy check
-    dpsi = np.gradient(psi, grid)
-    energy = dpsi**2 + omega**2 * psi**2
-    interior = energy[5:-5]
-    assert np.max(np.abs(interior - interior[0])) < 1e-3 * interior[0]
+    t, psi = _resonator_path(f, 0.0, (3.0 / f) / 3000, 3000, psi0=1.0, dpsi0=0.0)
+    np.testing.assert_allclose(psi, np.cos(2.0 * np.pi * f * t), atol=1e-6)
 
 
 def test_resonator_decay_envelope():
     b = -0.4
-    grid = np.linspace(0.0, 20.0, 4001)
-    psi = resonator_integrate(grid, coeff_a=-4.0, coeff_b=b, psi0=1.0, dpsi0=0.0)
-    peaks = np.abs(psi)
-    envelope = np.exp(0.5 * b * grid)
-    assert np.all(peaks <= envelope * 1.05 + 1e-9)
-
-
-def test_frequency_profile_constant_eigenfunction():
-    const = lambda t, tp: np.broadcast_to(
-        2.0, np.broadcast_shapes(np.shape(t), np.shape(tp))
-    ).astype(float)
-    basis = eb.build(K.NonStatPeriodic(1.0, 50.0, 10.0, 1e-8), 64, 10.0, gamma=0.5)
-    grid = np.linspace(0.0, 10.0, 101)
-    profile = resonator_frequency_profile(basis, 0, grid, offset=0.0)
-    assert np.max(np.abs(profile)) < 1e-5
-
-
-def test_frequency_profile_offset_guard():
-    basis = eb.build(K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8), 64, 10.0, gamma=1e-6)
-    j = int(basis.selected[1])  # oscillatory, crosses zero
-    grid = np.linspace(0.0, 10.0, 101)
-    with pytest.raises(InvalidParameterError):
-        resonator_frequency_profile(basis, j, grid, offset=0.0)
-
-
-def test_frequency_profile_reproduces_eigenfunction():
-    basis = eb.build(K.NonStatPeriodic(1.0, 20.0, 10.0, 0.8), 64, 10.0, gamma=1e-6)
-    grid = np.linspace(0.0, 10.0, 12001)
-    j = int(basis.selected[1])
-    phi = eb.eigenfunction(basis, j, grid)
-    h = 1e-5
-    dpsi0 = (eb.eigenfunction(basis, j, grid[0] + h) - eb.eigenfunction(basis, j, grid[0] - h)) / (2 * h)
-    offset = 3.0 * np.max(np.abs(phi))
-    profile = resonator_frequency_profile(basis, j, grid, offset)
-    psi = resonator_integrate(
-        grid, profile=profile, psi0=phi[0] + offset, dpsi0=dpsi0,
-    )
-    assert np.max(np.abs(psi - offset - phi)) < 1e-3
-    # doubling the offset barely moves the recovered eigenfunction
-    profile2 = resonator_frequency_profile(basis, j, grid, 2.0 * offset)
-    psi2 = resonator_integrate(
-        grid, profile=profile2, psi0=phi[0] + 2.0 * offset, dpsi0=dpsi0,
-    )
-    assert np.max(np.abs((psi2 - 2.0 * offset) - (psi - offset))) < 1e-6
+    # (2 pi f)^2 = 4
+    t, psi = _resonator_path(1.0 / np.pi, b, 0.005, 4000, psi0=1.0, dpsi0=0.0)
+    envelope = np.exp(0.5 * b * t)
+    assert np.all(np.abs(psi) <= envelope * 1.05 + 1e-9)
 
 
 def test_resonator_fit_recovers_sinusoid():

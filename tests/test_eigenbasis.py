@@ -18,7 +18,7 @@ def test_constant_kernel_basis():
     assert list(basis.selected) == [0]
     # the single eigenfunction is identically one
     ts = np.linspace(-3, 7, 23)
-    np.testing.assert_allclose(eb.eigenfunction(basis, 0, ts), np.ones(23), atol=1e-10)
+    np.testing.assert_allclose(eb.eigenfunction_matrix(basis, ts)[:, 0], np.ones(23), atol=1e-10)
     # and resynthesis returns the constant
     assert eb.reconstruct(basis, 0.37, 5.1) == pytest.approx(c, rel=1e-10)
 
@@ -50,12 +50,11 @@ def test_orthonormality_and_ordering():
 def test_eigenfunction_periodicity():
     basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.5, 10.0), 64, 10.0, gamma=0.01)
     t = np.linspace(0, 10, 41)
-    for j in basis.selected[:3]:
-        np.testing.assert_allclose(
-            eb.eigenfunction(basis, int(j), t + 10.0),
-            eb.eigenfunction(basis, int(j), t),
-            atol=1e-10,
-        )
+    np.testing.assert_allclose(
+        eb.eigenfunction_matrix(basis, t + 10.0)[:, :3],
+        eb.eigenfunction_matrix(basis, t)[:, :3],
+        atol=1e-10,
+    )
 
 
 def test_reconstruct_spectral_resynthesis():
@@ -95,47 +94,6 @@ def test_eigencount_monotone_in_smoothness():
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
-def test_second_derivative_matches_finite_differences():
-    basis = eb.build(K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8), 64, 10.0, gamma=1e-6)
-    rng = np.random.default_rng(2)
-    t = rng.uniform(0, 10, 50)
-    j = int(basis.selected[1])
-    h = 1e-4
-    fd = (
-        eb.eigenfunction(basis, j, t + h)
-        - 2.0 * eb.eigenfunction(basis, j, t)
-        + eb.eigenfunction(basis, j, t - h)
-    ) / h**2
-    cf = eb.eigenfunction_second_derivative(basis, j, t)
-    scale = np.maximum(1e-3, np.abs(cf))
-    assert np.max(np.abs(fd - cf) / scale) < 1e-3
-
-
-def test_second_derivative_nearly_constant_kernel():
-    # a very smooth, nearly constant kernel: the leading eigenfunction is
-    # essentially flat and its second derivative negligible
-    basis = eb.build(K.NonStatPeriodic(1.0, 50.0, 10.0, 1e-8), 64, 10.0, gamma=0.5)
-    t = np.linspace(0, 10, 21)
-    assert np.max(np.abs(eb.eigenfunction_second_derivative(basis, 0, t))) < 1e-6
-
-
-def test_second_derivative_periodicity():
-    basis = eb.build(K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8), 64, 10.0, gamma=1e-6)
-    j = int(basis.selected[1])
-    t = np.linspace(0, 10, 21)
-    np.testing.assert_allclose(
-        eb.eigenfunction_second_derivative(basis, j, t + 10.0),
-        eb.eigenfunction_second_derivative(basis, j, t),
-        atol=1e-9,
-    )
-
-
-def test_unselected_index_rejected():
-    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.5, 10.0), 32, 10.0, gamma=0.01)
-    with pytest.raises(IndexError):
-        eb.eigenfunction(basis, 31, 0.5)
-
-
 def test_build_validation():
     k = K.PeriodicSE(3.0, 0.7)
     with pytest.raises(InvalidParameterError):
@@ -159,7 +117,7 @@ def test_moderated_kernel_escape_hatch():
     assert basis.n_selected >= 3
     # anharmonic: the leading eigenfunction is visibly non-sinusoidal
     t = np.linspace(0, 10, 200)
-    phi = eb.eigenfunction(basis, int(basis.selected[0]), t)
+    phi = eb.eigenfunction_matrix(basis, t)[:, 0]
     assert np.abs(phi).max() > 0
 
 

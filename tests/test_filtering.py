@@ -138,14 +138,13 @@ def test_log_likelihood_block_independence():
     assert joint.log_density == pytest.approx(a.log_density + b.log_density, rel=1e-12)
 
 
-def _rbpf(model, init, setpoint, n_particles, step, horizon, seed, **kwargs):
+def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
     """RBPF over the steps of `lfm.pass_steps`, jumping with the model's moments."""
     n_steps = int(round(horizon / step))
     cycle = lfm.step_cycle(model, init.t, step)
     return rbpf_predict_day(
         lfm.pass_steps(cycle, init.t, n_steps), n_steps, init, setpoint,
         n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
-        **kwargs,
     )
 
 
@@ -169,22 +168,6 @@ def test_rbpf_validation():
         _rbpf(model, init, lambda t: 0.0, 0, 10.0, 100.0, 0)
     with pytest.raises(InvalidParameterError):
         _rbpf(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
-
-
-def test_rbpf_degenerate_matches_plain_kf():
-    # setpoint at -inf: the heater never fires; with sampling disabled and a
-    # single particle the run is exactly the deterministic KF with no input
-    model = _thermal_toy(0.1)
-    init = lfm.initial_state(model, [1.0], [[0.01]])
-    recs = _rbpf(
-        model, init, lambda t: -np.inf, 1, 10.0, 200.0, 0, sample_condition=False
-    )
-    state = init
-    for r in recs:
-        tr = lfm.discretize(model, state.t, r["t"])
-        state = predict(state, tr.transition, tr.noise, t_new=r["t"])
-        assert r["mean"] == pytest.approx(state.mean[0], abs=1e-12)
-        assert r["var"] == pytest.approx(state.cov[0, 0], abs=1e-12)
 
 
 def test_rbpf_heater_irrelevant_when_beta_zero():
@@ -260,13 +243,10 @@ def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_particles)]
     on_input = model.binary_input
     off_input = np.zeros_like(on_input)
-    constant = lfm.has_constant_weights(model)
-    plan = lfm.make_constant_step_plan(model, step) if constant else None
+    build = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
 
     def transition(t0, t1, u):
-        if constant:
-            return lfm.constant_weight_transition(model, t0, t1, plan=plan, input_value=u)
-        return lfm.discretize(model, t0, t1, input_value=u)
+        return build(model, t0, t1, input_value=u)
 
     means = [init.mean.copy() for _ in range(n_particles)]
     cov = init.cov.copy()

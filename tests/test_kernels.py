@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigenlfm import kernels as K
-from eigenlfm.errors import InvalidParameterError, NotDifferentiableError
+from eigenlfm.errors import InvalidParameterError
 
 ALL_VARIANTS = [
     K.Matern(0.5, 1.3, 0.8),
@@ -136,47 +136,6 @@ def test_eval_matrix_values_and_transpose():
 def test_eval_matrix_empty():
     with pytest.raises(InvalidParameterError):
         K.eval_matrix(K.Matern(0.5, 1.0, 1.0), [], [0.0])
-
-
-def test_second_derivative_at_zero_phase():
-    sigma, ell, period, alpha = 1.3, 2.0, 10.0, 0.8
-    k = K.NonStatPeriodic(sigma, ell, period, alpha)
-    expected = (3.0 * np.pi**2 * sigma**2 / (period**2 * ell**3)) * (-ell) + sigma**2 * (
-        -2.0 * np.pi**2 * alpha / period**2
-    )
-    assert K.second_time_derivative(k, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
-    # same value one full period apart (tau = -period, both phases zero)
-    assert K.second_time_derivative(k, 0.0, period) == pytest.approx(expected, rel=1e-12)
-
-
-def test_second_derivative_matches_finite_differences():
-    k = K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8)
-    rng = np.random.default_rng(5)
-    t = rng.uniform(0, 10, 100)
-    tp = rng.uniform(0, 10, 100)
-    h = 1e-4
-    fd = (
-        K.eval_kernel(k, t + h, tp)
-        - 2.0 * K.eval_kernel(k, t, tp)
-        + K.eval_kernel(k, t - h, tp)
-    ) / h**2
-    cf = K.second_time_derivative(k, t, tp)
-    assert np.max(np.abs(fd - cf) / np.maximum(1e-3, np.abs(cf))) < 1e-4
-
-
-def test_second_derivative_periodic_in_t():
-    k = K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8)
-    t = np.linspace(0, 10, 37)
-    np.testing.assert_allclose(
-        K.second_time_derivative(k, t + 10.0, 3.7 + 10.0),
-        K.second_time_derivative(k, t, 3.7),
-        atol=1e-12,
-    )
-
-
-def test_second_derivative_unsupported_variant():
-    with pytest.raises(NotDifferentiableError):
-        K.second_time_derivative(K.PeriodicSE(3.0, 0.7), 0.0, 0.0)
 
 
 @pytest.mark.parametrize(

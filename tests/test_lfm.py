@@ -480,20 +480,6 @@ def test_batch_steps_must_share_one_length():
         lfm.discretize(model, [0.0, 1.0], [0.5, 1.0])
 
 
-def test_plan_reuse_matches_direct():
-    basis = sample_basis()
-    model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
-        periodic=[lfm.sqm_force(basis, [1.0], 1.0, 2.0)],
-    )
-    plan = lfm.make_constant_step_plan(model, 0.25)
-    a = lfm.constant_weight_transition(model, 3.0, 3.25, plan=plan)
-    b = lfm.constant_weight_transition(model, 3.0, 3.25)
-    np.testing.assert_allclose(a.transition, b.transition, atol=1e-14)
-    with pytest.raises(InvalidParameterError):
-        lfm.constant_weight_transition(model, 3.0, 3.5, plan=plan)
-
-
 def test_constant_weight_requires_constant_weights():
     basis = sample_basis()
     model = lfm.assemble(
@@ -530,3 +516,50 @@ def test_hartikainen_equivalence_small():
         mu, var = gp_regress(oracle, [t])
         assert state.mean[0] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
         assert state.cov[0, 0] == pytest.approx(var[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["with", "sqm", "wqm", "cqm"])
+def test_force_only_loglik_matches_dense_gp(kind):
+    # a periodic force observed in noise, with no target (so m is never
+    # discretized): the state-space log-likelihood equals the dense-GP one
+    # of its kernel, the basis resynthesis times the quasi-periodic factor
+    from eigenlfm.baselines import DenseGp, log_marginal_likelihood
+    from eigenlfm.filtering import update
+
+    period, dt, n_steps, noise = 10.0, 0.5, 100, 0.1
+    basis = sample_basis(period=period)
+    empty = np.zeros(0)
+    force, quasi = {
+        "with": (lfm.periodic_force(basis, empty), None),
+        "sqm": (lfm.sqm_force(basis, empty, 1.3, 2.0), K.StepQuasi(1.3, 2.0, period)),
+        "wqm": (lfm.wqm_force(basis, empty, 0.8, 0.5), K.WienerStepQuasi(0.8, 0.5, period)),
+        "cqm": (lfm.cqm_force(basis, empty, 1.3, 7.0), K.ContinuousQuasi(1.3, 7.0)),
+    }[kind]
+    model = lfm.assemble(
+        lfm.TargetModel(np.zeros((0, 0))),
+        periodic=[force],
+        changepoints=period * np.arange(1, 6),  # every period end of the pass
+    )
+    times = dt * np.arange(n_steps + 1)
+    ys = np.random.default_rng(4).standard_normal(times.size)
+
+    def observe(state, t, y):
+        return update(state, lfm.periodic_force_row(model, 0, t)[None, :], [[noise]], [y])
+
+    res = observe(lfm.initial_state(model, empty, np.zeros((0, 0))), times[0], ys[0])
+    loglik = res.log_density
+    steps = list(lfm.pass_steps(lfm.step_cycle(model, 0.0, dt), 0.0, n_steps))
+    assert sum(s.changepoint for s in steps) == 5
+    for step, y in zip(steps, ys[1:]):
+        state = predict(res.state, step.transition, step.noise, t_new=step.t)
+        if step.changepoint:
+            state = GaussianState(*lfm.apply_changepoint_moments(model, state.mean, state.cov), step.t)
+        res = observe(state, step.t, y)
+        loglik += res.log_density
+
+    def kernel(t, tp):  # eval_matrix passes a column of t and a row of t'
+        out = eb.reconstruct(basis, np.ravel(t), np.ravel(tp))
+        return out if quasi is None else out * K.eval_kernel(quasi, t, tp)
+
+    oracle = log_marginal_likelihood(DenseGp(kernel, noise, times, ys))
+    assert loglik == pytest.approx(oracle, rel=1e-9)
