@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from .queueing import QueueDataset, QueueGenConfig, _omega_profile
+from .synth import DAY_MINUTES
 from .thermal import ThermalDataset, ThermalGenConfig
 
 __all__ = [
@@ -68,7 +69,7 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
     rate_t, rate_v = _read_csv(data / "arrivals.csv", ["time_min", "arrival_rate"])
     truth_t, truth_v = _read_csv(data / "queue_truth.csv", ["time_min", "queue_len"])
     meas_t, meas_v = _read_csv(data / "queue_meas.csv", ["time_min", "queue_len"])
-    days = int(round(truth_t[-1] / 1440.0))
+    days = int(round(truth_t[-1] / DAY_MINUTES))
     config = QueueGenConfig(**{**config.__dict__, "days": max(days, 2)})
     return QueueDataset(
         times=truth_t,
@@ -77,7 +78,7 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
         rate_values=rate_v,
         meas_times=meas_t,
         meas_values=meas_v,
-        test_start=(config.days - 1) * 1440.0,
+        test_start=(config.days - 1) * DAY_MINUTES,
         omega=_omega_profile(config),
         config=config,
     )
@@ -110,7 +111,7 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
         _, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"])
     else:
         meas_int, meas_ext = t_int.copy(), t_ext.copy()
-    days = int(round(minutes[-1] / 1440.0))
+    days = int(round(minutes[-1] / DAY_MINUTES))
     config = ThermalGenConfig(**{**config.__dict__, "days": max(days, 2)})
     return ThermalDataset(
         minutes=minutes,
@@ -121,6 +122,6 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
         meas_int=meas_int,
         meas_ext=meas_ext,
         residual=np.zeros_like(minutes),
-        test_start=(config.days - 1) * 1440.0,
+        test_start=(config.days - 1) * DAY_MINUTES,
         config=config,
     )

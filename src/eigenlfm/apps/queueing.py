@@ -22,13 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import eigenbasis as eb
-from .. import kernels, learn, lfm, lti
+from .. import learn, lfm, lti
 from ..errors import ContractViolationError, InvalidParameterError
 from ..filtering import GaussianState, update
-from .synth import draw_ou, draw_periodic_force
+from .synth import DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, periodic_roster, score
 
 __all__ = [
-    "DAY_MINUTES",
     "QueueGenConfig",
     "QueueDataset",
     "queue_linearize",
@@ -39,7 +38,6 @@ __all__ = [
     "QUEUE_METHODS",
 ]
 
-DAY_MINUTES = 1440.0
 QUEUE_METHODS = ("hart", "with", "quasi-cqm", "quasi-sqm", "quasi-wqm")
 
 
@@ -168,10 +166,9 @@ def _draw_rate(config: QueueGenConfig, grid: np.ndarray, rng) -> np.ndarray:
     """Zero-mean arrival-rate draw on `grid` from the configured prior."""
     if config.kind == "hart":
         return config.sigma_p * draw_ou(grid, 1.0, config.ell_t, rng)
-    kernel = kernels.PeriodicMatern(0.5, config.sigma_p, config.ell_p, DAY_MINUTES)
-    basis = eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
     return draw_periodic_force(
-        grid, basis, config.kind, rng, ell_q=config.ell_q, xi=config.xi
+        grid, daily_basis(config.sigma_p, config.ell_p, config), config.kind, rng,
+        ell_q=config.ell_q, xi=config.xi,
     )
 
 
@@ -268,29 +265,16 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
     eigenfunction weights of a periodic arrival rate otherwise.  The target
     drift is relinearized at every step, so the model holds only the forces,
     the prior, the day-boundary jumps and the measurement."""
-    if kind not in QUEUE_METHODS:
-        raise InvalidParameterError(f"unknown queue method {kind!r}")
     coupling = np.array([1.0])
     nonperiodic, periodic, changepoints = [], [], ()
     if kind == "hart":
         blk = lti.matern12_block(params["sigma_f"], params["ell_f"])
         nonperiodic = [lfm.NonPeriodicForce(blk, coupling)]
     else:
-        kernel = kernels.PeriodicMatern(0.5, params["sigma_p"], params["ell_p"], DAY_MINUTES)
-        basis = eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
-        if basis.n_selected > 30:
-            raise ContractViolationError("periodic roster exceeded 30 basis functions")
-        if kind == "with":
-            force = lfm.periodic_force(basis, coupling)
-        elif kind == "quasi-cqm":
-            force = lfm.cqm_force(basis, coupling, 1.0, params["ell_q"] * DAY_MINUTES)
-        elif kind == "quasi-sqm":
-            force = lfm.sqm_force(basis, coupling, 1.0, params["ell_q"])
-        else:
-            force = lfm.wqm_force(basis, coupling, 1.0, params["xi"])
+        force, changepoints = periodic_roster(
+            kind, params["sigma_p"], params["ell_p"], params, config, coupling
+        )
         periodic = [force]
-        if force.jump is not None:
-            changepoints = DAY_MINUTES * np.arange(1, config.days)
     model = lfm.assemble(
         lfm.TargetModel(np.zeros((1, 1))),
         nonperiodic=nonperiodic,
@@ -438,32 +422,16 @@ def queue_fit(
 
 
 def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
-    """Track the full record and score the held-out day.
+    """Track the full record and score the held-out day (`synth.score`).
 
-    RMSE and expected log-likelihood compare the predictive marginal of the
-    queue length (after each prediction step, before any update at that
-    time) against the simulated truth over the test day.
+    The scores compare the predictive marginal of the queue length (after
+    each prediction step, before any update at that time) against the
+    simulated truth over the test day.
     """
     _param_space(kind, dataset).check(params, kind)
     model = _queue_model(kind, params, dataset.config)
-    loglik, records = _run_queue_filter(model, dataset, emit_from=dataset.test_start)
-    pred_t = np.array([r[0] for r in records])
-    pred_mean = np.array([r[1] for r in records])
-    pred_var = np.maximum(np.array([r[2] for r in records]), 1e-12)
-    truth = np.interp(pred_t, dataset.times, dataset.truth_queue)
-    rmse = float(np.sqrt(np.mean((pred_mean - truth) ** 2)))
-    ell = float(
-        np.mean(
-            -0.5 * np.log(2.0 * np.pi * pred_var)
-            - 0.5 * (truth - pred_mean) ** 2 / pred_var
-        )
-    )
-    return {
-        "rmse": rmse,
-        "ell": ell,
-        "n_basis": model.dim - model.layout.dim_za,
-        "loglik": loglik,
-        "pred_times": pred_t,
-        "pred_mean": pred_mean,
-        "pred_var": pred_var,
-    }
+    _, records = _run_queue_filter(model, dataset, emit_from=dataset.test_start)
+    times, mean, var = zip(*records)
+    out = score(times, mean, var, dataset.times, dataset.truth_queue)
+    out["n_basis"] = model.dim - model.layout.dim_za
+    return out

@@ -1,4 +1,7 @@
-"""Shared synthetic-data draws for the applications.
+"""What the two applications share: the daily period `DAY_MINUTES` (time
+is in minutes), the daily periodic eigenbasis of every generator and model
+(`daily_basis`), the force and changepoints of a periodic roster entry
+(`periodic_roster`), the held-out scorer (`score`) and the synthetic draws.
 
 Forces are drawn from the same priors the filters assume: periodic draws use
 the eigenfunction basis with per-cycle weight chains (step or random-walk
@@ -14,10 +17,57 @@ import numpy as np
 import scipy.linalg
 
 from .. import eigenbasis as eb
-from .. import lti
-from ..errors import InvalidParameterError
+from .. import kernels, lfm, lti
+from ..errors import ContractViolationError, InvalidParameterError
 
-__all__ = ["draw_periodic_force", "draw_ou", "draw_matern32"]
+__all__ = [
+    "DAY_MINUTES", "daily_basis", "periodic_roster", "score",
+    "draw_periodic_force", "draw_ou", "draw_matern32",
+]
+
+DAY_MINUTES = 1440.0
+_PERIODIC_KINDS = ("with", "quasi-cqm", "quasi-sqm", "quasi-wqm")
+
+
+def daily_basis(sigma: float, ell: float, config) -> eb.EigenBasis:
+    """Eigenbasis of the daily periodic Matern-1/2 kernel, with the
+    `n_basis_points` and `gamma` of a generator config."""
+    kernel = kernels.PeriodicMatern(0.5, sigma, ell, DAY_MINUTES)
+    return eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
+
+
+def periodic_roster(kind: str, sigma: float, ell: float, params: dict, config, coupling):
+    """(force, changepoints) of a periodic roster entry on `daily_basis`; the
+    changepoints are the day boundaries of the record when the force jumps
+    (sqm, wqm).  More than 30 basis functions raise ContractViolationError."""
+    if kind not in _PERIODIC_KINDS:
+        raise InvalidParameterError(f"unknown periodic roster entry {kind!r}")
+    basis = daily_basis(sigma, ell, config)
+    if basis.n_selected > 30:
+        raise ContractViolationError("periodic roster exceeded 30 basis functions")
+    if kind == "with":
+        force = lfm.periodic_force(basis, coupling)
+    elif kind == "quasi-cqm":
+        force = lfm.cqm_force(basis, coupling, 1.0, params["ell_q"] * DAY_MINUTES)
+    elif kind == "quasi-sqm":
+        force = lfm.sqm_force(basis, coupling, 1.0, params["ell_q"])
+    else:
+        force = lfm.wqm_force(basis, coupling, 1.0, params["xi"])
+    changepoints = () if force.jump is None else DAY_MINUTES * np.arange(1, config.days)
+    return force, changepoints
+
+
+def score(times, mean, var, grid, truth) -> dict:
+    """RMSE and expected log-likelihood of the predictive marginals at `times`
+    against `truth` on `grid` (interpolated), with the arrays they used:
+    `times`, `mean`, `var` (clamped at 1e-12) and `truth`."""
+    times = np.asarray(times, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    var = np.maximum(np.asarray(var, dtype=float), 1e-12)
+    truth = np.interp(times, grid, truth)
+    rmse = float(np.sqrt(np.mean((mean - truth) ** 2)))
+    ell = float(np.mean(-0.5 * np.log(2.0 * np.pi * var) - 0.5 * (truth - mean) ** 2 / var))
+    return {"rmse": rmse, "ell": ell, "times": times, "mean": mean, "var": var, "truth": truth}
 
 
 def draw_periodic_force(

@@ -26,15 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import eigenbasis as eb
-from .. import filtering, kernels, learn, lfm, lti
+from .. import filtering, learn, lfm, lti
 from ..baselines.resonator import resonator_bank
 from ..errors import ContractViolationError, InvalidParameterError
 from ..filtering import GaussianState, rbpf_predict_day, update
-from .synth import draw_matern32, draw_ou, draw_periodic_force
+from .synth import (
+    DAY_MINUTES, daily_basis, draw_matern32, draw_ou, draw_periodic_force, periodic_roster,
+    score,
+)
 
 __all__ = [
-    "DAY_MINUTES",
     "THERMAL_METHODS",
     "ThermalGenConfig",
     "ThermalDataset",
@@ -45,11 +46,10 @@ __all__ = [
     "thermal_predict_day",
 ]
 
-DAY_MINUTES = 1440.0
 THERMAL_METHODS = (
     "with", "without", "quasi-sqm", "quasi-cqm", "quasi-wqm", "hart", "resonator",
 )
-_N_RESONATORS = 6  # resonator roster size unless params set n_resonators
+_N_RESONATORS = 6  # resonators of the "resonator" roster entry
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,9 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
     elif config.residual_kind == "without":
         residual = np.zeros(n)
     else:
-        kernel = kernels.PeriodicMatern(0.5, config.sigma_r, config.ell_r, DAY_MINUTES)
-        basis = eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
         residual = config.residual_scale * draw_periodic_force(
-            minutes, basis, config.residual_kind, rng, ell_q=config.ell_q, xi=config.xi
+            minutes, daily_basis(config.sigma_r, config.ell_r, config), config.residual_kind,
+            rng, ell_q=config.ell_q, xi=config.xi,
         )
 
     # RK4 over Python floats, one minute per step, with the external
@@ -174,38 +173,6 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
     )
 
 
-def _residual_forces(kind: str, params: dict, config: ThermalGenConfig, coupling):
-    """Force list and basis for the residual model of the given roster entry."""
-    if kind == "without":
-        return [], [], None
-    if kind == "hart":
-        blk = lti.matern12_block(params["sigma_r"] * config.residual_scale,
-                                 params["ell_r_min"])
-        return [lfm.NonPeriodicForce(blk, coupling)], [], None
-    if kind == "resonator":
-        n_res = int(params.get("n_resonators", _N_RESONATORS))
-        freqs = [params[f"freq_{j}"] for j in range(n_res)]
-        forces = resonator_bank(freqs, np.full(n_res, -params["decay"]), params["diffusion"], coupling)
-        return forces, [], None
-    kernel = kernels.PeriodicMatern(
-        0.5, params["sigma_r"] * config.residual_scale, params["ell_r"], DAY_MINUTES
-    )
-    basis = eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
-    if basis.n_selected > 30:
-        raise ContractViolationError("periodic roster exceeded 30 basis functions")
-    if kind == "with":
-        force = lfm.periodic_force(basis, coupling)
-    elif kind == "quasi-sqm":
-        force = lfm.sqm_force(basis, coupling, 1.0, params["ell_q"])
-    elif kind == "quasi-cqm":
-        force = lfm.cqm_force(basis, coupling, 1.0, params["ell_q"] * DAY_MINUTES)
-    elif kind == "quasi-wqm":
-        force = lfm.wqm_force(basis, coupling, 1.0, params["xi"])
-    else:
-        raise InvalidParameterError(f"unknown thermal method {kind!r}")
-    return [], [force], basis
-
-
 def thermal_build(
     kind: str,
     params: dict,
@@ -231,12 +198,21 @@ def thermal_build(
 
     ext_block = lti.matern32_block(params["sigma_ext"], params["ell_ext"])
     nonperiodic = [lfm.NonPeriodicForce(ext_block, ext_coupling)]
-    np_extra, periodic, _ = _residual_forces(kind, params, config, res_coupling)
-    nonperiodic += np_extra
-
-    changepoints = ()
-    if kind in ("quasi-sqm", "quasi-wqm"):
-        changepoints = DAY_MINUTES * np.arange(1, config.days)
+    periodic, changepoints = [], ()
+    if kind == "hart":
+        blk = lti.matern12_block(params["sigma_r"] * config.residual_scale, params["ell_r_min"])
+        nonperiodic.append(lfm.NonPeriodicForce(blk, res_coupling))
+    elif kind == "resonator":
+        freqs = [params[f"freq_{j}"] for j in range(_N_RESONATORS)]
+        nonperiodic += resonator_bank(
+            freqs, np.full(_N_RESONATORS, -params["decay"]), params["diffusion"], res_coupling
+        )
+    elif kind != "without":
+        force, changepoints = periodic_roster(
+            kind, params["sigma_r"] * config.residual_scale, params["ell_r"], params, config,
+            res_coupling,
+        )
+        periodic = [force]
 
     model = lfm.assemble(
         lfm.TargetModel(drift),
@@ -264,7 +240,7 @@ def _initial_state(model, dataset: ThermalDataset, envelope: bool) -> GaussianSt
     if envelope:
         mean[1] = 0.5 * (dataset.meas_int[0] + dataset.meas_ext[0])
         var[1] = np.var(dataset.meas_int - dataset.meas_ext) + 1.0
-    state = lfm.initial_state(model, mean, np.diag(var), t0=0.0)
+    state = lfm.initial_state(model, mean, np.diag(var))
     # condition the external block on the first external measurement
     lo, _ = model.layout.nonperiodic_spans[0]
     state.mean[lo] = dataset.meas_ext[0]
@@ -335,9 +311,7 @@ def _record_minutes(dataset: ThermalDataset, times: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _param_space(
-    kind: str, config: ThermalGenConfig, envelope: bool, n_res: int = _N_RESONATORS
-) -> learn.ParamSpace:
+def _param_space(kind: str, envelope: bool) -> learn.ParamSpace:
     params = [
         learn.Param("alpha", 1e-4, 0.1, 0.01),
         learn.Param("beta", 1e-3, 1.0, 0.1),
@@ -360,12 +334,11 @@ def _param_space(
             learn.Param("decay", 1e-8, 0.1, 1e-4),
             learn.Param("diffusion", 1e-12, 1e-2, 1e-7),
         ]
-        for j in range(n_res):
-            params.append(
-                learn.Param(
-                    f"freq_{j}", 1e-5, 2.0 * n_res / DAY_MINUTES, (j + 1.0) / DAY_MINUTES
-                )
-            )
+        f_hi = 2.0 * _N_RESONATORS / DAY_MINUTES
+        params += [
+            learn.Param(f"freq_{j}", 1e-5, f_hi, (j + 1.0) / DAY_MINUTES)
+            for j in range(_N_RESONATORS)
+        ]
     elif kind != "without":
         params += [
             learn.Param("sigma_r", 0.05, 20.0, 1.0),
@@ -399,28 +372,24 @@ def thermal_fit(
         return loglik
 
     return learn.fit(
-        objective, _param_space(kind, dataset.config, envelope),
+        objective, _param_space(kind, envelope),
         budget=budget, restarts=restarts, seed=seed,
     )
 
 
-def _metrics(dataset: ThermalDataset, records) -> dict:
-    t = np.array([r[0] for r in records])
-    mean = np.array([r[1] for r in records])
-    var = np.maximum(np.array([r[2] for r in records]), 1e-12)
-    truth = np.interp(t, dataset.minutes, dataset.t_int)
-    rmse = float(np.sqrt(np.mean((mean - truth) ** 2)))
-    ell = float(np.mean(
-        -0.5 * np.log(2.0 * np.pi * var) - 0.5 * (truth - mean) ** 2 / var
-    ))
-    return {"rmse": rmse, "ell": ell, "times": t, "mean": mean, "var": var}
+def _score(dataset: ThermalDataset, model: lfm.AugmentedModel, records) -> dict:
+    """`synth.score` of (time, mean, var) records against the true internal
+    temperature, with the model's basis size."""
+    times, mean, var = zip(*records)
+    out = score(times, mean, var, dataset.minutes, dataset.t_int)
+    out["n_basis"] = model.layout.dim - model.layout.dim_za
+    return out
 
 
 def _trained_state(dataset, kind, params, envelope):
     """The model's step cycle, which the held-out pass reuses, and the state
     after the training pass."""
-    n_res = int(params.get("n_resonators", _N_RESONATORS))
-    _param_space(kind, dataset.config, envelope, n_res).check(params, kind)
+    _param_space(kind, envelope).check(params, kind)
     model = thermal_build(kind, params, dataset.config, envelope=envelope)
     cycle = lfm.step_cycle(model, 0.0, dataset.config.step)
     state = _initial_state(model, dataset, envelope)
@@ -444,9 +413,7 @@ def thermal_track_day(
         cycle, dataset, state, dataset.test_start,
         dataset.test_start + DAY_MINUTES, measure_every, emit=True,
     )
-    out = _metrics(dataset, records)
-    out["n_basis"] = cycle.model.layout.dim - cycle.model.layout.dim_za
-    return out
+    return _score(dataset, cycle.model, records)
 
 
 def thermal_predict_day(
@@ -467,6 +434,4 @@ def thermal_predict_day(
         dataset.setpoint_at, n_particles, seed,
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
-    out = _metrics(dataset, [(r["t"], r["mean"], r["var"]) for r in records])
-    out["n_basis"] = model.layout.dim - model.layout.dim_za
-    return out
+    return _score(dataset, model, [(r["t"], r["mean"], r["var"]) for r in records])

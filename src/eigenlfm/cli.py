@@ -4,6 +4,12 @@ Subcommands: eigenbasis, compare-bases, queue simulate|fit|track, thermal
 simulate|fit|predict|track.  Every command is deterministic given the
 configuration document and seed; the only nondeterministic output field is
 runtime_ms in the metrics records.
+
+The queue and thermal commands share one seed worker, `_seed_work`; what
+differs per application (generator settings, dataset generate/read/write,
+fit, the scored pass of each command, default methods) is looked up in
+`_APPS`.  A fit or pass option the config leaves out is not passed, so its
+default lives only in the application function.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ import csv
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -144,102 +152,145 @@ def cmd_compare_bases(ctx):
 
 
 # ---------------------------------------------------------------------------
-# queue
+# queue and thermal: one seed worker; what differs per application is in _APPS
 # ---------------------------------------------------------------------------
 
 
-def _queue_config(config) -> queueing.QueueGenConfig:
-    gen = dict(config.get("generator", {}))
+def _queue_config(**gen) -> queueing.QueueGenConfig:
     if "omega_test" in gen:
         gen["omega_test"] = tuple(tuple(p) for p in gen["omega_test"])
     return queueing.QueueGenConfig(**gen)
 
 
-def _queue_dataset(config, gen_config, seed):
+def _given(config: dict, keys: dict) -> dict:
+    """Keyword arguments for those `keys` (config key -> keyword) that the
+    config sets; the called function's own default stands for the rest."""
+    return {kw: config[key] for key, kw in keys.items() if key in config}
+
+
+_FIT_KEYS = {"budget": "budget", "restarts": "restarts", "fit_seed": "seed"}
+_ENVELOPE = {"envelope": "envelope"}
+
+
+@dataclass(frozen=True)
+class _App:
+    """What differs per application.  Each function is a lambda that looks
+    its target up on the module at call time, so a binding patched there (as
+    bench/tracing.py does) is the one that runs."""
+
+    gen_config: Callable  # **config["generator"] -> generator settings
+    generate: Callable    # (settings, seed) -> dataset
+    read: Callable        # (data_dir, settings) -> dataset
+    write: Callable       # (directory, dataset)
+    fit: Callable         # (dataset, method, config) -> FitResult
+    passes: dict          # command -> (dataset, method, params, config, seed) -> scores
+    methods: tuple        # roster when the config names none
+
+
+_APPS = {
+    "queue": _App(
+        gen_config=_queue_config,
+        generate=lambda gen, seed: queueing.generate_queue_data(gen, seed),
+        read=lambda path, gen: app_io.read_queue_dataset(path, gen),
+        write=lambda path, ds: app_io.write_queue_dataset(path, ds),
+        fit=lambda ds, m, config: queueing.queue_fit(ds, m, **_given(config, _FIT_KEYS)),
+        passes={"track": lambda ds, m, p, config, seed: queueing.queue_track(ds, m, p)},
+        methods=("quasi-sqm", "hart"),
+    ),
+    "thermal": _App(
+        gen_config=lambda **gen: thermal.ThermalGenConfig(**gen),
+        generate=lambda gen, seed: thermal.generate_thermal_data(gen, seed),
+        read=lambda path, gen: app_io.read_thermal_dataset(path, gen),
+        write=lambda path, ds: app_io.write_thermal_dataset(path, ds),
+        fit=lambda ds, m, config: thermal.thermal_fit(
+            ds, m, **_given(config, {**_FIT_KEYS, **_ENVELOPE})
+        ),
+        passes={
+            "track": lambda ds, m, p, config, seed: thermal.thermal_track_day(
+                ds, m, p, **_given(config, {"track_meas_every": "measure_every", **_ENVELOPE})
+            ),
+            "predict": lambda ds, m, p, config, seed: thermal.thermal_predict_day(
+                ds, m, p, seed=seed, **_given(config, {"n_particles": "n_particles", **_ENVELOPE})
+            ),
+        },
+        methods=("quasi-sqm", "without", "hart"),
+    ),
+}
+
+
+def _seed_work(args) -> list[dict]:
+    """Simulate, fit or run a scored pass of every method on one dataset seed."""
+    app_name, config, seed, out_str, command = args
+    app = _APPS[app_name]
+    gen_config = app.gen_config(**config.get("generator", {}))
     if "data_dir" in config:
-        return app_io.read_queue_dataset(config["data_dir"], gen_config)
-    return queueing.generate_queue_data(gen_config, seed)
-
-
-def _queue_seed_work(args) -> list[dict]:
-    config, seed, out_str, command = args
-    out = Path(out_str)
-    gen_config = _queue_config(config)
-    dataset = _queue_dataset(config, gen_config, seed)
-    tag = f"queue-s{seed}"
+        dataset = app.read(config["data_dir"], gen_config)
+    else:
+        dataset = app.generate(gen_config, seed)
+    tag = f"{app_name}-s{seed}"
+    out = Path(out_str) / tag
     if command == "simulate":
-        app_io.write_queue_dataset(out / tag, dataset)
+        app.write(out, dataset)
         return []
     records = []
-    for method in config.get("methods", ["quasi-sqm", "hart"]):
+    for method in config.get("methods", app.methods):
         started = time.perf_counter()
-        given = config.get("params", {}).get(method)
-        if given is None:
-            fit = queueing.queue_fit(
-                dataset, method,
-                budget=config.get("budget", 60),
-                seed=config.get("fit_seed", 0),
-                restarts=config.get("restarts", 1),
-            )
+        params = config.get("params", {}).get(method)
+        if params is None:
+            fit = app.fit(dataset, method, config)
             params = fit.params
-            (out / tag).mkdir(parents=True, exist_ok=True)
-            (out / tag / f"fit-{method}.json").write_text(fit.to_json() + "\n")
-        else:
-            params = dict(given)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"fit-{method}.json").write_text(fit.to_json() + "\n")
         if command == "fit":
             continue
-        result = queueing.queue_track(dataset, method, params)
+        result = app.passes[command](dataset, method, dict(params), config, seed)
+        columns = (result[k] for k in ("times", "mean", "var", "truth"))
         _write_csv(
-            out / tag / f"track-{method}.csv",
-            ["time_min", "pred_mean", "pred_var", "truth"],
-            [
-                (f"{t:.10g}", f"{m:.10g}", f"{v:.10g}", f"{tr:.10g}")
-                for t, m, v, tr in zip(
-                    result["pred_times"], result["pred_mean"], result["pred_var"],
-                    np.interp(result["pred_times"], dataset.times,
-                              dataset.truth_queue),
-                )
-            ],
+            out / f"{command}-{method}.csv", ["time_min", "pred_mean", "pred_var", "truth"],
+            [[f"{v:.10g}" for v in row] for row in zip(*columns)],
         )
         records.append({
-            "method": method,
-            "dataset": tag,
-            "day": gen_config.days - 1,
-            "rmse": result["rmse"],
-            "ell": result["ell"],
-            "n_basis": result["n_basis"],
+            "method": method, "dataset": tag, "day": gen_config.days - 1,
+            "rmse": result["rmse"], "ell": result["ell"], "n_basis": result["n_basis"],
             "runtime_ms": round(1000.0 * (time.perf_counter() - started), 3),
         })
     return records
 
 
-def _run_seeds(work_fn, config, ctx_obj, command) -> list[dict]:
+def _run_seeds(app_name, config, ctx_obj, command) -> list[dict]:
     seeds = _seeds(ctx_obj, config)
     jobs = min(ctx_obj["jobs"], len(seeds))
-    args = [(config, s, str(ctx_obj["out"]), command) for s in seeds]
+    args = [(app_name, config, s, str(ctx_obj["out"]), command) for s in seeds]
     if jobs > 1:
         # imported here: the process pool costs about 65 ms of import time,
         # which a --jobs 1 run would pay for nothing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work_fn, args))
+            results = list(pool.map(_seed_work, args))
     else:
-        results = [work_fn(a) for a in args]
+        results = [_seed_work(a) for a in args]
     records = [r for chunk in results for r in chunk]
     return sorted(records, key=lambda r: (r["dataset"], r["method"]))
 
 
-def _finish_metrics(ctx, records) -> None:
+def _app_entry(ctx, app_name, command) -> None:
+    """Run one application command over the config's seeds; write the
+    metrics of a scored pass."""
+    try:
+        config = load_config(app_name, ctx.obj["config_path"])
+        records = _run_seeds(app_name, config, ctx.obj, command)
+    except _PKG_ERRORS as exc:
+        _fail(str(exc))
     out = ctx.obj["out"]
-    if records:
-        for r in records:
-            if not all(np.isfinite(v) for v in (r["rmse"], r["ell"])):
-                _fail(f"non-finite metrics for {r['dataset']}/{r['method']}")
-        _write_json(out / "metrics.json", records)
-        click.echo(f"wrote {len(records)} metric records to {out / 'metrics.json'}")
-    else:
+    if not records:
         click.echo(f"outputs written to {out}")
+        return
+    for r in records:
+        if not all(np.isfinite(v) for v in (r["rmse"], r["ell"])):
+            _fail(f"non-finite metrics for {r['dataset']}/{r['method']}")
+    _write_json(out / "metrics.json", records)
+    click.echo(f"wrote {len(records)} metric records to {out / 'metrics.json'}")
 
 
 @main.group()
@@ -247,106 +298,25 @@ def queue():
     """Queue tracking with quasi-periodic arrival rates."""
 
 
-def _queue_entry(ctx, command):
-    try:
-        config = load_config("queue", ctx.obj["config_path"])
-        records = _run_seeds(_queue_seed_work, config, ctx.obj, command)
-    except _PKG_ERRORS as exc:
-        _fail(str(exc))
-    _finish_metrics(ctx, records)
-
-
 @queue.command("simulate")
 @click.pass_context
 def queue_simulate_cmd(ctx):
     """Write synthetic arrival/queue CSV datasets."""
-    _queue_entry(ctx, "simulate")
+    _app_entry(ctx, "queue", "simulate")
 
 
 @queue.command("fit")
 @click.pass_context
 def queue_fit_cmd(ctx):
     """Fit hyperparameters; write one fit report per method."""
-    _queue_entry(ctx, "fit")
+    _app_entry(ctx, "queue", "fit")
 
 
 @queue.command("track")
 @click.pass_context
 def queue_track_cmd(ctx):
     """Fit, track the held-out day, and write metrics."""
-    _queue_entry(ctx, "track")
-
-
-# ---------------------------------------------------------------------------
-# thermal
-# ---------------------------------------------------------------------------
-
-
-def _thermal_seed_work(args) -> list[dict]:
-    config, seed, out_str, command = args
-    out = Path(out_str)
-    gen_config = thermal.ThermalGenConfig(**config.get("generator", {}))
-    if "data_dir" in config:
-        dataset = app_io.read_thermal_dataset(config["data_dir"], gen_config)
-    else:
-        dataset = thermal.generate_thermal_data(gen_config, seed)
-    tag = f"thermal-s{seed}"
-    if command == "simulate":
-        app_io.write_thermal_dataset(out / tag, dataset)
-        return []
-    envelope = bool(config.get("envelope", False))
-    records = []
-    for method in config.get("methods", ["quasi-sqm", "without", "hart"]):
-        started = time.perf_counter()
-        given = config.get("params", {}).get(method)
-        if given is None:
-            fit = thermal.thermal_fit(
-                dataset, method,
-                budget=config.get("budget", 120),
-                seed=config.get("fit_seed", 0),
-                restarts=config.get("restarts", 1),
-                envelope=envelope,
-            )
-            params = fit.params
-            (out / tag).mkdir(parents=True, exist_ok=True)
-            (out / tag / f"fit-{method}.json").write_text(fit.to_json() + "\n")
-        else:
-            params = dict(given)
-        if command == "fit":
-            continue
-        if command == "predict":
-            result = thermal.thermal_predict_day(
-                dataset, method, params,
-                n_particles=config.get("n_particles", 64),
-                seed=seed, envelope=envelope,
-            )
-        else:
-            result = thermal.thermal_track_day(
-                dataset, method, params,
-                measure_every=config.get("track_meas_every", 100.0),
-                envelope=envelope,
-            )
-        _write_csv(
-            out / tag / f"{command}-{method}.csv",
-            ["time_min", "pred_mean", "pred_var", "truth"],
-            [
-                (f"{t:.10g}", f"{m:.10g}", f"{v:.10g}", f"{tr:.10g}")
-                for t, m, v, tr in zip(
-                    result["times"], result["mean"], result["var"],
-                    np.interp(result["times"], dataset.minutes, dataset.t_int),
-                )
-            ],
-        )
-        records.append({
-            "method": method,
-            "dataset": tag,
-            "day": gen_config.days - 1,
-            "rmse": result["rmse"],
-            "ell": result["ell"],
-            "n_basis": result["n_basis"],
-            "runtime_ms": round(1000.0 * (time.perf_counter() - started), 3),
-        })
-    return records
+    _app_entry(ctx, "queue", "track")
 
 
 @main.group()
@@ -357,41 +327,32 @@ def thermal_group():
 main.add_command(thermal_group, name="thermal")
 
 
-def _thermal_entry(ctx, command):
-    try:
-        config = load_config("thermal", ctx.obj["config_path"])
-        records = _run_seeds(_thermal_seed_work, config, ctx.obj, command)
-    except _PKG_ERRORS as exc:
-        _fail(str(exc))
-    _finish_metrics(ctx, records)
-
-
 @thermal_group.command("simulate")
 @click.pass_context
 def thermal_simulate_cmd(ctx):
     """Write a synthetic thermal CSV dataset."""
-    _thermal_entry(ctx, "simulate")
+    _app_entry(ctx, "thermal", "simulate")
 
 
 @thermal_group.command("fit")
 @click.pass_context
 def thermal_fit_cmd(ctx):
     """Fit thermal and residual parameters; write fit reports."""
-    _thermal_entry(ctx, "fit")
+    _app_entry(ctx, "thermal", "fit")
 
 
 @thermal_group.command("predict")
 @click.pass_context
 def thermal_predict_cmd(ctx):
     """Day-ahead prediction with the particle filter; write metrics."""
-    _thermal_entry(ctx, "predict")
+    _app_entry(ctx, "thermal", "predict")
 
 
 @thermal_group.command("track")
 @click.pass_context
 def thermal_track_cmd(ctx):
     """Day-ahead tracking with sparse measurements; write metrics."""
-    _thermal_entry(ctx, "track")
+    _app_entry(ctx, "thermal", "track")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import jsonschema
 
-from .apps.queueing import DAY_MINUTES, QueueGenConfig
-from .apps.thermal import ThermalGenConfig
+from .apps.queueing import QUEUE_METHODS, QueueGenConfig
+from .apps.synth import DAY_MINUTES
+from .apps.thermal import THERMAL_METHODS, ThermalGenConfig
 from .errors import InvalidParameterError
 
 __all__ = ["load_config", "validate_config", "SCHEMAS"]
@@ -47,7 +48,7 @@ _SEEDS = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems
 _QUEUE_GENERATOR = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["with", "quasi-sqm", "quasi-cqm", "quasi-wqm", "hart"]},
+        "kind": {"enum": list(QUEUE_METHODS)},
         "days": {"type": "integer", "minimum": 2},
         "mean_peak": {"type": "number", "minimum": 0},
         "mean_hour": {"type": "number"},
@@ -85,9 +86,7 @@ _THERMAL_GENERATOR = {
         "beta": _POSITIVE,
         "sigma_ext": _POSITIVE,
         "ell_ext": _POSITIVE,
-        "residual_kind": {
-            "enum": ["with", "without", "quasi-sqm", "quasi-cqm", "quasi-wqm", "hart"]
-        },
+        "residual_kind": {"enum": [m for m in THERMAL_METHODS if m != "resonator"]},
         "sigma_r": _POSITIVE,
         "ell_r": _POSITIVE,
         "ell_q": _POSITIVE,
@@ -141,13 +140,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "generator": _QUEUE_GENERATOR,
-            "methods": {
-                "type": "array",
-                "items": {
-                    "enum": ["with", "quasi-sqm", "quasi-cqm", "quasi-wqm", "hart"]
-                },
-                "minItems": 1,
-            },
+            "methods": {"type": "array", "items": {"enum": list(QUEUE_METHODS)}, "minItems": 1},
             "seeds": _SEEDS,
             "budget": {"type": "integer", "minimum": 4},
             "restarts": {"type": "integer", "minimum": 1},
@@ -161,16 +154,7 @@ SCHEMAS = {
         "type": "object",
         "properties": {
             "generator": _THERMAL_GENERATOR,
-            "methods": {
-                "type": "array",
-                "items": {
-                    "enum": [
-                        "with", "without", "quasi-sqm", "quasi-cqm", "quasi-wqm",
-                        "hart", "resonator",
-                    ]
-                },
-                "minItems": 1,
-            },
+            "methods": {"type": "array", "items": {"enum": list(THERMAL_METHODS)}, "minItems": 1},
             "seeds": _SEEDS,
             "budget": {"type": "integer", "minimum": 4},
             "restarts": {"type": "integer", "minimum": 1},

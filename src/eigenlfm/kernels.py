@@ -11,7 +11,7 @@ index ``floor((t - epoch) / period)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "cycle_index",
     "eval_kernel",
     "eval_matrix",
-    "kernel_to_config",
     "kernel_from_config",
 ]
 
@@ -288,36 +287,21 @@ def eval_matrix(kernel: KernelLike, a, b) -> np.ndarray:
     return np.asarray(eval_kernel(kernel, a[:, None], b[None, :]), dtype=float)
 
 
-_VARIANT_NAMES = {
-    Matern: "matern",
-    PeriodicMatern: "periodic_matern",
-    PeriodicSE: "periodic_se",
-    SquaredExponential: "se",
-    ContinuousQuasi: "cqm",
-    StepQuasi: "sqm",
-    WienerStepQuasi: "wqm",
-    NonStatPeriodic: "nonstat_periodic",
+_VARIANT_TYPES = {
+    "matern": Matern,
+    "periodic_matern": PeriodicMatern,
+    "periodic_se": PeriodicSE,
+    "se": SquaredExponential,
+    "cqm": ContinuousQuasi,
+    "sqm": StepQuasi,
+    "wqm": WienerStepQuasi,
+    "nonstat_periodic": NonStatPeriodic,
 }
-_VARIANT_TYPES = {name: cls for cls, name in _VARIANT_NAMES.items()}
-
-
-def kernel_to_config(kernel: Kernel) -> dict:
-    """JSON-serializable form {"variant": ..., "params": {...}}."""
-    if isinstance(kernel, Product):
-        return {
-            "variant": "product",
-            "left": kernel_to_config(kernel.left),
-            "right": kernel_to_config(kernel.right),
-        }
-    cls = type(kernel)
-    if cls not in _VARIANT_NAMES:
-        raise InvalidParameterError(f"cannot serialize kernel {kernel!r}")
-    params = {f.name: float(getattr(kernel, f.name)) for f in fields(kernel)}
-    return {"variant": _VARIANT_NAMES[cls], "params": params}
 
 
 def kernel_from_config(config: dict) -> Kernel:
-    """Inverse of `kernel_to_config`."""
+    """Kernel from its config {"variant": ..., "params": {...}}; a "product"
+    carries "left" and "right" kernel configs instead of params."""
     try:
         variant = config["variant"]
     except (TypeError, KeyError):

@@ -206,9 +206,7 @@ def assemble(
     target: TargetModel,
     nonperiodic: Sequence[NonPeriodicForce] = (),
     periodic: Sequence[PeriodicForce] = (),
-    measurement: tuple[np.ndarray, np.ndarray] | None = None,
     changepoints: Sequence[float] = (),
-    binary_input: np.ndarray | None = None,
 ) -> AugmentedModel:
     """Assemble the augmented model and precompute its building blocks."""
     drift = np.atleast_2d(np.asarray(target.drift, dtype=float))
@@ -264,22 +262,18 @@ def assemble(
     if cps.size and np.any(np.diff(cps) <= 0):
         raise InvalidParameterError("changepoints must be strictly increasing")
 
-    model = AugmentedModel(
+    return AugmentedModel(
         target=target,
         nonperiodic=tuple(nonperiodic),
         periodic=tuple(periodic),
         layout=layout,
         changepoints=cps,
-        binary_input=None if binary_input is None else np.asarray(binary_input, float),
         drift_za=drift_za,
         diffusion=diffusion,
         weight_rates=weight_rates,
         coupling_pad=tuple(pads),
         weight_scaled_eigs=tuple(scaled_eigs),
     )
-    if measurement is not None:
-        set_measurement(model, *measurement)
-    return model
 
 
 def set_measurement(model: AugmentedModel, obs_matrix, obs_noise) -> None:
@@ -677,14 +671,9 @@ def pass_steps(cycle: StepCycle, t_start: float, n_steps: int) -> Iterator[PassS
     return steps()
 
 
-def initial_state(
-    model: AugmentedModel,
-    target_mean,
-    target_cov,
-    t0: float = 0.0,
-) -> GaussianState:
-    """Block-diagonal prior: given target moments, stationary non-periodic
-    blocks, and weight variances from the scaled eigenvalues.
+def initial_state(model: AugmentedModel, target_mean, target_cov) -> GaussianState:
+    """Block-diagonal prior at time 0: given target moments, stationary
+    non-periodic blocks, and weight variances from the scaled eigenvalues.
 
     Marginally stable blocks (e.g. constant bias states) have no stationary
     distribution; they get a unit diagonal prior.
@@ -704,7 +693,7 @@ def initial_state(
         lo, hi = model.layout.weight_spans[r]
         idx = np.arange(lo, hi)
         cov[idx, idx] = model.weight_scaled_eigs[r] * force.weight_prior_scale
-    return GaussianState(mean, cov, t0)
+    return GaussianState(mean, cov, 0.0)
 
 
 def periodic_force_row(model: AugmentedModel, r: int, t: float) -> np.ndarray:

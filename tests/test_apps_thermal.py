@@ -208,8 +208,7 @@ def test_resonator_roster_runs():
     ds = th.generate_thermal_data(cfg, seed=4)
     params = dict(
         alpha=0.01, beta=0.1, sigma_ext=3.0, ell_ext=600.0, sigma_obs=0.05,
-        decay=1e-4, diffusion=1e-7, n_resonators=3,
-        freq_0=1.0 / 1440.0, freq_1=2.0 / 1440.0, freq_2=3.0 / 1440.0,
+        decay=1e-4, diffusion=1e-7, **{f"freq_{j}": (j + 1.0) / 1440.0 for j in range(6)},
     )
     out = th.thermal_track_day(ds, "resonator", params)
     assert np.isfinite(out["rmse"])

@@ -199,6 +199,28 @@ def test_fit_writes_a_fit_report(tmp_path, config, app, method):
     assert not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("config, app", [(QUEUE_CONFIG, "queue"), (THERMAL_CONFIG, "thermal")])
+def test_track_reads_a_simulated_data_dir(tmp_path, config, app):
+    # tracking the simulated CSV files scores as tracking the generated data,
+    # up to the 10 significant digits the files keep
+    config = {**config, "seeds": [0]}
+    result, sim = _invoke(tmp_path / "simulate", config, app, "simulate")
+    assert result.exit_code == 0, result.output
+    runs = []
+    for name, cfg in [("generated", config),
+                      ("read", {**config, "data_dir": str(sim / f"{app}-s0")})]:
+        result, out = _invoke(tmp_path / name, cfg, app, "track")
+        assert result.exit_code == 0, result.output
+        runs.append(json.loads((out / "metrics.json").read_text()))
+    generated, read = runs
+    assert len(generated) == len(read) == 2
+    for a, b in zip(generated, read):
+        for key in ("rmse", "ell"):
+            assert b.pop(key) == pytest.approx(a.pop(key), rel=1e-8)
+        del a["runtime_ms"], b["runtime_ms"]
+        assert a == b
+
+
 def test_cli_import_leaves_out_the_optimizer_and_the_process_pool():
     # only a fit needs scipy.optimize and only --jobs > 1 a process pool;
     # neither may cost every command its import time

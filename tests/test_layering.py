@@ -2,7 +2,8 @@
 lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
 `lfm`.  Every pass takes its transitions from a `lfm.step_cycle` through
-`lfm.pass_steps`, so no pass bypasses the cycle.  Every public name is
+`lfm.pass_steps`, so no pass bypasses the cycle.  Only `apps/synth.py`
+builds the applications' daily prior.  Every public name is
 reached from the package itself or kept by a named oracle or paper claim.
 Checked on the source with `ast`, so no module is imported."""
 
@@ -79,6 +80,30 @@ def test_only_step_cycle_builds_steps():
     assert {u for u in uses if u[:2] != ("lfm.py", "step_cycle")} <= allowed
 
 
+DAILY_PRIOR = {"PeriodicMatern", "build", "periodic_force", "cqm_force", "sqm_force", "wqm_force"}
+
+
+def test_apps_build_the_daily_prior_once():
+    # both applications take their daily basis and periodic roster from
+    # `synth.daily_basis` and `synth.periodic_roster`, so no app module but
+    # synth names the kernel, the basis builder or a periodic force builder
+    uses = {}
+    for path in sorted((PACKAGE / "apps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in DAILY_PRIOR:
+                uses.setdefault(path.name, set()).add(name)
+    assert {f: names for f, names in uses.items() if f != "synth.py"} == {}
+    assert uses["synth.py"] == DAILY_PRIOR  # the walk sees references
+
+
 # public names that no src line uses, with the oracle or paper claim that keeps each
 TEST_ONLY = {
     "DenseGp": "the dense-GP oracle that the state-space results are checked against",
@@ -87,7 +112,6 @@ TEST_ONLY = {
     "stationary_lfm_kernel": "oracle kernel of a non-periodic LFM (test_hartikainen_equivalence_small)",
     "periodic_force_row": "reads a force out of the state: the per-step H of the force-only oracle",
     "resonator_fit": "the rival resonator baseline (Sarkka 2012; Hartikainen 2012)",
-    "kernel_to_config": "writer half of the kernel config round trip that kernel_from_config reads",
 }
 
 
