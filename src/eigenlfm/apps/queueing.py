@@ -257,7 +257,7 @@ def _ou_target_step(f: float, c: float, q: float, dt: float):
     return e_f, g_cross, e_u, q11, q12, q22
 
 
-_GAUSS_X, _GAUSS_W = lfm.gauss_nodes(8)
+_GAUSS_X, _GAUSS_W = lfm.gauss_nodes()
 
 
 def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.AugmentedModel:

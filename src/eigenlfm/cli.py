@@ -250,7 +250,7 @@ def _seed_work(args) -> list[dict]:
             [[f"{v:.10g}" for v in row] for row in zip(*columns)],
         )
         records.append({
-            "method": method, "dataset": tag, "day": gen_config.days - 1,
+            "method": method, "dataset": tag, "day": dataset.config.days - 1,
             "rmse": result["rmse"], "ell": result["ell"], "n_basis": result["n_basis"],
             "runtime_ms": round(1000.0 * (time.perf_counter() - started), 3),
         })

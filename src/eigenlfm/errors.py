@@ -15,5 +15,5 @@ class NoStationaryDistributionError(RuntimeError):
 
 
 class ContractViolationError(RuntimeError):
-    """A caller broke an interface contract (e.g. a changepoint strictly inside
-    a discretization step)."""
+    """A caller broke an interface contract (e.g. a pass crosses a changepoint
+    that is not on its step grid)."""

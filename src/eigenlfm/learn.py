@@ -1,6 +1,6 @@
 """Derivative-free maximum-likelihood fitting.
 
-Nelder-Mead over log-transformed (for positive scales) coordinates, with
+Nelder-Mead over the logs of the parameters (all positive scales), with
 deterministic seed-jittered restarts.  The objective is a log-likelihood to
 be maximized.
 
@@ -29,8 +29,7 @@ class Param:
     name: str
     lower: float
     upper: float
-    init: float
-    log: bool = True  # search in log-space (positive scales)
+    init: float  # the search runs in log-space, so the bounds are positive
 
     def __post_init__(self):
         if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
@@ -39,7 +38,7 @@ class Param:
             raise InvalidParameterError(f"{self.name}: lower must be < upper")
         if not (self.lower < self.init < self.upper):
             raise InvalidParameterError(f"{self.name}: initial point must be interior")
-        if self.log and self.lower <= 0.0:
+        if self.lower <= 0.0:
             raise InvalidParameterError(f"{self.name}: log-space needs lower > 0")
 
 
@@ -68,16 +67,11 @@ class ParamSpace:
                 )
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return np.array(
-            [np.log(v) if p.log else v for p, v in zip(self.params, values)]
-        )
+        return np.log(values)
 
     def untransform(self, coords: np.ndarray) -> np.ndarray:
-        vals = np.array(
-            [np.exp(c) if p.log else c for p, c in zip(self.params, coords)]
-        )
         return np.clip(
-            vals,
+            np.exp(coords),
             [p.lower for p in self.params],
             [p.upper for p in self.params],
         )
@@ -86,10 +80,7 @@ class ParamSpace:
         return np.array([p.init for p in self.params])
 
     def bounds_transformed(self) -> list[tuple[float, float]]:
-        return [
-            (np.log(p.lower), np.log(p.upper)) if p.log else (p.lower, p.upper)
-            for p in self.params
-        ]
+        return [(np.log(p.lower), np.log(p.upper)) for p in self.params]
 
 
 @dataclass

@@ -12,7 +12,11 @@ where z_a holds the target and non-periodic blocks, the weights `a` multiply
 eigenfunctions of the periodic force kernels, and m(t) couples each weight
 into the target through its eigenfunction value and coupling column.
 
-Two kinds of step are built, each for a batch of steps at once:
+Two step builders share one contract: `build(model, starts, dt)` takes a
+1-D array of step starts and one step length and returns the stacked
+`(G, Q)` pair, each (n, C, C), of the steps [starts[k], starts[k] + dt].
+`step_cycle`, their one caller, computes the input term, and a pass checks
+the changepoint schedule; neither builder does either.
 
 * `discretize` freezes m at each step start.  The weights of a periodic
   force are independent OU processes with one rate, so the step has a
@@ -68,7 +72,6 @@ __all__ = [
     "PeriodicForce",
     "StateLayout",
     "AugmentedModel",
-    "Transition",
     "PassStep",
     "assemble",
     "periodic_force",
@@ -172,12 +175,6 @@ class StateLayout:
     weight_spans: tuple[tuple[int, int], ...]
     dim_za: int
     dim: int
-
-
-class Transition(NamedTuple):
-    transition: np.ndarray  # G, (C, C), or (n, C, C) for a batch of n steps
-    noise: np.ndarray       # Q, shaped as G
-    input_term: np.ndarray  # b, (C,), the same for every step of a batch
 
 
 @dataclass
@@ -300,32 +297,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(a)
 
 
-def _check_steps(model: AugmentedModel, t0, t1) -> tuple[np.ndarray, float]:
-    """Starts and common length of the steps [t0, t1] of a batch (scalars, or
-    1-D arrays of one shape).  A changepoint strictly inside a step raises
-    ContractViolationError: its jump would fall mid-step."""
-    starts = np.atleast_1d(np.asarray(t0, dtype=float))
-    ends = np.atleast_1d(np.asarray(t1, dtype=float))
-    if starts.ndim != 1 or starts.size == 0 or starts.shape != ends.shape:
-        raise InvalidParameterError("t0 and t1 must be scalars or 1-D arrays of one shape")
-    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends))) or np.any(ends <= starts):
-        raise InvalidParameterError("need finite t1 > t0")
-    lengths = ends - starts
-    dt = float(lengths[0])
-    if np.any(np.abs(lengths - dt) > _BOUNDARY_TOL * max(1.0, dt)):
-        raise InvalidParameterError("the steps of a batch must have one length")
-    cps = model.changepoints
-    if cps.size:
-        inside = (cps > starts[:, None] + _BOUNDARY_TOL) & (cps < ends[:, None] - _BOUNDARY_TOL)
-        if np.any(inside):
-            k, j = np.argwhere(inside)[0]
-            raise ContractViolationError(
-                f"changepoint at {cps[j]} lies strictly inside ({starts[k]}, {ends[k]}); "
-                "split the step at the changepoint"
-            )
-    return starts, dt
-
-
 def _van_loan(drift: np.ndarray, diffusion: np.ndarray, dt: float):
     """Joint (G, Q) of the LTI segment via the matrix fraction decomposition."""
     n = drift.shape[0]
@@ -342,30 +313,12 @@ def _van_loan(drift: np.ndarray, diffusion: np.ndarray, dt: float):
 
 
 def _input_response(drift: np.ndarray, dt: float) -> np.ndarray:
-    """B0 = integral of expm(drift * u) du over one step: input_term = B0 @ u."""
+    """B0 = integral of expm(drift * s) ds over one step: a held input u adds B0 @ u."""
     n = drift.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = drift
     block[:n, n:] = np.eye(n)
     return scipy.linalg.expm(block * dt)[:n, n:]
-
-
-def _input_vector(model: AugmentedModel, input_value) -> np.ndarray | None:
-    """The held z_a input, or None when there is none or it is zero."""
-    if input_value is None:
-        return None
-    vec = np.asarray(input_value, dtype=float)
-    if vec.shape != (model.layout.dim_za,):
-        raise InvalidParameterError("input must have one entry per z_a state")
-    return vec if vec.any() else None
-
-
-def _batch(t0, g: np.ndarray, q: np.ndarray, b: np.ndarray) -> Transition:
-    """A batch's stacked (G, Q) and its input term; one (C, C) pair when the
-    step bounds were scalars."""
-    if np.ndim(t0) == 0:
-        g, q = g[0], q[0]
-    return Transition(g, q, b)
 
 
 def _weight_response(model: AugmentedModel, pad: np.ndarray, rate: float, dt: float):
@@ -389,29 +342,19 @@ def _weight_response(model: AugmentedModel, pad: np.ndarray, rate: float, dt: fl
 
 
 def discretize(
-    model: AugmentedModel,
-    t0,
-    t1,
-    *,
-    input_value=None,
-) -> Transition:
-    """Frozen-m transitions of the steps [t0, t1], with m(t) held at each
-    step start; exact for the LTI part, O(dt^2) in the m-variation.
+    model: AugmentedModel, starts: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen-m (G, Q), each (n, C, C), of the steps [t0, t0 + dt] for t0
+    in the 1-D array `starts`, with m(t) held at each step start; exact for
+    the LTI part, O(dt^2) in the m-variation.
 
-    `t0` and `t1` are scalars (one step: G and Q are (C, C)) or 1-D arrays
-    of the starts and ends of a batch of steps of one length (G and Q are
-    stacked, (n, C, C)).  The weights of each periodic force r are OU with
-    rate lambda_r and variances q, so the step has a block form built from
-    `_weight_response` and one batch of eigenfunction rows phi(t0):
+    The weights of each periodic force r are OU with rate lambda_r and
+    variances q, so the step has a block form built from `_weight_response`
+    and one batch of eigenfunction rows phi(t0):
 
         G_aA = psi_r phi^T, with e^{lambda_r dt} on the weight diagonal;
         Q_aA = xi_r (q * phi)^T;   Q_AA = diag(q v_r);
-        Q_aa = Q_za + sum_r (sum_j q_j phi_j^2) Z_r.
-
-    The input (one entry per z_a state) is held constant over the step; it
-    enters z_a only, so its term (C,) comes from the z_a drift alone and is
-    the same for every step of the batch."""
-    starts, dt = _check_steps(model, t0, t1)
+        Q_aa = Q_za + sum_r (sum_j q_j phi_j^2) Z_r."""
     n, c, cza = starts.size, model.dim, model.layout.dim_za
     phi_za, noise_za = _van_loan(model.drift_za, model.diffusion[:cza, :cza], dt)
     g = np.zeros((n, c, c))
@@ -432,27 +375,24 @@ def discretize(
         q[:, idx, idx] = weight_var[lo:hi] * v
     if not np.all(np.isfinite(g)):
         raise NumericError("matrix exponential overflowed; reduce the step")
-    b = np.zeros(c)
-    vec = _input_vector(model, input_value)
-    if vec is not None:
-        b[:cza] = _input_response(model.drift_za, dt) @ vec
-    return _batch(t0, g, q, b)
+    return g, q
 
 
-def gauss_nodes(order: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the unit interval."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 8 Gauss-Legendre nodes and weights on the unit interval."""
+    x, w = np.polynomial.legendre.leggauss(8)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 @dataclass(frozen=True)
 class ConstantStepPlan:
-    """What every constant-weight step of length dt shares, for
-    `constant_weight_transition`."""
+    """What every constant-weight step of length dt shares: the z_a
+    transition and noise, and the quadrature nodes with the z_a response to
+    each force's coupling from each node to the step end.  Built by
+    `constant_weight_transition` for its batch."""
 
     phi_za: np.ndarray           # expm(F_a dt)
     noise_za: np.ndarray         # exact z_a process noise over one step
-    input_response: np.ndarray   # (dim_za, dim_za), b = input_response @ u
     node_offsets: np.ndarray     # (n,) offsets into the step
     node_weights: np.ndarray     # (n,) quadrature weights (scaled by dt)
     node_coupling: tuple[np.ndarray, ...]  # per force: (n, dim_za)
@@ -470,7 +410,6 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> ConstantStepPla
     return ConstantStepPlan(
         phi_za=phi_za,
         noise_za=noise_za,
-        input_response=_input_response(drift_za, dt),
         node_offsets=x * dt,
         node_weights=w * dt,
         node_coupling=coupling,
@@ -478,14 +417,10 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> ConstantStepPla
 
 
 def constant_weight_transition(
-    model: AugmentedModel,
-    t0,
-    t1,
-    *,
-    input_value=None,
-) -> Transition:
-    """Exact transitions of the steps [t0, t1] when all eigenfunction weights
-    are constant; step bounds and result shapes as for `discretize`.
+    model: AugmentedModel, starts: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (G, Q) of the steps [t0, t0 + dt] for t0 in `starts` when all
+    eigenfunction weights are constant; shapes as for `discretize`.
 
     The weight columns of G are the quadrature-evaluated convolutions of the
     z_a transition with each eigenfunction; the weight rows are identity.
@@ -497,7 +432,6 @@ def constant_weight_transition(
         raise ContractViolationError(
             "constant_weight_transition requires constant weight blocks"
         )
-    starts, dt = _check_steps(model, t0, t1)
     plan = make_constant_step_plan(model, dt)
 
     n, c, cza = starts.size, model.dim, model.layout.dim_za
@@ -515,12 +449,7 @@ def constant_weight_transition(
         phi = eb.eigenfunction_matrix(force.basis, nodes).reshape(n, plan.node_offsets.size, hi - lo)
         cols = coupling * plan.node_weights[:, None]  # (n_nodes, dim_za)
         g[:, :cza, lo:hi] = cols.T @ phi
-
-    b = np.zeros(c)
-    vec = _input_vector(model, input_value)
-    if vec is not None:
-        b[:cza] = plan.input_response @ vec
-    return _batch(t0, g, q, b)
+    return g, q
 
 
 def apply_changepoint_moments(
@@ -621,17 +550,30 @@ class StepCycle:
 def step_cycle(model: AugmentedModel, t0: float, dt: float) -> StepCycle:
     """The `cycle_steps(model, dt)` steps of one period from t0, built in one
     batch: by `constant_weight_transition` when every weight is constant,
-    else by the frozen-m `discretize`.  The input term is the model's binary
-    input, on.  Raises ContractViolationError when `dt` does not divide the
-    period (see `cycle_steps`) or a changepoint lies strictly inside a step
-    of the cycle."""
+    else by the frozen-m `discretize`.
+
+    The input term `input_on` is B0 @ u for the model's binary input u on,
+    held over a step, where B0 = int_0^dt expm(F_a s) ds: the input enters
+    z_a only, so one exponential of the z_a drift gives it, for every step
+    alike.  It is zero without a binary input.  Raises ContractViolationError
+    when `dt` does not divide the period (see `cycle_steps`).  Changepoints
+    are not checked here: a pass checks those it crosses (`pass_steps`)."""
     n_cycle = cycle_steps(model, dt)
+    if not np.isfinite(t0):
+        raise InvalidParameterError("cycle start must be finite")
+    cza = model.layout.dim_za
+    input_on = np.zeros(model.dim)
+    if model.binary_input is not None:
+        u = np.asarray(model.binary_input, dtype=float)
+        if u.shape != (cza,):
+            raise InvalidParameterError("binary input must have one entry per z_a state")
+        input_on[:cza] = _input_response(model.drift_za, dt) @ u
     starts = t0 + dt * np.arange(n_cycle)
     build = constant_weight_transition if has_constant_weights(model) else discretize
-    tr = build(model, starts, starts + dt, input_value=model.binary_input)
-    for array in tr:
+    g, q = build(model, starts, dt)
+    for array in (g, q, input_on):
         array.flags.writeable = False
-    return StepCycle(model, float(t0), float(dt), *tr)
+    return StepCycle(model, float(t0), float(dt), g, q, input_on)
 
 
 class PassStep(NamedTuple):

@@ -74,18 +74,14 @@ def matern12_block(sigma: float, ell: float) -> LtiSde:
     )
 
 
-def matern32_block(sigma: float, ell: float, *, rho: float | None = None) -> LtiSde:
-    """Matern-3/2 companion block with rate rho (default sqrt(3)/ell).
+def matern32_block(sigma: float, ell: float) -> LtiSde:
+    """Matern-3/2 companion block with rate rho = sqrt(3)/ell.
 
     q = 4 rho^3 sigma^2 makes the stationary variance of the extracted
-    process exactly sigma^2.  Pass rho explicitly to use a different rate
-    convention (e.g. 2/ell) at the cost of that exactness.
+    process exactly sigma^2.
     """
     _require_scales(sigma, ell)
-    if rho is None:
-        rho = math.sqrt(3.0) / ell
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise InvalidParameterError("rho must be finite and > 0")
+    rho = math.sqrt(3.0) / ell
     return LtiSde(
         drift=np.array([[0.0, 1.0], [-(rho**2), -2.0 * rho]]),
         noise=np.array([[0.0], [1.0]]),

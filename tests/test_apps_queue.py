@@ -8,6 +8,7 @@ from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
 from eigenlfm.filtering import GaussianState, predict, update
+from helpers import one_step
 
 
 def test_linearize_values():
@@ -86,8 +87,8 @@ def test_specialized_constant_weight_step_matches_generic():
     generic = lfm.assemble(
         lfm.TargetModel(np.array([[f]])), periodic=[force], changepoints=[1440.0]
     )
-    tr = lfm.constant_weight_transition(generic, 100.0, 102.0)
-    ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), tr.transition, tr.noise)
+    g, q = one_step(lfm.constant_weight_transition, generic, 100.0, 102.0)
+    ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), g, q)
     phi_nodes = eb.eigenfunction_matrix(basis, 100.0 + 2.0 * qa._GAUSS_X)
     mean, cov = qa._predict(model, m0.copy(), p0.copy(), f, 2.0, phi_nodes)
     np.testing.assert_allclose(mean, ref.mean, atol=1e-12)
@@ -113,8 +114,8 @@ def test_specialized_cqm_step_matches_generic():
     force = lfm.cqm_force(basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES)
     f = -10.0 / 3.3
     generic = lfm.assemble(lfm.TargetModel(np.array([[f]])), periodic=[force])
-    tr = lfm.discretize(generic, 100.0, 102.0)
-    ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), tr.transition, tr.noise)
+    g, q = one_step(lfm.discretize, generic, 100.0, 102.0)
+    ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), g, q)
     phi_t0 = eb.eigenfunction_matrix(basis, 100.0)[0]
     mean, cov = qa._predict(model, m0.copy(), p0.copy(), f, 2.0, phi_t0)
     np.testing.assert_allclose(mean, ref.mean, atol=1e-10)
@@ -161,12 +162,12 @@ def test_ou_target_step_matches_van_loan(f, ell, q, dt):
         lfm.TargetModel(np.array([[f]])),
         nonperiodic=[lfm.NonPeriodicForce(blk, np.array([1.0]))],
     )
-    tr = lfm.discretize(model, 0.0, dt)
+    tr_g, tr_q = one_step(lfm.discretize, model, 0.0, dt)
     np.testing.assert_allclose(
-        np.array([[e_f, g], [0.0, e_u]]), tr.transition, atol=1e-9
+        np.array([[e_f, g], [0.0, e_u]]), tr_g, atol=1e-9
     )
     np.testing.assert_allclose(
-        np.array([[q11, q12], [q12, q22]]), tr.noise, atol=1e-9
+        np.array([[q11, q12], [q12, q22]]), tr_q, atol=1e-9
     )
 
 

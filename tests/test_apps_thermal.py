@@ -8,6 +8,7 @@ from eigenlfm.apps import io as app_io
 from eigenlfm.apps import thermal as th
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
 from eigenlfm.filtering import predict, update
+from helpers import one_step
 
 
 BASE_PARAMS = dict(
@@ -39,10 +40,10 @@ def test_relaxation_toward_constant_exterior():
     lo, _ = model.layout.nonperiodic_spans[0]
     state.mean[lo] = 4.0
     state.cov[:] = 0.0
-    tr = lfm.discretize(model, 0.0, 10.0)
+    g, q = one_step(lfm.discretize, model, 0.0, 10.0)
     expected_gap = 4.0
     for k in range(1, 40):
-        state = predict(state, tr.transition, tr.noise, t_new=k * 10.0)
+        state = predict(state, g, q, t_new=k * 10.0)
         expected_gap = 4.0 * np.exp(-params["alpha"] * k * 10.0)
         assert state.mean[0] == pytest.approx(4.0 - expected_gap, abs=1e-6)
 

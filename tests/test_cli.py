@@ -221,6 +221,22 @@ def test_track_reads_a_simulated_data_dir(tmp_path, config, app):
         assert a == b
 
 
+@pytest.mark.parametrize("config, app", [(QUEUE_CONFIG, "queue"), (THERMAL_CONFIG, "thermal")],
+                         ids=["queue", "thermal"])
+def test_data_dir_day_comes_from_the_files(tmp_path, config, app):
+    # the files hold 3 days, so the held-out day is day 2 whatever the
+    # config's generator says
+    simulated = {**config, "seeds": [0], "generator": {**config["generator"], "days": 3}}
+    result, sim = _invoke(tmp_path / "simulate", simulated, app, "simulate")
+    assert result.exit_code == 0, result.output
+    assert config["generator"]["days"] == 2
+    tracked = {**config, "seeds": [0], "data_dir": str(sim / f"{app}-s0")}
+    result, out = _invoke(tmp_path / "track", tracked, app, "track")
+    assert result.exit_code == 0, result.output
+    records = json.loads((out / "metrics.json").read_text())
+    assert [r["day"] for r in records] == [2, 2]
+
+
 def test_cli_import_leaves_out_the_optimizer_and_the_process_pool():
     # only a fit needs scipy.optimize and only --jobs > 1 a process pool;
     # neither may cost every command its import time

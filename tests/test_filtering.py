@@ -15,6 +15,7 @@ from eigenlfm.filtering import (
     rbpf_predict_day,
     update,
 )
+from helpers import one_step
 
 
 def test_predict_identity():
@@ -178,8 +179,8 @@ def test_rbpf_heater_irrelevant_when_beta_zero():
     recs = _rbpf(model, init, lambda t: 1.0, 64, 10.0, 400.0, 3)
     state = init
     for r in recs:
-        tr = lfm.discretize(model, state.t, r["t"])
-        state = predict(state, tr.transition, tr.noise, t_new=r["t"])
+        g, q = one_step(lfm.discretize, model, state.t, r["t"])
+        state = predict(state, g, q, t_new=r["t"])
     v_kf = state.cov[0, 0]
     # 3-sigma band for a variance estimate from 64 draws
     assert abs(recs[-1]["var"] - v_kf) < 3.0 * v_kf * math.sqrt(2.0 / 64)
@@ -237,17 +238,13 @@ def _periodic_toy(beta: float, force_kind: str):
 
 def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
     """Per-particle RBPF: one scalar draw per particle stream per step, the
-    scalar threshold rule, and separate off/on transitions every step.
+    scalar threshold rule, and a transition built for every step, with the
+    cycle's input term added to the mean of a particle whose heater is on.
 
     Returns the records and how many particle steps had the heater on/off."""
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_particles)]
-    on_input = model.binary_input
-    off_input = np.zeros_like(on_input)
+    input_on = lfm.step_cycle(model, init.t, step).input_on
     build = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
-
-    def transition(t0, t1, u):
-        return build(model, t0, t1, input_value=u)
-
     means = [init.mean.copy() for _ in range(n_particles)]
     cov = init.cov.copy()
     t = init.t
@@ -255,14 +252,11 @@ def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
     records, n_on, n_off = [], 0, 0
     for _ in range(int(round(horizon / step))):
         t_next = t + step
-        off, on = transition(t, t_next, off_input), transition(t, t_next, on_input)
-        g = off.transition
-        means = [
-            g @ m + (on.input_term if h else off.input_term) for m, h in zip(means, heaters)
-        ]
+        g, q = one_step(build, model, t, t_next)
+        means = [g @ m + input_on if h else g @ m for m, h in zip(means, heaters)]
         n_on += sum(heaters)
         n_off += n_particles - sum(heaters)
-        cov = g @ cov @ g.T + off.noise
+        cov = g @ cov @ g.T + q
         cov = 0.5 * (cov + cov.T)
         t = t_next
         if np.any(np.abs(model.changepoints - t) < 1e-9):

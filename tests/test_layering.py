@@ -2,7 +2,8 @@
 lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
 `lfm`.  Every pass takes its transitions from a `lfm.step_cycle` through
-`lfm.pass_steps`, so no pass bypasses the cycle.  Only `apps/synth.py`
+`lfm.pass_steps`, so no pass bypasses the cycle, and only the cycle computes
+the input term (`_input_response`).  Only `apps/synth.py`
 builds the applications' daily prior.  Every public name is
 reached from the package itself or kept by a named oracle or paper claim.
 Checked on the source with `ast`, so no module is imported."""
@@ -48,7 +49,9 @@ def test_engine_imports_no_outer_layer(module):
     assert not _imports(module) & OUTER
 
 
-STEP_BUILDERS = {"discretize", "constant_weight_transition", "make_constant_step_plan"}
+STEP_BUILDERS = {
+    "discretize", "constant_weight_transition", "make_constant_step_plan", "_input_response",
+}
 
 
 def _step_builder_uses() -> set[tuple[str, str, str]]:
@@ -75,7 +78,8 @@ def _step_builder_uses() -> set[tuple[str, str, str]]:
 def test_only_step_cycle_builds_steps():
     uses = _step_builder_uses()
     assert ("lfm.py", "step_cycle", "discretize") in uses  # the walk sees references
-    # a constant-weight batch builds its own plan
+    assert ("lfm.py", "step_cycle", "_input_response") in uses
+    # a constant-weight batch builds its own plan; no builder reads the input
     allowed = {("lfm.py", "constant_weight_transition", "make_constant_step_plan")}
     assert {u for u in uses if u[:2] != ("lfm.py", "step_cycle")} <= allowed
 

@@ -65,7 +65,6 @@ def test_param_validation():
         learn.Param("x", 1.0, 2.0, 3.0)
     with pytest.raises(InvalidParameterError):
         learn.Param("x", -1.0, 2.0, 1.0)  # log-space needs positive lower
-    learn.Param("x", -1.0, 2.0, 1.0, log=False)
     with pytest.raises(InvalidParameterError):
         learn.fit(lambda p: 0.0, quadratic_space(), budget=3)
 

@@ -7,6 +7,7 @@ from eigenlfm import kernels as K
 from eigenlfm import lfm, lti
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
 from eigenlfm.filtering import GaussianState, predict
+from helpers import one_step
 
 
 def constant_kernel(c):
@@ -22,7 +23,7 @@ def sample_basis(ell=0.4, period=10.0, n=64, gamma=0.01):
 def test_assemble_target_only_reduces_to_lti():
     drift = np.array([[0.0, 1.0], [-4.0, 0.0]])  # harmonic oscillator
     model = lfm.assemble(lfm.TargetModel(drift))
-    tr = lfm.discretize(model, 0.0, 0.7)
+    g, q = one_step(lfm.discretize, model, 0.0, 0.7)
     w = 2.0
     expected = np.array(
         [
@@ -30,8 +31,8 @@ def test_assemble_target_only_reduces_to_lti():
             [-w * np.sin(w * 0.7), np.cos(w * 0.7)],
         ]
     )
-    np.testing.assert_allclose(tr.transition, expected, atol=1e-12)
-    assert not tr.noise.any()
+    np.testing.assert_allclose(g, expected, atol=1e-12)
+    assert not q.any()
 
 
 def test_pure_ou_discretization():
@@ -39,9 +40,9 @@ def test_pure_ou_discretization():
         lfm.TargetModel(np.zeros((1, 1))),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 1.0), np.array([0.0]))],
     )
-    tr = lfm.discretize(model, 3.0, 4.0)
-    assert tr.transition[1, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
-    assert tr.noise[1, 1] == pytest.approx(1.0 - np.exp(-2.0), rel=1e-10)
+    g, q = one_step(lfm.discretize, model, 3.0, 4.0)
+    assert g[1, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
+    assert q[1, 1] == pytest.approx(1.0 - np.exp(-2.0), rel=1e-10)
 
 
 def test_layout_dimensions():
@@ -57,10 +58,10 @@ def test_layout_dimensions():
 
 def test_identity_step():
     model = lfm.assemble(lfm.TargetModel(np.zeros((1, 1))))
-    tr = lfm.discretize(model, 0.0, 1.0)
-    np.testing.assert_array_equal(tr.transition, np.eye(1))
-    assert not tr.noise.any()
-    assert not tr.input_term.any()
+    g, q = one_step(lfm.discretize, model, 0.0, 1.0)
+    np.testing.assert_array_equal(g, np.eye(1))
+    assert not q.any()
+    assert not lfm.step_cycle(model, 0.0, 1.0).input_on.any()
 
 
 def test_constant_weight_transition_constant_kernel():
@@ -71,10 +72,10 @@ def test_constant_weight_transition_constant_kernel():
         lfm.TargetModel(np.zeros((1, 1))), periodic=[lfm.periodic_force(basis, [3.0])]
     )
     dt = 0.37
-    tr = lfm.constant_weight_transition(model, 0.0, dt)
+    g, _ = one_step(lfm.constant_weight_transition, model, 0.0, dt)
     # phi is identically 1, so the convolution integral is coupling * dt
-    assert tr.transition[0, 1] == pytest.approx(3.0 * dt, rel=1e-12)
-    np.testing.assert_allclose(tr.transition[1:, 1:], np.eye(1), atol=1e-14)
+    assert g[0, 1] == pytest.approx(3.0 * dt, rel=1e-12)
+    np.testing.assert_allclose(g[1:, 1:], np.eye(1), atol=1e-14)
 
 
 def test_constant_weight_matches_spec_formula():
@@ -84,12 +85,12 @@ def test_constant_weight_matches_spec_formula():
         lfm.TargetModel(np.zeros((1, 1))), periodic=[lfm.periodic_force(basis, [1.0])]
     )
     dt = 0.25
-    tr = lfm.constant_weight_transition(model, 0.0, dt)
+    g, _ = one_step(lfm.constant_weight_transition, model, 0.0, dt)
     n = basis.n_points
     mu = basis.eigenvalues[0]
     v = basis.eigenvectors[:, 0]
     expected = dt * (np.sqrt(n) / mu) * c * np.sum(v)
-    assert tr.transition[0, 1] == pytest.approx(expected, rel=1e-12)
+    assert g[0, 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_frozen_m_converges_to_exact_at_second_order():
@@ -99,9 +100,9 @@ def test_frozen_m_converges_to_exact_at_second_order():
     )
     diffs = []
     for dt in (0.4, 0.2, 0.1):
-        a = lfm.constant_weight_transition(model, 1.0, 1.0 + dt)
-        b = lfm.discretize(model, 1.0, 1.0 + dt)
-        diffs.append(np.max(np.abs(a.transition - b.transition)))
+        a, _ = one_step(lfm.constant_weight_transition, model, 1.0, 1.0 + dt)
+        b, _ = one_step(lfm.discretize, model, 1.0, 1.0 + dt)
+        diffs.append(np.max(np.abs(a - b)))
     rate1 = diffs[0] / diffs[1]
     rate2 = diffs[1] / diffs[2]
     assert rate1 > 3.0 and rate2 > 3.0  # O(dt^2) halves to a quarter
@@ -112,9 +113,9 @@ def test_semigroup_pure_lti():
         lfm.TargetModel(np.array([[-0.3]])),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), np.array([1.0]))],
     )
-    g1 = lfm.discretize(model, 0.0, 0.7).transition
-    g2 = lfm.discretize(model, 0.7, 1.5).transition
-    g12 = lfm.discretize(model, 0.0, 1.5).transition
+    g1, _ = one_step(lfm.discretize, model, 0.0, 0.7)
+    g2, _ = one_step(lfm.discretize, model, 0.7, 1.5)
+    g12, _ = one_step(lfm.discretize, model, 0.0, 1.5)
     assert np.max(np.abs(g2 @ g1 - g12)) < 1e-10
 
 
@@ -126,7 +127,7 @@ def test_transition_noise_psd():
         periodic=[lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
     )
     for t0 in np.linspace(0.0, 9.0, 7):
-        q = lfm.discretize(model, t0, t0 + 0.5).noise
+        _, q = one_step(lfm.discretize, model, t0, t0 + 0.5)
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() >= -1e-10 * max(np.trace(q), 1e-30)
 
@@ -191,22 +192,20 @@ def test_changepoint_inside_step_rejected():
         periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
         changepoints=[5.0],
     )
-    with pytest.raises(ContractViolationError):
-        lfm.discretize(model, 4.5, 5.5)
-    with pytest.raises(ContractViolationError):
-        lfm.constant_weight_transition(model, 4.5, 5.5)
+    # the cycle builds; a pass whose step (4.5, 5.5) holds the changepoint raises
+    with pytest.raises(ContractViolationError, match="changepoint at 5 is not on the step grid"):
+        lfm.pass_steps(lfm.step_cycle(model, 4.5, 1.0), 4.5, 1)
     # steps touching the boundary are fine
-    lfm.discretize(model, 4.5, 5.0)
-    lfm.discretize(model, 5.0, 5.5)
+    steps = lfm.pass_steps(lfm.step_cycle(model, 4.5, 0.5), 4.5, 2)
+    assert [s.changepoint for s in steps] == [True, False]
 
 
 def test_input_term_integration():
     # dz/dt = -z + u with constant input u: z(dt) response = (1 - e^-dt) u
     model = lfm.assemble(lfm.TargetModel(np.array([[-1.0]])))
-    tr = lfm.discretize(model, 0.0, 0.8, input_value=np.array([2.0]))
-    assert tr.input_term[0] == pytest.approx(2.0 * (1.0 - np.exp(-0.8)), rel=1e-12)
-    tr2 = lfm.constant_weight_transition(model, 0.0, 0.8, input_value=np.array([2.0]))
-    assert tr2.input_term[0] == pytest.approx(tr.input_term[0], rel=1e-12)
+    model.binary_input = np.array([2.0])
+    input_on = lfm.step_cycle(model, 0.0, 0.8).input_on
+    assert input_on[0] == pytest.approx(2.0 * (1.0 - np.exp(-0.8)), rel=1e-12)
 
 
 def test_discretize_input_term_matches_full_drift_reference():
@@ -220,7 +219,8 @@ def test_discretize_input_term_matches_full_drift_reference():
     )
     u = np.array([0.7, -0.2, 0.4])
     t0, dt = 1.3, 0.5
-    tr = lfm.discretize(model, t0, t0 + dt, input_value=u)
+    model.binary_input = u
+    input_on = lfm.step_cycle(model, t0, dt).input_on
 
     c, cza = model.dim, model.layout.dim_za
     drift = np.zeros((c, c))
@@ -233,7 +233,7 @@ def test_discretize_input_term_matches_full_drift_reference():
     b0 = scipy.linalg.expm(block * dt)[:c, c:]
     ref = b0 @ np.concatenate([u, np.zeros(c - cza)])
     assert np.abs(ref[cza:]).max() < 1e-14  # inputs never reach the weights
-    np.testing.assert_allclose(tr.input_term, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(input_on, ref, rtol=0.0, atol=1e-12)
 
 
 def _stepper_model(kind, changepoints):
@@ -261,30 +261,51 @@ def test_pass_steps_match_direct_transitions(kind):
     model = _stepper_model(kind, [1.0, 2.0, 5.0, 7.5, 20.0])
     np.testing.assert_array_equal(lfm.changepoint_steps(model, 1.0, 0.5, 12), [2, 8])
     direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
+    input_ref = _van_loan_reference(model, 1.0, 1.5, model.binary_input)[2]
     steps = list(lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 12))
     assert [s.changepoint for s in steps] == [k in (2, 8) for k in range(1, 13)]
     for k, step in enumerate(steps):
         t0 = 1.0 + 0.5 * k
-        ref = direct(model, t0, t0 + 0.5, input_value=model.binary_input)
+        g, q = one_step(direct, model, t0, t0 + 0.5)
         assert step.t == t0 + 0.5
-        np.testing.assert_allclose(step.transition, ref.transition, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(step.noise, ref.noise, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(step.input_on, ref.input_term, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(step.input_on, input_ref, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["sqm", "cqm"])
 def test_pass_steps_reject_changepoint_off_the_grid(kind):
     model = _stepper_model(kind, [2.25])
-    # the changepoint lies inside a step of a cycle built from 1.0 ...
-    with pytest.raises(ContractViolationError, match="changepoint at 2.25 lies strictly inside"):
-        lfm.step_cycle(model, 1.0, 0.5)
-    # ... and of a pass from 1.0 on a cycle built where it does not
+    # the changepoint lies inside a step of a pass from 1.0 on a cycle built
+    # from 1.0 ...
+    with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
+        lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 12)
+    # ... and on a cycle built where it does not
     cycle = lfm.step_cycle(model, 11.0, 0.5)
     with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
         lfm.pass_steps(cycle, 1.0, 12)  # raises before the first step
     with pytest.raises(ContractViolationError):
         lfm.changepoint_steps(model, 1.0, 0.5, 12)
     assert lfm.changepoint_steps(model, 1.0, 0.5, 2).size == 0  # beyond the pass
+
+
+@pytest.mark.parametrize("kind", ["sqm", "cqm"])
+def test_cycle_builds_over_an_off_grid_changepoint_no_pass_crosses(kind):
+    # 2.25 lies inside the step [2.0, 2.5] of a cycle built from 1.0; the
+    # cycle builds, and its slots serve a pass over (11, 17], which holds no
+    # changepoint, as a cycle built at 11.0 does.  Only a pass that crosses
+    # the changepoint raises.
+    model = _stepper_model(kind, [2.25])
+    cycle = lfm.step_cycle(model, 1.0, 0.5)
+    own = lfm.step_cycle(model, 11.0, 0.5)
+    steps = list(lfm.pass_steps(cycle, 11.0, 12))
+    assert len(steps) == 12 and not any(s.changepoint for s in steps)
+    scale = np.abs(own.transitions).max()
+    for a, b in zip(steps, lfm.pass_steps(own, 11.0, 12)):
+        np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(a.noise, b.noise, rtol=1e-12, atol=1e-12 * scale)
+    with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
+        lfm.pass_steps(cycle, 1.0, 12)
 
 
 @pytest.mark.parametrize("kind", ["none", "with", "sqm", "cqm"])
@@ -296,6 +317,7 @@ def test_pass_steps_reuse_the_first_cycle(kind):
     n_cycle = 1 if kind == "none" else 20
     assert lfm.cycle_steps(model, dt) == n_cycle
     direct = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
+    input_ref = _van_loan_reference(model, t_start, t_start + dt, model.binary_input)[2]
     cycle = lfm.step_cycle(model, t_start, dt)
     assert cycle.n_cycle == n_cycle
     assert cycle.transitions.shape == cycle.noises.shape == (n_cycle, model.dim, model.dim)
@@ -306,10 +328,10 @@ def test_pass_steps_reuse_the_first_cycle(kind):
         t0 = t_start + k * dt
         assert step.t == t0 + dt
         assert np.shares_memory(step.transition, cycle.transitions[k % n_cycle])
-        ref = direct(model, t0, t0 + dt, input_value=model.binary_input)
-        np.testing.assert_allclose(step.transition, ref.transition, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(step.noise, ref.noise, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(step.input_on, ref.input_term, rtol=1e-12, atol=1e-12)
+        g, q = one_step(direct, model, t0, t0 + dt)
+        np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(step.input_on, input_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_pass_step_arrays_reject_writes():
@@ -428,19 +450,20 @@ def test_discretize_matches_the_full_state_van_loan(n_target, with_input):
     assert len(set(model.weight_rates)) == 2
     rng = np.random.default_rng(10 + n_target)
     u = rng.standard_normal(model.layout.dim_za) if with_input else None
+    model.binary_input = u
+    input_on = lfm.step_cycle(model, 0.0, 0.4).input_on
     starts = np.array([0.0, 1.7, 4.35, 9.9])
-    batch = lfm.discretize(model, starts, starts + 0.4, input_value=u)
-    assert batch.transition.shape == (starts.size, model.dim, model.dim)
+    batch_g, batch_q = lfm.discretize(model, starts, 0.4)
+    assert batch_g.shape == batch_q.shape == (starts.size, model.dim, model.dim)
     for k, t0 in enumerate(starts):
         g, q, b = _van_loan_reference(model, t0, t0 + 0.4, u)
-        one = lfm.discretize(model, t0, t0 + 0.4, input_value=u)
-        for tr in (one, lfm.Transition(batch.transition[k], batch.noise[k], batch.input_term)):
-            assert _rel_err(tr.transition, g) <= 1e-12
-            assert _rel_err(tr.noise, q) <= 1e-12
-            if with_input:
-                assert _rel_err(tr.input_term, b) <= 1e-12
-            else:
-                assert not tr.input_term.any()
+        for tr_g, tr_q in (one_step(lfm.discretize, model, t0, t0 + 0.4), (batch_g[k], batch_q[k])):
+            assert _rel_err(tr_g, g) <= 1e-12
+            assert _rel_err(tr_q, q) <= 1e-12
+        if with_input:
+            assert _rel_err(input_on, b) <= 1e-12
+        else:
+            assert not input_on.any()
 
 
 def test_constant_weight_batch_matches_per_step_quadrature():
@@ -457,8 +480,8 @@ def test_constant_weight_batch_matches_per_step_quadrature():
     )
     cza, dt = model.layout.dim_za, 0.5
     starts = 1.3 + dt * np.arange(20)
-    batch = lfm.constant_weight_transition(model, starts, starts + dt)
-    x, w = lfm.gauss_nodes(8)
+    batch_g, batch_q = lfm.constant_weight_transition(model, starts, dt)
+    x, w = lfm.gauss_nodes()
     props = [scipy.linalg.expm(model.drift_za * dt * (1.0 - xi)) for xi in x]
     for k, t0 in enumerate(starts):
         g = np.eye(model.dim)
@@ -468,16 +491,19 @@ def test_constant_weight_batch_matches_per_step_quadrature():
             g[:cza, lo:hi] = sum(
                 wi * dt * np.outer(p @ pad, row) for wi, p, row in zip(w, props, rows)
             )
-        np.testing.assert_allclose(batch.transition[k], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
-        np.testing.assert_array_equal(batch.noise[k][cza:], 0.0)
+        np.testing.assert_allclose(batch_g[k], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+        np.testing.assert_array_equal(batch_q[k][cza:], 0.0)
 
 
-def test_batch_steps_must_share_one_length():
+def test_step_cycle_validates_its_start_and_the_binary_input():
     model = _stepper_model("cqm", [])
-    with pytest.raises(InvalidParameterError, match="one length"):
-        lfm.discretize(model, [0.0, 1.0], [0.5, 1.6])
-    with pytest.raises(InvalidParameterError, match="t1 > t0"):
-        lfm.discretize(model, [0.0, 1.0], [0.5, 1.0])
+    with pytest.raises(InvalidParameterError, match="cycle start must be finite"):
+        lfm.step_cycle(model, float("nan"), 0.5)
+    with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
+        lfm.step_cycle(model, 0.0, -0.5)
+    model.binary_input = np.array([0.3])
+    with pytest.raises(InvalidParameterError, match="binary input must have one entry per z_a state"):
+        lfm.step_cycle(model, 0.0, 0.5)
 
 
 def test_constant_weight_requires_constant_weights():
@@ -487,7 +513,7 @@ def test_constant_weight_requires_constant_weights():
         periodic=[lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
     )
     with pytest.raises(ContractViolationError):
-        lfm.constant_weight_transition(model, 0.0, 0.5)
+        one_step(lfm.constant_weight_transition, model, 0.0, 0.5)
 
 
 def test_hartikainen_equivalence_small():
@@ -508,8 +534,8 @@ def test_hartikainen_equivalence_small():
     noise = 0.04
     h = np.array([[1.0, 0.0]])
     for t, y in zip(times, ys):
-        tr = lfm.discretize(model, state.t, t)
-        state = predict(state, tr.transition, tr.noise, t_new=t)
+        g, q = one_step(lfm.discretize, model, state.t, t)
+        state = predict(state, g, q, t_new=t)
         res = update(state, h, [[noise]], [y])
         state = res.state
         oracle = DenseGp(kern, noise, times[times <= t], ys[: len(times[times <= t])])

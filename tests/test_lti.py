@@ -43,13 +43,6 @@ def test_matern32_stationary_closed_form():
     )
 
 
-def test_matern32_alternative_rate():
-    blk = lti.matern32_block(1.0, 4.0, rho=2.0 / 4.0)
-    assert blk.drift[1, 1] == pytest.approx(-1.0)
-    # the q = 4 rho^3 sigma^2 convention keeps the variance at sigma^2
-    np.testing.assert_allclose(lti.stationary_covariance(blk)[0, 0], 1.0, rtol=1e-10)
-
-
 def test_lyapunov_residual():
     blk = lti.matern32_block(0.9, 1.7)
     cov = lti.stationary_covariance(blk)
