@@ -364,8 +364,7 @@ def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
         mean, cov = _predict(model, mean, cov, f, dt, None if phi is None else phi[k % n_cycle])
         t1 = times[k + 1]
         if k + 1 in jumps:
-            means, cov = lfm.apply_changepoint_moments(model, mean[None, :], cov)
-            mean = means[0]
+            mean, cov = lfm.apply_changepoint_moments(model, mean, cov)
         if emit_from is not None and t1 > emit_from + 1e-9:
             records.append((t1, mean[0], cov[0, 0]))
         y = meas.get(k + 1)

@@ -285,8 +285,7 @@ def _run_thermal_filter(
             state, step.transition, step.noise, heater[k - 1] * step.input_on, t_new=step.t
         )
         if step.changepoint:
-            means, cov = lfm.apply_changepoint_moments(model, state.mean[None, :], state.cov)
-            state = GaussianState(means[0], cov, step.t)
+            state.mean, state.cov = lfm.apply_changepoint_moments(model, state.mean, state.cov)
         if emit:
             records.append((step.t, state.mean[0], state.cov[0, 0]))
         if every is not None and k % every == 0:

@@ -88,8 +88,6 @@ def cmd_eigenbasis(ctx):
     """Emit the eigenvalue spectrum and eigenfunction grids as CSV."""
     try:
         config = load_config("eigenbasis", ctx.obj["config_path"])
-        if "kernel" not in config:
-            raise InvalidParameterError("eigenbasis config requires a kernel")
         kernel = kernels.kernel_from_config(config["kernel"])
         period = float(config["period"])
         basis = eb.build(

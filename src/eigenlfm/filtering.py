@@ -1,6 +1,6 @@
-"""Gaussian filtering: Kalman predict/update (each update returns the
-innovation log-density), and the Rao-Blackwellised particle filter for a
-binary control input.
+"""Gaussian filtering: Kalman predict/update of one mean or a bank of means
+sharing one covariance (each update returns the innovation log-density), and
+the Rao-Blackwellised particle filter for a binary control input, run on them.
 
 This module knows nothing of how a model is discretized: a pass hands it
 transitions (for the particle filter, a stream of steps from
@@ -32,7 +32,7 @@ def _symmetrize(cov: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianState:
-    """Filter posterior: mean vector, covariance, and the current time."""
+    """Filter posterior: a mean (C,) or a bank of means (P, C), one covariance, the time."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -40,7 +40,7 @@ class GaussianState:
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class UpdateResult:
     state: GaussianState
     innovation: np.ndarray
     innovation_cov: np.ndarray
-    log_density: float
+    log_density: float | np.ndarray
 
 
 def predict(
@@ -58,13 +58,13 @@ def predict(
     input_term: np.ndarray | None = None,
     t_new: float | None = None,
 ) -> GaussianState:
-    """Linear-Gaussian time update: mean -> G mean + b, cov -> G cov G^T + Q."""
+    """Linear-Gaussian time update: each mean -> G mean + b, cov -> G cov G^T + Q."""
     g = np.asarray(transition, dtype=float)
     if g.shape[1] != state.dim:
         raise InvalidParameterError(
             f"transition has {g.shape[1]} columns for a state of dimension {state.dim}"
         )
-    mean = g @ state.mean
+    mean = state.mean @ g.T
     if input_term is not None:
         mean = mean + input_term
     cov = _symmetrize(g @ state.cov @ g.T + process_noise)
@@ -79,19 +79,24 @@ def update(
 ) -> UpdateResult:
     """Measurement update with the Joseph-stabilized covariance form.
 
-    Returns the posterior together with the innovation, its covariance S, and
-    the Gaussian log-density of the observation under the predictive.  The
-    d x d innovation covariance is factored once, S = L L^T, and its
-    triangular inverse gives the gain P H^T L^-T L^-1, the whitened innovation
-    L^-1 v and log det S = 2 sum log diag L; a singular S raises NumericError.
+    Returns the posterior, the innovation, its shared covariance S = L L^T and
+    the log-density of the observation: (d,) and a float for one mean, (P, d)
+    and (P,) for a bank.  L^-1 gives the gain K = P H^T L^-T L^-1, the whitened
+    innovation L^-1 v and log det S; a singular S raises NumericError.  The Joseph
+    form (I - KH) P (I - KH)^T + K R K^T is A - (A H^T) K^T + K R K^T, A = P - K H P.
     """
     h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     z = np.atleast_2d(np.asarray(obs_noise, dtype=float))
     y = np.atleast_1d(np.asarray(observation, dtype=float))
-    if h.shape[1] != state.dim:
-        raise InvalidParameterError("observation matrix does not match state size")
+    expected = state.mean.shape[:-1] + h.shape[:1]
+    if h.shape[1] != state.dim or y.shape != expected:
+        raise InvalidParameterError(
+            f"observation of shape {y.shape} and observation matrix of shape {h.shape} for "
+            f"means of shape {state.mean.shape}: the observation must have shape {expected}"
+        )
 
-    innovation = y - h @ state.mean
+    # np.dot, not @, for the bank products: @ of a (P, 1) by a (1, C) array is 5x slower
+    innovation = y - np.dot(state.mean, h.T)
     hp = h @ state.cov
     s = _symmetrize(hp @ h.T + z)
     try:
@@ -101,19 +106,20 @@ def update(
     chol_inv = np.linalg.inv(chol)
 
     gain = (chol_inv @ hp).T @ chol_inv
-    white = chol_inv @ innovation
-    mean = state.mean + gain @ innovation
-    closed = np.eye(state.dim) - gain @ h
-    cov = _symmetrize(closed @ state.cov @ closed.T + gain @ z @ gain.T)
+    white = np.dot(innovation, chol_inv.T)
+    mean = state.mean + np.dot(innovation, gain.T)
+    a = state.cov - gain @ hp
+    cov = _symmetrize(a - (a @ h.T) @ gain.T + gain @ z @ gain.T)
 
     log_det = 2.0 * float(np.log(chol.diagonal()).sum())
-    log_density = -0.5 * (y.size * math.log(2.0 * math.pi) + log_det + float(white @ white))
+    quad = (white * white).sum(axis=-1)
+    log_density = -0.5 * (h.shape[0] * math.log(2.0 * math.pi) + log_det + quad)
 
     return UpdateResult(
         state=GaussianState(mean, cov, state.t),
         innovation=innovation,
         innovation_cov=s,
-        log_density=log_density,
+        log_density=log_density if y.ndim > 1 else float(log_density),
     )
 
 
@@ -157,8 +163,9 @@ def rbpf_predict_day(
     temperature is strictly below the set point, the Kalman prediction runs
     with that input held constant over the step, the temperature marginal is
     sampled, and the Gaussian is conditioned on that sample.  All particles
-    share one covariance (input changes only the mean), so every step is one
-    transition of the whole bank of means and the cost is O(C^2 T (C + P)).
+    share one covariance (input changes only the mean): a step is `predict` on
+    the bank, the input on rows whose heater is on, the jump, and `update` with
+    H = e_0, zero noise and the samples as observations; cost O(C^2 T (C + P)).
 
     Particle i draws from its own Philox stream keyed by (seed, i), so the
     result does not depend on how particles are scheduled.  Each stream is
@@ -178,8 +185,8 @@ def rbpf_predict_day(
     draws = _particle_draws(seed, n_particles, n_steps)
     n_drawn = 0
 
-    means = np.tile(init.mean, (n_particles, 1))
-    cov = init.cov.copy()
+    bank = GaussianState(np.tile(init.mean, (n_particles, 1)), init.cov, init.t)
+    temperature, no_noise = np.eye(1, init.dim), np.zeros((1, 1))
 
     # initial heater from the known initial temperature
     heaters = _controller(np.full(n_particles, float(init.mean[0])), setpoint(init.t))
@@ -188,15 +195,13 @@ def rbpf_predict_day(
     for step in steps:
         # G and Q do not depend on the input, and the off input is zero, so a
         # particle with its heater off gets no input term
-        g = step.transition
-        means = means @ g.T
-        means[heaters] += step.input_on
-        cov = _symmetrize(g @ cov @ g.T + step.noise)
+        bank = predict(bank, step.transition, step.noise, t_new=step.t)
+        bank.mean[heaters] += step.input_on
         if step.changepoint:
-            means, cov = jump(means, cov)
+            bank.mean, bank.cov = jump(bank.mean, bank.cov)
 
-        var_t = float(cov[0, 0])
-        m_t = means[:, 0]
+        var_t = float(bank.cov[0, 0])
+        m_t = bank.mean[:, 0]
         mix_mean = float(np.mean(m_t))
         mix_var = var_t + float(np.mean(m_t**2) - mix_mean**2)
         records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
@@ -204,9 +209,7 @@ def rbpf_predict_day(
         if var_t > 1e-14:
             samples = m_t + math.sqrt(var_t) * draws[:, n_drawn]
             n_drawn += 1
-            gain_col = cov[:, 0] / var_t
-            means = means + np.outer(samples - m_t, gain_col)
-            cov = _symmetrize(cov - np.outer(cov[:, 0], cov[:, 0]) / var_t)
+            bank = update(bank, temperature, no_noise, samples[:, None]).state
         else:
             samples = m_t
 

@@ -36,6 +36,19 @@ def test_predict_input_term():
     out = predict(state, np.eye(3), np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
     np.testing.assert_array_equal(out.mean, [1.0, 0.0, 0.0])
 
+    # a bank of 5 means sharing one covariance: each row moves as one mean does
+    rng = np.random.default_rng(0)
+    c = 28
+    a, b = rng.standard_normal((c, c)), rng.standard_normal((c, c))
+    bank = GaussianState(rng.standard_normal((5, c)), a @ a.T / c, 0.0)
+    g, q, u = rng.standard_normal((c, c)) / c, b @ b.T / c, rng.standard_normal(c)
+    out = predict(bank, g, q, u, t_new=1.0)
+    assert out.mean.shape == (5, c) and out.t == 1.0
+    for row, moved in zip(bank.mean, out.mean):
+        single = predict(GaussianState(row, bank.cov, 0.0), g, q, u)
+        np.testing.assert_allclose(moved, single.mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.cov, single.cov, rtol=1e-12, atol=1e-12)
+
 
 def test_predict_dimension_mismatch():
     state = GaussianState(np.zeros(3), np.eye(3), 0.0)
@@ -102,6 +115,7 @@ def _reference_update(state, h, z, y):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_update_matches_scipy_reference(d):
     rng = np.random.default_rng(d)
+    bank_rng = np.random.default_rng(100 + d)
     c = 28
     for _ in range(10):
         a = rng.standard_normal((c, c))
@@ -116,6 +130,29 @@ def test_update_matches_scipy_reference(d):
         np.testing.assert_allclose(res.state.cov, cov, rtol=1e-12, atol=1e-12)
         assert res.log_density == pytest.approx(log_density, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(res.innovation_cov, h @ state.cov @ h.T + z, rtol=1e-12)
+
+        # a bank of 5 means sharing the covariance, one observation row each
+        bank = GaussianState(bank_rng.standard_normal((5, c)), state.cov, 0.0)
+        ys = bank_rng.standard_normal((5, d))
+        res = update(bank, h, z, ys)
+        assert res.state.mean.shape == (5, c) and res.log_density.shape == (5,)
+        for i, (row, y) in enumerate(zip(bank.mean, ys)):
+            mean, cov, log_density = _reference_update(GaussianState(row, state.cov, 0.0), h, z, y)
+            np.testing.assert_allclose(res.state.mean[i], mean, rtol=1e-12, atol=1e-12)
+            assert res.log_density[i] == pytest.approx(log_density, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(res.state.cov, cov, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.innovation, ys - bank.mean @ h.T, rtol=1e-12, atol=1e-12)
+
+
+def test_update_rejects_an_observation_of_the_wrong_shape():
+    # one entry for d = 2 would broadcast against the two predicted entries
+    state = GaussianState(np.zeros(3), np.eye(3), 0.0)
+    with pytest.raises(InvalidParameterError, match=r"shape \(1,\).*must have shape \(2,\)"):
+        update(state, np.eye(2, 3), np.eye(2), [1.0])
+    # a bank takes one observation row per mean
+    bank = GaussianState(np.zeros((4, 3)), np.eye(3), 0.0)
+    with pytest.raises(InvalidParameterError, match=r"shape \(2,\).*must have shape \(4, 2\)"):
+        update(bank, np.eye(2, 3), np.eye(2), [1.0, 2.0])
 
 
 def test_update_singular_innovation_raises():

@@ -3,7 +3,9 @@ lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
 `lfm`.  Every pass takes its transitions from a `lfm.step_cycle` through
 `lfm.pass_steps`, so no pass bypasses the cycle, and only the cycle computes
-the input term (`_input_response`).  Only `apps/synth.py`
+the input term (`_input_response`).  Only `filtering.predict` and `update`
+form a covariance (`_symmetrize`), so the particle filter moves and
+conditions its bank through them.  Only `apps/synth.py`
 builds the applications' daily prior.  Every public name is
 reached from the package itself or kept by a named oracle or paper claim.
 Checked on the source with `ast`, so no module is imported."""
@@ -54,9 +56,9 @@ STEP_BUILDERS = {
 }
 
 
-def _step_builder_uses() -> set[tuple[str, str, str]]:
-    """(file, enclosing top-level function, builder) for every reference to a
-    step builder in the package, by bare name or as an attribute, so a call
+def _uses(names: set[str]) -> set[tuple[str, str, str]]:
+    """(file, enclosing top-level function, name) for every reference to one
+    of `names` in the package, by bare name or as an attribute, so a call
     through an alias or `functools.partial` counts too."""
     found = set()
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -69,19 +71,26 @@ def _step_builder_uses() -> set[tuple[str, str, str]]:
                     name = node.attr
                 else:
                     continue
-                if name in STEP_BUILDERS:
+                if name in names:
                     where = getattr(top, "name", "<module>")
                     found.add((str(path.relative_to(PACKAGE)), where, name))
     return found
 
 
 def test_only_step_cycle_builds_steps():
-    uses = _step_builder_uses()
+    uses = _uses(STEP_BUILDERS)
     assert ("lfm.py", "step_cycle", "discretize") in uses  # the walk sees references
     assert ("lfm.py", "step_cycle", "_input_response") in uses
     # a constant-weight batch builds its own plan; no builder reads the input
     allowed = {("lfm.py", "constant_weight_transition", "make_constant_step_plan")}
     assert {u for u in uses if u[:2] != ("lfm.py", "step_cycle")} <= allowed
+
+
+def test_only_predict_and_update_form_a_covariance():
+    # no pass grows its own covariance algebra beside the Kalman layer
+    assert _uses({"_symmetrize"}) == {
+        ("filtering.py", "predict", "_symmetrize"), ("filtering.py", "update", "_symmetrize"),
+    }
 
 
 DAILY_PRIOR = {"PeriodicMatern", "build", "periodic_force", "cqm_force", "sqm_force", "wqm_force"}
