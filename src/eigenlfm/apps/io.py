@@ -106,6 +106,8 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
     cols = _read_csv(data / "thermal.csv",
                      ["time_min", "t_int", "t_ext", "setpoint", "heater"])
     minutes, t_int, t_ext, setpoint, heater = cols
+    if not np.isin(heater, (0.0, 1.0)).all():
+        raise InvalidParameterError("thermal.csv: the heater column must be 0 or 1")
     meas_path = data / "thermal_meas.csv"
     if meas_path.exists():
         _, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"])

@@ -275,22 +275,23 @@ def _run_thermal_filter(
 
     # minute of each step boundary t_start + k dt, k = 0 .. n_steps
     minute = _record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
-    heater = dataset.heater[minute[:-1]]
+    heater = dataset.heater[minute[:-1]].tolist()
+    observed = np.column_stack((dataset.meas_int, dataset.meas_ext))
 
     h, z = model.measurement_matrix, model.measurement_noise
     loglik = 0.0
     records = []
     for k, step in enumerate(lfm.pass_steps(cycle, t_start, n_steps), start=1):
         state = filtering.predict(
-            state, step.transition, step.noise, heater[k - 1] * step.input_on, t_new=step.t
+            state, step.transition, step.noise,
+            step.input_on if heater[k - 1] else None, t_new=step.t,
         )
         if step.changepoint:
             state.mean, state.cov = lfm.apply_changepoint_moments(model, state.mean, state.cov)
         if emit:
             records.append((step.t, state.mean[0], state.cov[0, 0]))
         if every is not None and k % every == 0:
-            i = minute[k]
-            res = update(state, h, z, [dataset.meas_int[i], dataset.meas_ext[i]])
+            res = update(state, h, z, observed[minute[k]])
             state = res.state
             loglik += res.log_density
     return loglik, state, records

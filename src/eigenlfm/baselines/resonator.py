@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import learn, lfm, lti
-from ..errors import InvalidParameterError, NumericError
+from ..errors import InvalidParameterError
 from ..filtering import GaussianState, predict, update
 
 __all__ = [
@@ -134,13 +134,9 @@ def resonator_fit(
     def objective(p: dict[str, float]) -> float:
         freqs = np.array([p[f"freq_{j}"] for j in range(n_resonators)])
         decays = -np.array([p[f"decay_{j}"] for j in range(n_resonators)])
-        try:
-            return _resonator_loglik(
-                times, values, freqs, decays, p["diffusion"],
-                p["noise_variance"], scale,
-            )
-        except NumericError:
-            return -np.inf
+        return _resonator_loglik(
+            times, values, freqs, decays, p["diffusion"], p["noise_variance"], scale
+        )
 
     result = learn.fit(objective, space, budget=budget, restarts=restarts, seed=seed)
     best = result.params

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import InvalidParameterError, NumericError
 
@@ -81,9 +82,16 @@ def update(
 
     Returns the posterior, the innovation, its shared covariance S = L L^T and
     the log-density of the observation: (d,) and a float for one mean, (P, d)
-    and (P,) for a bank.  L^-1 gives the gain K = P H^T L^-T L^-1, the whitened
-    innovation L^-1 v and log det S; a singular S raises NumericError.  The Joseph
-    form (I - KH) P (I - KH)^T + K R K^T is A - (A H^T) K^T + K R K^T, A = P - K H P.
+    and (P,) for a bank.  S is factored by LAPACK's `potrf` and L inverted by
+    `trtri`, called directly: on a d x d matrix numpy.linalg's wrappers cost
+    several times the factorization.  A non-positive-definite S raises
+    NumericError ("singular"), and so does a non-finite log det S, taken from
+    L's diagonal (potrf passes a NaN through).  With W = L^-1 H P the gain is
+    K = W^T L^-1 and the mean moves by (L^-1 v)^T W.  The Joseph form
+    (I - KH) P (I - KH)^T + K R K^T is formed as
+    P - K (HP) - ((HP)^T - K S) K^T: the C x d term vanishes in exact
+    arithmetic, and keeping it lets a round-off error in K reach the
+    covariance at second order only, as in the Joseph form.
     """
     h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     z = np.atleast_2d(np.asarray(obs_noise, dtype=float))
@@ -99,19 +107,20 @@ def update(
     innovation = y - np.dot(state.mean, h.T)
     hp = h @ state.cov
     s = _symmetrize(hp @ h.T + z)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("innovation covariance is singular") from exc
-    chol_inv = np.linalg.inv(chol)
+    chol, info = dpotrf(s, lower=1, clean=1)
+    if info:
+        raise NumericError("innovation covariance is singular")
+    log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
+    if not math.isfinite(log_det):
+        raise NumericError(f"innovation covariance S is not finite: log det S = {log_det}")
+    chol_inv, _ = dtrtri(chol, lower=1)
 
-    gain = (chol_inv @ hp).T @ chol_inv
+    w = chol_inv @ hp
+    gain = w.T @ chol_inv
     white = np.dot(innovation, chol_inv.T)
-    mean = state.mean + np.dot(innovation, gain.T)
-    a = state.cov - gain @ hp
-    cov = _symmetrize(a - (a @ h.T) @ gain.T + gain @ z @ gain.T)
+    mean = state.mean + np.dot(white, w)
+    cov = _symmetrize(state.cov - gain @ hp - (hp.T - gain @ s) @ gain.T)
 
-    log_det = 2.0 * float(np.log(chol.diagonal()).sum())
     quad = (white * white).sum(axis=-1)
     log_density = -0.5 * (h.shape[0] * math.log(2.0 * math.pi) + log_det + quad)
 

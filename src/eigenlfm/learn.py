@@ -13,13 +13,14 @@ call.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericError
 
 __all__ = ["Param", "ParamSpace", "FitResult", "fit"]
 
@@ -121,6 +122,8 @@ def fit(
     `budget` caps the total objective evaluations across restarts.  Restart
     r > 0 starts from the initial point jittered (in transformed coordinates)
     by seeded Gaussian noise, so the whole search is deterministic in `seed`.
+    A non-finite value or a NumericError from `objective` scores as a very
+    poor value; at the initial point it raises InvalidParameterError.
     """
     dim = len(space.params)
     if budget < dim + 2:
@@ -139,8 +142,11 @@ def fit(
         nonlocal count
         count += 1
         values = space.untransform(coords)
-        out = objective(dict(zip(space.names, values)))
-        out = float(out) if np.isfinite(out) else -_BAD
+        try:
+            out = float(objective(dict(zip(space.names, values))))
+        except NumericError:  # e.g. a singular innovation covariance: scored as non-finite
+            out = math.nan
+        out = out if math.isfinite(out) else -_BAD
         trace.append(out)
         return -out
 

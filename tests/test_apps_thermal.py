@@ -237,6 +237,13 @@ def test_csv_roundtrip(tmp_path):
     (tmp_path / "thermal_meas.csv").unlink()
     back2 = app_io.read_thermal_dataset(tmp_path, cfg)
     np.testing.assert_allclose(back2.meas_int, ds.t_int, atol=1e-9)
+    # the pass reads the heater as on or off, so a fractional command is refused
+    record = tmp_path / "thermal.csv"
+    lines = record.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",0.5"
+    record.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidParameterError, match="heater column must be 0 or 1"):
+        app_io.read_thermal_dataset(tmp_path, cfg)
 
 
 def test_generator_validation():

@@ -161,6 +161,21 @@ def test_update_singular_innovation_raises():
         update(state, [[0.0, 1.0]], [[0.0]], [1.0])
 
 
+@pytest.mark.parametrize(
+    "cov, noise, match",
+    [
+        ([[1.0, 0.0], [0.0, 1.0]], -2.0, "singular"),
+        ([[np.nan, 0.0], [0.0, 1.0]], 0.1, "not finite"),  # potrf passes a NaN through
+        ([[np.inf, 0.0], [0.0, 1.0]], 0.1, "not finite"),
+    ],
+    ids=["indefinite", "nan", "inf"],
+)
+def test_update_rejects_an_innovation_covariance_it_cannot_factor(cov, noise, match):
+    state = GaussianState(np.zeros(2), np.array(cov), 0.0)
+    with pytest.raises(NumericError, match=match):
+        update(state, [[1.0, 0.0]], [[noise]], [0.5])
+
+
 def test_log_likelihood_single_measurement():
     state = GaussianState(np.array([0.0]), np.array([[1.0]]), 0.0)
     res = update(state, [[1.0]], [[1.0]], [0.0])

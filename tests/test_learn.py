@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigenlfm import learn
-from eigenlfm.errors import InvalidParameterError
+from eigenlfm.errors import InvalidParameterError, NumericError
 
 
 def quadratic_space():
@@ -49,13 +49,27 @@ def test_nonfinite_initial_point():
     with pytest.raises(InvalidParameterError):
         learn.fit(lambda p: float("nan"), quadratic_space(), budget=50)
 
+    def raises(p):
+        raise NumericError("innovation covariance is singular")
+
+    with pytest.raises(InvalidParameterError, match="initial point"):
+        learn.fit(raises, quadratic_space(), budget=50)
+
 
 def test_nonfinite_elsewhere_is_survivable():
-    def objective(p):
-        return -np.inf if p["a"] > 5.0 else -((p["a"] - 1.0) ** 2)
+    # a > 3.1 lies inside the first simplex around the initial a = 3
+    def non_finite(p):
+        return -np.inf if p["a"] > 3.1 else -((p["a"] - 1.0) ** 2)
 
-    result = learn.fit(objective, quadratic_space(), budget=200, seed=0)
-    assert result.params["a"] == pytest.approx(1.0, abs=1e-3)
+    def numeric_error(p):
+        if p["a"] > 3.1:
+            raise NumericError("innovation covariance is singular")
+        return -((p["a"] - 1.0) ** 2)
+
+    for objective in (non_finite, numeric_error):
+        result = learn.fit(objective, quadratic_space(), budget=200, seed=0)
+        assert result.params["a"] == pytest.approx(1.0, abs=1e-3)
+        assert min(result.trace) == -learn._BAD
 
 
 def test_param_validation():
