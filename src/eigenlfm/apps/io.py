@@ -2,9 +2,9 @@
 
 Formats:
   queue arrivals      time_min,arrival_rate     (5-minute grid)
-  queue truth/meas    time_min,queue_len
+  queue truth/meas    time_min,queue_len        (truth on the generator.step grid)
   thermal record      time_min,t_int,t_ext,setpoint,heater   (1-minute grid)
-  thermal meas        time_min,t_int,t_ext
+  thermal meas        time_min,t_int,t_ext                   (1-minute grid)
 """
 
 from __future__ import annotations
@@ -24,18 +24,28 @@ __all__ = [
     "read_queue_dataset",
     "write_thermal_dataset",
     "read_thermal_dataset",
+    "write_csv",
 ]
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path: Path, header, rows) -> None:
+    """Write the header and the rows of formatted cells, making the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([f"{v:.10g}" for v in row])
+        writer.writerows(rows)
 
 
-def _read_csv(path: Path, expected: list[str]) -> list[np.ndarray]:
+def _g10(columns: list[np.ndarray]):
+    """The rows of `columns`, each value to 10 significant digits."""
+    return ([f"{v:.10g}" for v in row] for row in zip(*columns))
+
+
+def _read_csv(path: Path, expected: list[str], step: float | None = None) -> list[np.ndarray]:
+    """The columns of a CSV file with the `expected` header.  Given a `step`,
+    the file is read by row position, so its times (first column) must run
+    t0, t0 + step, ...: a file off that grid raises, naming the spacing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -47,27 +57,34 @@ def _read_csv(path: Path, expected: list[str]) -> list[np.ndarray]:
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise InvalidParameterError(f"{path.name} is empty")
+    if step is not None:
+        times = data[:, 0]
+        grid = times[0] + step * np.arange(times.size)
+        off = np.flatnonzero(np.abs(times - grid) > 1e-9 * np.maximum(1.0, np.abs(grid)))
+        if off.size:
+            k = off[0]
+            raise InvalidParameterError(f"{path.name}: time step {times[k] - times[k - 1]:g} "
+                                        f"found at {times[k - 1]:g}, {step:g} expected")
     return [data[:, i] for i in range(data.shape[1])]
 
 
 def write_queue_dataset(out_dir, dataset: QueueDataset) -> list[Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / "arrivals.csv", out / "queue_truth.csv", out / "queue_meas.csv"]
-    _write_csv(paths[0], ["time_min", "arrival_rate"],
-               [dataset.rate_times, dataset.rate_values])
-    _write_csv(paths[1], ["time_min", "queue_len"],
-               [dataset.times, dataset.truth_queue])
-    _write_csv(paths[2], ["time_min", "queue_len"],
-               [dataset.meas_times, dataset.meas_values])
+    write_csv(paths[0], ["time_min", "arrival_rate"],
+              _g10([dataset.rate_times, dataset.rate_values]))
+    write_csv(paths[1], ["time_min", "queue_len"], _g10([dataset.times, dataset.truth_queue]))
+    write_csv(paths[2], ["time_min", "queue_len"],
+              _g10([dataset.meas_times, dataset.meas_values]))
     return paths
 
 
 def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
-    """Rebuild a queue dataset from CSV files (synthetic or real)."""
+    """Rebuild a queue dataset from CSV files (synthetic or real).  The
+    filter steps along queue_truth.csv, so it must be on the `config.step` grid."""
     data = Path(data_dir)
     rate_t, rate_v = _read_csv(data / "arrivals.csv", ["time_min", "arrival_rate"])
-    truth_t, truth_v = _read_csv(data / "queue_truth.csv", ["time_min", "queue_len"])
+    truth_t, truth_v = _read_csv(data / "queue_truth.csv", ["time_min", "queue_len"], config.step)
     meas_t, meas_v = _read_csv(data / "queue_meas.csv", ["time_min", "queue_len"])
     days = int(round(truth_t[-1] / DAY_MINUTES))
     config = QueueGenConfig(**{**config.__dict__, "days": max(days, 2)})
@@ -86,31 +103,31 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
 
 def write_thermal_dataset(out_dir, dataset: ThermalDataset) -> list[Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / "thermal.csv", out / "thermal_meas.csv"]
-    _write_csv(
+    write_csv(
         paths[0],
         ["time_min", "t_int", "t_ext", "setpoint", "heater"],
-        [dataset.minutes, dataset.t_int, dataset.t_ext, dataset.setpoint,
-         dataset.heater],
+        _g10([dataset.minutes, dataset.t_int, dataset.t_ext, dataset.setpoint,
+              dataset.heater]),
     )
-    _write_csv(paths[1], ["time_min", "t_int", "t_ext"],
-               [dataset.minutes, dataset.meas_int, dataset.meas_ext])
+    write_csv(paths[1], ["time_min", "t_int", "t_ext"],
+              _g10([dataset.minutes, dataset.meas_int, dataset.meas_ext]))
     return paths
 
 
 def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
     """Rebuild a thermal dataset from CSV files; if the measurement file is
-    absent the recorded temperatures serve as the measurements."""
+    absent the recorded temperatures serve as the measurements.  The pass
+    reads both files by minute index, so both must be on a 1-minute grid."""
     data = Path(data_dir)
     cols = _read_csv(data / "thermal.csv",
-                     ["time_min", "t_int", "t_ext", "setpoint", "heater"])
+                     ["time_min", "t_int", "t_ext", "setpoint", "heater"], 1.0)
     minutes, t_int, t_ext, setpoint, heater = cols
     if not np.isin(heater, (0.0, 1.0)).all():
         raise InvalidParameterError("thermal.csv: the heater column must be 0 or 1")
     meas_path = data / "thermal_meas.csv"
     if meas_path.exists():
-        _, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"])
+        _, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"], 1.0)
     else:
         meas_int, meas_ext = t_int.copy(), t_ext.copy()
     days = int(round(minutes[-1] / DAY_MINUTES))

@@ -6,8 +6,9 @@ fluid flow approximation (PSFFA)
     dL/dt = -Omega(t) L / (1 + L) + zeta(t),
 
 with service rate Omega and mean arrival rate zeta.  The arrival rate is a
-latent force with a periodic or quasi-periodic GP prior; tracking linearizes
-the drift around the current filtered mean once per step.
+latent force with a periodic or quasi-periodic GP prior.  Tracking is an
+extended Kalman filter: each step relinearizes the drift at the filtered
+mean, and `filtering.predict` applies the relinearized step's (G, Q).
 
 Ground truth is always simulated from the full nonlinear equation; the
 linearization is used only inside the filter.  Time is in minutes and the
@@ -24,7 +25,7 @@ import numpy as np
 from .. import eigenbasis as eb
 from .. import learn, lfm, lti
 from ..errors import ContractViolationError, InvalidParameterError
-from ..filtering import GaussianState, update
+from ..filtering import predict, update
 from .synth import DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, periodic_roster, score
 
 __all__ = [
@@ -228,22 +229,19 @@ def _int_exp(a: float, dt: float) -> float:
     return math.expm1(x) / a
 
 
-def _ou_target_step(f: float, c: float, q: float, dt: float):
-    """Exact one-step (G, Q) of dL/dt = f L + u, du/dt = -c u + noise(q).
-
-    Returns (e_f, g_cross, e_u, q11, q12, q22) with G = [[e_f, g_cross],
-    [0, e_u]].
-    """
+def _ou_target_step(f: float, c: float, dt: float):
+    """The f-dependent terms (e_f, g_cross, q11, q12) of the exact step of
+    dL/dt = f L + u, du/dt = -c u + unit white noise: G = [[e_f, g_cross],
+    [0, e^{-c dt}]] and Q = [[q11, q12], [q12, (e^{-2c dt} - 1) / (-2c)]]."""
     e_f = math.exp(f * dt)
-    e_u = math.exp(-c * dt)
     d = f + c
     if abs(d) * dt > 1e-7:
-        g_cross = e_u * _int_exp(d, dt)
+        g_cross = math.exp(-c * dt) * _int_exp(d, dt)
         i_2f = _int_exp(2.0 * f, dt)
         i_fc = _int_exp(f - c, dt)
         i_2c = _int_exp(-2.0 * c, dt)
-        q11 = q / d**2 * (i_2f - 2.0 * i_fc + i_2c)
-        q12 = q / d * (i_fc - i_2c)
+        q11 = (i_2f - 2.0 * i_fc + i_2c) / d**2
+        q12 = (i_fc - i_2c) / d
     else:
         # f ~ -c: the cross response degenerates to u exp(f u); here |f| dt
         # is small, so fixed-order quadrature of the smooth integrand is exact
@@ -251,10 +249,9 @@ def _ou_target_step(f: float, c: float, q: float, dt: float):
         g_cross = dt * e_f
         u = dt * _GAUSS_X
         gu = u * np.exp(f * u)
-        q11 = q * dt * float(_GAUSS_W @ gu**2)
-        q12 = q * dt * float(_GAUSS_W @ (gu * np.exp(-c * u)))
-    q22 = q * _int_exp(-2.0 * c, dt)
-    return e_f, g_cross, e_u, q11, q12, q22
+        q11 = dt * float(_GAUSS_W @ gu**2)
+        q12 = dt * float(_GAUSS_W @ (gu * np.exp(-c * u)))
+    return e_f, g_cross, q11, q12
 
 
 _GAUSS_X, _GAUSS_W = lfm.gauss_nodes()
@@ -285,55 +282,67 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
     return model
 
 
-def _predict(model, mean, cov, f: float, dt: float, phi):
-    """Closed-form step of the model relinearized to dL/dt = f L + force.
+def _relinearized_steps(model, starts: np.ndarray, dt: float):
+    """Step builder of the model relinearized to dL/dt = f L + force: returns
+    `step(k, f)`, the (G, Q) of the step [starts[k], starts[k] + dt] at drift f.
 
-    The OU force (hart) and OU weights (cqm, coupling frozen at the step-start
-    eigenfunction row `phi`) use `_ou_target_step` with the rate c and the
-    diffusion read from the model; constant weights use the exact quadrature
-    coupling with `phi` the (n_nodes, J) rows at the Gauss nodes of the step.
+    What does not depend on f is built once: the G and Q templates and the
+    eigenfunction rows of every step.  A step copies the templates and fills
+    row 0 (and column 0 of Q).  Constant weights take the exact quadrature
+    coupling from the weighted rows at the Gauss nodes, with no noise.  OU force
+    states take `_ou_target_step` of a unit force, scaled by their noise q:
+    cqm's weights with the coupling frozen at the step-start row phi(t0), or
+    hart's one force, the same step with phi = 1.  Their decay e^{-c dt} and
+    noise q (e^{-2c dt} - 1) / (-2c) fill the templates' diagonals.
     """
+    c = model.dim
+    g, q = np.eye(c), np.zeros((c, c))
+    if model.periodic and lfm.has_constant_weights(model):
+        nodes = (starts[:, None] + dt * _GAUSS_X).ravel()
+        phi = eb.eigenfunction_matrix(model.periodic[0].basis, nodes)
+        phi = dt * _GAUSS_W[:, None] * phi.reshape(starts.size, _GAUSS_X.size, -1)
+        lags = dt * (1.0 - _GAUSS_X)
+
+        def step(k: int, f: float):
+            gk = g.copy()
+            gk[0, 0] = math.exp(f * dt)
+            gk[0, 1:] = np.exp(f * lags) @ phi[k]
+            return gk, q
+
+        return step
+
     if model.nonperiodic:
-        c = -model.nonperiodic[0].block.drift[0, 0]
-        e_f, g, e_u, q11, q12, q22 = _ou_target_step(f, c, model.diffusion[1, 1], dt)
-        gm = np.array([[e_f, g], [0.0, e_u]])
-        q = np.array([[q11, q12], [q12, q22]])
-        return gm @ mean, gm @ cov @ gm.T + q
-    a, b, w = cov[0, 0], cov[0, 1:], cov[1:, 1:]
-    c = -model.weight_rates[0]
-    if c > 0.0:
-        e_f, g_unit, e_u, q11_u, q12_u, q22_u = _ou_target_step(f, c, 1.0, dt)
-        coupling = phi * g_unit
-        qd = np.diag(model.diffusion)[1:]
-        q11 = float(np.sum(qd * phi**2)) * q11_u
-        q1w = qd * phi * q12_u
-        wc = w @ coupling
-        new_a = e_f**2 * a + 2.0 * e_f * (coupling @ b) + coupling @ wc + q11
-        new_b = e_u * (e_f * b + wc) + q1w
-        new_w = e_u**2 * w + np.diag(qd * q22_u)
-        new_mean = np.concatenate([[e_f * mean[0] + coupling @ mean[1:]], e_u * mean[1:]])
+        rate = -model.nonperiodic[0].block.drift[0, 0]
+        phi = np.ones((starts.size, 1))
     else:
-        e_f = math.exp(f * dt)
-        props = np.exp(f * dt * (1.0 - _GAUSS_X))
-        coupling = (dt * _GAUSS_W * props) @ phi
-        wc = w @ coupling
-        new_a = e_f**2 * a + 2.0 * e_f * (coupling @ b) + coupling @ wc
-        new_b = e_f * b + wc
-        new_w = w
-        new_mean = np.concatenate([[e_f * mean[0] + coupling @ mean[1:]], mean[1:]])
-    new_cov = np.empty_like(cov)
-    new_cov[0, 0] = new_a
-    new_cov[0, 1:] = new_b
-    new_cov[1:, 0] = new_b
-    new_cov[1:, 1:] = new_w
-    return new_mean, new_cov
+        rate = -model.weight_rates[0]
+        phi = eb.eigenfunction_matrix(model.periodic[0].basis, starts)
+    qd = np.diag(model.diffusion)[1:]
+    q_phi = qd * phi
+    mass = (q_phi * phi).sum(axis=1).tolist()
+    g[1:, 1:] *= math.exp(-rate * dt)
+    q[1:, 1:] = np.diag(qd * _int_exp(-2.0 * rate, dt))
+
+    def step(k: int, f: float):
+        e_f, g_cross, q11, q12 = _ou_target_step(f, rate, dt)
+        gk, qk = g.copy(), q.copy()
+        gk[0, 0] = e_f
+        gk[0, 1:] = g_cross * phi[k]
+        qk[0, 0] = q11 * mass[k]
+        qk[0, 1:] = qk[1:, 0] = q12 * q_phi[k]
+        return gk, qk
+
+    return step
 
 
 def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
-    """One full filtering pass; returns (loglik, emitted records).  Jumps and
-    measurements are looked up by integer step index, so a measurement time
-    off the step grid raises `ContractViolationError` instead of being
-    dropped.  The service rate is evaluated on the step grid once."""
+    """One full filtering pass; returns (loglik, emitted records).  Step k
+    relinearizes the drift at the filtered mean, takes slot k mod n_cycle of
+    `_relinearized_steps` over one cycle, and goes through `predict`, the
+    jump and `update`.  Jumps and measurements are looked up by integer step
+    index, so a measurement time off the step grid raises
+    `ContractViolationError` instead of being dropped.  The service rate is
+    evaluated on the step grid once."""
     dt = dataset.config.step
     times = dataset.times
     n_steps = times.size - 1
@@ -341,37 +350,22 @@ def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
     meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, n_steps, "measurement")
     meas = dict(zip(meas_steps.tolist(), dataset.meas_values))
 
-    # only the eigenfunction rows `_predict` reads, for one cycle of steps:
-    # step k reads those of step k mod n_cycle
     n_cycle = lfm.cycle_steps(model, dt)
-    phi = None
-    if model.periodic:
-        basis = model.periodic[0].basis
-        starts = times[: min(n_cycle, n_steps)]
-        if lfm.has_constant_weights(model):
-            node_times = (starts[:, None] + dt * _GAUSS_X[None, :]).ravel()
-            phi = eb.eigenfunction_matrix(basis, node_times).reshape(starts.size, _GAUSS_X.size, -1)
-        else:
-            phi = eb.eigenfunction_matrix(basis, starts)
-
+    step = _relinearized_steps(model, times[: min(n_cycle, n_steps)], dt)
     omega = dataset.omega(times[:n_steps]).tolist()
     state = lfm.initial_state(model, [0.0], [[25.0]])
-    mean, cov = state.mean, state.cov
-    loglik = 0.0
-    records = []
+    loglik, records = 0.0, []
     for k in range(n_steps):
-        f = queue_linearize(omega[k], max(mean[0], 0.0))
-        mean, cov = _predict(model, mean, cov, f, dt, None if phi is None else phi[k % n_cycle])
-        t1 = times[k + 1]
+        f = queue_linearize(omega[k], max(state.mean[0], 0.0))
+        state = predict(state, *step(k % n_cycle, f), t_new=times[k + 1])
         if k + 1 in jumps:
-            mean, cov = lfm.apply_changepoint_moments(model, mean, cov)
-        if emit_from is not None and t1 > emit_from + 1e-9:
-            records.append((t1, mean[0], cov[0, 0]))
+            state.mean, state.cov = lfm.apply_changepoint_moments(model, state.mean, state.cov)
+        if emit_from is not None and state.t > emit_from + 1e-9:
+            records.append((state.t, state.mean[0], state.cov[0, 0]))
         y = meas.get(k + 1)
         if y is not None:
-            res = update(GaussianState(mean, cov, t1), model.measurement_matrix,
-                         model.measurement_noise, [y])
-            mean, cov = res.state.mean, res.state.cov
+            res = update(state, model.measurement_matrix, model.measurement_noise, [y])
+            state = res.state
             loglik += res.log_density
     return loglik, records
 

@@ -14,7 +14,6 @@ default lives only in the application function.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 import time
@@ -61,25 +60,11 @@ def main(ctx, config_path, seed, out_dir, jobs):
     }
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _seeds(ctx_obj, config) -> list[int]:
-    if ctx_obj["seed"] is not None:
-        return [ctx_obj["seed"]]
-    return list(config.get("seeds", [0]))
 
 
 @main.command("eigenbasis")
@@ -103,13 +88,13 @@ def cmd_eigenbasis(ctx):
         _fail(str(exc))
 
     out = ctx.obj["out"]
-    _write_csv(
+    app_io.write_csv(
         out / "spectrum.csv", ["j", "mu_scaled"],
         [(int(j), f"{v:.12g}") for j, v in eb.spectrum_table(basis)],
     )
     header = ["t"] + [f"phi_{int(j) + 1}" for j in basis.selected]
     rows = [[f"{t:.10g}"] + [f"{v:.12g}" for v in row] for t, row in zip(grid, phi)]
-    _write_csv(out / "eigenfunctions.csv", header, rows)
+    app_io.write_csv(out / "eigenfunctions.csv", header, rows)
     click.echo(f"wrote {basis.n_selected} eigenfunctions to {out}")
 
 
@@ -137,7 +122,7 @@ def cmd_compare_bases(ctx):
         _fail(str(exc))
 
     out = ctx.obj["out"]
-    _write_csv(
+    app_io.write_csv(
         out / "compare_bases.csv",
         ["method", "basis_count", "max_cov_error", "rmse", "ell"],
         [
@@ -243,7 +228,7 @@ def _seed_work(args) -> list[dict]:
             continue
         result = app.passes[command](dataset, method, dict(params), config, seed)
         columns = (result[k] for k in ("times", "mean", "var", "truth"))
-        _write_csv(
+        app_io.write_csv(
             out / f"{command}-{method}.csv", ["time_min", "pred_mean", "pred_var", "truth"],
             [[f"{v:.10g}" for v in row] for row in zip(*columns)],
         )
@@ -256,7 +241,10 @@ def _seed_work(args) -> list[dict]:
 
 
 def _run_seeds(app_name, config, ctx_obj, command) -> list[dict]:
-    seeds = _seeds(ctx_obj, config)
+    seeds = [ctx_obj["seed"]] if ctx_obj["seed"] is not None else config.get("seeds", [0])
+    if "data_dir" in config and len(seeds) > 1:
+        raise InvalidParameterError(f"data_dir holds one dataset, but seeds lists "
+                                    f"{len(seeds)}: give one seed (or --seed)")
     jobs = min(ctx_obj["jobs"], len(seeds))
     args = [(app_name, config, s, str(ctx_obj["out"]), command) for s in seeds]
     if jobs > 1:

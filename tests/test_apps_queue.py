@@ -3,11 +3,11 @@ import pytest
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import lfm, lti
+from eigenlfm import lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
-from eigenlfm.filtering import GaussianState, predict, update
+from eigenlfm.filtering import update
 from helpers import one_step
 
 
@@ -67,59 +67,59 @@ def test_generated_sqm_intercycle_correlation():
     assert abs(corr - np.exp(-1.0 / ell_q)) < 0.1
 
 
-def _random_moments(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim))
-    return rng.standard_normal(dim), a @ a.T + np.eye(dim)
+_PERIODIC = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
 
 
-def test_specialized_constant_weight_step_matches_generic():
-    # the queue's closed-form predict for constant weights against the generic
-    # constant-weight transition of a model with the linearized drift f
+def _generic_twin(kind, basis, f):
+    """The queue model's force in a generic model whose target drift is f."""
+    if kind == "quasi-sqm":
+        force, changepoints = lfm.sqm_force(basis, [1.0], 1.0, 2.0), [qa.DAY_MINUTES]
+    else:
+        force, changepoints = lfm.cqm_force(basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES), []
+    return lfm.assemble(lfm.TargetModel(np.array([[f]])), periodic=[force],
+                        changepoints=changepoints)
+
+
+@pytest.mark.parametrize(
+    "kind,params,f,t0,dt,tol",
+    [
+        pytest.param("quasi-sqm", _PERIODIC, -10.0 / 3.3, 100.0, 2.0, 1e-12, id="constant"),
+        pytest.param("quasi-cqm", _PERIODIC, -10.0 / 3.3, 100.0, 2.0, 1e-10, id="cqm"),
+    ] + [
+        # hart: an OU force with rate 1/ell and diffusion q = 2 sigma_f^2 / ell
+        pytest.param("hart", dict(sigma_obs=0.6, sigma_f=(q * ell / 2.0) ** 0.5, ell_f=ell),
+                     f, 0.0, dt, 1e-9, id=f"hart-f{f:g}-ell{ell:.10g}-q{q:g}")
+        for f, ell, q, dt in [
+            (-2.0, 100.0, 0.4, 2.0),
+            (-0.5, 2.0, 1.3, 2.0),
+            (-0.5, 2.0 + 1e-9, 1.0, 2.0),   # nearly degenerate f = -1/ell
+            (-0.05, 800.0, 2.0, 2.0),
+        ]
+    ],
+)
+def test_relinearized_step_matches_generic(kind, params, f, t0, dt, tol):
+    # the queue's (G, Q) at drift f against the generic builder's step of a
+    # model with target drift f and the same force
     cfg = qa.QueueGenConfig(days=2, n_basis_points=64)
-    params = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
-    model = qa._queue_model("quasi-sqm", params, cfg)
-    basis = model.periodic[0].basis
-    m0, p0 = _random_moments(model.dim, 0)
+    model = qa._queue_model(kind, params, cfg)
+    if kind == "hart":
+        generic = lfm.assemble(lfm.TargetModel(np.array([[f]])), nonperiodic=model.nonperiodic)
+    else:
+        generic = _generic_twin(kind, model.periodic[0].basis, f)
+    build = lfm.constant_weight_transition if lfm.has_constant_weights(generic) else lfm.discretize
+    ref_g, ref_q = one_step(build, generic, t0, t0 + dt)
+    g, q = qa._relinearized_steps(model, np.array([t0]), dt)(0, f)
+    np.testing.assert_allclose(g, ref_g, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(q, ref_q, rtol=0.0, atol=tol)
 
-    force = lfm.sqm_force(basis, [1.0], 1.0, 2.0)
-    f = -10.0 / 3.3
-    generic = lfm.assemble(
-        lfm.TargetModel(np.array([[f]])), periodic=[force], changepoints=[1440.0]
-    )
-    g, q = one_step(lfm.constant_weight_transition, generic, 100.0, 102.0)
-    ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), g, q)
-    phi_nodes = eb.eigenfunction_matrix(basis, 100.0 + 2.0 * qa._GAUSS_X)
-    mean, cov = qa._predict(model, m0.copy(), p0.copy(), f, 2.0, phi_nodes)
-    np.testing.assert_allclose(mean, ref.mean, atol=1e-12)
-    np.testing.assert_allclose(cov, ref.cov, atol=1e-12)
-
-    # the queue model registers the same day-boundary jump
+    # the queue model registers the same day-boundary jumps
     np.testing.assert_array_equal(model.changepoints, generic.changepoints)
-    ref_means, ref_cov = lfm.apply_changepoint_moments(generic, ref.mean[None, :], ref.cov)
-    means, cov = lfm.apply_changepoint_moments(model, mean[None, :], cov)
-    np.testing.assert_allclose(means[0], ref_means[0], atol=1e-12)
-    np.testing.assert_allclose(cov, ref_cov, atol=1e-12)
-
-
-def test_specialized_cqm_step_matches_generic():
-    # the queue's closed-form predict for OU weights against the generic
-    # frozen-m Van Loan discretization
-    cfg = qa.QueueGenConfig(days=2, n_basis_points=64)
-    params = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
-    model = qa._queue_model("quasi-cqm", params, cfg)
-    basis = model.periodic[0].basis
-    m0, p0 = _random_moments(model.dim, 1)
-
-    force = lfm.cqm_force(basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES)
-    f = -10.0 / 3.3
-    generic = lfm.assemble(lfm.TargetModel(np.array([[f]])), periodic=[force])
-    g, q = one_step(lfm.discretize, generic, 100.0, 102.0)
-    ref = predict(GaussianState(m0.copy(), p0.copy(), 100.0), g, q)
-    phi_t0 = eb.eigenfunction_matrix(basis, 100.0)[0]
-    mean, cov = qa._predict(model, m0.copy(), p0.copy(), f, 2.0, phi_t0)
-    np.testing.assert_allclose(mean, ref.mean, atol=1e-10)
-    np.testing.assert_allclose(cov, ref.cov, atol=1e-10)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((model.dim, model.dim))
+    means, cov = rng.standard_normal((1, model.dim)), a @ a.T
+    for got, ref in zip(lfm.apply_changepoint_moments(model, means, cov),
+                        lfm.apply_changepoint_moments(generic, means, cov)):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
 def test_track_rejects_changepoints_off_the_step_grid():
@@ -143,32 +143,6 @@ def test_track_uses_every_measurement_or_fails_loudly(monkeypatch):
     monkeypatch.setattr(qa, "update", lambda *args: updates.append(args) or update(*args))
     qa.queue_track(ds, "hart", params)
     assert len(updates) == ds.meas_times.size == 36 + 8
-
-
-@pytest.mark.parametrize(
-    "f,ell,q,dt",
-    [
-        (-2.0, 100.0, 0.4, 2.0),
-        (-0.5, 2.0, 1.3, 2.0),
-        (-0.5, 2.0 + 1e-9, 1.0, 2.0),   # nearly degenerate f = -1/ell
-        (-0.05, 800.0, 2.0, 2.0),
-    ],
-)
-def test_ou_target_step_matches_van_loan(f, ell, q, dt):
-    c = 1.0 / ell
-    e_f, g, e_u, q11, q12, q22 = qa._ou_target_step(f, c, q, dt)
-    blk = lti.LtiSde(np.array([[-c]]), np.array([[1.0]]), q, np.array([1.0]))
-    model = lfm.assemble(
-        lfm.TargetModel(np.array([[f]])),
-        nonperiodic=[lfm.NonPeriodicForce(blk, np.array([1.0]))],
-    )
-    tr_g, tr_q = one_step(lfm.discretize, model, 0.0, dt)
-    np.testing.assert_allclose(
-        np.array([[e_f, g], [0.0, e_u]]), tr_g, atol=1e-9
-    )
-    np.testing.assert_allclose(
-        np.array([[q11, q12], [q12, q22]]), tr_q, atol=1e-9
-    )
 
 
 def test_track_dense_measurements_hits_noise_floor():
@@ -238,3 +212,13 @@ def test_csv_header_check(tmp_path):
     (tmp_path / "arrivals.csv").write_text("time,rate\n0,1\n")
     with pytest.raises(InvalidParameterError):
         app_io.read_queue_dataset(tmp_path, qa.QueueGenConfig(days=2))
+
+
+def test_reader_checks_the_time_grid(tmp_path):
+    # the filter steps along the file's times: a 2-minute record read at a
+    # 4-minute step would label 4-minute steps with 2-minute times
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=2.0), seed=0)
+    app_io.write_queue_dataset(tmp_path, ds)
+    with pytest.raises(InvalidParameterError,
+                       match="queue_truth.csv: time step 2 found at 0, 4 expected"):
+        app_io.read_queue_dataset(tmp_path, qa.QueueGenConfig(days=2, step=4.0))

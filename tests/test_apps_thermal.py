@@ -246,6 +246,19 @@ def test_csv_roundtrip(tmp_path):
         app_io.read_thermal_dataset(tmp_path, cfg)
 
 
+@pytest.mark.parametrize("name", ["thermal.csv", "thermal_meas.csv"])
+def test_reader_checks_the_minute_grid(tmp_path, name):
+    # the pass reads the files by minute index: a record thinned to every
+    # other minute would train on the wrong rows
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=6)
+    app_io.write_thermal_dataset(tmp_path, ds)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
+    with pytest.raises(InvalidParameterError, match=f"{name}: time step 2 found at 0, 1 expected"):
+        app_io.read_thermal_dataset(tmp_path, ds.config)
+
+
 def test_generator_validation():
     with pytest.raises(InvalidParameterError):
         th.generate_thermal_data(th.ThermalGenConfig(days=1), seed=0)

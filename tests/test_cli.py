@@ -237,6 +237,23 @@ def test_data_dir_day_comes_from_the_files(tmp_path, config, app):
     assert [r["day"] for r in records] == [2, 2]
 
 
+def test_data_dir_run_takes_one_seed(tmp_path):
+    # a data_dir holds one dataset: two seeds would score copies of it under
+    # two tags, so the run fails before any work; --seed leaves one seed
+    result, sim = _invoke(tmp_path / "simulate", {**QUEUE_CONFIG, "seeds": [0]},
+                          "queue", "simulate")
+    assert result.exit_code == 0, result.output
+    config = {**QUEUE_CONFIG, "data_dir": str(sim / "queue-s0")}
+    assert len(config["seeds"]) == 2
+    result, out = _invoke(tmp_path / "two", config, "queue", "track")
+    _fails_cleanly(result, "data_dir holds one dataset, but seeds lists 2")
+    assert not out.exists()
+    result, out = _invoke(tmp_path / "one", config, "--seed", "1", "queue", "track")
+    assert result.exit_code == 0, result.output
+    records = json.loads((out / "metrics.json").read_text())
+    assert [r["dataset"] for r in records] == ["queue-s1", "queue-s1"]
+
+
 def test_cli_import_leaves_out_the_optimizer_and_the_process_pool():
     # only a fit needs scipy.optimize and only --jobs > 1 a process pool;
     # neither may cost every command its import time

@@ -1,14 +1,16 @@
 """The package layering runs one way: the engine (kernels -> eigenbasis ->
 lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
-`lfm`.  Every pass takes its transitions from a `lfm.step_cycle` through
-`lfm.pass_steps`, so no pass bypasses the cycle, and only the cycle computes
-the input term (`_input_response`).  Only `filtering.predict` and `update`
-form a covariance (`_symmetrize`), so the particle filter moves and
-conditions its bank through them.  Only `apps/synth.py`
-builds the applications' daily prior.  Every public name is
-reached from the package itself or kept by a named oracle or paper claim.
-Checked on the source with `ast`, so no module is imported."""
+`lfm`.  Every pass over a fixed model takes its transitions from a
+`lfm.step_cycle` through `lfm.pass_steps`, so no such pass bypasses the
+cycle, and only the cycle computes the input term (`_input_response`); the
+queue, whose drift is relinearized every step, builds its own (G, Q).  Only
+`filtering.predict` and `update` form a covariance (`_symmetrize`), and every
+filter pass (the queue's, the thermal one, the resonator's and the particle
+filter) moves its state with `filtering.predict`.  Only `apps/synth.py`
+builds the applications' daily prior.  Every public name is reached from the
+package itself or kept by a named oracle or paper claim.  Checked on the
+source with `ast`, so no module is imported."""
 
 import ast
 from pathlib import Path
@@ -91,6 +93,16 @@ def test_only_predict_and_update_form_a_covariance():
     assert _uses({"_symmetrize"}) == {
         ("filtering.py", "predict", "_symmetrize"), ("filtering.py", "update", "_symmetrize"),
     }
+
+
+def test_every_filter_pass_predicts_through_the_kalman_layer():
+    # no pass moves its state with its own transition algebra
+    assert {
+        ("apps/queueing.py", "_run_queue_filter", "predict"),
+        ("apps/thermal.py", "_run_thermal_filter", "predict"),
+        ("baselines/resonator.py", "_resonator_loglik", "predict"),
+        ("filtering.py", "rbpf_predict_day", "predict"),
+    } <= _uses({"predict"})
 
 
 DAILY_PRIOR = {"PeriodicMatern", "build", "periodic_force", "cqm_force", "sqm_force", "wqm_force"}
