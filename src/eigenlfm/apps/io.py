@@ -68,6 +68,19 @@ def _read_csv(path: Path, expected: list[str], step: float | None = None) -> lis
     return [data[:, i] for i in range(data.shape[1])]
 
 
+def _whole_days(path: Path, last: float) -> int:
+    """The number of days in a record that runs from minute 0 to `last`: a
+    whole number, at least two (training days plus the held-out day), to the
+    `lfm.grid_steps` tolerance; any other span raises, naming the file."""
+    days = int(round(last / DAY_MINUTES))
+    if days < 2 or abs(days * DAY_MINUTES - last) > 1e-9 * max(1.0, last):
+        raise InvalidParameterError(
+            f"{path.name}: the record ends at minute {last:g} ({last / DAY_MINUTES:.4g} days); "
+            "it must span a whole number of days, at least two"
+        )
+    return days
+
+
 def write_queue_dataset(out_dir, dataset: QueueDataset) -> list[Path]:
     out = Path(out_dir)
     paths = [out / "arrivals.csv", out / "queue_truth.csv", out / "queue_meas.csv"]
@@ -86,8 +99,8 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
     rate_t, rate_v = _read_csv(data / "arrivals.csv", ["time_min", "arrival_rate"])
     truth_t, truth_v = _read_csv(data / "queue_truth.csv", ["time_min", "queue_len"], config.step)
     meas_t, meas_v = _read_csv(data / "queue_meas.csv", ["time_min", "queue_len"])
-    days = int(round(truth_t[-1] / DAY_MINUTES))
-    config = QueueGenConfig(**{**config.__dict__, "days": max(days, 2)})
+    days = _whole_days(data / "queue_truth.csv", truth_t[-1])
+    config = QueueGenConfig(**{**config.__dict__, "days": days})
     return QueueDataset(
         times=truth_t,
         truth_queue=truth_v,
@@ -130,8 +143,8 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
         _, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"], 1.0)
     else:
         meas_int, meas_ext = t_int.copy(), t_ext.copy()
-    days = int(round(minutes[-1] / DAY_MINUTES))
-    config = ThermalGenConfig(**{**config.__dict__, "days": max(days, 2)})
+    days = _whole_days(data / "thermal.csv", minutes[-1])
+    config = ThermalGenConfig(**{**config.__dict__, "days": days})
     return ThermalDataset(
         minutes=minutes,
         t_int=t_int,

@@ -91,10 +91,6 @@ class ThermalDataset:
     test_start: float
     config: ThermalGenConfig
 
-    def setpoint_at(self, t: float) -> float:
-        i = min(int(t), self.setpoint.size - 1)
-        return float(self.setpoint[i])
-
 
 def _setpoint_profile(config: ThermalGenConfig, minutes: np.ndarray) -> np.ndarray:
     hod = (minutes % DAY_MINUTES) / 60.0
@@ -429,9 +425,9 @@ def thermal_predict_day(
     cycle, state = _trained_state(dataset, kind, params, envelope)
     model = cycle.model
     n_steps = int(round(DAY_MINUTES / cycle.dt))
+    minute = _record_minutes(dataset, state.t + cycle.dt * np.arange(n_steps + 1))
     records = rbpf_predict_day(
-        lfm.pass_steps(cycle, state.t, n_steps), n_steps, state,
-        dataset.setpoint_at, n_particles, seed,
-        jump=functools.partial(lfm.apply_changepoint_moments, model),
+        lfm.pass_steps(cycle, state.t, n_steps), state, dataset.setpoint[minute],
+        n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
     return _score(dataset, model, [(r["t"], r["mean"], r["var"]) for r in records])

@@ -1,6 +1,9 @@
+"""Baselines beside the eigenfunction LFMs: the dense-GP oracle, sparse
+spectrum GP regression (SSGPR) and the resonator blocks that thermal's
+"resonator" roster entry is built from."""
+
 from .dense_gp import DenseGp, gp_regress, log_marginal_likelihood, stationary_lfm_kernel
 from .ssgpr import SsgprModel, ssgpr_build, ssgpr_regress, implied_covariance
-from .resonator import ResonatorModel, resonator_fit
 
 __all__ = [
     "DenseGp",
@@ -11,6 +14,4 @@ __all__ = [
     "ssgpr_build",
     "ssgpr_regress",
     "implied_covariance",
-    "ResonatorModel",
-    "resonator_fit",
 ]

@@ -8,8 +8,9 @@ runtime_ms in the metrics records.
 The queue and thermal commands share one seed worker, `_seed_work`; what
 differs per application (generator settings, dataset generate/read/write,
 fit, the scored pass of each command, default methods) is looked up in
-`_APPS`.  A fit or pass option the config leaves out is not passed, so its
-default lives only in the application function.
+`_APPS`.  An option the config leaves out is not passed, so its default
+lives only in the function called (the application's, `eb.build`,
+`compare_linear_bases`).
 """
 
 from __future__ import annotations
@@ -76,10 +77,7 @@ def cmd_eigenbasis(ctx):
         kernel = kernels.kernel_from_config(config["kernel"])
         period = float(config["period"])
         basis = eb.build(
-            kernel,
-            int(config.get("n_points", 100)),
-            period,
-            float(config.get("gamma", 0.01)),
+            kernel, int(config.get("n_points", 100)), period, **_given(config, {"gamma": "gamma"})
         )
         grid_cfg = config.get("grid", {"start": 0.0, "stop": period, "count": 256})
         grid = np.linspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"])
@@ -105,19 +103,8 @@ def cmd_compare_bases(ctx):
     try:
         config = load_config("compare-bases", ctx.obj["config_path"])
         seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 0
-        rows = compare_linear_bases(
-            sigma=config.get("sigma", 1.0),
-            ell=config.get("ell", 10.0),
-            window=config.get("window", 120.0),
-            n_points=config.get("n_points", 100),
-            n_basis=config.get("n_basis", 22),
-            n_draws=config.get("n_draws", 20),
-            measure_every=config.get("measure_every", 10.0),
-            noise=config.get("noise", 1e-10),
-            grid_count=config.get("grid_count", 200),
-            ssgpr_multipliers=tuple(config.get("ssgpr_multipliers", [1, 4])),
-            seed=seed,
-        )
+        # the schema's keys are the function's keywords
+        rows = compare_linear_bases(**config, seed=seed)
     except _PKG_ERRORS as exc:
         _fail(str(exc))
 

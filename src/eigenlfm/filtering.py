@@ -151,9 +151,8 @@ def _particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
 
 def rbpf_predict_day(
     steps: Iterable,
-    n_steps: int,
     init: GaussianState,
-    setpoint: Callable[[float], float],
+    setpoints: np.ndarray,
     n_particles: int,
     seed: int,
     *,
@@ -161,12 +160,14 @@ def rbpf_predict_day(
 ) -> list[dict]:
     """Day-ahead prediction with particles over the binary heater input.
 
-    `steps` yields the `n_steps` steps of the pass in order, each with the
+    `steps` yields the n_steps steps of the pass in order, each with the
     end time `t`, the `transition` G and `noise` Q, the input term
     `input_on` of a heater that is on, and whether a `changepoint` falls on
     the step end (see `lfm.pass_steps`); it may be lazy.  On such a step,
     `jump(means, cov)` maps the bank of means and the shared covariance
-    across the changepoint.  The temperature is state 0.
+    across the changepoint.  The temperature is state 0.  `setpoints` holds
+    the n_steps + 1 set points at the pass start and at each step end; none
+    may be NaN, and a count that does not match the steps raises ValueError.
 
     Per step and particle: the heater is on while the particle's last sampled
     temperature is strictly below the set point, the Kalman prediction runs
@@ -188,20 +189,21 @@ def rbpf_predict_day(
     """
     if n_particles < 1:
         raise InvalidParameterError("need at least one particle")
-    if math.isnan(setpoint(init.t)):
+    setpoints = np.asarray(setpoints, dtype=float)
+    if np.isnan(setpoints).any():
         raise InvalidParameterError("setpoint must not be NaN")
 
-    draws = _particle_draws(seed, n_particles, n_steps)
+    draws = _particle_draws(seed, n_particles, setpoints.size - 1)
     n_drawn = 0
 
     bank = GaussianState(np.tile(init.mean, (n_particles, 1)), init.cov, init.t)
     temperature, no_noise = np.eye(1, init.dim), np.zeros((1, 1))
 
     # initial heater from the known initial temperature
-    heaters = _controller(np.full(n_particles, float(init.mean[0])), setpoint(init.t))
+    heaters = _controller(np.full(n_particles, float(init.mean[0])), setpoints[0])
 
     records = []
-    for step in steps:
+    for step, sp in zip(steps, setpoints[1:], strict=True):
         # G and Q do not depend on the input, and the off input is zero, so a
         # particle with its heater off gets no input term
         bank = predict(bank, step.transition, step.noise, t_new=step.t)
@@ -222,9 +224,6 @@ def rbpf_predict_day(
         else:
             samples = m_t
 
-        sp = setpoint(step.t)
-        if math.isnan(sp):
-            raise InvalidParameterError("setpoint must not be NaN")
         heaters = _controller(samples, sp)
 
     return records

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from eigenlfm import kernels as K
 from eigenlfm import lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
+from eigenlfm.apps.synth import draw_periodic_force
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
 from eigenlfm.filtering import update
 from helpers import one_step
@@ -54,8 +57,6 @@ def test_generator_deterministic():
 def test_generated_sqm_intercycle_correlation():
     # correlation of the drawn rate at a fixed phase across consecutive
     # cycles approaches exp(-1/ell_q)
-    from eigenlfm.apps.synth import draw_periodic_force
-
     ell_q = 2.0
     kernel = K.PeriodicMatern(0.5, 1.0, 0.4, 10.0)
     basis = eb.build(kernel, 64, 10.0, 0.01)
@@ -65,6 +66,44 @@ def test_generated_sqm_intercycle_correlation():
     per_cycle = force[: 200 * 20].reshape(200, 20)
     corr = np.corrcoef(per_cycle[:-1].ravel(), per_cycle[1:].ravel())[0, 1]
     assert abs(corr - np.exp(-1.0 / ell_q)) < 0.1
+
+
+def test_generated_with_draw_repeats_daily():
+    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, qa.DAY_MINUTES), 64, qa.DAY_MINUTES, 0.01)
+    grid = np.arange(0.0, 3 * qa.DAY_MINUTES + 1e-9, 5.0)
+    force = draw_periodic_force(grid, basis, "with", np.random.default_rng(1))
+    day = int(qa.DAY_MINUTES / 5.0)
+    np.testing.assert_allclose(force[day:], force[:-day], rtol=0.0, atol=1e-12)
+
+
+def test_generated_wqm_increment_variance():
+    # the weights take a random walk with variance xi mu_j per day, so the
+    # day-to-day increment at phase t has variance xi sum_j mu_j phi_j(t)^2
+    xi = 0.5
+    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, 10.0), 64, 10.0, 0.01)
+    grid = np.arange(0.0, 101 * 10.0, 0.5)
+    increments = []
+    for seed in range(40):
+        force = draw_periodic_force(grid, basis, "quasi-wqm", np.random.default_rng(seed), xi=xi)
+        per_cycle = force[: 101 * 20].reshape(101, 20)
+        increments.append(np.diff(per_cycle, axis=0))
+    phi = eb.eigenfunction_matrix(basis, grid[:20])
+    expected = xi * (phi**2 @ basis.scaled_eigenvalues())
+    np.testing.assert_allclose(np.var(np.concatenate(increments), axis=0), expected, rtol=0.15)
+
+
+def test_generated_draw_rejects_an_unknown_kind():
+    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, 10.0), 16, 10.0, 0.01)
+    with pytest.raises(InvalidParameterError, match="unsupported periodic draw kind 'quasi-xqm'"):
+        draw_periodic_force(np.arange(0.0, 20.0), basis, "quasi-xqm", np.random.default_rng(0))
+
+
+def test_int_exp_small_argument_series():
+    # below |a dt| = 1e-8 the series replaces expm1(a dt) / a, which it matches
+    dt = 2.0
+    for a in (3e-9, -4.9e-9, 1e-13, -2e-17):
+        assert qa._int_exp(a, dt) == pytest.approx(math.expm1(a * dt) / a, rel=1e-15)
+    assert qa._int_exp(0.0, dt) == dt
 
 
 _PERIODIC = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
@@ -222,3 +261,16 @@ def test_reader_checks_the_time_grid(tmp_path):
     with pytest.raises(InvalidParameterError,
                        match="queue_truth.csv: time step 2 found at 0, 4 expected"):
         app_io.read_queue_dataset(tmp_path, qa.QueueGenConfig(days=2, step=4.0))
+
+
+def test_reader_requires_whole_days(tmp_path):
+    # the last day is held out: a 2.6-day record would score 0.6 of a day
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=3), seed=0)
+    app_io.write_queue_dataset(tmp_path, ds)
+    path = tmp_path / "queue_truth.csv"
+    lines = path.read_text().splitlines()
+    keep = [line for line in lines[1:] if float(line.split(",")[0]) <= 2.6 * 1440]
+    path.write_text("\n".join(lines[:1] + keep) + "\n")
+    with pytest.raises(InvalidParameterError,
+                       match=r"queue_truth.csv: the record ends at minute 3744 \(2.6 days\)"):
+        app_io.read_queue_dataset(tmp_path, ds.config)

@@ -26,8 +26,7 @@ def test_build_state_dimensions():
     env_params = dict(BASE_PARAMS, gamma_env=0.02, psi_env=0.02)
     envelope = th.thermal_build("quasi-sqm", env_params, cfg, envelope=True)
     assert envelope.layout.dim_za == 4
-    assert envelope.dim == 4 + envelope.dim - envelope.layout.dim_za + 0 or True
-    assert envelope.dim - envelope.layout.dim_za == j
+    assert envelope.dim == 4 + j
 
 
 def test_relaxation_toward_constant_exterior():
@@ -257,6 +256,33 @@ def test_reader_checks_the_minute_grid(tmp_path, name):
     path.write_text("\n".join(lines[:1] + lines[1::2]) + "\n")
     with pytest.raises(InvalidParameterError, match=f"{name}: time step 2 found at 0, 1 expected"):
         app_io.read_thermal_dataset(tmp_path, ds.config)
+
+
+def test_reader_requires_two_whole_days(tmp_path):
+    # a one-day record has no training day: its "held-out day" would lie
+    # past the record
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=6)
+    app_io.write_thermal_dataset(tmp_path, ds)
+    for name in ("thermal.csv", "thermal_meas.csv"):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1442]) + "\n")
+    with pytest.raises(InvalidParameterError,
+                       match=r"thermal.csv: the record ends at minute 1440 \(1 days\)"):
+        app_io.read_thermal_dataset(tmp_path, ds.config)
+
+
+def test_without_residual_is_zero():
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2, residual_kind="without"), seed=2)
+    assert np.all(ds.residual == 0.0)
+
+
+def test_envelope_fit_stays_in_bounds():
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=3)
+    result = th.thermal_fit(ds, "without", budget=12, envelope=True)
+    assert np.isfinite(result.value)
+    for name in ("gamma_env", "psi_env"):
+        assert 1e-4 <= result.params[name] <= 0.5
 
 
 def test_generator_validation():

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
 from eigenlfm import lfm
 from eigenlfm.baselines import (
     DenseGp,
-    ResonatorModel,
     gp_regress,
     implied_covariance,
     log_marginal_likelihood,
-    resonator_fit,
     ssgpr_build,
     ssgpr_regress,
 )
 from eigenlfm.baselines.comparison import compare_linear_bases
-from eigenlfm.baselines.resonator import _resonator_loglik, resonator_block
+from eigenlfm.baselines.resonator import resonator_block
 from eigenlfm.errors import InvalidParameterError
-from eigenlfm.filtering import GaussianState, predict, update
 
 
 def test_gp_prior_with_no_data():
@@ -144,93 +140,4 @@ def test_resonator_decay_envelope():
     t, psi = _resonator_path(1.0 / np.pi, b, 0.005, 4000, psi0=1.0, dpsi0=0.0)
     envelope = np.exp(0.5 * b * t)
     assert np.all(np.abs(psi) <= envelope * 1.05 + 1e-9)
-
-
-def test_resonator_fit_recovers_sinusoid():
-    period = 10.0
-    f_true = 2.0 / period
-    times = np.linspace(0.0, 3.0 * period, 120)
-    values = np.sin(2.0 * np.pi * f_true * times + 0.4)
-    model, result = resonator_fit(times, values, 3, period, budget=260, seed=0)
-    assert np.min(np.abs(model.frequencies - f_true)) / f_true < 0.05
-    best = np.maximum.accumulate(result.trace)
-    assert np.all(np.diff(best) >= 0)
-
-
-def test_resonator_fit_validation():
-    with pytest.raises(InvalidParameterError):
-        resonator_fit([0.0, 1.0], [0.0, 1.0], 0, 10.0)
-    with pytest.raises(InvalidParameterError, match="times"):
-        resonator_fit([0.0, 1.0, 2.0, 3.5, 4.5], np.zeros(5), 1, 10.0)
-
-
-def _reference_loglik(times, values, freqs, decays, diffusion, noise_variance, init_variance):
-    """Hand-written Kalman loop over the resonator bank (per-resonator
-    exponential and Van Loan at every step), kept as the reference for the
-    engine log-likelihood."""
-    n_res = freqs.size
-    dim = 2 * n_res + 1
-    h = np.zeros((1, dim))
-    h[0, 0:2 * n_res:2] = 1.0
-    h[0, -1] = 1.0
-
-    cov = np.zeros((dim, dim))
-    share = init_variance / (n_res + 1)
-    for j in range(n_res):
-        cov[2 * j, 2 * j] = share
-        cov[2 * j + 1, 2 * j + 1] = share * (2.0 * np.pi * freqs[j]) ** 2
-    cov[-1, -1] = share
-    state = GaussianState(np.zeros(dim), cov, times[0])
-
-    blocks = [resonator_block(f, b, diffusion) for f, b in zip(freqs, decays)]
-    loglik = 0.0
-    prev_t = times[0]
-    for t, y in zip(times, values):
-        dt = t - prev_t
-        if dt > 0.0:
-            g = np.zeros((dim, dim))
-            q = np.zeros((dim, dim))
-            for j, blk in enumerate(blocks):
-                sl = slice(2 * j, 2 * j + 2)
-                gb = scipy.linalg.expm(blk.drift * dt)
-                g[sl, sl] = gb
-                if diffusion > 0.0:
-                    top = scipy.linalg.expm(
-                        np.block(
-                            [
-                                [blk.drift, diffusion * blk.noise @ blk.noise.T],
-                                [np.zeros((2, 2)), -blk.drift.T],
-                            ]
-                        )
-                        * dt
-                    )[:2, :]
-                    qb = top[:, 2:] @ gb.T
-                    q[sl, sl] = 0.5 * (qb + qb.T)
-            g[-1, -1] = 1.0
-            state = predict(state, g, q, t_new=t)
-        res = update(state, h, [[noise_variance]], [y])
-        state = res.state
-        loglik += res.log_density
-        prev_t = t
-    return loglik
-
-
-@pytest.mark.parametrize(
-    "freqs, decays, diffusion, noise_variance",
-    [
-        ([0.1, 0.2, 0.3], [1e-7, 1e-3, 0.1], 1e-6, 1e-2),
-        ([0.05, 0.21, 0.47], [0.5, 0.01, 1.0], 0.1, 0.1),
-        ([0.02, 0.33, 0.58], [1e-9, 2.0, 1e-4], 3.0, 0.5),
-    ],
-)
-def test_resonator_loglik_matches_reference_loop(freqs, decays, diffusion, noise_variance):
-    # the data and the parameter bounds of resonator_fit(times, values, 3, period=10)
-    times = np.linspace(0.0, 30.0, 120)
-    values = np.sin(2.0 * np.pi * 0.2 * times + 0.4)
-    scale = float(np.var(values))
-    args = (
-        times, values, np.array(freqs), -np.array(decays),
-        diffusion * scale, noise_variance * scale, scale,
-    )
-    assert _resonator_loglik(*args) == pytest.approx(_reference_loglik(*args), rel=1e-10)
 

@@ -192,11 +192,13 @@ def test_log_likelihood_block_independence():
 
 
 def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
-    """RBPF over the steps of `lfm.pass_steps`, jumping with the model's moments."""
+    """RBPF over the steps of `lfm.pass_steps`, jumping with the model's
+    moments, with `setpoint(t)` read at the pass start and every step end."""
     n_steps = int(round(horizon / step))
     cycle = lfm.step_cycle(model, init.t, step)
+    setpoints = [setpoint(init.t + k * step) for k in range(n_steps + 1)]
     return rbpf_predict_day(
-        lfm.pass_steps(cycle, init.t, n_steps), n_steps, init, setpoint,
+        lfm.pass_steps(cycle, init.t, n_steps), init, setpoints,
         n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
 
@@ -221,6 +223,12 @@ def test_rbpf_validation():
         _rbpf(model, init, lambda t: 0.0, 0, 10.0, 100.0, 0)
     with pytest.raises(InvalidParameterError):
         _rbpf(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
+    with pytest.raises(InvalidParameterError):  # checked before the first step
+        _rbpf(model, init, lambda t: float("nan") if t == 100.0 else 0.0, 4, 10.0, 100.0, 0)
+    steps = lfm.pass_steps(lfm.step_cycle(model, init.t, 10.0), init.t, 10)
+    with pytest.raises(ValueError, match="zip"):  # one set point short
+        rbpf_predict_day(steps, init, np.zeros(10), 4, 0,
+                         jump=functools.partial(lfm.apply_changepoint_moments, model))
 
 
 def test_rbpf_heater_irrelevant_when_beta_zero():

@@ -5,12 +5,13 @@ baselines, the CLI or the config schemas, and `filtering` does not import
 `lfm.step_cycle` through `lfm.pass_steps`, so no such pass bypasses the
 cycle, and only the cycle computes the input term (`_input_response`); the
 queue, whose drift is relinearized every step, builds its own (G, Q).  Only
-`filtering.predict` and `update` form a covariance (`_symmetrize`), and every
-filter pass (the queue's, the thermal one, the resonator's and the particle
-filter) moves its state with `filtering.predict`.  Only `apps/synth.py`
-builds the applications' daily prior.  Every public name is reached from the
-package itself or kept by a named oracle or paper claim.  Checked on the
-source with `ast`, so no module is imported."""
+`filtering.predict` and `update` form a covariance (`_symmetrize`), and each
+of the three filter passes (the queue's, the thermal one, whose roster holds
+the resonator baseline, and the particle filter) moves its state with
+`filtering.predict`.  Only `apps/synth.py` builds the applications' daily
+prior.  Every public name is reached from the package itself or kept by a
+named oracle or paper claim.  Checked on the source with `ast`, so no module
+is imported."""
 
 import ast
 from pathlib import Path
@@ -100,7 +101,6 @@ def test_every_filter_pass_predicts_through_the_kalman_layer():
     assert {
         ("apps/queueing.py", "_run_queue_filter", "predict"),
         ("apps/thermal.py", "_run_thermal_filter", "predict"),
-        ("baselines/resonator.py", "_resonator_loglik", "predict"),
         ("filtering.py", "rbpf_predict_day", "predict"),
     } <= _uses({"predict"})
 
@@ -136,7 +136,6 @@ TEST_ONLY = {
     "log_marginal_likelihood": "oracle evidence (test_force_only_loglik_matches_dense_gp)",
     "stationary_lfm_kernel": "oracle kernel of a non-periodic LFM (test_hartikainen_equivalence_small)",
     "periodic_force_row": "reads a force out of the state: the per-step H of the force-only oracle",
-    "resonator_fit": "the rival resonator baseline (Sarkka 2012; Hartikainen 2012)",
 }
 
 
