@@ -94,12 +94,20 @@ def write_queue_dataset(out_dir, dataset: QueueDataset) -> list[Path]:
 
 def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
     """Rebuild a queue dataset from CSV files (synthetic or real).  The
-    filter steps along queue_truth.csv, so it must be on the `config.step` grid."""
+    filter steps along queue_truth.csv, so it must be on the `config.step`
+    grid, and every measurement must fall in one of its steps: after the
+    first time and at or before the last."""
     data = Path(data_dir)
     rate_t, rate_v = _read_csv(data / "arrivals.csv", ["time_min", "arrival_rate"])
     truth_t, truth_v = _read_csv(data / "queue_truth.csv", ["time_min", "queue_len"], config.step)
     meas_t, meas_v = _read_csv(data / "queue_meas.csv", ["time_min", "queue_len"])
     days = _whole_days(data / "queue_truth.csv", truth_t[-1])
+    outside = np.flatnonzero((meas_t <= truth_t[0]) | (meas_t > truth_t[-1]))
+    if outside.size:
+        raise InvalidParameterError(
+            f"queue_meas.csv: measurement at minute {meas_t[outside[0]]:g} lies outside the "
+            f"record, which runs after minute {truth_t[0]:g} up to minute {truth_t[-1]:g}"
+        )
     config = QueueGenConfig(**{**config.__dict__, "days": days})
     return QueueDataset(
         times=truth_t,
@@ -131,7 +139,8 @@ def write_thermal_dataset(out_dir, dataset: ThermalDataset) -> list[Path]:
 def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
     """Rebuild a thermal dataset from CSV files; if the measurement file is
     absent the recorded temperatures serve as the measurements.  The pass
-    reads both files by minute index, so both must be on a 1-minute grid."""
+    reads both files by minute index, so both must be on a 1-minute grid
+    and hold the same minutes."""
     data = Path(data_dir)
     cols = _read_csv(data / "thermal.csv",
                      ["time_min", "t_int", "t_ext", "setpoint", "heater"], 1.0)
@@ -140,7 +149,12 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
         raise InvalidParameterError("thermal.csv: the heater column must be 0 or 1")
     meas_path = data / "thermal_meas.csv"
     if meas_path.exists():
-        _, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"], 1.0)
+        meas_min, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"], 1.0)
+        if meas_min[0] != minutes[0] or meas_min.size != minutes.size:
+            raise InvalidParameterError(
+                f"thermal_meas.csv: holds minutes {meas_min[0]:g} to {meas_min[-1]:g}, but "
+                f"thermal.csv holds minutes {minutes[0]:g} to {minutes[-1]:g}"
+            )
     else:
         meas_int, meas_ext = t_int.copy(), t_ext.copy()
     days = _whole_days(data / "thermal.csv", minutes[-1])

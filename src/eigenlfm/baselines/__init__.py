@@ -1,9 +1,10 @@
 """Baselines beside the eigenfunction LFMs: the dense-GP oracle, sparse
-spectrum GP regression (SSGPR) and the resonator blocks that thermal's
-"resonator" roster entry is built from."""
+spectrum features (SSGPR) that `comparison.linear_regress` scores beside the
+eigenfunction rows, and the resonator blocks that thermal's "resonator"
+roster entry is built from."""
 
 from .dense_gp import DenseGp, gp_regress, log_marginal_likelihood, stationary_lfm_kernel
-from .ssgpr import SsgprModel, ssgpr_build, ssgpr_regress, implied_covariance
+from .ssgpr import SsgprModel, ssgpr_build, ssgpr_features, implied_covariance
 
 __all__ = [
     "DenseGp",
@@ -12,6 +13,6 @@ __all__ = [
     "stationary_lfm_kernel",
     "SsgprModel",
     "ssgpr_build",
-    "ssgpr_regress",
+    "ssgpr_features",
     "implied_covariance",
 ]

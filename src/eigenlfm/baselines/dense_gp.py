@@ -20,7 +20,7 @@ _NOISE_FLOOR = 1e-16  # variance of the 1e-8 jitter floor
 @dataclass
 class DenseGp:
     kernel: kernels.KernelLike
-    noise_variance: float
+    noise: float  # observation noise variance
     train_inputs: np.ndarray
     train_targets: np.ndarray
 
@@ -34,7 +34,7 @@ class DenseGp:
 def _chol_gram(model: DenseGp):
     x = model.train_inputs
     gram = kernels.eval_matrix(model.kernel, x, x)
-    noise = max(model.noise_variance, _NOISE_FLOOR)
+    noise = max(model.noise, _NOISE_FLOOR)
     base = gram + noise * np.eye(x.size)
     trace = float(np.trace(gram)) or 1.0
     jitter = 0.0

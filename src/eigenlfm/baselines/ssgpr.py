@@ -1,5 +1,7 @@
-"""Sparse-spectrum GP regression: trigonometric features at frequencies
-Monte-Carlo-sampled from the kernel's normalized spectral density.
+"""Sparse-spectrum features (Lazaro-Gredilla et al., JMLR 2010): trigonometric
+features at frequencies Monte-Carlo-sampled from the kernel's normalized
+spectral density.  `baselines.comparison.linear_regress` regresses on them,
+as on the eigenfunction rows, with the weight prior sigma^2 / S per feature.
 
 Conventions (stated because sign/2-pi choices differ across sources): for
 k(tau) = sigma^2 exp(-tau^2 / (2 ell^2)) the frequencies are drawn as
@@ -14,19 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .. import kernels
-from ..errors import InvalidParameterError, NumericError
+from ..errors import InvalidParameterError
 
-__all__ = ["SsgprModel", "ssgpr_build", "ssgpr_regress", "implied_covariance"]
+__all__ = ["SsgprModel", "ssgpr_build", "ssgpr_features", "implied_covariance"]
 
 
 @dataclass
 class SsgprModel:
     frequencies: np.ndarray   # (S,) spectral points
     sigma2: float             # kernel output variance
-    noise_variance: float
 
     @property
     def n_points(self) -> int:
@@ -46,23 +46,20 @@ def _sample_frequencies(kernel, n_points: int, rng: np.random.Generator) -> np.n
     )
 
 
-def ssgpr_build(
-    kernel, n_points: int, seed: int, noise_variance: float = 0.0
-) -> SsgprModel:
+def ssgpr_build(kernel, n_points: int, seed: int) -> SsgprModel:
     """Draw `n_points` spectral points i.i.d. from the normalized spectral
     density of a stationary kernel."""
     if n_points < 1:
         raise InvalidParameterError("need at least one spectral point")
     rng = np.random.default_rng(seed)
     freqs = _sample_frequencies(kernel, n_points, rng)
-    return SsgprModel(
-        frequencies=freqs, sigma2=kernel.sigma**2, noise_variance=noise_variance
-    )
+    return SsgprModel(frequencies=freqs, sigma2=kernel.sigma**2)
 
 
-def _features(model: SsgprModel, t: np.ndarray) -> np.ndarray:
+def ssgpr_features(model: SsgprModel, t) -> np.ndarray:
+    """Features cos(2 pi f_r t) then sin(2 pi f_r t) at the times t: (n, 2S)."""
     ang = 2.0 * np.pi * np.outer(t, model.frequencies)
-    return np.concatenate([np.cos(ang), np.sin(ang)], axis=1)  # (n, 2S)
+    return np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def implied_covariance(model: SsgprModel, t, tp):
@@ -72,32 +69,3 @@ def implied_covariance(model: SsgprModel, t, tp):
         np.cos(2.0 * np.pi * np.multiply.outer(tau, model.frequencies)), axis=-1
     )
     return out if np.ndim(out) else float(out)
-
-
-def ssgpr_regress(
-    model: SsgprModel, train_inputs, train_targets, test_inputs
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian linear-model posterior over the trigonometric weights,
-    evaluated as a predictive mean and variance of the latent function."""
-    x = np.atleast_1d(np.asarray(train_inputs, dtype=float))
-    y = np.atleast_1d(np.asarray(train_targets, dtype=float))
-    xs = np.atleast_1d(np.asarray(test_inputs, dtype=float))
-    prior_w = model.sigma2 / model.n_points
-
-    phi_s = _features(model, xs)
-    if x.size == 0:
-        var = prior_w * np.sum(phi_s**2, axis=1)
-        return np.zeros(xs.size), var
-
-    noise = max(model.noise_variance, 1e-16)
-    phi = _features(model, x)
-    precision = phi.T @ phi / noise + np.eye(2 * model.n_points) / prior_w
-    try:
-        chol = scipy.linalg.cho_factor(precision, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("feature precision matrix is singular") from exc
-    w_mean = scipy.linalg.cho_solve(chol, phi.T @ y / noise)
-    means = phi_s @ w_mean
-    half = scipy.linalg.solve_triangular(chol[0], phi_s.T, lower=True)
-    variances = np.sum(half**2, axis=0)
-    return means, variances

@@ -194,10 +194,12 @@ def _seed_work(args) -> list[dict]:
     app = _APPS[app_name]
     gen_config = app.gen_config(**config.get("generator", {}))
     if "data_dir" in config:
+        # the files, not the seed, made this dataset: tag it by its directory
         dataset = app.read(config["data_dir"], gen_config)
+        tag = Path(config["data_dir"]).resolve().name
     else:
         dataset = app.generate(gen_config, seed)
-    tag = f"{app_name}-s{seed}"
+        tag = f"{app_name}-s{seed}"
     out = Path(out_str) / tag
     if command == "simulate":
         app.write(out, dataset)

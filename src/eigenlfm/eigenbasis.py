@@ -139,33 +139,3 @@ def spectrum_table(basis: EigenBasis) -> list[tuple[int, float]]:
     """Rows (j, mu_j / N) for the selected eigenpairs, for CSV emission."""
     scaled = basis.scaled_eigenvalues()
     return [(int(j), float(s)) for j, s in zip(basis.selected, scaled)]
-
-
-def kpca_regress(
-    basis: EigenBasis, train_inputs, train_targets, test_inputs,
-    noise_variance: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bayesian linear regression in the eigenfunction basis.
-
-    Weight j has prior variance mu_j / N; returns the predictive mean and
-    variance of the latent function at the test inputs.
-    """
-    import scipy.linalg
-
-    x = np.atleast_1d(np.asarray(train_inputs, dtype=float))
-    y = np.atleast_1d(np.asarray(train_targets, dtype=float))
-    xs = np.atleast_1d(np.asarray(test_inputs, dtype=float))
-    prior = basis.scaled_eigenvalues()
-    phi_s = eigenfunction_matrix(basis, xs)
-    if x.size == 0:
-        return np.zeros(xs.size), (phi_s**2) @ prior
-    noise = max(noise_variance, 1e-16)
-    phi = eigenfunction_matrix(basis, x)
-    precision = phi.T @ phi / noise + np.diag(1.0 / prior)
-    try:
-        chol = scipy.linalg.cho_factor(precision, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("eigenfeature precision matrix is singular") from exc
-    w_mean = scipy.linalg.cho_solve(chol, phi.T @ y / noise)
-    half = scipy.linalg.solve_triangular(chol[0], phi_s.T, lower=True)
-    return phi_s @ w_mean, np.sum(half**2, axis=0)

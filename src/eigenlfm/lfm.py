@@ -291,17 +291,9 @@ def has_constant_weights(model: AugmentedModel) -> bool:
     )
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    if a.shape == (1, 1):
-        return np.array([[np.exp(a[0, 0])]])
-    return scipy.linalg.expm(a)
-
-
 def _van_loan(drift: np.ndarray, diffusion: np.ndarray, dt: float):
     """Joint (G, Q) of the LTI segment via the matrix fraction decomposition."""
     n = drift.shape[0]
-    if not diffusion.any():
-        return _expm(drift * dt), np.zeros((n, n))
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = drift
     block[:n, n:] = diffusion
@@ -403,7 +395,7 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> ConstantStepPla
     cza = model.layout.dim_za
     x, w = gauss_nodes()
     phi_za, noise_za = _van_loan(drift_za, model.diffusion[:cza, :cza], dt)
-    props = [_expm(drift_za * (dt * (1.0 - xi))) for xi in x]
+    props = [scipy.linalg.expm(drift_za * (dt * (1.0 - xi))) for xi in x]
     coupling = tuple(
         np.stack([p @ pad for p in props]) for pad in model.coupling_pad
     )

@@ -274,3 +274,16 @@ def test_reader_requires_whole_days(tmp_path):
     with pytest.raises(InvalidParameterError,
                        match=r"queue_truth.csv: the record ends at minute 3744 \(2.6 days\)"):
         app_io.read_queue_dataset(tmp_path, ds.config)
+
+
+@pytest.mark.parametrize("minute", [20000.0, 0.0])
+def test_reader_requires_the_measurements_inside_the_record(tmp_path, minute):
+    # the pass reads a measurement at the end of a step: one at or before the
+    # first time or past the last would be dropped without a word
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2), seed=0)
+    app_io.write_queue_dataset(tmp_path, ds)
+    path = tmp_path / "queue_meas.csv"
+    path.write_text(path.read_text() + f"{minute:g},3\n")
+    with pytest.raises(InvalidParameterError,
+                       match=f"queue_meas.csv: measurement at minute {minute:g} lies outside"):
+        app_io.read_queue_dataset(tmp_path, ds.config)

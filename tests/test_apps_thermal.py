@@ -272,6 +272,20 @@ def test_reader_requires_two_whole_days(tmp_path):
         app_io.read_thermal_dataset(tmp_path, ds.config)
 
 
+
+@pytest.mark.parametrize("rows", [lambda lines: lines[:2001], lambda lines: lines[:1] + lines[2:]],
+                         ids=["cut", "late-start"])
+def test_reader_requires_the_measurements_to_fit_the_record(tmp_path, rows):
+    # the pass reads the measurement of minute k from row k: a shorter file
+    # would run out of rows, a later first minute would shift every row
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=6)
+    app_io.write_thermal_dataset(tmp_path, ds)
+    path = tmp_path / "thermal_meas.csv"
+    path.write_text("\n".join(rows(path.read_text().splitlines())) + "\n")
+    with pytest.raises(InvalidParameterError, match="thermal_meas.csv: holds minutes"):
+        app_io.read_thermal_dataset(tmp_path, ds.config)
+
+
 def test_without_residual_is_zero():
     ds = th.generate_thermal_data(th.ThermalGenConfig(days=2, residual_kind="without"), seed=2)
     assert np.all(ds.residual == 0.0)

@@ -10,9 +10,9 @@ from eigenlfm.baselines import (
     implied_covariance,
     log_marginal_likelihood,
     ssgpr_build,
-    ssgpr_regress,
+    ssgpr_features,
 )
-from eigenlfm.baselines.comparison import compare_linear_bases
+from eigenlfm.baselines.comparison import compare_linear_bases, linear_regress
 from eigenlfm.baselines.resonator import resonator_block
 from eigenlfm.errors import InvalidParameterError
 
@@ -68,13 +68,20 @@ def test_ssgpr_covariance_deviation_distribution():
     assert np.median(devs) > 0.1
 
 
+def _ssgpr_prior(model):
+    """The weight prior of the sparse-spectrum features: sigma^2 / S each."""
+    return np.full(2 * model.n_points, model.sigma2 / model.n_points)
+
+
 def test_ssgpr_matches_dense_gp_with_implied_kernel():
-    model = ssgpr_build(K.Matern(0.5, 1.0, 3.0), 7, seed=2, noise_variance=0.05)
+    model = ssgpr_build(K.Matern(0.5, 1.0, 3.0), 7, seed=2)
     x = np.linspace(0.0, 9.0, 10)
     rng = np.random.default_rng(0)
     y = rng.standard_normal(10)
     xs = np.linspace(-1.0, 11.0, 13)
-    means, variances = ssgpr_regress(model, x, y, xs)
+    means, variances = linear_regress(
+        ssgpr_features(model, x), y, ssgpr_features(model, xs), _ssgpr_prior(model), 0.05
+    )
     dense = DenseGp(lambda a, b: implied_covariance(model, a, b), 0.05, x, y)
     dmeans, dvars = gp_regress(dense, xs)
     np.testing.assert_allclose(means, dmeans, atol=1e-8)
@@ -83,8 +90,31 @@ def test_ssgpr_matches_dense_gp_with_implied_kernel():
 
 def test_ssgpr_prior_variance_no_data():
     model = ssgpr_build(K.SquaredExponential(1.0, 10.0), 22, seed=1)
-    _, var = ssgpr_regress(model, [], [], [0.0, 4.4])
+    _, var = linear_regress(
+        ssgpr_features(model, []), [], ssgpr_features(model, [0.0, 4.4]), _ssgpr_prior(model), 0.0
+    )
     np.testing.assert_allclose(var, implied_covariance(model, 0.0, 0.0), rtol=1e-12)
+
+
+def test_eigenbasis_regression_matches_dense_gp_with_reconstructed_kernel():
+    # with data, the eigenfunction regression is the GP whose kernel is the
+    # basis resynthesis sum_j (mu_j / N) phi_j(t) phi_j(t')
+    basis = eb.build(K.PeriodicMatern(0.5, 1.5, 0.4, 10.0), 64, 10.0, gamma=0.01)
+    x = np.linspace(0.0, 9.0, 10)
+    y = np.random.default_rng(0).standard_normal(10)
+    xs = np.linspace(-1.0, 11.0, 13)
+    means, variances = linear_regress(
+        eb.eigenfunction_matrix(basis, x), y, eb.eigenfunction_matrix(basis, xs),
+        basis.scaled_eigenvalues(), 0.05,
+    )
+
+    def kern(a, b):
+        out = eb.reconstruct(basis, np.ravel(a), np.ravel(b))
+        return out.reshape(np.broadcast(a, b).shape)
+
+    dmeans, dvars = gp_regress(DenseGp(kern, 0.05, x, y), xs)
+    np.testing.assert_allclose(means, dmeans, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(variances, dvars, rtol=0, atol=1e-9)
 
 
 def test_kpca_beats_ssgpr_on_covariance_error():

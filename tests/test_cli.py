@@ -251,7 +251,8 @@ def test_data_dir_run_takes_one_seed(tmp_path):
     result, out = _invoke(tmp_path / "one", config, "--seed", "1", "queue", "track")
     assert result.exit_code == 0, result.output
     records = json.loads((out / "metrics.json").read_text())
-    assert [r["dataset"] for r in records] == ["queue-s1", "queue-s1"]
+    # --seed seeds the run, but the records are tagged by the data's directory
+    assert [r["dataset"] for r in records] == ["queue-s0", "queue-s0"]
 
 
 def test_cli_import_leaves_out_the_optimizer_and_the_process_pool():

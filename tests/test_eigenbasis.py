@@ -3,6 +3,7 @@ import pytest
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
+from eigenlfm.baselines.comparison import linear_regress
 from eigenlfm.errors import InvalidParameterError
 
 
@@ -124,5 +125,8 @@ def test_moderated_kernel_escape_hatch():
 def test_kpca_regression_prior_variance():
     basis = eb.build(K.PeriodicMatern(0.5, 1.5, 0.4, 10.0), 64, 10.0, gamma=0.01)
     t = np.linspace(0, 10, 17)
-    _, var = eb.kpca_regress(basis, [], [], t, 1e-8)
+    _, var = linear_regress(
+        np.zeros((0, basis.n_selected)), [], eb.eigenfunction_matrix(basis, t),
+        basis.scaled_eigenvalues(), 1e-8,
+    )
     np.testing.assert_allclose(var, eb.reconstruct(basis, t, t).diagonal(), rtol=1e-10)

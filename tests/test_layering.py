@@ -9,7 +9,9 @@ queue, whose drift is relinearized every step, builds its own (G, Q).  Only
 of the three filter passes (the queue's, the thermal one, whose roster holds
 the resonator baseline, and the particle filter) moves its state with
 `filtering.predict`.  Only `apps/synth.py` builds the applications' daily
-prior.  Every public name is reached from the package itself or kept by a
+prior.  One weight-space regression (`baselines.comparison.linear_regress`)
+scores both linear bases, so the only Cholesky factors beside the Kalman
+layer's are its own and the dense-GP oracle's.  Every public name is reached from the package itself or kept by a
 named oracle or paper claim.  Checked on the source with `ast`, so no module
 is imported."""
 
@@ -103,6 +105,15 @@ def test_every_filter_pass_predicts_through_the_kalman_layer():
         ("apps/thermal.py", "_run_thermal_filter", "predict"),
         ("filtering.py", "rbpf_predict_day", "predict"),
     } <= _uses({"predict"})
+
+
+def test_one_weight_space_regression():
+    # eigenfunction and sparse-spectrum features share one regression; a
+    # second copy of it would factor its own precision matrix
+    assert _uses({"cho_factor"}) == {
+        ("baselines/comparison.py", "linear_regress", "cho_factor"),
+        ("baselines/dense_gp.py", "_chol_gram", "cho_factor"),
+    }
 
 
 DAILY_PRIOR = {"PeriodicMatern", "build", "periodic_force", "cqm_force", "sqm_force", "wqm_force"}
