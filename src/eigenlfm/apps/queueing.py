@@ -7,8 +7,8 @@ fluid flow approximation (PSFFA)
 
 with service rate Omega and mean arrival rate zeta.  The arrival rate is a
 latent force with a periodic or quasi-periodic GP prior.  Tracking is an
-extended Kalman filter: each step relinearizes the drift at the filtered
-mean, and `filtering.predict` applies the relinearized step's (G, Q).
+extended Kalman filter: `filtering.kalman_pass` asks for each step with
+the filtered mean, and the step relinearizes the drift there.
 
 Ground truth is always simulated from the full nonlinear equation; the
 linearization is used only inside the filter.  Time is in minutes and the
@@ -17,6 +17,7 @@ cycle period is one day (1440 minutes).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,10 @@ import numpy as np
 from .. import eigenbasis as eb
 from .. import learn, lfm, lti
 from ..errors import ContractViolationError, InvalidParameterError
-from ..filtering import predict, update
+from ..filtering import kalman_pass
+# unused here: bench/test_bench.py::test_tracer_patches_every_binding lists this
+# binding; ROADMAP item 2 drops it from that list, and then this import
+from ..filtering import update  # noqa: F401
 from .synth import DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, periodic_roster, score
 
 __all__ = [
@@ -335,39 +339,34 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
     return step
 
 
-def _run_queue_filter(model, dataset: QueueDataset, emit_from: float | None):
-    """One full filtering pass; returns (loglik, emitted records).  Step k
-    relinearizes the drift at the filtered mean, takes slot k mod n_cycle of
-    `_relinearized_steps` over one cycle, and goes through `predict`, the
-    jump and `update`.  Jumps and measurements are looked up by integer step
+def _run_queue_filter(model, dataset: QueueDataset):
+    """One full `filtering.kalman_pass` over the dataset's grid; returns its
+    (loglik, mean, cov, records).  Step k relinearizes the drift at the
+    filtered mean and takes slot (k - 1) mod n_cycle of `_relinearized_steps`
+    over one cycle.  Jumps and measurements are looked up by integer step
     index, so a measurement time off the step grid raises
-    `ContractViolationError` instead of being dropped.  The service rate is
-    evaluated on the step grid once."""
+    `ContractViolationError` instead of being dropped, and so does one
+    outside the pass.  The service rate is evaluated on the step grid once."""
     dt = dataset.config.step
     times = dataset.times
     n_steps = times.size - 1
     jumps = set(lfm.changepoint_steps(model, times[0], dt, n_steps).tolist())
     meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, n_steps, "measurement")
-    meas = dict(zip(meas_steps.tolist(), dataset.meas_values))
 
     n_cycle = lfm.cycle_steps(model, dt)
-    step = _relinearized_steps(model, times[: min(n_cycle, n_steps)], dt)
+    relinearized = _relinearized_steps(model, times[: min(n_cycle, n_steps)], dt)
     omega = dataset.omega(times[:n_steps]).tolist()
-    state = lfm.initial_state(model, [0.0], [[25.0]])
-    loglik, records = 0.0, []
-    for k in range(n_steps):
-        f = queue_linearize(omega[k], max(state.mean[0], 0.0))
-        state = predict(state, *step(k % n_cycle, f), t_new=times[k + 1])
-        if k + 1 in jumps:
-            state.mean, state.cov = lfm.apply_changepoint_moments(model, state.mean, state.cov)
-        if emit_from is not None and state.t > emit_from + 1e-9:
-            records.append((state.t, state.mean[0], state.cov[0, 0]))
-        y = meas.get(k + 1)
-        if y is not None:
-            res = update(state, model.measurement_matrix, model.measurement_noise, [y])
-            state = res.state
-            loglik += res.log_density
-    return loglik, records
+
+    def step(k: int, mean: np.ndarray) -> tuple:
+        f = queue_linearize(omega[k - 1], max(mean[0], 0.0))
+        return times[k], *relinearized((k - 1) % n_cycle, f), None, k in jumps
+
+    mean, cov = lfm.initial_state(model, [0.0], [[25.0]])
+    return kalman_pass(
+        mean, cov, n_steps, step, dict(zip(meas_steps.tolist(), dataset.meas_values)),
+        model.measurement_matrix, model.measurement_noise,
+        jump=functools.partial(lfm.apply_changepoint_moments, model),
+    )
 
 
 def _param_space(kind: str, dataset: QueueDataset) -> learn.ParamSpace:
@@ -407,7 +406,7 @@ def queue_fit(
     )
 
     def objective(p: dict) -> float:
-        loglik, _ = _run_queue_filter(_queue_model(kind, p, dataset.config), train, None)
+        loglik, _, _, _ = _run_queue_filter(_queue_model(kind, p, dataset.config), train)
         return loglik
 
     return learn.fit(objective, _param_space(kind, dataset), budget=budget,
@@ -423,8 +422,9 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
     """
     _param_space(kind, dataset).check(params, kind)
     model = _queue_model(kind, params, dataset.config)
-    _, records = _run_queue_filter(model, dataset, emit_from=dataset.test_start)
-    times, mean, var = zip(*records)
+    _, _, _, records = _run_queue_filter(model, dataset)
+    held_out = [r for r in records if r[0] > dataset.test_start + 1e-9]
+    times, mean, var = zip(*held_out)
     out = score(times, mean, var, dataset.times, dataset.truth_queue)
     out["n_basis"] = model.dim - model.layout.dim_za
     return out

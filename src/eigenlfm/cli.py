@@ -2,8 +2,8 @@
 
 Subcommands: eigenbasis, compare-bases, queue simulate|fit|track, thermal
 simulate|fit|predict|track.  Every command is deterministic given the
-configuration document and seed; the only nondeterministic output field is
-runtime_ms in the metrics records.
+configuration document and seed at a fixed BLAS thread count; the only
+nondeterministic output field is runtime_ms in the metrics records.
 
 The queue and thermal commands share one seed worker, `_seed_work`; what
 differs per application (generator settings, dataset generate/read/write,

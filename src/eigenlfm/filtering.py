@@ -1,28 +1,29 @@
-"""Gaussian filtering: Kalman predict/update of one mean or a bank of means
-sharing one covariance (each update returns the innovation log-density), and
-the Rao-Blackwellised particle filter for a binary control input, run on them.
+"""Gaussian filtering on plain arrays: Kalman `predict` and `update` of one
+mean (C,) or a bank of means (P, C) sharing one covariance (each update
+returns the innovation log-density), the one Kalman pass `kalman_pass` that
+every application filter runs, and the Rao-Blackwellised particle filter for
+a binary control input, run on the same `predict` and `update`.
 
-This module knows nothing of how a model is discretized: a pass hands it
-transitions (for the particle filter, a stream of steps from
-`lfm.pass_steps`) and, where the model jumps, a jump callable.
+This module knows nothing of how a model is discretized: a pass hands it its
+steps (`lfm.PassStep`-shaped, from `lfm.pass_steps` or relinearized per
+step) and, where the model jumps, a jump callable.  The recursion is the
+standard one (Särkkä, *Bayesian Filtering and Smoothing*, 2013).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .errors import InvalidParameterError, NumericError
+from .errors import ContractViolationError, InvalidParameterError, NumericError
 
 __all__ = [
-    "GaussianState",
-    "UpdateResult",
     "predict",
     "update",
+    "kalman_pass",
     "rbpf_predict_day",
 ]
 
@@ -31,81 +32,60 @@ def _symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-@dataclass
-class GaussianState:
-    """Filter posterior: a mean (C,) or a bank of means (P, C), one covariance, the time."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    t: float
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1]
-
-
-@dataclass(frozen=True)
-class UpdateResult:
-    state: GaussianState
-    innovation: np.ndarray
-    innovation_cov: np.ndarray
-    log_density: float | np.ndarray
-
-
 def predict(
-    state: GaussianState,
+    mean: np.ndarray,
+    cov: np.ndarray,
     transition: np.ndarray,
     process_noise: np.ndarray,
     input_term: np.ndarray | None = None,
-    t_new: float | None = None,
-) -> GaussianState:
+) -> tuple[np.ndarray, np.ndarray]:
     """Linear-Gaussian time update: each mean -> G mean + b, cov -> G cov G^T + Q."""
     g = np.asarray(transition, dtype=float)
-    if g.shape[1] != state.dim:
+    if g.shape[1] != mean.shape[-1]:
         raise InvalidParameterError(
-            f"transition has {g.shape[1]} columns for a state of dimension {state.dim}"
+            f"transition has {g.shape[1]} columns for a state of dimension {mean.shape[-1]}"
         )
-    mean = state.mean @ g.T
+    mean = mean @ g.T
     if input_term is not None:
         mean = mean + input_term
-    cov = _symmetrize(g @ state.cov @ g.T + process_noise)
-    return GaussianState(mean, cov, state.t if t_new is None else t_new)
+    return mean, _symmetrize(g @ cov @ g.T + process_noise)
 
 
 def update(
-    state: GaussianState,
+    mean: np.ndarray,
+    cov: np.ndarray,
     obs_matrix: np.ndarray,
     obs_noise: np.ndarray,
     observation: np.ndarray,
-) -> UpdateResult:
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Measurement update with the Joseph-stabilized covariance form.
 
-    Returns the posterior, the innovation, its shared covariance S = L L^T and
-    the log-density of the observation: (d,) and a float for one mean, (P, d)
-    and (P,) for a bank.  S is factored by LAPACK's `potrf` and L inverted by
-    `trtri`, called directly: on a d x d matrix numpy.linalg's wrappers cost
-    several times the factorization.  A non-positive-definite S raises
-    NumericError ("singular"), and so does a non-finite log det S, taken from
-    L's diagonal (potrf passes a NaN through).  With W = L^-1 H P the gain is
-    K = W^T L^-1 and the mean moves by (L^-1 v)^T W.  The Joseph form
-    (I - KH) P (I - KH)^T + K R K^T is formed as
-    P - K (HP) - ((HP)^T - K S) K^T: the C x d term vanishes in exact
-    arithmetic, and keeping it lets a round-off error in K reach the
+    Returns the posterior mean and covariance and the log-density of the
+    observation: a float for one mean, (P,) for a bank, whose observation
+    is (P, d).  The innovation covariance S = L L^T is factored by LAPACK's
+    `potrf` and L inverted by `trtri`, called directly: on a d x d matrix
+    numpy.linalg's wrappers cost several times the factorization.  A
+    non-positive-definite S raises NumericError ("singular"), and so does a
+    non-finite log det S, taken from L's diagonal (potrf passes a NaN
+    through).  With W = L^-1 H P the gain is K = W^T L^-1 and the mean moves
+    by (L^-1 v)^T W.  The Joseph form (I - KH) P (I - KH)^T + K R K^T is
+    formed as P - K (HP) - ((HP)^T - K S) K^T: the C x d term vanishes in
+    exact arithmetic, and keeping it lets a round-off error in K reach the
     covariance at second order only, as in the Joseph form.
     """
     h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     z = np.atleast_2d(np.asarray(obs_noise, dtype=float))
     y = np.atleast_1d(np.asarray(observation, dtype=float))
-    expected = state.mean.shape[:-1] + h.shape[:1]
-    if h.shape[1] != state.dim or y.shape != expected:
+    expected = mean.shape[:-1] + h.shape[:1]
+    if h.shape[1] != mean.shape[-1] or y.shape != expected:
         raise InvalidParameterError(
             f"observation of shape {y.shape} and observation matrix of shape {h.shape} for "
-            f"means of shape {state.mean.shape}: the observation must have shape {expected}"
+            f"means of shape {mean.shape}: the observation must have shape {expected}"
         )
 
     # np.dot, not @, for the bank products: @ of a (P, 1) by a (1, C) array is 5x slower
-    innovation = y - np.dot(state.mean, h.T)
-    hp = h @ state.cov
+    innovation = y - np.dot(mean, h.T)
+    hp = h @ cov
     s = _symmetrize(hp @ h.T + z)
     chol, info = dpotrf(s, lower=1, clean=1)
     if info:
@@ -118,18 +98,46 @@ def update(
     w = chol_inv @ hp
     gain = w.T @ chol_inv
     white = np.dot(innovation, chol_inv.T)
-    mean = state.mean + np.dot(white, w)
-    cov = _symmetrize(state.cov - gain @ hp - (hp.T - gain @ s) @ gain.T)
+    mean = mean + np.dot(white, w)
+    cov = _symmetrize(cov - gain @ hp - (hp.T - gain @ s) @ gain.T)
 
     quad = (white * white).sum(axis=-1)
     log_density = -0.5 * (h.shape[0] * math.log(2.0 * math.pi) + log_det + quad)
+    return mean, cov, log_density if y.ndim > 1 else float(log_density)
 
-    return UpdateResult(
-        state=GaussianState(mean, cov, state.t),
-        innovation=innovation,
-        innovation_cov=s,
-        log_density=log_density if y.ndim > 1 else float(log_density),
-    )
+
+def kalman_pass(
+    mean: np.ndarray, cov: np.ndarray, n_steps: int, step: Callable, observations: Mapping,
+    obs_matrix: np.ndarray, obs_noise: np.ndarray, *, jump: Callable,
+) -> tuple[float, np.ndarray, np.ndarray, list[tuple]]:
+    """One Kalman filter pass of `n_steps` steps from the moments (mean, cov).
+
+    Step k = 1 .. n_steps ends on grid point k: `step(k, mean)`, called in
+    order with the mean before the step, returns it `lfm.PassStep`-shaped,
+    (t, G, Q, input term or None, changepoint) with t its end time.  The
+    pass predicts, applies `jump(mean, cov)` on a changepoint, records the
+    predictive marginal (t, mean[0], cov[0, 0]) of state 0 and updates on
+    `observations[k]`, if any, with H = `obs_matrix` and R = `obs_noise`.
+    An observation keyed outside 1 .. n_steps raises ContractViolationError.
+    Returns (log-likelihood of the observations, mean, cov, records).
+    """
+    outside = sorted(k for k in observations if not 1 <= k <= n_steps)
+    if outside:
+        raise ContractViolationError(
+            f"observation at step {outside[0]} lies outside the pass of {n_steps} steps"
+        )
+    loglik, records = 0.0, []
+    for k in range(1, n_steps + 1):
+        t, transition, noise, input_term, changepoint = step(k, mean)
+        mean, cov = predict(mean, cov, transition, noise, input_term)
+        if changepoint:
+            mean, cov = jump(mean, cov)
+        records.append((t, mean[0], cov[0, 0]))
+        y = observations.get(k)
+        if y is not None:
+            mean, cov, log_density = update(mean, cov, obs_matrix, obs_noise, y)
+            loglik += log_density
+    return loglik, mean, cov, records
 
 
 def _particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
@@ -151,7 +159,8 @@ def _particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
 
 def rbpf_predict_day(
     steps: Iterable,
-    init: GaussianState,
+    mean: np.ndarray,
+    cov: np.ndarray,
     setpoints: np.ndarray,
     n_particles: int,
     seed: int,
@@ -160,14 +169,15 @@ def rbpf_predict_day(
 ) -> list[dict]:
     """Day-ahead prediction with particles over the binary heater input.
 
-    `steps` yields the n_steps steps of the pass in order, each with the
-    end time `t`, the `transition` G and `noise` Q, the input term
-    `input_on` of a heater that is on, and whether a `changepoint` falls on
-    the step end (see `lfm.pass_steps`); it may be lazy.  On such a step,
-    `jump(means, cov)` maps the bank of means and the shared covariance
-    across the changepoint.  The temperature is state 0.  `setpoints` holds
-    the n_steps + 1 set points at the pass start and at each step end; none
-    may be NaN, and a count that does not match the steps raises ValueError.
+    From the moments (mean, cov), `steps` yields the n_steps steps of the
+    pass in order, each with the end time `t`, the `transition` G and
+    `noise` Q, the input term `input_on` of a heater that is on, and whether
+    a `changepoint` falls on the step end (see `lfm.pass_steps`); it may be
+    lazy.  On such a step, `jump(means, cov)` maps the bank of means and the
+    shared covariance across the changepoint.  The temperature is state 0.
+    `setpoints` holds the n_steps + 1 set points at the pass start and at
+    each step end; none may be NaN, and a count that does not match the
+    steps raises ValueError.
 
     Per step and particle: the heater is on while the particle's last sampled
     temperature is strictly below the set point, the Kalman prediction runs
@@ -196,23 +206,23 @@ def rbpf_predict_day(
     draws = _particle_draws(seed, n_particles, setpoints.size - 1)
     n_drawn = 0
 
-    bank = GaussianState(np.tile(init.mean, (n_particles, 1)), init.cov, init.t)
-    temperature, no_noise = np.eye(1, init.dim), np.zeros((1, 1))
+    bank = np.tile(mean, (n_particles, 1))
+    temperature, no_noise = np.eye(1, mean.shape[-1]), np.zeros((1, 1))
 
     # initial heater from the known initial temperature
-    heaters = _controller(np.full(n_particles, float(init.mean[0])), setpoints[0])
+    heaters = _controller(np.full(n_particles, float(mean[0])), setpoints[0])
 
     records = []
     for step, sp in zip(steps, setpoints[1:], strict=True):
         # G and Q do not depend on the input, and the off input is zero, so a
         # particle with its heater off gets no input term
-        bank = predict(bank, step.transition, step.noise, t_new=step.t)
-        bank.mean[heaters] += step.input_on
+        bank, cov = predict(bank, cov, step.transition, step.noise)
+        bank[heaters] += step.input_on
         if step.changepoint:
-            bank.mean, bank.cov = jump(bank.mean, bank.cov)
+            bank, cov = jump(bank, cov)
 
-        var_t = float(bank.cov[0, 0])
-        m_t = bank.mean[:, 0]
+        var_t = float(cov[0, 0])
+        m_t = bank[:, 0]
         mix_mean = float(np.mean(m_t))
         mix_var = var_t + float(np.mean(m_t**2) - mix_mean**2)
         records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
@@ -220,7 +230,7 @@ def rbpf_predict_day(
         if var_t > 1e-14:
             samples = m_t + math.sqrt(var_t) * draws[:, n_drawn]
             n_drawn += 1
-            bank = update(bank, temperature, no_noise, samples[:, None]).state
+            bank, cov, _ = update(bank, cov, temperature, no_noise, samples[:, None])
         else:
             samples = m_t
 

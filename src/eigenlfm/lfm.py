@@ -64,7 +64,6 @@ from .errors import (
     NoStationaryDistributionError,
     NumericError,
 )
-from .filtering import GaussianState
 
 __all__ = [
     "TargetModel",
@@ -605,9 +604,10 @@ def pass_steps(cycle: StepCycle, t_start: float, n_steps: int) -> Iterator[PassS
     return steps()
 
 
-def initial_state(model: AugmentedModel, target_mean, target_cov) -> GaussianState:
-    """Block-diagonal prior at time 0: given target moments, stationary
-    non-periodic blocks, and weight variances from the scaled eigenvalues.
+def initial_state(model: AugmentedModel, target_mean, target_cov) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal prior (mean, cov) at the start of a pass: given target
+    moments, stationary non-periodic blocks, and weight variances from the
+    scaled eigenvalues.
 
     Marginally stable blocks (e.g. constant bias states) have no stationary
     distribution; they get a unit diagonal prior.
@@ -627,7 +627,7 @@ def initial_state(model: AugmentedModel, target_mean, target_cov) -> GaussianSta
         lo, hi = model.layout.weight_spans[r]
         idx = np.arange(lo, hi)
         cov[idx, idx] = model.weight_scaled_eigs[r] * force.weight_prior_scale
-    return GaussianState(mean, cov, 0.0)
+    return mean, cov
 
 
 def periodic_force_row(model: AugmentedModel, r: int, t: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,11 @@ import pytest
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import lfm
+from eigenlfm import filtering, lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.apps.synth import draw_periodic_force
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
-from eigenlfm.filtering import update
 from helpers import one_step
 
 
@@ -178,10 +178,23 @@ def test_track_uses_every_measurement_or_fails_loudly(monkeypatch):
         qa.queue_track(ds, "hart", params)
 
     ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=8.0, test_meas_every=176.0), seed=0)
-    updates = []
-    monkeypatch.setattr(qa, "update", lambda *args: updates.append(args) or update(*args))
+    updates, update = [], filtering.update
+    monkeypatch.setattr(filtering, "update", lambda *args: updates.append(args) or update(*args))
     qa.queue_track(ds, "hart", params)
     assert len(updates) == ds.meas_times.size == 36 + 8
+
+
+@pytest.mark.parametrize("minute, step", [(0.0, 0), (2882.0, 1441), (2884.0, 1442)])
+def test_track_rejects_a_measurement_outside_the_pass(minute, step):
+    # the pass of 1440 two-minute steps updates at step ends 1..1440: a
+    # measurement at the record start or past its end was dropped unseen
+    params = dict(sigma_obs=0.5, sigma_f=1.2, ell_f=120.0)
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2), seed=0)
+    ds = dataclasses.replace(
+        ds, meas_times=np.append(ds.meas_times, minute), meas_values=np.append(ds.meas_values, 3.0)
+    )
+    with pytest.raises(ContractViolationError, match=f"step {step} lies outside the pass of 1440"):
+        qa.queue_track(ds, "hart", params)
 
 
 def test_track_dense_measurements_hits_noise_floor():

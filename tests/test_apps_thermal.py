@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eigenlfm import lfm
+from eigenlfm import filtering, lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import thermal as th
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
-from eigenlfm.filtering import predict, update
+from eigenlfm.filtering import predict
 from helpers import one_step
 
 
@@ -35,16 +35,16 @@ def test_relaxation_toward_constant_exterior():
     cfg = th.ThermalGenConfig()
     params = dict(BASE_PARAMS, ell_ext=1e9)  # effectively frozen exterior
     model = th.thermal_build("without", params, cfg)
-    state = lfm.initial_state(model, [0.0], [[0.0]])
+    mean, cov = lfm.initial_state(model, [0.0], [[0.0]])
     lo, _ = model.layout.nonperiodic_spans[0]
-    state.mean[lo] = 4.0
-    state.cov[:] = 0.0
+    mean[lo] = 4.0
+    cov[:] = 0.0
     g, q = one_step(lfm.discretize, model, 0.0, 10.0)
     expected_gap = 4.0
     for k in range(1, 40):
-        state = predict(state, g, q, t_new=k * 10.0)
+        mean, cov = predict(mean, cov, g, q)
         expected_gap = 4.0 * np.exp(-params["alpha"] * k * 10.0)
-        assert state.mean[0] == pytest.approx(4.0 - expected_gap, abs=1e-6)
+        assert mean[0] == pytest.approx(4.0 - expected_gap, abs=1e-6)
 
 
 def test_envelope_equilibrium_midpoint():
@@ -72,12 +72,13 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
     envelope = th.thermal_build("without", env_params, cfg, envelope=True)
 
     def run(model, envelope_flag):
-        state = th._initial_state(model, ds, envelope_flag)
-        state.mean[1 if envelope_flag else 0] = state.mean[0]
+        mean, cov = th._initial_state(model, ds, envelope_flag)
+        mean[1 if envelope_flag else 0] = mean[0]
         if envelope_flag:
-            state.mean[1] = ds.meas_ext[0]  # start the envelope at the exterior
-        _, _, recs = th._run_thermal_filter(
-            lfm.step_cycle(model, 0.0, cfg.step), ds, state, 0.0, 1440.0, None, emit=True
+            mean[1] = ds.meas_ext[0]  # start the envelope at the exterior
+        # a measurement interval longer than the pass: prediction only
+        _, _, _, recs = th._run_thermal_filter(
+            lfm.step_cycle(model, 0.0, cfg.step), ds, mean, cov, 0.0, 1440.0, 2880.0
         )
         return np.array([r[1] for r in recs])
 
@@ -146,18 +147,23 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
     cfg = th.ThermalGenConfig(days=2)
     ds = th.generate_thermal_data(cfg, seed=7)
     model = th.thermal_build("without", BASE_PARAMS, cfg)
-    state = th._initial_state(model, ds, False)
-    state.t = ds.test_start
-    measured = []
+    # the pass is handed the measurement steps, and updates at each of them
+    measured, updates = [], []
+    kalman_pass, update = th.kalman_pass, filtering.update
 
-    def recording_update(state, *args):
-        measured.append(state.t)
-        return update(state, *args)
+    def recording_pass(mean, cov, n_steps, step, observations, *args, **kwargs):
+        measured.extend(ds.test_start + cfg.step * np.array(sorted(observations)))
+        return kalman_pass(mean, cov, n_steps, step, observations, *args, **kwargs)
 
-    monkeypatch.setattr(th, "update", recording_update)
+    monkeypatch.setattr(th, "kalman_pass", recording_pass)
+    monkeypatch.setattr(filtering, "update", lambda *args: updates.append(args) or update(*args))
     cycle = lfm.step_cycle(model, 0.0, cfg.step)
-    th._run_thermal_filter(cycle, ds, state, ds.test_start, ds.test_start + 1440.0, 100.0)
+    th._run_thermal_filter(
+        cycle, ds, *th._initial_state(model, ds, False), ds.test_start, ds.test_start + 1440.0,
+        100.0,
+    )
     np.testing.assert_array_equal(measured, ds.test_start + 100.0 * np.arange(1, 15))
+    assert len(updates) == 14
 
 
 def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
@@ -171,11 +177,10 @@ def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
     ]:
         run = dataclasses.replace(ds, config=dataclasses.replace(ds.config, step=step))
         model = th.thermal_build("without", BASE_PARAMS, run.config)
-        state = th._initial_state(model, run, False)
-        state.t = run.test_start
+        mean, cov = th._initial_state(model, run, False)
         cycle = lfm.step_cycle(model, 0.0, run.config.step)
         with pytest.raises(ContractViolationError, match=match):
-            th._run_thermal_filter(cycle, run, state, run.test_start, t_end, 100.0)
+            th._run_thermal_filter(cycle, run, mean, cov, run.test_start, t_end, 100.0)
 
 
 @pytest.mark.parametrize("step", [2.5, 0.5, 0.0])

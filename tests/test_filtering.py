@@ -8,9 +8,9 @@ import scipy.linalg
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
 from eigenlfm import lfm, lti
-from eigenlfm.errors import InvalidParameterError, NumericError
+from eigenlfm.errors import ContractViolationError, InvalidParameterError, NumericError
 from eigenlfm.filtering import (
-    GaussianState,
+    kalman_pass,
     predict,
     rbpf_predict_day,
     update,
@@ -19,97 +19,91 @@ from helpers import one_step
 
 
 def test_predict_identity():
-    state = GaussianState(np.array([1.0, -2.0]), np.eye(2), 0.0)
-    out = predict(state, np.eye(2), np.zeros((2, 2)))
-    np.testing.assert_array_equal(out.mean, state.mean)
-    np.testing.assert_array_equal(out.cov, state.cov)
+    mean, cov = np.array([1.0, -2.0]), np.eye(2)
+    out_mean, out_cov = predict(mean, cov, np.eye(2), np.zeros((2, 2)))
+    np.testing.assert_array_equal(out_mean, mean)
+    np.testing.assert_array_equal(out_cov, cov)
 
 
 def test_predict_scalar_variance():
-    state = GaussianState(np.array([0.0]), np.array([[1.0]]), 0.0)
-    out = predict(state, np.array([[0.5]]), np.array([[0.75]]))
-    assert out.cov[0, 0] == pytest.approx(1.0)
+    _, cov = predict(np.array([0.0]), np.array([[1.0]]), np.array([[0.5]]), np.array([[0.75]]))
+    assert cov[0, 0] == pytest.approx(1.0)
 
 
 def test_predict_input_term():
-    state = GaussianState(np.zeros(3), np.eye(3), 0.0)
-    out = predict(state, np.eye(3), np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(out.mean, [1.0, 0.0, 0.0])
+    mean, _ = predict(np.zeros(3), np.eye(3), np.eye(3), np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(mean, [1.0, 0.0, 0.0])
 
     # a bank of 5 means sharing one covariance: each row moves as one mean does
     rng = np.random.default_rng(0)
     c = 28
     a, b = rng.standard_normal((c, c)), rng.standard_normal((c, c))
-    bank = GaussianState(rng.standard_normal((5, c)), a @ a.T / c, 0.0)
+    bank, cov = rng.standard_normal((5, c)), a @ a.T / c
     g, q, u = rng.standard_normal((c, c)) / c, b @ b.T / c, rng.standard_normal(c)
-    out = predict(bank, g, q, u, t_new=1.0)
-    assert out.mean.shape == (5, c) and out.t == 1.0
-    for row, moved in zip(bank.mean, out.mean):
-        single = predict(GaussianState(row, bank.cov, 0.0), g, q, u)
-        np.testing.assert_allclose(moved, single.mean, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out.cov, single.cov, rtol=1e-12, atol=1e-12)
+    out_bank, out_cov = predict(bank, cov, g, q, u)
+    assert out_bank.shape == (5, c)
+    for row, moved in zip(bank, out_bank):
+        single_mean, single_cov = predict(row, cov, g, q, u)
+        np.testing.assert_allclose(moved, single_mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out_cov, single_cov, rtol=1e-12, atol=1e-12)
 
 
 def test_predict_dimension_mismatch():
-    state = GaussianState(np.zeros(3), np.eye(3), 0.0)
     with pytest.raises(InvalidParameterError):
-        predict(state, np.eye(2), np.zeros((2, 2)))
+        predict(np.zeros(3), np.eye(3), np.eye(2), np.zeros((2, 2)))
 
 
 def test_update_scalar():
-    state = GaussianState(np.array([0.0]), np.array([[1.0]]), 0.0)
-    res = update(state, [[1.0]], [[1.0]], [2.0])
-    assert res.state.mean[0] == pytest.approx(1.0)
-    assert res.state.cov[0, 0] == pytest.approx(0.5)
-    assert res.innovation[0] == pytest.approx(2.0)
-    assert res.innovation_cov[0, 0] == pytest.approx(2.0)
+    mean, cov, log_density = update(np.array([0.0]), np.array([[1.0]]), [[1.0]], [[1.0]], [2.0])
+    assert mean[0] == pytest.approx(1.0)
+    assert cov[0, 0] == pytest.approx(0.5)
+    # innovation 2 with variance S = 2
+    assert log_density == pytest.approx(-0.5 * (math.log(2.0 * math.pi * 2.0) + 2.0**2 / 2.0))
 
 
 def test_update_uninformative():
-    state = GaussianState(np.array([0.7]), np.array([[1.3]]), 0.0)
-    res = update(state, [[1.0]], [[1e12]], [100.0])
-    assert res.state.mean[0] == pytest.approx(0.7, abs=1e-6)
-    assert res.state.cov[0, 0] == pytest.approx(1.3, abs=1e-6)
+    mean, cov, _ = update(np.array([0.7]), np.array([[1.3]]), [[1.0]], [[1e12]], [100.0])
+    assert mean[0] == pytest.approx(0.7, abs=1e-6)
+    assert cov[0, 0] == pytest.approx(1.3, abs=1e-6)
 
 
 def test_update_zero_innovation_contracts():
-    state = GaussianState(np.array([0.7]), np.array([[1.3]]), 0.0)
-    res = update(state, [[1.0]], [[0.5]], [0.7])
-    assert res.state.mean[0] == pytest.approx(0.7)
-    assert res.state.cov[0, 0] < 1.3
+    mean, cov, _ = update(np.array([0.7]), np.array([[1.3]]), [[1.0]], [[0.5]], [0.7])
+    assert mean[0] == pytest.approx(0.7)
+    assert cov[0, 0] < 1.3
 
 
 def test_update_trace_never_grows():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = rng.standard_normal((4, 4))
-        state = GaussianState(rng.standard_normal(4), a @ a.T + 0.1 * np.eye(4), 0.0)
+        mean, cov = rng.standard_normal(4), a @ a.T + 0.1 * np.eye(4)
         h = rng.standard_normal((2, 4))
-        res = update(state, h, np.diag([0.3, 0.9]), rng.standard_normal(2))
-        assert np.trace(res.state.cov) <= np.trace(state.cov) + 1e-10
+        _, post, _ = update(mean, cov, h, np.diag([0.3, 0.9]), rng.standard_normal(2))
+        assert np.trace(post) <= np.trace(cov) + 1e-10
 
 
 def test_update_joseph_form_ill_conditioned():
-    state = GaussianState(np.zeros(2), np.diag([1.0, 1e-8]), 0.0)
     h = np.array([[1e4, 1.0]])
-    res = update(state, h, [[1e-4]], [3.0])
-    eigs = np.linalg.eigvalsh(res.state.cov)
-    assert eigs.min() >= -1e-10 * np.trace(res.state.cov)
+    _, cov, _ = update(np.zeros(2), np.diag([1.0, 1e-8]), h, [[1e-4]], [3.0])
+    eigs = np.linalg.eigvalsh(cov)
+    assert eigs.min() >= -1e-10 * np.trace(cov)
 
 
-def _reference_update(state, h, z, y):
+def _reference_update(mean, cov, h, z, y):
     """Joseph update with scipy's Cholesky wrappers: (mean, cov, log_density)."""
-    innovation = y - h @ state.mean
-    s = h @ state.cov @ h.T + z
+    innovation = y - h @ mean
+    s = h @ cov @ h.T + z
     s = 0.5 * (s + s.T)
     chol = scipy.linalg.cho_factor(s, lower=True)
-    gain = scipy.linalg.cho_solve(chol, h @ state.cov).T
-    mean = state.mean + gain @ innovation
-    closed = np.eye(state.dim) - gain @ h
-    cov = closed @ state.cov @ closed.T + gain @ z @ gain.T
+    gain = scipy.linalg.cho_solve(chol, h @ cov).T
+    post_mean = mean + gain @ innovation
+    closed = np.eye(mean.size) - gain @ h
+    post = closed @ cov @ closed.T + gain @ z @ gain.T
     white = scipy.linalg.solve_triangular(chol[0], innovation, lower=True)
     log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
-    return mean, 0.5 * (cov + cov.T), -0.5 * (y.size * math.log(2.0 * math.pi) + log_det + white @ white)
+    log_density = -0.5 * (y.size * math.log(2.0 * math.pi) + log_det + white @ white)
+    return post_mean, 0.5 * (post + post.T), log_density
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -119,46 +113,41 @@ def test_update_matches_scipy_reference(d):
     c = 28
     for _ in range(10):
         a = rng.standard_normal((c, c))
-        state = GaussianState(rng.standard_normal(c), a @ a.T / c + 0.01 * np.eye(c), 0.0)
+        mean, cov = rng.standard_normal(c), a @ a.T / c + 0.01 * np.eye(c)
         h = rng.standard_normal((d, c))
         b = rng.standard_normal((d, d))
         z = b @ b.T + 0.1 * np.eye(d)
         y = rng.standard_normal(d)
-        res = update(state, h, z, y)
-        mean, cov, log_density = _reference_update(state, h, z, y)
-        np.testing.assert_allclose(res.state.mean, mean, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(res.state.cov, cov, rtol=1e-12, atol=1e-12)
-        assert res.log_density == pytest.approx(log_density, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(res.innovation_cov, h @ state.cov @ h.T + z, rtol=1e-12)
+        got_mean, got_cov, got_log_density = update(mean, cov, h, z, y)
+        ref_mean, ref_cov, ref_log_density = _reference_update(mean, cov, h, z, y)
+        np.testing.assert_allclose(got_mean, ref_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_cov, ref_cov, rtol=1e-12, atol=1e-12)
+        assert got_log_density == pytest.approx(ref_log_density, rel=1e-12, abs=1e-12)
 
         # a bank of 5 means sharing the covariance, one observation row each
-        bank = GaussianState(bank_rng.standard_normal((5, c)), state.cov, 0.0)
+        bank = bank_rng.standard_normal((5, c))
         ys = bank_rng.standard_normal((5, d))
-        res = update(bank, h, z, ys)
-        assert res.state.mean.shape == (5, c) and res.log_density.shape == (5,)
-        for i, (row, y) in enumerate(zip(bank.mean, ys)):
-            mean, cov, log_density = _reference_update(GaussianState(row, state.cov, 0.0), h, z, y)
-            np.testing.assert_allclose(res.state.mean[i], mean, rtol=1e-12, atol=1e-12)
-            assert res.log_density[i] == pytest.approx(log_density, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(res.state.cov, cov, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(res.innovation, ys - bank.mean @ h.T, rtol=1e-12, atol=1e-12)
+        got_bank, got_cov, got_log_density = update(bank, cov, h, z, ys)
+        assert got_bank.shape == (5, c) and got_log_density.shape == (5,)
+        for i, (row, y) in enumerate(zip(bank, ys)):
+            ref_mean, ref_cov, ref_log_density = _reference_update(row, cov, h, z, y)
+            np.testing.assert_allclose(got_bank[i], ref_mean, rtol=1e-12, atol=1e-12)
+            assert got_log_density[i] == pytest.approx(ref_log_density, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(got_cov, ref_cov, rtol=1e-12, atol=1e-12)
 
 
 def test_update_rejects_an_observation_of_the_wrong_shape():
     # one entry for d = 2 would broadcast against the two predicted entries
-    state = GaussianState(np.zeros(3), np.eye(3), 0.0)
     with pytest.raises(InvalidParameterError, match=r"shape \(1,\).*must have shape \(2,\)"):
-        update(state, np.eye(2, 3), np.eye(2), [1.0])
+        update(np.zeros(3), np.eye(3), np.eye(2, 3), np.eye(2), [1.0])
     # a bank takes one observation row per mean
-    bank = GaussianState(np.zeros((4, 3)), np.eye(3), 0.0)
     with pytest.raises(InvalidParameterError, match=r"shape \(2,\).*must have shape \(4, 2\)"):
-        update(bank, np.eye(2, 3), np.eye(2), [1.0, 2.0])
+        update(np.zeros((4, 3)), np.eye(3), np.eye(2, 3), np.eye(2), [1.0, 2.0])
 
 
 def test_update_singular_innovation_raises():
-    state = GaussianState(np.zeros(2), np.diag([1.0, 0.0]), 0.0)
     with pytest.raises(NumericError, match="singular"):
-        update(state, [[0.0, 1.0]], [[0.0]], [1.0])
+        update(np.zeros(2), np.diag([1.0, 0.0]), [[0.0, 1.0]], [[0.0]], [1.0])
 
 
 @pytest.mark.parametrize(
@@ -171,34 +160,80 @@ def test_update_singular_innovation_raises():
     ids=["indefinite", "nan", "inf"],
 )
 def test_update_rejects_an_innovation_covariance_it_cannot_factor(cov, noise, match):
-    state = GaussianState(np.zeros(2), np.array(cov), 0.0)
     with pytest.raises(NumericError, match=match):
-        update(state, [[1.0, 0.0]], [[noise]], [0.5])
+        update(np.zeros(2), np.array(cov), [[1.0, 0.0]], [[noise]], [0.5])
 
 
 def test_log_likelihood_single_measurement():
-    state = GaussianState(np.array([0.0]), np.array([[1.0]]), 0.0)
-    res = update(state, [[1.0]], [[1.0]], [0.0])
-    assert res.log_density == pytest.approx(-0.5 * math.log(4.0 * math.pi))
-    assert res.log_density == pytest.approx(-1.26551, abs=5e-6)
+    _, _, log_density = update(np.array([0.0]), np.array([[1.0]]), [[1.0]], [[1.0]], [0.0])
+    assert log_density == pytest.approx(-0.5 * math.log(4.0 * math.pi))
+    assert log_density == pytest.approx(-1.26551, abs=5e-6)
 
 
 def test_log_likelihood_block_independence():
-    state2 = GaussianState(np.array([0.0, 1.0]), np.diag([1.0, 2.0]), 0.0)
-    joint = update(state2, np.eye(2), np.diag([0.5, 0.25]), [0.3, 0.6])
-    a = update(GaussianState(np.array([0.0]), [[1.0]], 0.0), [[1.0]], [[0.5]], [0.3])
-    b = update(GaussianState(np.array([1.0]), [[2.0]], 0.0), [[1.0]], [[0.25]], [0.6])
-    assert joint.log_density == pytest.approx(a.log_density + b.log_density, rel=1e-12)
+    *_, joint = update(np.array([0.0, 1.0]), np.diag([1.0, 2.0]), np.eye(2),
+                       np.diag([0.5, 0.25]), [0.3, 0.6])
+    *_, a = update(np.array([0.0]), np.array([[1.0]]), [[1.0]], [[0.5]], [0.3])
+    *_, b = update(np.array([1.0]), np.array([[2.0]]), [[1.0]], [[0.25]], [0.6])
+    assert joint == pytest.approx(a + b, rel=1e-12)
+
+
+def _scalar_steps(g, q, dt, changepoints=()):
+    """`kalman_pass` step callable of a scalar state with one (G, Q): step k
+    ends at k dt, and a changepoint falls on the end of the steps listed."""
+    return lambda k, mean: (k * dt, np.array([[g]]), np.array([[q]]), None, k in changepoints)
+
+
+def test_kalman_pass_matches_the_loop_it_runs():
+    # predict, jump on the changepoint steps, record the predictive marginal,
+    # then update where an observation is keyed
+    g, q, dt, noise = 0.9, 0.3, 2.0, 0.5
+    observations = {2: [1.5], 3: [-0.4], 5: [0.8]}
+    jumped = []
+
+    def jump(mean, cov):
+        jumped.append(len(jumped))
+        return 0.5 * mean, cov + 1.0
+
+    loglik, mean, cov, records = kalman_pass(
+        np.array([1.0]), np.array([[2.0]]), 5, _scalar_steps(g, q, dt, changepoints={3}),
+        observations, [[1.0]], [[noise]], jump=jump,
+    )
+
+    ref_mean, ref_cov, ref_loglik, ref_records = np.array([1.0]), np.array([[2.0]]), 0.0, []
+    for k in range(1, 6):
+        ref_mean, ref_cov = g * ref_mean, g * ref_cov * g + q
+        if k == 3:
+            ref_mean, ref_cov = 0.5 * ref_mean, ref_cov + 1.0
+        ref_records.append((k * dt, ref_mean[0], ref_cov[0, 0]))
+        if k in observations:
+            ref_mean, ref_cov, log_density = update(ref_mean, ref_cov, [[1.0]], [[noise]], observations[k])
+            ref_loglik += log_density
+    assert jumped == [0]
+    assert len(records) == 5
+    np.testing.assert_allclose(records, ref_records, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=0.0)
+    assert loglik == pytest.approx(ref_loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", [0, 6, -1])
+def test_kalman_pass_rejects_an_observation_outside_it(key):
+    # an observation keyed off steps 1..n_steps would never be reached
+    with pytest.raises(ContractViolationError, match=f"step {key} lies outside the pass of 5"):
+        kalman_pass(np.zeros(1), np.eye(1), 5, _scalar_steps(1.0, 0.0, 1.0), {2: [0.0], key: [1.0]},
+                    [[1.0]], [[1.0]], jump=None)
 
 
 def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
-    """RBPF over the steps of `lfm.pass_steps`, jumping with the model's
-    moments, with `setpoint(t)` read at the pass start and every step end."""
+    """RBPF from the moments `init` at time 0 over the steps of
+    `lfm.pass_steps`, jumping with the model's moments, with `setpoint(t)`
+    read at the pass start and every step end."""
     n_steps = int(round(horizon / step))
-    cycle = lfm.step_cycle(model, init.t, step)
-    setpoints = [setpoint(init.t + k * step) for k in range(n_steps + 1)]
+    cycle = lfm.step_cycle(model, 0.0, step)
+    setpoints = [setpoint(k * step) for k in range(n_steps + 1)]
     return rbpf_predict_day(
-        lfm.pass_steps(cycle, init.t, n_steps), init, setpoints,
+        lfm.pass_steps(cycle, 0.0, n_steps), *init, setpoints,
         n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
 
@@ -225,9 +260,9 @@ def test_rbpf_validation():
         _rbpf(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
     with pytest.raises(InvalidParameterError):  # checked before the first step
         _rbpf(model, init, lambda t: float("nan") if t == 100.0 else 0.0, 4, 10.0, 100.0, 0)
-    steps = lfm.pass_steps(lfm.step_cycle(model, init.t, 10.0), init.t, 10)
+    steps = lfm.pass_steps(lfm.step_cycle(model, 0.0, 10.0), 0.0, 10)
     with pytest.raises(ValueError, match="zip"):  # one set point short
-        rbpf_predict_day(steps, init, np.zeros(10), 4, 0,
+        rbpf_predict_day(steps, *init, np.zeros(10), 4, 0,
                          jump=functools.partial(lfm.apply_changepoint_moments, model))
 
 
@@ -237,11 +272,12 @@ def test_rbpf_heater_irrelevant_when_beta_zero():
     model = _thermal_toy(0.0)
     init = lfm.initial_state(model, [1.0], [[0.01]])
     recs = _rbpf(model, init, lambda t: 1.0, 64, 10.0, 400.0, 3)
-    state = init
+    (mean, cov), t = init, 0.0
     for r in recs:
-        g, q = one_step(lfm.discretize, model, state.t, r["t"])
-        state = predict(state, g, q, t_new=r["t"])
-    v_kf = state.cov[0, 0]
+        g, q = one_step(lfm.discretize, model, t, r["t"])
+        mean, cov = predict(mean, cov, g, q)
+        t = r["t"]
+    v_kf = cov[0, 0]
     # 3-sigma band for a variance estimate from 64 draws
     assert abs(recs[-1]["var"] - v_kf) < 3.0 * v_kf * math.sqrt(2.0 / 64)
 
@@ -303,12 +339,12 @@ def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
 
     Returns the records and how many particle steps had the heater on/off."""
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_particles)]
-    input_on = lfm.step_cycle(model, init.t, step).input_on
+    input_on = lfm.step_cycle(model, 0.0, step).input_on
     build = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
-    means = [init.mean.copy() for _ in range(n_particles)]
-    cov = init.cov.copy()
-    t = init.t
-    heaters = [1 if init.mean[0] < setpoint(t) else 0 for _ in range(n_particles)]
+    init_mean, cov = init[0], init[1].copy()
+    means = [init_mean.copy() for _ in range(n_particles)]
+    t = 0.0
+    heaters = [1 if init_mean[0] < setpoint(t) else 0 for _ in range(n_particles)]
     records, n_on, n_off = [], 0, 0
     for _ in range(int(round(horizon / step))):
         t_next = t + step

@@ -5,11 +5,12 @@ baselines, the CLI or the config schemas, and `filtering` does not import
 `lfm.step_cycle` through `lfm.pass_steps`, so no such pass bypasses the
 cycle, and only the cycle computes the input term (`_input_response`); the
 queue, whose drift is relinearized every step, builds its own (G, Q).  Only
-`filtering.predict` and `update` form a covariance (`_symmetrize`), and each
-of the three filter passes (the queue's, the thermal one, whose roster holds
-the resonator baseline, and the particle filter) moves its state with
-`filtering.predict`.  Only `apps/synth.py` builds the applications' daily
-prior.  One weight-space regression (`baselines.comparison.linear_regress`)
+`filtering.predict` and `update` form a covariance (`_symmetrize`), and the
+Kalman loop exists once: the queue and thermal filters (the thermal roster
+holds the resonator baseline) are calls to `filtering.kalman_pass`, and no
+module outside `filtering` calls `predict` or `update`.  Every name imported
+into a module is used there.  Only `apps/synth.py` builds the applications'
+daily prior.  One weight-space regression (`baselines.comparison.linear_regress`)
 scores both linear bases, so the only Cholesky factors beside the Kalman
 layer's are its own and the dense-GP oracle's.  Every public name is reached from the package itself or kept by a
 named oracle or paper claim.  Checked on the source with `ast`, so no module
@@ -47,8 +48,9 @@ def _imports(module: str) -> set[str]:
 
 
 def test_filtering_does_not_import_lfm():
-    assert {"eigenbasis", "lti", "filtering"} <= _imports("lfm")  # the parser sees imports
+    assert {"eigenbasis", "lti"} <= _imports("lfm")  # the parser sees imports
     assert "lfm" not in _imports("filtering")
+    assert "filtering" not in _imports("lfm")  # a pass starts from plain (mean, cov)
 
 
 @pytest.mark.parametrize("module", ENGINE)
@@ -99,12 +101,52 @@ def test_only_predict_and_update_form_a_covariance():
 
 
 def test_every_filter_pass_predicts_through_the_kalman_layer():
-    # no pass moves its state with its own transition algebra
+    # no pass moves its state with its own loop: the applications' filters
+    # call the one pass, and only it and the particle filter predict and
+    # update (import aliases are not references)
     assert {
-        ("apps/queueing.py", "_run_queue_filter", "predict"),
-        ("apps/thermal.py", "_run_thermal_filter", "predict"),
+        ("apps/queueing.py", "_run_queue_filter", "kalman_pass"),
+        ("apps/thermal.py", "_run_thermal_filter", "kalman_pass"),
+    } <= _uses({"kalman_pass"})
+    assert _uses({"predict", "update"}) == {
+        ("filtering.py", "kalman_pass", "predict"), ("filtering.py", "kalman_pass", "update"),
         ("filtering.py", "rbpf_predict_day", "predict"),
-    } <= _uses({"predict"})
+        ("filtering.py", "rbpf_predict_day", "update"),
+    }
+
+
+# imports kept unused on purpose: bench/test_bench.py::test_tracer_patches_every_binding
+# lists each of these bindings of `filtering.update` (ROADMAP item 2 drops them)
+UNUSED_IMPORTS = {
+    ("apps/queueing.py", "update"),
+    ("apps/thermal.py", "update"),
+    ("baselines/resonator.py", "update"),
+}
+
+
+def _unused_imports() -> set[tuple[str, str]]:
+    """(file, bound name) of every import in the package whose name the
+    module never reads: no bare name, attribute base or `__all__` entry (a
+    re-export) refers to it."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        rel = str(path.relative_to(PACKAGE))
+        found |= {(rel, name) for name in bound - read - set(_exports(tree))}
+    return found
+
+
+def test_every_import_is_used():
+    unused = _unused_imports()
+    assert UNUSED_IMPORTS <= unused  # the walk sees unused imports
+    assert unused - UNUSED_IMPORTS == set()
 
 
 def test_one_weight_space_regression():

@@ -6,7 +6,7 @@ from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
 from eigenlfm import lfm, lti
 from eigenlfm.errors import ContractViolationError, InvalidParameterError
-from eigenlfm.filtering import GaussianState, predict
+from eigenlfm.filtering import kalman_pass, predict, update
 from helpers import one_step
 
 
@@ -137,10 +137,10 @@ def test_prior_force_variance_matches_reconstruction():
     model = lfm.assemble(
         lfm.TargetModel(np.array([[-0.5]])), periodic=[lfm.periodic_force(basis, [1.0])]
     )
-    state = lfm.initial_state(model, [0.0], [[1.0]])
+    _, cov = lfm.initial_state(model, [0.0], [[1.0]])
     for t in (0.0, 2.7, 6.03, 9.99):
         row = lfm.periodic_force_row(model, 0, t)
-        var = row @ state.cov @ row
+        var = row @ cov @ row
         assert var == pytest.approx(eb.reconstruct(basis, t, t), abs=1e-8)
 
 
@@ -517,9 +517,9 @@ def test_constant_weight_requires_constant_weights():
 
 
 def test_hartikainen_equivalence_small():
-    # 1-D target + one OU force: filtered moments match the dense-GP oracle
+    # 1-D target + one OU force: the moments of one `kalman_pass` over
+    # irregular times match the dense-GP oracle, predicted and filtered
     from eigenlfm.baselines import DenseGp, gp_regress, stationary_lfm_kernel
-    from eigenlfm.filtering import update
 
     model = lfm.assemble(
         lfm.TargetModel(np.array([[-0.5]])),
@@ -527,21 +527,30 @@ def test_hartikainen_equivalence_small():
     )
     kern = stationary_lfm_kernel(model.drift_za, model.diffusion, out_index=0)
     p_inf = lti.lyapunov_stationary(model.drift_za, model.diffusion)
-    state = GaussianState(np.zeros(2), p_inf, 0.0)
     rng = np.random.default_rng(1)
     times = np.linspace(1.0, 5.0, 5)
     ys = rng.standard_normal(5)
     noise = 0.04
     h = np.array([[1.0, 0.0]])
-    for t, y in zip(times, ys):
-        g, q = one_step(lfm.discretize, model, state.t, t)
-        state = predict(state, g, q, t_new=t)
-        res = update(state, h, [[noise]], [y])
-        state = res.state
-        oracle = DenseGp(kern, noise, times[times <= t], ys[: len(times[times <= t])])
-        mu, var = gp_regress(oracle, [t])
-        assert state.mean[0] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
-        assert state.cov[0, 0] == pytest.approx(var[0], rel=1e-6)
+    starts = np.concatenate([[0.0], times])
+
+    def step(k, mean):  # from the previous time (0 for the first) to times[k - 1]
+        return (times[k - 1], *one_step(lfm.discretize, model, starts[k - 1], starts[k]), None, False)
+
+    for n in range(1, times.size + 1):
+        observations = {k: [y] for k, y in enumerate(ys[:n], start=1)}
+        _, mean, cov, records = kalman_pass(
+            np.zeros(2), p_inf, n, step, observations, h, [[noise]], jump=None
+        )
+        t = times[n - 1]
+        # the record holds the prediction at t from the data before t
+        mu, var = gp_regress(DenseGp(kern, noise, times[: n - 1], ys[: n - 1]), [t])
+        assert records[-1][0] == t
+        assert records[-1][1] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
+        assert records[-1][2] == pytest.approx(var[0], rel=1e-6)
+        mu, var = gp_regress(DenseGp(kern, noise, times[:n], ys[:n]), [t])
+        assert mean[0] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
+        assert cov[0, 0] == pytest.approx(var[0], rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["with", "sqm", "wqm", "cqm"])
@@ -550,7 +559,6 @@ def test_force_only_loglik_matches_dense_gp(kind):
     # discretized): the state-space log-likelihood equals the dense-GP one
     # of its kernel, the basis resynthesis times the quasi-periodic factor
     from eigenlfm.baselines import DenseGp, log_marginal_likelihood
-    from eigenlfm.filtering import update
 
     period, dt, n_steps, noise = 10.0, 0.5, 100, 0.1
     basis = sample_basis(period=period)
@@ -569,19 +577,19 @@ def test_force_only_loglik_matches_dense_gp(kind):
     times = dt * np.arange(n_steps + 1)
     ys = np.random.default_rng(4).standard_normal(times.size)
 
-    def observe(state, t, y):
-        return update(state, lfm.periodic_force_row(model, 0, t)[None, :], [[noise]], [y])
+    # the observation row changes every step, so this oracle keeps its own loop
+    def observe(mean, cov, t, y):
+        return update(mean, cov, lfm.periodic_force_row(model, 0, t)[None, :], [[noise]], [y])
 
-    res = observe(lfm.initial_state(model, empty, np.zeros((0, 0))), times[0], ys[0])
-    loglik = res.log_density
+    mean, cov, loglik = observe(*lfm.initial_state(model, empty, np.zeros((0, 0))), times[0], ys[0])
     steps = list(lfm.pass_steps(lfm.step_cycle(model, 0.0, dt), 0.0, n_steps))
     assert sum(s.changepoint for s in steps) == 5
     for step, y in zip(steps, ys[1:]):
-        state = predict(res.state, step.transition, step.noise, t_new=step.t)
+        mean, cov = predict(mean, cov, step.transition, step.noise)
         if step.changepoint:
-            state = GaussianState(*lfm.apply_changepoint_moments(model, state.mean, state.cov), step.t)
-        res = observe(state, step.t, y)
-        loglik += res.log_density
+            mean, cov = lfm.apply_changepoint_moments(model, mean, cov)
+        mean, cov, log_density = observe(mean, cov, step.t, y)
+        loglik += log_density
 
     def kernel(t, tp):  # eval_matrix passes a column of t and a row of t'
         out = eb.reconstruct(basis, np.ravel(t), np.ravel(tp))
