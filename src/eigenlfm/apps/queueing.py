@@ -363,7 +363,7 @@ def _run_queue_filter(model, dataset: QueueDataset):
 
     mean, cov = lfm.initial_state(model, [0.0], [[25.0]])
     return kalman_pass(
-        mean, cov, n_steps, step, dict(zip(meas_steps.tolist(), dataset.meas_values)),
+        mean, cov, n_steps, step, dict(zip(meas_steps.tolist(), dataset.meas_values[:, None])),
         model.measurement_matrix, model.measurement_noise,
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )

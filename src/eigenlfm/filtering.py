@@ -1,8 +1,8 @@
 """Gaussian filtering on plain arrays: Kalman `predict` and `update` of one
-mean (C,) or a bank of means (P, C) sharing one covariance (each update
-returns the innovation log-density), the one Kalman pass `kalman_pass` that
-every application filter runs, and the Rao-Blackwellised particle filter for
-a binary control input, run on the same `predict` and `update`.
+mean (C,) or a bank (P, C) sharing one covariance (`update` alone restores
+its symmetry and returns the innovation log-density), the one Kalman pass
+`kalman_pass` that every application filter runs, and the Rao-Blackwellised
+particle filter for a binary control input, on the same `predict` and `update`.
 
 This module knows nothing of how a model is discretized: a pass hands it its
 steps (`lfm.PassStep`-shaped, from `lfm.pass_steps` or relinearized per
@@ -39,16 +39,18 @@ def predict(
     process_noise: np.ndarray,
     input_term: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-Gaussian time update: each mean -> G mean + b, cov -> G cov G^T + Q."""
-    g = np.asarray(transition, dtype=float)
-    if g.shape[1] != mean.shape[-1]:
+    """Linear-Gaussian time update: each mean -> G mean + b, cov -> G cov G^T + Q,
+    not symmetrized.  The mean is (C,) or a bank (P, C); G and Q must be (C, C)."""
+    g, q = np.asarray(transition, dtype=float), np.asarray(process_noise, dtype=float)
+    square = mean.shape[-1:] * 2
+    if g.shape != square or q.shape != square:
         raise InvalidParameterError(
-            f"transition has {g.shape[1]} columns for a state of dimension {mean.shape[-1]}"
+            f"transition of shape {g.shape} and noise of shape {q.shape} must both be {square}"
         )
-    mean = mean @ g.T
+    mean = np.dot(mean, g.T)
     if input_term is not None:
         mean = mean + input_term
-    return mean, _symmetrize(g @ cov @ g.T + process_noise)
+    return mean, np.dot(np.dot(g, cov), g.T) + q
 
 
 def update(
@@ -60,33 +62,36 @@ def update(
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Measurement update with the Joseph-stabilized covariance form.
 
-    Returns the posterior mean and covariance and the log-density of the
-    observation: a float for one mean, (P,) for a bank, whose observation
-    is (P, d).  The innovation covariance S = L L^T is factored by LAPACK's
-    `potrf` and L inverted by `trtri`, called directly: on a d x d matrix
-    numpy.linalg's wrappers cost several times the factorization.  A
-    non-positive-definite S raises NumericError ("singular"), and so does a
-    non-finite log det S, taken from L's diagonal (potrf passes a NaN
-    through).  With W = L^-1 H P the gain is K = W^T L^-1 and the mean moves
-    by (L^-1 v)^T W.  The Joseph form (I - KH) P (I - KH)^T + K R K^T is
-    formed as P - K (HP) - ((HP)^T - K S) K^T: the C x d term vanishes in
-    exact arithmetic, and keeping it lets a round-off error in K reach the
-    covariance at second order only, as in the Joseph form.
+    H is (d, C), R (d, d) and y (d,), or (P, d) for a bank of means (P, C);
+    any other shape (a 0-d y too) raises InvalidParameterError.  Returns the
+    posterior mean and covariance (symmetrized) and the log-density of y: a
+    float for one mean, (P,) for a bank.  S = L L^T is factored by LAPACK's
+    `potrf`, which reads its lower triangle only, and L inverted by `trtri`,
+    called directly: on a d x d matrix numpy.linalg's wrappers cost several
+    times the factorization.  A non-positive-definite S raises NumericError
+    ("singular"), and so does a non-finite log det S, taken from L's diagonal
+    (potrf passes a NaN through).  With W = L^-1 H P the gain is K = W^T L^-1
+    and the mean moves by (L^-1 v)^T W.  The Joseph form (I - KH) P (I - KH)^T
+    + K R K^T is formed as P - K (HP) - ((HP)^T - K S) K^T: the C x d term
+    vanishes in exact arithmetic, and keeping it lets a round-off error in K
+    reach the covariance at second order only, as in the Joseph form.
     """
-    h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
-    z = np.atleast_2d(np.asarray(obs_noise, dtype=float))
-    y = np.atleast_1d(np.asarray(observation, dtype=float))
-    expected = mean.shape[:-1] + h.shape[:1]
-    if h.shape[1] != mean.shape[-1] or y.shape != expected:
+    h, z = np.asarray(obs_matrix, dtype=float), np.asarray(obs_noise, dtype=float)
+    y = np.asarray(observation, dtype=float)
+    d = h.shape[:1]
+    expected = mean.shape[:-1] + d
+    if h.shape != d + mean.shape[-1:] or y.shape != expected:
         raise InvalidParameterError(
             f"observation of shape {y.shape} and observation matrix of shape {h.shape} for "
             f"means of shape {mean.shape}: the observation must have shape {expected}"
         )
+    if z.shape != d * 2:
+        raise InvalidParameterError(f"observation noise of shape {z.shape} must be {d * 2}")
 
-    # np.dot, not @, for the bank products: @ of a (P, 1) by a (1, C) array is 5x slower
+    # np.dot, not @: it dispatches faster on small arrays, and @ of (P, 1) by (1, C) is 5x slower
     innovation = y - np.dot(mean, h.T)
-    hp = h @ cov
-    s = _symmetrize(hp @ h.T + z)
+    hp = np.dot(h, cov)
+    s = np.dot(hp, h.T) + z
     chol, info = dpotrf(s, lower=1, clean=1)
     if info:
         raise NumericError("innovation covariance is singular")
@@ -95,11 +100,11 @@ def update(
         raise NumericError(f"innovation covariance S is not finite: log det S = {log_det}")
     chol_inv, _ = dtrtri(chol, lower=1)
 
-    w = chol_inv @ hp
-    gain = w.T @ chol_inv
+    w = np.dot(chol_inv, hp)
+    gain = np.dot(w.T, chol_inv)
     white = np.dot(innovation, chol_inv.T)
     mean = mean + np.dot(white, w)
-    cov = _symmetrize(cov - gain @ hp - (hp.T - gain @ s) @ gain.T)
+    cov = _symmetrize(cov - np.dot(gain, hp) - np.dot(hp.T - np.dot(gain, s), gain.T))
 
     quad = (white * white).sum(axis=-1)
     log_density = -0.5 * (h.shape[0] * math.log(2.0 * math.pi) + log_det + quad)
@@ -187,12 +192,10 @@ def rbpf_predict_day(
     the bank, the input on rows whose heater is on, the jump, and `update` with
     H = e_0, zero noise and the samples as observations; cost O(C^2 T (C + P)).
 
-    Particle i draws from its own Philox stream keyed by (seed, i), so the
-    result does not depend on how particles are scheduled.  Each stream is
-    drawn once, up front, as a block of one normal per step (the same numbers
-    in the same order as that many scalar draws).  The k-th conditioning step
-    consumes column k of the block; a step that does not condition (a
-    vanishing temperature variance) consumes none.
+    Particle i draws from its own stream, one normal per step drawn up front
+    (`_particle_draws`): the k-th conditioning step consumes column k of the
+    block, and a step that does not condition (a vanishing temperature
+    variance) consumes none.
 
     Returns one record per step: {"t", "mean", "var"} with the equal-weight
     mixture moments of the temperature marginal after the prediction.
@@ -210,7 +213,7 @@ def rbpf_predict_day(
     temperature, no_noise = np.eye(1, mean.shape[-1]), np.zeros((1, 1))
 
     # initial heater from the known initial temperature
-    heaters = _controller(np.full(n_particles, float(mean[0])), setpoints[0])
+    heaters = np.full(n_particles, mean[0] < setpoints[0])
 
     records = []
     for step, sp in zip(steps, setpoints[1:], strict=True):
@@ -234,11 +237,6 @@ def rbpf_predict_day(
         else:
             samples = m_t
 
-        heaters = _controller(samples, sp)
+        heaters = samples < sp
 
     return records
-
-
-def _controller(temps: np.ndarray, setpoint: float) -> np.ndarray:
-    """Threshold controller: the heater is on strictly below the set point."""
-    return temps < setpoint

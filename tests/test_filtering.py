@@ -53,6 +53,17 @@ def test_predict_dimension_mismatch():
         predict(np.zeros(3), np.eye(3), np.eye(2), np.zeros((2, 2)))
 
 
+def test_predict_rejects_a_transition_or_noise_that_is_not_square():
+    # a (2,) Q would broadcast into every row of G P G^T
+    with pytest.raises(InvalidParameterError, match=r"noise of shape \(2,\) must both be \(2, 2\)"):
+        predict(np.zeros(2), np.eye(2), np.eye(2), np.array([1.0, 2.0]))
+    # a (3, 2) G would turn a 2-state mean into a 3-state one
+    with pytest.raises(InvalidParameterError, match=r"transition of shape \(3, 2\)"):
+        predict(np.zeros(2), np.eye(2), np.ones((3, 2)), np.eye(3))
+    with pytest.raises(InvalidParameterError, match=r"transition of shape \(3, 2\)"):
+        predict(np.zeros((4, 2)), np.eye(2), np.ones((3, 2)), np.eye(3))
+
+
 def test_update_scalar():
     mean, cov, log_density = update(np.array([0.0]), np.array([[1.0]]), [[1.0]], [[1.0]], [2.0])
     assert mean[0] == pytest.approx(1.0)
@@ -145,6 +156,22 @@ def test_update_rejects_an_observation_of_the_wrong_shape():
         update(np.zeros((4, 3)), np.eye(3), np.eye(2, 3), np.eye(2), [1.0, 2.0])
 
 
+def test_update_rejects_observation_noise_that_is_not_d_by_d():
+    # a (2,) R would broadcast into both rows of H P H^T and give a wrong S
+    with pytest.raises(InvalidParameterError, match=r"noise of shape \(2,\) must be \(2, 2\)"):
+        update(np.zeros(3), np.eye(3), np.eye(2, 3), [0.1, 0.2], [1.0, 2.0])
+    with pytest.raises(InvalidParameterError, match=r"noise of shape \(\)"):
+        update(np.zeros(1), np.eye(1), [[1.0]], 0.5, [1.0])
+
+
+def test_update_rejects_a_scalar_observation():
+    # one observed entry is a (1,) observation, not a 0-d one
+    with pytest.raises(InvalidParameterError, match=r"shape \(\).*must have shape \(1,\)"):
+        update(np.zeros(2), np.eye(2), [[1.0, 0.0]], [[0.5]], 2.0)
+    with pytest.raises(InvalidParameterError, match=r"observation matrix of shape \(2,\)"):
+        update(np.zeros(2), np.eye(2), [1.0, 0.0], [[0.5]], [2.0])
+
+
 def test_update_singular_innovation_raises():
     with pytest.raises(NumericError, match="singular"):
         update(np.zeros(2), np.diag([1.0, 0.0]), [[0.0, 1.0]], [[0.0]], [1.0])
@@ -223,6 +250,34 @@ def test_kalman_pass_rejects_an_observation_outside_it(key):
     with pytest.raises(ContractViolationError, match=f"step {key} lies outside the pass of 5"):
         kalman_pass(np.zeros(1), np.eye(1), 5, _scalar_steps(1.0, 0.0, 1.0), {2: [0.0], key: [1.0]},
                     [[1.0]], [[1.0]], jump=None)
+
+
+def test_covariance_stays_symmetric_over_predict_only_stretches():
+    # predict does not symmetrize; update does.  Over 24 predictions between
+    # updates (as in the queue) round-off keeps every covariance symmetric
+    # and PSD to working precision.  A jump on every step sees each
+    # predicted covariance.
+    rng = np.random.default_rng(5)
+    c = 20
+    a = rng.standard_normal((c, c))
+    g = scipy.linalg.expm(-0.1 * np.eye(c) + 0.3 * (a - a.T) + 0.05 * rng.standard_normal((c, c)))
+    b = rng.standard_normal((c, c))
+    q, h, noise = 0.01 * b @ b.T, rng.standard_normal((2, c)), 0.1 * np.eye(2)
+    observations = {k: rng.standard_normal(2) for k in range(25, 401, 25)}
+    covs = []
+
+    def jump(mean, cov):
+        covs.append(cov)
+        return mean, cov
+
+    *_, cov, _ = kalman_pass(np.zeros(c), np.eye(c), 400, lambda k, _: (k, g, q, None, True),
+                             observations, h, noise, jump=jump)
+    assert len(covs) == 400
+    for p in [*covs, cov]:
+        scale = np.abs(p).max()
+        assert np.abs(p - p.T).max() <= 1e-13 * scale
+        assert np.linalg.eigvalsh(p).min() >= -1e-12 * scale
+    np.testing.assert_array_equal(cov, cov.T)  # the pass ends on an update
 
 
 def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):

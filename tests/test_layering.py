@@ -4,11 +4,11 @@ baselines, the CLI or the config schemas, and `filtering` does not import
 `lfm`.  Every pass over a fixed model takes its transitions from a
 `lfm.step_cycle` through `lfm.pass_steps`, so no such pass bypasses the
 cycle, and only the cycle computes the input term (`_input_response`); the
-queue, whose drift is relinearized every step, builds its own (G, Q).  Only
-`filtering.predict` and `update` form a covariance (`_symmetrize`), and the
-Kalman loop exists once: the queue and thermal filters (the thermal roster
-holds the resonator baseline) are calls to `filtering.kalman_pass`, and no
-module outside `filtering` calls `predict` or `update`.  Every name imported
+queue, whose drift is relinearized every step, builds its own (G, Q).  No
+pass forms a covariance outside `filtering`: only `filtering.update` restores
+its symmetry (`_symmetrize`), and the Kalman loop exists once: the queue
+and thermal filters (the thermal roster holds the resonator baseline) are
+calls to `filtering.kalman_pass`, and no module outside `filtering` calls `predict` or `update`.  Every name imported
 into a module is used there.  Only `apps/synth.py` builds the applications'
 daily prior.  One weight-space regression (`baselines.comparison.linear_regress`)
 scores both linear bases, so the only Cholesky factors beside the Kalman
@@ -94,10 +94,9 @@ def test_only_step_cycle_builds_steps():
 
 
 def test_only_predict_and_update_form_a_covariance():
-    # no pass grows its own covariance algebra beside the Kalman layer
-    assert _uses({"_symmetrize"}) == {
-        ("filtering.py", "predict", "_symmetrize"), ("filtering.py", "update", "_symmetrize"),
-    }
+    # no pass grows its own covariance algebra beside the Kalman layer, and
+    # the layer restores symmetry once per observed step, in the update
+    assert _uses({"_symmetrize"}) == {("filtering.py", "update", "_symmetrize")}
 
 
 def test_every_filter_pass_predicts_through_the_kalman_layer():
