@@ -64,7 +64,7 @@ def queue_simulate(times, arrival, omega, l0: float, substep: float = 0.25) -> n
     length is clamped at zero after every substep (the mean-queue equation
     can otherwise go negative under negative arrival rates).  The substep
     must resolve the fastest service time constant (1/omega) for RK4
-    stability.
+    stability: h omega <= 2.78 on the linearized drift.
     """
     times = np.asarray(times, dtype=float)
     if substep <= 0.0:
@@ -178,9 +178,16 @@ def _draw_rate(config: QueueGenConfig, grid: np.ndarray, rng) -> np.ndarray:
 
 
 def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
-    """Simulate arrivals, the true queue, and the measurement record."""
+    """Simulate arrivals, the true queue, and the measurement record.
+
+    The queue is integrated at substeps of min(0.25, 2.5 / omega_max)
+    minutes, omega_max the fastest service rate of the record, which keeps
+    RK4 stable (`queue_simulate`); at omega_max = 10 that is 0.25."""
     if config.days < 2:
         raise InvalidParameterError("need at least one training day plus the test day")
+    rates = [config.omega_train, *(rate for _, rate in config.omega_test)]
+    if min(rates) <= 0.0:
+        raise InvalidParameterError(f"service rates must be > 0, got {rates}")
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_MINUTES
     times = np.arange(0.0, horizon + 1e-9, config.step)
@@ -201,7 +208,7 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
         frac = t - i
         return (1.0 - frac) * rate_fine[i] + frac * rate_fine[i + 1]
 
-    truth = queue_simulate(times, arrival, omega, l0=0.0)
+    truth = queue_simulate(times, arrival, omega, l0=0.0, substep=min(0.25, 2.5 / max(rates)))
 
     test_start = (config.days - 1) * DAY_MINUTES
     train_times = np.arange(config.train_meas_every, test_start + 1e-9,
@@ -265,7 +272,7 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
     """State (queue length, arrival-rate states): an OU force for "hart",
     eigenfunction weights of a periodic arrival rate otherwise.  The target
     drift is relinearized at every step, so the model holds only the forces,
-    the prior, the day-boundary jumps and the measurement."""
+    the prior and the day-boundary jumps."""
     coupling = np.array([1.0])
     nonperiodic, periodic, changepoints = [], [], ()
     if kind == "hart":
@@ -276,14 +283,9 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
             kind, params["sigma_p"], params["ell_p"], params, config, coupling
         )
         periodic = [force]
-    model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
-        nonperiodic=nonperiodic,
-        periodic=periodic,
-        changepoints=changepoints,
+    return lfm.assemble(
+        np.zeros((1, 1)), nonperiodic=nonperiodic, periodic=periodic, changepoints=changepoints
     )
-    lfm.set_measurement(model, np.eye(1, model.dim), [[params["sigma_obs"] ** 2]])
-    return model
 
 
 def _relinearized_steps(model, starts: np.ndarray, dt: float):
@@ -339,8 +341,9 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
     return step
 
 
-def _run_queue_filter(model, dataset: QueueDataset):
-    """One full `filtering.kalman_pass` over the dataset's grid; returns its
+def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
+    """One full `filtering.kalman_pass` over the dataset's grid, observing the
+    queue length (state 0) with noise std `sigma_obs`; returns its
     (loglik, mean, cov, records).  Step k relinearizes the drift at the
     filtered mean and takes slot (k - 1) mod n_cycle of `_relinearized_steps`
     over one cycle.  Jumps and measurements are looked up by integer step
@@ -364,7 +367,7 @@ def _run_queue_filter(model, dataset: QueueDataset):
     mean, cov = lfm.initial_state(model, [0.0], [[25.0]])
     return kalman_pass(
         mean, cov, n_steps, step, dict(zip(meas_steps.tolist(), dataset.meas_values[:, None])),
-        model.measurement_matrix, model.measurement_noise,
+        np.eye(1, model.dim), np.array([[sigma_obs**2]]),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
 
@@ -406,7 +409,9 @@ def queue_fit(
     )
 
     def objective(p: dict) -> float:
-        loglik, _, _, _ = _run_queue_filter(_queue_model(kind, p, dataset.config), train)
+        loglik, _, _, _ = _run_queue_filter(
+            _queue_model(kind, p, dataset.config), train, p["sigma_obs"]
+        )
         return loglik
 
     return learn.fit(objective, _param_space(kind, dataset), budget=budget,
@@ -422,7 +427,7 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
     """
     _param_space(kind, dataset).check(params, kind)
     model = _queue_model(kind, params, dataset.config)
-    _, _, _, records = _run_queue_filter(model, dataset)
+    _, _, _, records = _run_queue_filter(model, dataset, params["sigma_obs"])
     held_out = [r for r in records if r[0] > dataset.test_start + 1e-9]
     times, mean, var = zip(*held_out)
     out = score(times, mean, var, dataset.times, dataset.truth_queue)

@@ -214,32 +214,27 @@ def thermal_build(
         periodic = [force]
 
     model = lfm.assemble(
-        lfm.TargetModel(drift),
-        nonperiodic=nonperiodic,
-        periodic=periodic,
-        changepoints=changepoints,
+        drift, nonperiodic=nonperiodic, periodic=periodic, changepoints=changepoints
     )
     binary = np.zeros(model.layout.dim_za)
     binary[0] = beta
     model.binary_input = binary
-
-    n_meas = 2  # internal and external temperature
-    h = np.zeros((n_meas, model.dim))
-    h[0, 0] = 1.0
-    h[1] = lfm.nonperiodic_force_row(model, 0)
-    lfm.set_measurement(model, h, params["sigma_obs"] ** 2 * np.eye(n_meas))
     return model
 
 
 def _initial_state(model, dataset: ThermalDataset, envelope: bool):
-    """Prior (mean, cov), the external block conditioned on its first measurement."""
+    """Prior (mean, cov), the external block conditioned on its first
+    measurement.  The envelope's prior variance is that of the measured
+    inside-outside gap over the training minutes (up to `test_start`), so
+    the held-out day does not reach the prior."""
     e = model.layout.n_target
     mean = np.zeros(e)
     mean[0] = dataset.meas_int[0]
     var = np.full(e, dataset.config.obs_noise**2 + 1e-4)
     if envelope:
         mean[1] = 0.5 * (dataset.meas_int[0] + dataset.meas_ext[0])
-        var[1] = np.var(dataset.meas_int - dataset.meas_ext) + 1.0
+        train = dataset.minutes <= dataset.test_start
+        var[1] = np.var(dataset.meas_int[train] - dataset.meas_ext[train]) + 1.0
     mean, cov = lfm.initial_state(model, mean, np.diag(var))
     lo, _ = model.layout.nonperiodic_spans[0]
     mean[lo] = dataset.meas_ext[0]
@@ -248,15 +243,15 @@ def _initial_state(model, dataset: ThermalDataset, envelope: bool):
 
 
 def _run_thermal_filter(
-    cycle: lfm.StepCycle, dataset: ThermalDataset, mean: np.ndarray, cov: np.ndarray,
-    t_start: float, t_end: float, measure_every: float,
+    cycle: lfm.StepCycle, dataset: ThermalDataset, sigma_obs: float, mean: np.ndarray,
+    cov: np.ndarray, t_start: float, t_end: float, measure_every: float,
 ):
     """`filtering.kalman_pass` from (mean, cov) with the known heater record
     over [t_start, t_end], on the steps of `cycle`, measuring both
-    temperatures every `measure_every` minutes (a whole number of steps).
-    Step starts and measurement times are mapped to indices of the
-    one-minute record once, up front; a time off that grid or past the
-    record raises ContractViolationError."""
+    temperatures with noise std `sigma_obs` every `measure_every` minutes (a
+    whole number of steps).  Step starts and measurement times are mapped to
+    indices of the one-minute record once, up front; a time off that grid or
+    past the record raises ContractViolationError."""
     model, dt = cycle.model, cycle.dt
     n_steps = int(round((t_end - t_start) / dt))
     every = int(round(measure_every / dt))
@@ -270,13 +265,16 @@ def _run_thermal_filter(
     minute = _record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
     heater = dataset.heater[minute[:-1]].tolist()
     observed = np.column_stack((dataset.meas_int, dataset.meas_ext))
+    h = np.zeros((2, model.dim))
+    h[0, 0] = 1.0
+    h[1] = lfm.nonperiodic_force_row(model, 0)
     # the pass asks for the steps in order; a heater that is off adds no input
     steps = (s if on else s._replace(input_on=None)
              for s, on in zip(lfm.pass_steps(cycle, t_start, n_steps), heater))
     return kalman_pass(
         mean, cov, n_steps, lambda *_: next(steps),
         {k: observed[minute[k]] for k in range(every, n_steps + 1, every)},
-        model.measurement_matrix, model.measurement_noise,
+        h, sigma_obs**2 * np.eye(2),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
 
@@ -349,7 +347,7 @@ def thermal_fit(
     def objective(p: dict) -> float:
         model = thermal_build(kind, p, dataset.config, envelope=envelope)
         loglik, _, _, _ = _run_thermal_filter(
-            lfm.step_cycle(model, 0.0, dataset.config.step), dataset,
+            lfm.step_cycle(model, 0.0, dataset.config.step), dataset, p["sigma_obs"],
             *_initial_state(model, dataset, envelope),
             0.0, dataset.test_start, dataset.config.step,
         )
@@ -377,7 +375,7 @@ def _trained_state(dataset, kind, params, envelope):
     model = thermal_build(kind, params, dataset.config, envelope=envelope)
     cycle = lfm.step_cycle(model, 0.0, dataset.config.step)
     _, mean, cov, _ = _run_thermal_filter(
-        cycle, dataset, *_initial_state(model, dataset, envelope),
+        cycle, dataset, params["sigma_obs"], *_initial_state(model, dataset, envelope),
         0.0, dataset.test_start, dataset.config.step,
     )
     return cycle, mean, cov
@@ -394,7 +392,7 @@ def thermal_track_day(
     measurements; scores the predictive marginals at every control step."""
     cycle, mean, cov = _trained_state(dataset, kind, params, envelope)
     _, _, _, records = _run_thermal_filter(
-        cycle, dataset, mean, cov, dataset.test_start,
+        cycle, dataset, params["sigma_obs"], mean, cov, dataset.test_start,
         dataset.test_start + DAY_MINUTES, measure_every,
     )
     return _score(dataset, cycle.model, records)

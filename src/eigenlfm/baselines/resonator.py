@@ -43,5 +43,5 @@ def resonator_bank(freqs, decays, diffusion: float, coupling) -> list[lfm.NonPer
         lfm.NonPeriodicForce(resonator_block(f, b, diffusion), coupling)
         for f, b in zip(freqs, decays)
     ]
-    forces.append(lfm.NonPeriodicForce(lti.constant_weight_block(), coupling))
+    forces.append(lfm.NonPeriodicForce(lti.constant_block(), coupling))
     return forces

@@ -49,7 +49,8 @@ def _fail(message: str) -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seeds.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               help="Output directory.")
-@click.option("--jobs", type=int, default=1, help="Worker processes for multi-seed runs.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              help="Worker processes for multi-seed runs.")
 @click.pass_context
 def main(ctx, config_path, seed, out_dir, jobs):
     """State-space inference for periodic latent force models."""
@@ -57,7 +58,7 @@ def main(ctx, config_path, seed, out_dir, jobs):
         "config_path": config_path,
         "seed": seed,
         "out": Path(out_dir),
-        "jobs": max(1, jobs),
+        "jobs": jobs,
     }
 
 

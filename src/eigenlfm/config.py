@@ -61,9 +61,9 @@ _QUEUE_GENERATOR = {
         "omega_train": _POSITIVE,
         "omega_test": {
             "type": "array",
-            "items": {
+            "items": {  # [start minute in the test day, service rate]
                 "type": "array",
-                "items": {"type": "number"},
+                "prefixItems": [{"type": "number"}, _POSITIVE],
                 "minItems": 2,
                 "maxItems": 2,
             },

@@ -5,11 +5,13 @@ dispatch on the variant and broadcast over numpy arrays.  Periodic variants
 are driven by the phase map ``kappa(tau) = |sin(pi tau / period)|`` so that a
 kernel of the phase is automatically periodic in time.  Quasi-periodic step
 variants (StepQuasi / WienerStepQuasi) depend on time only through the cycle
-index ``floor((t - epoch) / period)``.
+index ``floor((t - epoch) / period)``; the continuous one is the OU kernel
+``Matern(0.5, sigma, ell)``, which the config variant "cqm" builds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -23,7 +25,6 @@ __all__ = [
     "PeriodicMatern",
     "PeriodicSE",
     "SquaredExponential",
-    "ContinuousQuasi",
     "StepQuasi",
     "WienerStepQuasi",
     "Product",
@@ -107,18 +108,6 @@ class SquaredExponential:
 
 
 @dataclass(frozen=True)
-class ContinuousQuasi:
-    """Inter-cycle decorrelation acting continuously in time (an OU kernel)."""
-
-    sigma: float
-    ell: float
-
-    def __post_init__(self):
-        _require_positive(self.sigma, "sigma")
-        _require_positive(self.ell, "ell")
-
-
-@dataclass(frozen=True)
 class StepQuasi:
     """Variance-preserving decorrelation applied once per cycle boundary."""
 
@@ -186,7 +175,6 @@ Kernel = Union[
     PeriodicMatern,
     PeriodicSE,
     SquaredExponential,
-    ContinuousQuasi,
     StepQuasi,
     WienerStepQuasi,
     Product,
@@ -250,8 +238,6 @@ def _eval(kernel: KernelLike, t: np.ndarray, tp: np.ndarray):
     if isinstance(kernel, SquaredExponential):
         d = t - tp
         return kernel.sigma**2 * np.exp(-(d**2) / (2.0 * kernel.ell**2))
-    if isinstance(kernel, ContinuousQuasi):
-        return kernel.sigma**2 * np.exp(-np.abs(t - tp) / kernel.ell)
     if isinstance(kernel, StepQuasi):
         dc = np.abs(
             cycle_index(t, kernel.period, kernel.epoch)
@@ -292,7 +278,7 @@ _VARIANT_TYPES = {
     "periodic_matern": PeriodicMatern,
     "periodic_se": PeriodicSE,
     "se": SquaredExponential,
-    "cqm": ContinuousQuasi,
+    "cqm": functools.partial(Matern, 0.5),
     "sqm": StepQuasi,
     "wqm": WienerStepQuasi,
     "nonstat_periodic": NonStatPeriodic,

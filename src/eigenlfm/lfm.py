@@ -11,6 +11,10 @@ with drift
 where z_a holds the target and non-periodic blocks, the weights `a` multiply
 eigenfunctions of the periodic force kernels, and m(t) couples each weight
 into the target through its eigenfunction value and coupling column.
+`assemble` takes the target drift F as an array, the non-periodic forces as
+LTI-SDE blocks and the periodic forces as bases whose weights share two
+scalar dynamics, a rate and a diffusion (both 0 for constant weights).  The
+model holds no measurement: a pass hands its H and R to the Kalman layer.
 
 Two step builders share one contract: `build(model, starts, dt)` takes a
 1-D array of step starts and one step length and returns the stacked
@@ -66,7 +70,6 @@ from .errors import (
 )
 
 __all__ = [
-    "TargetModel",
     "NonPeriodicForce",
     "PeriodicForce",
     "StateLayout",
@@ -80,7 +83,6 @@ __all__ = [
     "discretize",
     "constant_weight_transition",
     "make_constant_step_plan",
-    "ConstantStepPlan",
     "StepCycle",
     "step_cycle",
     "pass_steps",
@@ -99,13 +101,6 @@ _BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TargetModel:
-    """Physical target block: drift F (E x E)."""
-
-    drift: np.ndarray
-
-
-@dataclass(frozen=True)
 class NonPeriodicForce:
     """A force represented directly by an LTI-SDE block."""
 
@@ -117,30 +112,36 @@ class NonPeriodicForce:
 class PeriodicForce:
     """A periodic force represented by eigenfunction weights.
 
-    `weight_block` describes one weight's continuous dynamics at unit prior
-    scale; the per-weight diffusion and jump noise are multiplied by the
-    scaled eigenvalue of that weight.  `weight_prior_scale` multiplies the
-    scaled eigenvalues to give the initial weight variances.
+    Every weight follows a' = weight_rate a + white noise of density
+    weight_diffusion, at unit prior scale; both are 0.0 for weights that are
+    constant between changepoints.  The per-weight diffusion and jump noise
+    are multiplied by the scaled eigenvalue of that weight.
+    `weight_prior_scale` multiplies the scaled eigenvalues to give the
+    initial weight variances.
     """
 
     basis: eb.EigenBasis
     coupling: np.ndarray  # (E,)
-    weight_block: lti.LtiSde
+    weight_rate: float = 0.0
+    weight_diffusion: float = 0.0
     weight_prior_scale: float = 1.0
     jump: lti.JumpModel | None = None
 
 
 def periodic_force(basis: eb.EigenBasis, coupling) -> PeriodicForce:
     """Perfectly periodic force: constant weights, no changepoint jumps."""
-    return PeriodicForce(basis, np.asarray(coupling, float), lti.constant_weight_block())
+    return PeriodicForce(basis, np.asarray(coupling, float))
 
 
 def cqm_force(basis, coupling, sigma_q: float, ell_q: float) -> PeriodicForce:
-    """Quasi-periodic force whose weights decorrelate continuously (OU)."""
+    """Quasi-periodic force whose weights decorrelate continuously: each is
+    the OU process of `lti.matern12_block(sigma_q, ell_q)`."""
+    ou = lti.matern12_block(sigma_q, ell_q)
     return PeriodicForce(
         basis,
         np.asarray(coupling, float),
-        lti.cqm_weight_block(sigma_q, ell_q),
+        weight_rate=ou.drift[0, 0],
+        weight_diffusion=ou.diffusion,
         weight_prior_scale=sigma_q**2,
     )
 
@@ -150,7 +151,6 @@ def sqm_force(basis, coupling, sigma_q: float, ell_q: float) -> PeriodicForce:
     return PeriodicForce(
         basis,
         np.asarray(coupling, float),
-        lti.constant_weight_block(),
         weight_prior_scale=sigma_q**2,
         jump=lti.sqm_jump(sigma_q, ell_q),
     )
@@ -159,11 +159,7 @@ def sqm_force(basis, coupling, sigma_q: float, ell_q: float) -> PeriodicForce:
 def wqm_force(basis, coupling, xi0: float, xi: float) -> PeriodicForce:
     """Quasi-periodic force whose variance grows by xi at each changepoint."""
     return PeriodicForce(
-        basis,
-        np.asarray(coupling, float),
-        lti.constant_weight_block(),
-        weight_prior_scale=xi0,
-        jump=lti.wqm_jump(xi),
+        basis, np.asarray(coupling, float), weight_prior_scale=xi0, jump=lti.wqm_jump(xi)
     )
 
 
@@ -178,20 +174,17 @@ class StateLayout:
 
 @dataclass
 class AugmentedModel:
-    target: TargetModel
     nonperiodic: tuple[NonPeriodicForce, ...]
     periodic: tuple[PeriodicForce, ...]
     layout: StateLayout
     changepoints: np.ndarray
-    measurement_matrix: np.ndarray | None = None
-    measurement_noise: np.ndarray | None = None
-    binary_input: np.ndarray | None = None  # (dim_za,) ON direction of a 0/1 input
     # assembly caches
-    drift_za: np.ndarray = field(repr=False, default=None)
-    diffusion: np.ndarray = field(repr=False, default=None)  # (C, C) spectral density
-    weight_rates: np.ndarray = field(repr=False, default=None)  # (n_w,)
-    coupling_pad: tuple[np.ndarray, ...] = field(repr=False, default=None)
-    weight_scaled_eigs: tuple[np.ndarray, ...] = field(repr=False, default=None)
+    drift_za: np.ndarray = field(repr=False)
+    diffusion: np.ndarray = field(repr=False)  # (C, C) spectral density
+    weight_rates: np.ndarray = field(repr=False)  # (n_w,)
+    coupling_pad: tuple[np.ndarray, ...] = field(repr=False)
+    weight_scaled_eigs: tuple[np.ndarray, ...] = field(repr=False)
+    binary_input: np.ndarray | None = None  # (dim_za,) ON direction of a 0/1 input
 
     @property
     def dim(self) -> int:
@@ -199,13 +192,15 @@ class AugmentedModel:
 
 
 def assemble(
-    target: TargetModel,
+    drift,
     nonperiodic: Sequence[NonPeriodicForce] = (),
     periodic: Sequence[PeriodicForce] = (),
     changepoints: Sequence[float] = (),
 ) -> AugmentedModel:
-    """Assemble the augmented model and precompute its building blocks."""
-    drift = np.atleast_2d(np.asarray(target.drift, dtype=float))
+    """Assemble the augmented model from the target drift F (E x E), the
+    non-periodic and periodic forces and the changepoint times, and
+    precompute its building blocks."""
+    drift = np.atleast_2d(np.asarray(drift, dtype=float))
     n_target = drift.shape[0]
     if drift.shape != (n_target, n_target):
         raise InvalidParameterError("target drift must be square")
@@ -223,8 +218,6 @@ def assemble(
     for force in periodic:
         if np.asarray(force.coupling).shape != (n_target,):
             raise InvalidParameterError("force coupling must have one entry per target state")
-        if force.weight_block.dim != 1:
-            raise InvalidParameterError("eigenfunction weight blocks must be scalar")
         w_spans.append((pos, pos + force.basis.n_selected))
         pos += force.basis.n_selected
     dim = pos
@@ -248,8 +241,8 @@ def assemble(
     for force, (lo, hi) in zip(periodic, w_spans):
         mu = force.basis.scaled_eigenvalues()
         scaled_eigs.append(mu)
-        weight_rates[lo - dim_za : hi - dim_za] = force.weight_block.drift[0, 0]
-        diffusion[lo:hi, lo:hi] = np.diag(mu * force.weight_block.diffusion)
+        weight_rates[lo - dim_za : hi - dim_za] = force.weight_rate
+        diffusion[lo:hi, lo:hi] = np.diag(mu * force.weight_diffusion)
         pad = np.zeros(dim_za)
         pad[:n_target] = force.coupling
         pads.append(pad)
@@ -259,7 +252,6 @@ def assemble(
         raise InvalidParameterError("changepoints must be strictly increasing")
 
     return AugmentedModel(
-        target=target,
         nonperiodic=tuple(nonperiodic),
         periodic=tuple(periodic),
         layout=layout,
@@ -272,21 +264,9 @@ def assemble(
     )
 
 
-def set_measurement(model: AugmentedModel, obs_matrix, obs_noise) -> None:
-    h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
-    z = np.atleast_2d(np.asarray(obs_noise, dtype=float))
-    if h.shape[1] != model.dim:
-        raise InvalidParameterError("measurement matrix width must equal the state size")
-    if z.shape != (h.shape[0], h.shape[0]):
-        raise InvalidParameterError("measurement noise must be square and match H")
-    model.measurement_matrix = h
-    model.measurement_noise = z
-
-
 def has_constant_weights(model: AugmentedModel) -> bool:
     return all(
-        force.weight_block.drift[0, 0] == 0.0 and force.weight_block.diffusion == 0.0
-        for force in model.periodic
+        force.weight_rate == 0.0 and force.weight_diffusion == 0.0 for force in model.periodic
     )
 
 
@@ -375,21 +355,12 @@ def gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@dataclass(frozen=True)
-class ConstantStepPlan:
-    """What every constant-weight step of length dt shares: the z_a
-    transition and noise, and the quadrature nodes with the z_a response to
-    each force's coupling from each node to the step end.  Built by
-    `constant_weight_transition` for its batch."""
-
-    phi_za: np.ndarray           # expm(F_a dt)
-    noise_za: np.ndarray         # exact z_a process noise over one step
-    node_offsets: np.ndarray     # (n,) offsets into the step
-    node_weights: np.ndarray     # (n,) quadrature weights (scaled by dt)
-    node_coupling: tuple[np.ndarray, ...]  # per force: (n, dim_za)
-
-
-def make_constant_step_plan(model: AugmentedModel, dt: float) -> ConstantStepPlan:
+def make_constant_step_plan(model: AugmentedModel, dt: float) -> tuple:
+    """What every constant-weight step of length dt shares, as the tuple
+    (expm(F_a dt), the exact z_a noise over one step, the (n,) quadrature
+    node offsets into the step, their (n,) weights scaled by dt, and per
+    force the (n, dim_za) z_a response to its coupling from each node to
+    the step end)."""
     drift_za = model.drift_za
     cza = model.layout.dim_za
     x, w = gauss_nodes()
@@ -398,13 +369,7 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> ConstantStepPla
     coupling = tuple(
         np.stack([p @ pad for p in props]) for pad in model.coupling_pad
     )
-    return ConstantStepPlan(
-        phi_za=phi_za,
-        noise_za=noise_za,
-        node_offsets=x * dt,
-        node_weights=w * dt,
-        node_coupling=coupling,
-    )
+    return phi_za, noise_za, x * dt, w * dt, coupling
 
 
 def constant_weight_transition(
@@ -421,24 +386,22 @@ def constant_weight_transition(
     """
     if not has_constant_weights(model):
         raise ContractViolationError(
-            "constant_weight_transition requires constant weight blocks"
+            "constant_weight_transition requires constant weights"
         )
-    plan = make_constant_step_plan(model, dt)
+    phi_za, noise_za, offsets, weights, node_coupling = make_constant_step_plan(model, dt)
 
     n, c, cza = starts.size, model.dim, model.layout.dim_za
     g = np.zeros((n, c, c))
-    g[:, :cza, :cza] = plan.phi_za
+    g[:, :cza, :cza] = phi_za
     idx = np.arange(cza, c)
     g[:, idx, idx] = 1.0
     q = np.zeros((n, c, c))
-    q[:, :cza, :cza] = plan.noise_za
+    q[:, :cza, :cza] = noise_za
 
-    nodes = (starts[:, None] + plan.node_offsets).ravel()
-    for force, coupling, (lo, hi) in zip(
-        model.periodic, plan.node_coupling, model.layout.weight_spans
-    ):
-        phi = eb.eigenfunction_matrix(force.basis, nodes).reshape(n, plan.node_offsets.size, hi - lo)
-        cols = coupling * plan.node_weights[:, None]  # (n_nodes, dim_za)
+    nodes = (starts[:, None] + offsets).ravel()
+    for force, coupling, (lo, hi) in zip(model.periodic, node_coupling, model.layout.weight_spans):
+        phi = eb.eigenfunction_matrix(force.basis, nodes).reshape(n, offsets.size, hi - lo)
+        cols = coupling * weights[:, None]  # (n_nodes, dim_za)
         g[:, :cza, lo:hi] = cols.T @ phi
     return g, q
 

@@ -1,8 +1,11 @@
 """Continuous-time LTI-SDE blocks and per-changepoint jump models.
 
-Each block encodes one scalar process (a latent force or an eigenfunction
-weight) as dU/dt = F U + L w with white noise w of spectral density q; the
-`extract` row reads the process value out of the block state.
+Each block encodes one scalar process (a non-periodic latent force, or the
+constant bias of the resonator bank) as dU/dt = F U + L w with white noise w
+of spectral density q; the `extract` row reads the process value out of the
+block state.  Eigenfunction weights are not blocks: `lfm.PeriodicForce`
+holds their rate and diffusion as two floats, and a `JumpModel` for their
+jumps.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ __all__ = [
     "JumpModel",
     "matern12_block",
     "matern32_block",
-    "constant_weight_block",
-    "cqm_weight_block",
+    "constant_block",
     "sqm_jump",
     "wqm_jump",
     "stationary_covariance",
@@ -90,19 +92,14 @@ def matern32_block(sigma: float, ell: float) -> LtiSde:
     )
 
 
-def constant_weight_block() -> LtiSde:
-    """Weight that is constant between changepoints: F = 0, q = 0."""
+def constant_block() -> LtiSde:
+    """A constant state: F = 0, q = 0 (the resonator bank's bias)."""
     return LtiSde(
         drift=np.array([[0.0]]),
         noise=np.array([[0.0]]),
         diffusion=0.0,
         extract=np.array([1.0]),
     )
-
-
-def cqm_weight_block(sigma: float, ell: float) -> LtiSde:
-    """Continuously decorrelating weight: identical to the OU block."""
-    return matern12_block(sigma, ell)
 
 
 def sqm_jump(sigma: float, ell: float) -> JumpModel:

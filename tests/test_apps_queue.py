@@ -46,6 +46,23 @@ def test_simulate_step_halving_convergence():
     assert np.max(np.abs(a - b)) < 1e-6
 
 
+def test_generator_resolves_a_fast_service_rate(monkeypatch):
+    # at a fixed 0.25-minute substep, RK4 on a service rate of 40 collapsed
+    # the queue to 0; the generator's truth matches a fine-substep reference
+    # of the same arrivals and service rate
+    calls, simulate = [], qa.queue_simulate
+
+    def recording(times, arrival, omega, l0, **kwargs):
+        calls.append((times, arrival, omega, l0))
+        return simulate(times, arrival, omega, l0, **kwargs)
+
+    monkeypatch.setattr(qa, "queue_simulate", recording)
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, omega_train=40.0), seed=1)
+    reference = simulate(*calls[0], substep=0.01)
+    assert reference.max() > 0.1
+    np.testing.assert_allclose(ds.truth_queue, reference, rtol=0.0, atol=1e-5)
+
+
 def test_generator_deterministic():
     cfg = qa.QueueGenConfig(days=2)
     a = qa.generate_queue_data(cfg, seed=5)
@@ -115,7 +132,7 @@ def _generic_twin(kind, basis, f):
         force, changepoints = lfm.sqm_force(basis, [1.0], 1.0, 2.0), [qa.DAY_MINUTES]
     else:
         force, changepoints = lfm.cqm_force(basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES), []
-    return lfm.assemble(lfm.TargetModel(np.array([[f]])), periodic=[force],
+    return lfm.assemble(np.array([[f]]), periodic=[force],
                         changepoints=changepoints)
 
 
@@ -142,7 +159,7 @@ def test_relinearized_step_matches_generic(kind, params, f, t0, dt, tol):
     cfg = qa.QueueGenConfig(days=2, n_basis_points=64)
     model = qa._queue_model(kind, params, cfg)
     if kind == "hart":
-        generic = lfm.assemble(lfm.TargetModel(np.array([[f]])), nonperiodic=model.nonperiodic)
+        generic = lfm.assemble(np.array([[f]]), nonperiodic=model.nonperiodic)
     else:
         generic = _generic_twin(kind, model.periodic[0].basis, f)
     build = lfm.constant_weight_transition if lfm.has_constant_weights(generic) else lfm.discretize
@@ -248,6 +265,8 @@ def test_generator_validation():
         qa.generate_queue_data(qa.QueueGenConfig(days=1), seed=0)
     with pytest.raises(InvalidParameterError):
         qa.queue_simulate([0.0, 1.0], lambda t: 0.0, lambda t: 1.0, 0.0, substep=0.0)
+    with pytest.raises(InvalidParameterError, match="service rates must be > 0"):
+        qa.generate_queue_data(qa.QueueGenConfig(days=2, omega_test=((0.0, 0.0),)), seed=0)
 
 
 def test_csv_roundtrip(tmp_path):

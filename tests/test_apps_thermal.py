@@ -78,7 +78,8 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
             mean[1] = ds.meas_ext[0]  # start the envelope at the exterior
         # a measurement interval longer than the pass: prediction only
         _, _, _, recs = th._run_thermal_filter(
-            lfm.step_cycle(model, 0.0, cfg.step), ds, mean, cov, 0.0, 1440.0, 2880.0
+            lfm.step_cycle(model, 0.0, cfg.step), ds, BASE_PARAMS["sigma_obs"], mean, cov,
+            0.0, 1440.0, 2880.0,
         )
         return np.array([r[1] for r in recs])
 
@@ -86,6 +87,23 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
     b = run(envelope, True)
     scale = max(1.0, np.max(np.abs(a)))
     assert np.max(np.abs(a - b)) / scale < 0.01
+
+
+def test_envelope_prediction_ignores_the_held_out_measurements():
+    # the envelope prior used to take its variance from the whole record, so
+    # the held-out day's measurements moved the day-ahead prediction
+    cfg = th.ThermalGenConfig(days=2)
+    ds = th.generate_thermal_data(cfg, seed=3)
+    moved = dataclasses.replace(
+        ds, meas_int=np.where(ds.minutes > ds.test_start, ds.meas_int + 3.0, ds.meas_int)
+    )
+    params = dict(BASE_PARAMS, gamma_env=0.02, psi_env=0.02)
+    a, b = (
+        th.thermal_predict_day(d, "quasi-sqm", params, n_particles=8, seed=0, envelope=True)
+        for d in (ds, moved)
+    )
+    np.testing.assert_array_equal(a["mean"], b["mean"])
+    np.testing.assert_array_equal(a["var"], b["var"])
 
 
 def test_generator_deterministic_and_consistent():
@@ -159,8 +177,8 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
     monkeypatch.setattr(filtering, "update", lambda *args: updates.append(args) or update(*args))
     cycle = lfm.step_cycle(model, 0.0, cfg.step)
     th._run_thermal_filter(
-        cycle, ds, *th._initial_state(model, ds, False), ds.test_start, ds.test_start + 1440.0,
-        100.0,
+        cycle, ds, BASE_PARAMS["sigma_obs"], *th._initial_state(model, ds, False),
+        ds.test_start, ds.test_start + 1440.0, 100.0,
     )
     np.testing.assert_array_equal(measured, ds.test_start + 100.0 * np.arange(1, 15))
     assert len(updates) == 14
@@ -180,7 +198,9 @@ def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
         mean, cov = th._initial_state(model, run, False)
         cycle = lfm.step_cycle(model, 0.0, run.config.step)
         with pytest.raises(ContractViolationError, match=match):
-            th._run_thermal_filter(cycle, run, mean, cov, run.test_start, t_end, 100.0)
+            th._run_thermal_filter(
+                cycle, run, BASE_PARAMS["sigma_obs"], mean, cov, run.test_start, t_end, 100.0
+            )
 
 
 @pytest.mark.parametrize("step", [2.5, 0.5, 0.0])

@@ -146,7 +146,7 @@ def _resonator_path(f, b, dt, n_steps, psi0, dpsi0):
     """Noise-free path of one force-only `resonator_block(f, b, 0)`, stepped
     through the engine's cycle: the step end times and psi there."""
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((0, 0))),
+        np.zeros((0, 0)),
         nonperiodic=[lfm.NonPeriodicForce(resonator_block(f, b, 0.0), np.zeros(0))],
     )
     state = np.array([psi0, dpsi0])

@@ -61,6 +61,16 @@ def test_metrics_do_not_depend_on_jobs(tmp_path, config, command):
     assert metrics[0] == metrics[1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_fail_and_name_the_option(tmp_path, jobs):
+    # a worker count below 1 used to run one worker without a word
+    result, out = _invoke(tmp_path, {**QUEUE_CONFIG, "seeds": [0]}, "--jobs", jobs,
+                          "queue", "track")
+    assert result.exit_code == 2, result.output
+    assert "--jobs" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("app", ["queue", "thermal"])
 def test_step_must_divide_the_day(tmp_path, app):
     config = {"generator": {"days": 2, "step": 7.0}}
@@ -70,6 +80,13 @@ def test_step_must_divide_the_day(tmp_path, app):
     with pytest.raises(InvalidParameterError, match="generator.step"):
         validate_config(app, config)
     assert validate_config(app, {"generator": {"step": 8.0}})
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0])
+def test_queue_service_rates_must_be_positive(rate):
+    assert validate_config("queue", {"generator": {"omega_test": [[0.0, 15.0], [300.0, 5.0]]}})
+    with pytest.raises(InvalidParameterError, match="less than or equal to the minimum of 0"):
+        validate_config("queue", {"generator": {"omega_test": [[0.0, 15.0], [300.0, rate]]}})
 
 
 @pytest.mark.parametrize(

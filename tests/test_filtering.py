@@ -295,7 +295,7 @@ def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
 
 def _thermal_toy(beta: float):
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.01]])),
+        np.array([[-0.01]]),
         nonperiodic=[
             lfm.NonPeriodicForce(lti.matern32_block(2.0, 600.0), np.array([0.01]))
         ],
@@ -370,15 +370,15 @@ def test_rbpf_mixture_mean_variance_shrinks_with_particles():
 def _periodic_toy(beta: float, force_kind: str):
     # thermal toy with a periodic residual force of period 200 minutes
     basis = eb.build(K.PeriodicMatern(0.5, 0.05, 0.5, 200.0), 40, 200.0, 0.01)
-    target = lfm.TargetModel(np.array([[-0.01]]))
+    drift = np.array([[-0.01]])
     ext = lfm.NonPeriodicForce(lti.matern32_block(2.0, 600.0), np.array([0.01]))
     if force_kind == "cqm":
         model = lfm.assemble(
-            target, nonperiodic=[ext], periodic=[lfm.cqm_force(basis, [1.0], 1.0, 300.0)]
+            drift, nonperiodic=[ext], periodic=[lfm.cqm_force(basis, [1.0], 1.0, 300.0)]
         )
     else:
         model = lfm.assemble(
-            target, nonperiodic=[ext], periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
+            drift, nonperiodic=[ext], periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
             changepoints=[200.0],
         )
     binary = np.zeros(model.layout.dim_za)

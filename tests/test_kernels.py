@@ -11,10 +11,10 @@ ALL_VARIANTS = [
     K.PeriodicMatern(1.5, 1.0, 0.8, 3.0),
     K.PeriodicSE(3.0, 0.7),
     K.SquaredExponential(1.0, 10.0),
-    K.ContinuousQuasi(1.2, 4.0),
+    K.Matern(0.5, 1.2, 4.0),  # the continuous quasi-periodic factor (cqm)
     K.StepQuasi(1.5, 2.0, 5.0),
     K.WienerStepQuasi(1.0, 0.5, 5.0),
-    K.Product(K.PeriodicMatern(0.5, 1.0, 0.5, 7.0), K.ContinuousQuasi(1.0, 20.0)),
+    K.Product(K.PeriodicMatern(0.5, 1.0, 0.5, 7.0), K.Matern(0.5, 1.0, 20.0)),
     K.NonStatPeriodic(1.0, 2.0, 10.0, 0.8),
 ]
 
@@ -73,7 +73,7 @@ def test_sqm_within_cycle_exact():
 
 def test_product_is_pointwise_product():
     a = K.PeriodicMatern(0.5, 1.0, 0.5, 7.0)
-    b = K.ContinuousQuasi(1.3, 9.0)
+    b = K.Matern(0.5, 1.3, 9.0)
     k = K.Product(a, b)
     rng = np.random.default_rng(0)
     t, tp = rng.uniform(-20, 20, 50), rng.uniform(-20, 20, 50)
@@ -161,6 +161,7 @@ def test_config_roundtrip():
     sqm = {"variant": "sqm", "params": {"sigma": 1.0, "ell": 2.0, "period": 5.0}}
     cases = [
         (matern, K.Matern(0.5, 1.0, 1.0)),
+        ({"variant": "cqm", "params": {"sigma": 1.3, "ell": 9.0}}, K.Matern(0.5, 1.3, 9.0)),
         (sqm, K.StepQuasi(1.0, 2.0, 5.0)),
         ({"variant": "product", "left": matern, "right": sqm},
          K.Product(K.Matern(0.5, 1.0, 1.0), K.StepQuasi(1.0, 2.0, 5.0))),

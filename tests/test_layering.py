@@ -13,8 +13,9 @@ into a module is used there.  Only `apps/synth.py` builds the applications'
 daily prior.  One weight-space regression (`baselines.comparison.linear_regress`)
 scores both linear bases, so the only Cholesky factors beside the Kalman
 layer's are its own and the dense-GP oracle's.  Every public name is reached from the package itself or kept by a
-named oracle or paper claim.  Checked on the source with `ast`, so no module
-is imported."""
+named oracle or paper claim, and every dataclass field of an engine type is
+read in the package or kept by a named oracle.  Checked on the source with
+`ast`, so no module is imported."""
 
 import ast
 from pathlib import Path
@@ -250,3 +251,42 @@ def test_public_names_are_reached():
     assert "log_marginal_likelihood" in unreached  # the walk sees test-only names
     assert set(TEST_ONLY) <= set(unreached)  # the list names only unused code
     assert {n: f for n, f in unreached.items() if n not in TEST_ONLY} == {}
+
+
+# dataclass fields of engine types that no src line reads, with the oracle
+# that keeps each
+UNREAD_FIELDS = {
+    ("EigenBasis", "eigenvectors"): "the Nystrom identity and orthonormality oracles "
+    "(test_nystrom_identity_at_sample_points, test_orthonormality_and_ordering)",
+}
+
+
+def _engine_fields() -> set[tuple[str, str]]:
+    """(class, field) of every annotated field of a dataclass in an engine module."""
+    found = set()
+    for module in ENGINE:
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found |= {
+                    (node.name, s.target.id) for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                }
+    return found
+
+
+def test_every_engine_field_is_read():
+    # a field that the engine stores and nothing reads is code to delete: a
+    # read is an attribute load of its name anywhere in the package
+    fields = _engine_fields()
+    assert {("AugmentedModel", "layout"), ("Param", "init")} <= fields  # the walk sees fields
+    read = set()
+    for path in PACKAGE.rglob("*.py"):
+        read |= {
+            n.attr for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    unread = {f for f in fields if f[1] not in read}
+    assert set(UNREAD_FIELDS) <= unread  # the list names only unread fields
+    assert unread - set(UNREAD_FIELDS) == set()

@@ -22,7 +22,7 @@ def sample_basis(ell=0.4, period=10.0, n=64, gamma=0.01):
 
 def test_assemble_target_only_reduces_to_lti():
     drift = np.array([[0.0, 1.0], [-4.0, 0.0]])  # harmonic oscillator
-    model = lfm.assemble(lfm.TargetModel(drift))
+    model = lfm.assemble(drift)
     g, q = one_step(lfm.discretize, model, 0.0, 0.7)
     w = 2.0
     expected = np.array(
@@ -37,7 +37,7 @@ def test_assemble_target_only_reduces_to_lti():
 
 def test_pure_ou_discretization():
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
+        np.zeros((1, 1)),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 1.0), np.array([0.0]))],
     )
     g, q = one_step(lfm.discretize, model, 3.0, 4.0)
@@ -48,7 +48,7 @@ def test_pure_ou_discretization():
 def test_layout_dimensions():
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
+        np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), np.array([1.0]))],
         periodic=[lfm.periodic_force(basis, [1.0])],
     )
@@ -57,7 +57,7 @@ def test_layout_dimensions():
 
 
 def test_identity_step():
-    model = lfm.assemble(lfm.TargetModel(np.zeros((1, 1))))
+    model = lfm.assemble(np.zeros((1, 1)))
     g, q = one_step(lfm.discretize, model, 0.0, 1.0)
     np.testing.assert_array_equal(g, np.eye(1))
     assert not q.any()
@@ -69,7 +69,7 @@ def test_constant_weight_transition_constant_kernel():
     c = 2.0
     basis = eb.build(constant_kernel(c), 8, 1.0, gamma=0.5)
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))), periodic=[lfm.periodic_force(basis, [3.0])]
+        np.zeros((1, 1)), periodic=[lfm.periodic_force(basis, [3.0])]
     )
     dt = 0.37
     g, _ = one_step(lfm.constant_weight_transition, model, 0.0, dt)
@@ -82,7 +82,7 @@ def test_constant_weight_matches_spec_formula():
     c = 2.0
     basis = eb.build(constant_kernel(c), 8, 1.0, gamma=0.5)
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))), periodic=[lfm.periodic_force(basis, [1.0])]
+        np.zeros((1, 1)), periodic=[lfm.periodic_force(basis, [1.0])]
     )
     dt = 0.25
     g, _ = one_step(lfm.constant_weight_transition, model, 0.0, dt)
@@ -96,7 +96,7 @@ def test_constant_weight_matches_spec_formula():
 def test_frozen_m_converges_to_exact_at_second_order():
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])), periodic=[lfm.periodic_force(basis, [1.0])]
+        np.array([[-0.5]]), periodic=[lfm.periodic_force(basis, [1.0])]
     )
     diffs = []
     for dt in (0.4, 0.2, 0.1):
@@ -110,7 +110,7 @@ def test_frozen_m_converges_to_exact_at_second_order():
 
 def test_semigroup_pure_lti():
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.3]])),
+        np.array([[-0.3]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), np.array([1.0]))],
     )
     g1, _ = one_step(lfm.discretize, model, 0.0, 0.7)
@@ -122,7 +122,7 @@ def test_semigroup_pure_lti():
 def test_transition_noise_psd():
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
+        np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
         periodic=[lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
     )
@@ -135,7 +135,7 @@ def test_transition_noise_psd():
 def test_prior_force_variance_matches_reconstruction():
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])), periodic=[lfm.periodic_force(basis, [1.0])]
+        np.array([[-0.5]]), periodic=[lfm.periodic_force(basis, [1.0])]
     )
     _, cov = lfm.initial_state(model, [0.0], [[1.0]])
     for t in (0.0, 2.7, 6.03, 9.99):
@@ -147,7 +147,7 @@ def test_prior_force_variance_matches_reconstruction():
 def test_apply_changepoint_sqm():
     basis = eb.build(constant_kernel(1.0), 4, 1.0, gamma=0.5)
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
+        np.zeros((1, 1)),
         periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
         changepoints=[5.0],
     )
@@ -161,7 +161,7 @@ def test_apply_changepoint_sqm():
 def test_apply_changepoint_wqm_and_cross_covariance():
     basis = eb.build(constant_kernel(1.0), 4, 1.0, gamma=0.5)
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
+        np.zeros((1, 1)),
         periodic=[lfm.wqm_force(basis, [1.0], 1.0, 2.0)],
         changepoints=[5.0],
     )
@@ -176,7 +176,7 @@ def test_apply_changepoint_wqm_and_cross_covariance():
 
     # gain scaling of the cross term for a step jump
     model2 = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
+        np.zeros((1, 1)),
         periodic=[lfm.sqm_force(basis, [1.0], 1.0, 2.0)],
         changepoints=[5.0],
     )
@@ -188,7 +188,7 @@ def test_apply_changepoint_wqm_and_cross_covariance():
 def test_changepoint_inside_step_rejected():
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((1, 1))),
+        np.zeros((1, 1)),
         periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
         changepoints=[5.0],
     )
@@ -202,7 +202,7 @@ def test_changepoint_inside_step_rejected():
 
 def test_input_term_integration():
     # dz/dt = -z + u with constant input u: z(dt) response = (1 - e^-dt) u
-    model = lfm.assemble(lfm.TargetModel(np.array([[-1.0]])))
+    model = lfm.assemble(np.array([[-1.0]]))
     model.binary_input = np.array([2.0])
     input_on = lfm.step_cycle(model, 0.0, 0.8).input_on
     assert input_on[0] == pytest.approx(2.0 * (1.0 - np.exp(-0.8)), rel=1e-12)
@@ -213,7 +213,7 @@ def test_discretize_input_term_matches_full_drift_reference():
     # exponential of the full frozen drift
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
+        np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), np.array([0.8]))],
         periodic=[lfm.cqm_force(basis, [1.3], 1.0, 20.0)],
     )
@@ -245,7 +245,7 @@ def _stepper_model(kind, changepoints):
         "cqm": [lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
     }[kind]
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
+        np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
         periodic=periodic,
         changepoints=changepoints,
@@ -366,7 +366,7 @@ def test_cycle_must_be_whole_steps():
         lfm.pass_steps(cycle, 1.25, 20)
 
     forces = [lfm.periodic_force(sample_basis(period=p), [1.0]) for p in (10.0, 5.0)]
-    model = lfm.assemble(lfm.TargetModel(np.array([[-0.5]])), periodic=forces)
+    model = lfm.assemble(np.array([[-0.5]]), periodic=forces)
     with pytest.raises(ContractViolationError, match="different periods"):
         lfm.cycle_steps(model, 0.5)
 
@@ -430,7 +430,7 @@ def _random_ou_model(n_target, seed):
     a = rng.standard_normal((n_target, n_target))
     drift = a - (np.abs(np.linalg.eigvals(a)).max() + 0.5) * np.eye(n_target)
     return lfm.assemble(
-        lfm.TargetModel(drift),
+        drift,
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), rng.standard_normal(n_target))],
         periodic=[
             lfm.cqm_force(sample_basis(ell=0.5), rng.standard_normal(n_target), 1.2, 3.0),
@@ -474,7 +474,7 @@ def test_constant_weight_batch_matches_per_step_quadrature():
         lfm.sqm_force(sample_basis(ell=0.9), [0.3, 0.8], 1.0, 2.0),
     ]
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5, 0.2], [0.1, -0.3]])),
+        np.array([[-0.5, 0.2], [0.1, -0.3]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0, 0.5]))],
         periodic=periodic,
     )
@@ -509,11 +509,32 @@ def test_step_cycle_validates_its_start_and_the_binary_input():
 def test_constant_weight_requires_constant_weights():
     basis = sample_basis()
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
+        np.array([[-0.5]]),
         periodic=[lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
     )
     with pytest.raises(ContractViolationError):
         one_step(lfm.constant_weight_transition, model, 0.0, 0.5)
+
+
+def test_cqm_force_takes_its_weight_dynamics_from_the_ou_block():
+    # the weights of a cqm force are OU processes of the Matern-1/2 block,
+    # bit for bit; the other forces hold constant weights
+    basis = sample_basis()
+    ou = lti.matern12_block(1.3, 7.0)
+    force = lfm.cqm_force(basis, [1.0], 1.3, 7.0)
+    assert (force.weight_rate, force.weight_diffusion) == (ou.drift[0, 0], ou.diffusion)
+    for constant in (
+        lfm.periodic_force(basis, [1.0]), lfm.sqm_force(basis, [1.0], 1.3, 2.0),
+        lfm.wqm_force(basis, [1.0], 1.0, 0.5),
+    ):
+        assert (constant.weight_rate, constant.weight_diffusion) == (0.0, 0.0)
+        assert lfm.has_constant_weights(lfm.assemble(np.zeros((1, 1)), periodic=[constant]))
+    model = lfm.assemble(np.zeros((1, 1)), periodic=[force])
+    assert not lfm.has_constant_weights(model)
+    np.testing.assert_array_equal(model.weight_rates, ou.drift[0, 0])
+    np.testing.assert_array_equal(
+        np.diag(model.diffusion)[1:], basis.scaled_eigenvalues() * ou.diffusion
+    )
 
 
 def test_hartikainen_equivalence_small():
@@ -522,7 +543,7 @@ def test_hartikainen_equivalence_small():
     from eigenlfm.baselines import DenseGp, gp_regress, stationary_lfm_kernel
 
     model = lfm.assemble(
-        lfm.TargetModel(np.array([[-0.5]])),
+        np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 2.0), np.array([1.0]))],
     )
     kern = stationary_lfm_kernel(model.drift_za, model.diffusion, out_index=0)
@@ -567,10 +588,10 @@ def test_force_only_loglik_matches_dense_gp(kind):
         "with": (lfm.periodic_force(basis, empty), None),
         "sqm": (lfm.sqm_force(basis, empty, 1.3, 2.0), K.StepQuasi(1.3, 2.0, period)),
         "wqm": (lfm.wqm_force(basis, empty, 0.8, 0.5), K.WienerStepQuasi(0.8, 0.5, period)),
-        "cqm": (lfm.cqm_force(basis, empty, 1.3, 7.0), K.ContinuousQuasi(1.3, 7.0)),
+        "cqm": (lfm.cqm_force(basis, empty, 1.3, 7.0), K.Matern(0.5, 1.3, 7.0)),
     }[kind]
     model = lfm.assemble(
-        lfm.TargetModel(np.zeros((0, 0))),
+        np.zeros((0, 0)),
         periodic=[force],
         changepoints=period * np.arange(1, 6),  # every period end of the pass
     )

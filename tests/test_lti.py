@@ -51,8 +51,8 @@ def test_lyapunov_residual():
     assert np.max(np.abs(residual)) < 1e-10
 
 
-def test_constant_weight_block():
-    blk = lti.constant_weight_block()
+def test_constant_block():
+    blk = lti.constant_block()
     assert blk.drift[0, 0] == 0.0
     assert blk.diffusion == 0.0
     with pytest.raises(NoStationaryDistributionError):
@@ -60,10 +60,10 @@ def test_constant_weight_block():
 
 
 def test_cqm_matches_matern12():
-    assert lti.cqm_weight_block(1.0, 1.0) == lti.matern12_block(1.0, 1.0)
-    # OU autocovariance over gaps: sigma^2 exp(-dt/ell)
+    # cqm weights follow the OU block (lfm.cqm_force reads its rate and
+    # diffusion); its autocovariance over gaps is sigma^2 exp(-dt/ell)
     sigma, ell = 1.4, 2.1
-    blk = lti.cqm_weight_block(sigma, ell)
+    blk = lti.matern12_block(sigma, ell)
     var = lti.stationary_covariance(blk)[0, 0]
     for dt in (0.1, 0.5, 1.0, 2.5, 5.0):
         cov = math.exp(blk.drift[0, 0] * dt) * var
@@ -71,7 +71,7 @@ def test_cqm_matches_matern12():
 
 
 def test_cqm_long_scale_limit():
-    blk = lti.cqm_weight_block(1.0, 1e12)
+    blk = lti.matern12_block(1.0, 1e12)
     assert abs(blk.drift[0, 0]) < 1e-11
     assert blk.diffusion < 1e-11
 
