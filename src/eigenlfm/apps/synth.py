@@ -5,8 +5,9 @@ is in minutes), the daily periodic eigenbasis of every generator and model
 
 Forces are drawn from the same priors the filters assume: periodic draws use
 the eigenfunction basis with per-cycle weight chains (step or random-walk
-jumps, or continuous OU decorrelation), non-periodic draws use exact
-discretizations of the corresponding LTI blocks.
+jumps, or continuous OU decorrelation), evaluating its rows over one period
+of a uniform grid, since they repeat every period; non-periodic draws use
+exact discretizations of the corresponding LTI blocks.
 """
 
 from __future__ import annotations
@@ -82,26 +83,34 @@ def draw_periodic_force(
 
     `kind` selects the weight dynamics: "with" keeps the weights fixed,
     "quasi-sqm" / "quasi-wqm" jump at each cycle boundary, "quasi-cqm"
-    evolves them as OU chains with time constant ell_q cycles.
+    evolves them as OU chains with time constant ell_q cycles.  The grid must
+    be uniform from its start with a step dividing the period (the
+    `lfm.grid_steps` tolerance; else ContractViolationError): the rows are
+    evaluated on its first period only, and point k reads row k mod n_period
+    and the weights of cycle k // n_period.
     """
     grid = np.asarray(grid, dtype=float)
     mu = basis.scaled_eigenvalues()
     period = basis.period
-    phi = eb.eigenfunction_matrix(basis, grid)
+    k = np.arange(grid.size)
+    step = (grid[-1] - grid[0]) / k[-1] if k[-1] else period
+    what = f"periodic draw grid (mean step {step:g}, period {period:g})"
+    if not (step > 0.0 and np.array_equal(lfm.grid_steps(grid, grid[0], step, k[-1], what), k)):
+        raise ContractViolationError(f"{what} is not uniform from its start")
+    (n_period,) = lfm.grid_steps([grid[0] + period], grid[0], step, k[-1], f"{what}: period end")
+    phi = eb.eigenfunction_matrix(basis, grid[:n_period])
 
     if kind == "quasi-cqm":
         rate = 1.0 / (ell_q * period)
-        w = np.empty((grid.size, mu.size))
-        w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)
-        for k in range(1, grid.size):
-            g = math.exp(-rate * (grid[k] - grid[k - 1]))
-            w[k] = g * w[k - 1] + rng.standard_normal(mu.size) * np.sqrt(
-                mu * (1.0 - g * g)
-            )
-        return np.sum(phi * w, axis=1)
+        w = rng.standard_normal((grid.size, mu.size))
+        w[0] *= np.sqrt(mu)
+        for i in range(1, grid.size):
+            g = math.exp(-rate * (grid[i] - grid[i - 1]))
+            w[i] = g * w[i - 1] + w[i] * np.sqrt(mu * (1.0 - g * g))
+        return np.sum(phi[k % n_period] * w, axis=1)
 
-    days = int(np.ceil((grid[-1] + 1e-9) / period))
-    w = np.empty((max(days, 1), mu.size))
+    days = (grid.size - 1) // n_period + 1
+    w = np.empty((days, mu.size))
     if kind == "with":
         w[:] = rng.standard_normal(mu.size) * np.sqrt(mu)
     elif kind == "quasi-sqm":
@@ -117,19 +126,18 @@ def draw_periodic_force(
             w[d] = w[d - 1] + rng.standard_normal(mu.size) * np.sqrt(mu * xi)
     else:
         raise InvalidParameterError(f"unsupported periodic draw kind {kind!r}")
-    day_of = np.minimum((grid / period).astype(int), days - 1)
-    return np.sum(phi * w[day_of], axis=1)
+    return np.sum(phi[k % n_period] * w[k // n_period], axis=1)
 
 
 def draw_ou(grid: np.ndarray, sigma: float, ell: float, rng) -> np.ndarray:
     """Exact OU (first-order Matern) draw on an arbitrary grid."""
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty(grid.size)
-    out[0] = rng.standard_normal() * sigma
-    for k in range(1, grid.size):
-        g = math.exp(-(grid[k] - grid[k - 1]) / ell)
-        out[k] = g * out[k - 1] + rng.standard_normal() * sigma * math.sqrt(1.0 - g * g)
-    return out
+    grid = np.asarray(grid, dtype=float).tolist()
+    noise = rng.standard_normal(len(grid)).tolist()
+    out = [noise[0] * sigma]
+    for t0, t1, e in zip(grid, grid[1:], noise[1:]):
+        g = math.exp(-(t1 - t0) / ell)
+        out.append(g * out[-1] + e * sigma * math.sqrt(1.0 - g * g))
+    return np.array(out)
 
 
 def draw_matern32(n: int, step: float, sigma: float, ell: float, rng) -> np.ndarray:
@@ -140,11 +148,11 @@ def draw_matern32(n: int, step: float, sigma: float, ell: float, rng) -> np.ndar
     p_inf = lti.stationary_covariance(block)
     q = p_inf - g @ p_inf @ g.T
     chol_q = np.linalg.cholesky(q + 1e-14 * np.eye(2) * max(1.0, q[0, 0]))
-    chol_p = np.linalg.cholesky(p_inf)
-    state = chol_p @ rng.standard_normal(2)
-    out = np.empty(n)
-    out[0] = state[0]
-    for k in range(1, n):
-        state = g @ state + chol_q @ rng.standard_normal(2)
-        out[k] = state[0]
-    return out
+    x, v = (np.linalg.cholesky(p_inf) @ rng.standard_normal(2)).tolist()
+    (g00, g01), (g10, g11) = g.tolist()
+    (c00, _), (c10, c11) = chol_q.tolist()  # lower triangular
+    out = [x]
+    for e0, e1 in rng.standard_normal((n - 1, 2)).tolist():
+        x, v = g00 * x + g01 * v + c00 * e0, g10 * x + g11 * v + (c10 * e0 + c11 * e1)
+        out.append(x)
+    return np.array(out)

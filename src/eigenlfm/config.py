@@ -176,7 +176,9 @@ def validate_config(command: str, config: dict) -> dict:
     try:
         jsonschema.validate(config, SCHEMAS[command])
     except jsonschema.ValidationError as exc:
-        raise InvalidParameterError(f"invalid {command} config: {exc.message}") from exc
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.absolute_path)
+        where = f"{path[1:]}: " if path else ""  # the failing key, e.g. generator.step
+        raise InvalidParameterError(f"invalid {command} config: {where}{exc.message}") from exc
     if command not in ("queue", "thermal"):
         return config
     defaults = QueueGenConfig() if command == "queue" else ThermalGenConfig()

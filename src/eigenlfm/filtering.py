@@ -217,10 +217,11 @@ def rbpf_predict_day(
 
     records = []
     for step, sp in zip(steps, setpoints[1:], strict=True):
-        # G and Q do not depend on the input, and the off input is zero, so a
-        # particle with its heater off gets no input term
+        # G and Q do not depend on the input; the input term, non-zero in the
+        # columns `on` only, is added there to the rows whose heater is on
         bank, cov = predict(bank, cov, step.transition, step.noise)
-        bank[heaters] += step.input_on
+        on = np.flatnonzero(step.input_on)
+        bank[:, on] += np.outer(heaters, step.input_on[on])
         if step.changepoint:
             bank, cov = jump(bank, cov)
 

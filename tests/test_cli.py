@@ -89,6 +89,18 @@ def test_queue_service_rates_must_be_positive(rate):
         validate_config("queue", {"generator": {"omega_test": [[0.0, 15.0], [300.0, rate]]}})
 
 
+def test_schema_errors_name_the_failing_key():
+    with pytest.raises(InvalidParameterError) as info:
+        validate_config("queue", {"generator": {"omega_test": [[0, 15], [300, 0]]}})
+    assert str(info.value) == (
+        "invalid queue config: generator.omega_test[1][1]: 0 is less than or equal to "
+        "the minimum of 0"
+    )
+    # a violation of the top-level object has no key to name
+    with pytest.raises(InvalidParameterError, match=r"config: Additional properties"):
+        validate_config("queue", {"bogus": 1})
+
+
 @pytest.mark.parametrize(
     "config, command, method",
     [

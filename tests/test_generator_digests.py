@@ -1,10 +1,10 @@
 """The synthetic generators are pinned bit for bit.
 
 Every ndarray field of `QueueDataset` and `ThermalDataset` is hashed for a
-few seeds and configs and compared with digests recorded from the scalar
-closure-based generators that preceded the array-fed ones.  Any change to
-the arithmetic of a generator, however small, shows here; an intended
-change must re-record `generator_digests.json` and say why.
+few seeds and configs and compared with the recorded digests in
+`generator_digests.json`.  Any change to the arithmetic of a generator,
+however small, shows here; an intended change must re-record that file
+(run this module as a script) and say why.
 """
 
 import dataclasses
