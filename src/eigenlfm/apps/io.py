@@ -68,10 +68,16 @@ def _read_csv(path: Path, expected: list[str], step: float | None = None) -> lis
     return [data[:, i] for i in range(data.shape[1])]
 
 
-def _whole_days(path: Path, last: float) -> int:
-    """The number of days in a record that runs from minute 0 to `last`: a
-    whole number, at least two (training days plus the held-out day), to the
-    `lfm.grid_steps` tolerance; any other span raises, naming the file."""
+def _whole_days(path: Path, times: np.ndarray) -> int:
+    """The number of days in a record whose `times` run from minute 0, where
+    every pass and the daily cycle start: a whole number, at least two
+    (training days plus the held-out day), to the `lfm.grid_steps`
+    tolerance; another first minute or span raises, naming the file."""
+    first, last = times[0], times[-1]
+    if abs(first) > 1e-9:
+        raise InvalidParameterError(
+            f"{path.name}: the record starts at minute {first:g}; it must start at minute 0"
+        )
     days = int(round(last / DAY_MINUTES))
     if days < 2 or abs(days * DAY_MINUTES - last) > 1e-9 * max(1.0, last):
         raise InvalidParameterError(
@@ -101,7 +107,7 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
     rate_t, rate_v = _read_csv(data / "arrivals.csv", ["time_min", "arrival_rate"])
     truth_t, truth_v = _read_csv(data / "queue_truth.csv", ["time_min", "queue_len"], config.step)
     meas_t, meas_v = _read_csv(data / "queue_meas.csv", ["time_min", "queue_len"])
-    days = _whole_days(data / "queue_truth.csv", truth_t[-1])
+    days = _whole_days(data / "queue_truth.csv", truth_t)
     outside = np.flatnonzero((meas_t <= truth_t[0]) | (meas_t > truth_t[-1]))
     if outside.size:
         raise InvalidParameterError(
@@ -147,6 +153,7 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
     minutes, t_int, t_ext, setpoint, heater = cols
     if not np.isin(heater, (0.0, 1.0)).all():
         raise InvalidParameterError("thermal.csv: the heater column must be 0 or 1")
+    days = _whole_days(data / "thermal.csv", minutes)
     meas_path = data / "thermal_meas.csv"
     if meas_path.exists():
         meas_min, meas_int, meas_ext = _read_csv(meas_path, ["time_min", "t_int", "t_ext"], 1.0)
@@ -157,7 +164,6 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
             )
     else:
         meas_int, meas_ext = t_int.copy(), t_ext.copy()
-    days = _whole_days(data / "thermal.csv", minutes[-1])
     config = ThermalGenConfig(**{**config.__dict__, "days": days})
     return ThermalDataset(
         minutes=minutes,

@@ -152,7 +152,11 @@ def _omega_profile(config: QueueGenConfig):
     """Service rate as a function of time: `omega_train` until the test day,
     then the `omega_test` pieces (each from its start minute in the day).
     The function takes a scalar or an array of times; a scalar gives a
-    scalar."""
+    scalar.  A piece that does not start in the day raises."""
+    starts = [start for start, _ in config.omega_test]
+    if not all(0.0 <= start < DAY_MINUTES for start in starts):
+        raise InvalidParameterError(f"omega_test start minutes must lie in the test day "
+                                    f"[0, {DAY_MINUTES:g}), got {starts}")
     test_start = (config.days - 1) * DAY_MINUTES
     pieces = sorted(config.omega_test)
 
@@ -188,6 +192,7 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
     rates = [config.omega_train, *(rate for _, rate in config.omega_test)]
     if min(rates) <= 0.0:
         raise InvalidParameterError(f"service rates must be > 0, got {rates}")
+    omega = _omega_profile(config)
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_MINUTES
     times = np.arange(0.0, horizon + 1e-9, config.step)
@@ -199,7 +204,6 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
         -0.5 * ((hod - config.mean_hour) / config.mean_width_h) ** 2
     )
     rate_fine = mean_profile + _draw_rate(config, fine, rng)
-    omega = _omega_profile(config)
 
     def arrival(t):
         # linear interpolation of the 1-minute record, written out rather
@@ -321,7 +325,7 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
         rate = -model.nonperiodic[0].block.drift[0, 0]
         phi = np.ones((starts.size, 1))
     else:
-        rate = -model.weight_rates[0]
+        rate = -model.periodic[0].weight_rate
         phi = eb.eigenfunction_matrix(model.periodic[0].basis, starts)
     qd = np.diag(model.diffusion)[1:]
     q_phi = qd * phi

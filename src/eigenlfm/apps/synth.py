@@ -49,11 +49,11 @@ def periodic_roster(kind: str, sigma: float, ell: float, params: dict, config, c
     if kind == "with":
         force = lfm.periodic_force(basis, coupling)
     elif kind == "quasi-cqm":
-        force = lfm.cqm_force(basis, coupling, 1.0, params["ell_q"] * DAY_MINUTES)
+        force = lfm.cqm_force(basis, coupling, params["ell_q"] * DAY_MINUTES)
     elif kind == "quasi-sqm":
-        force = lfm.sqm_force(basis, coupling, 1.0, params["ell_q"])
+        force = lfm.sqm_force(basis, coupling, params["ell_q"])
     else:
-        force = lfm.wqm_force(basis, coupling, 1.0, params["xi"])
+        force = lfm.wqm_force(basis, coupling, params["xi"])
     changepoints = () if force.jump is None else DAY_MINUTES * np.arange(1, config.days)
     return force, changepoints
 
@@ -114,14 +114,14 @@ def draw_periodic_force(
     if kind == "with":
         w[:] = rng.standard_normal(mu.size) * np.sqrt(mu)
     elif kind == "quasi-sqm":
-        jump = lti.sqm_jump(1.0, ell_q)
+        jump = lti.sqm_jump(ell_q)
         w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)
         for d in range(1, days):
             w[d] = jump.gain * w[d - 1] + rng.standard_normal(mu.size) * np.sqrt(
                 mu * jump.noise_var
             )
     elif kind == "quasi-wqm":
-        w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)  # base variance xi0 = 1
+        w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)
         for d in range(1, days):
             w[d] = w[d - 1] + rng.standard_normal(mu.size) * np.sqrt(mu * xi)
     else:

@@ -106,6 +106,11 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
     heater, and internal temperature at one-minute resolution."""
     if config.days < 2:
         raise InvalidParameterError("need at least one training day plus the test day")
+    if not 0.0 <= config.day_start_h < config.day_end_h <= 24.0:
+        raise InvalidParameterError(
+            f"day_start_h {config.day_start_h:g} and day_end_h {config.day_end_h:g} must "
+            "satisfy 0 <= day_start_h < day_end_h <= 24"
+        )
     if not (config.step >= 1.0 and float(config.step).is_integer()):
         raise InvalidParameterError(
             f"step {config.step:g} is not a positive whole number of minutes: the heater "
@@ -213,13 +218,10 @@ def thermal_build(
         )
         periodic = [force]
 
-    model = lfm.assemble(
-        drift, nonperiodic=nonperiodic, periodic=periodic, changepoints=changepoints
+    return lfm.assemble(
+        drift, nonperiodic=nonperiodic, periodic=periodic, changepoints=changepoints,
+        binary_input=beta * res_coupling,
     )
-    binary = np.zeros(model.layout.dim_za)
-    binary[0] = beta
-    model.binary_input = binary
-    return model
 
 
 def _initial_state(model, dataset: ThermalDataset, envelope: bool):
@@ -347,7 +349,7 @@ def thermal_fit(
     def objective(p: dict) -> float:
         model = thermal_build(kind, p, dataset.config, envelope=envelope)
         loglik, _, _, _ = _run_thermal_filter(
-            lfm.step_cycle(model, 0.0, dataset.config.step), dataset, p["sigma_obs"],
+            lfm.step_cycle(model, dataset.config.step), dataset, p["sigma_obs"],
             *_initial_state(model, dataset, envelope),
             0.0, dataset.test_start, dataset.config.step,
         )
@@ -373,7 +375,7 @@ def _trained_state(dataset, kind, params, envelope):
     (mean, cov) after the training pass, at `dataset.test_start`."""
     _param_space(kind, envelope).check(params, kind)
     model = thermal_build(kind, params, dataset.config, envelope=envelope)
-    cycle = lfm.step_cycle(model, 0.0, dataset.config.step)
+    cycle = lfm.step_cycle(model, dataset.config.step)
     _, mean, cov, _ = _run_thermal_filter(
         cycle, dataset, params["sigma_obs"], *_initial_state(model, dataset, envelope),
         0.0, dataset.test_start, dataset.config.step,

@@ -43,6 +43,8 @@ _GRID_SCHEMA = {
 }
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_DAY_MINUTE = {"type": "number", "minimum": 0, "exclusiveMaximum": DAY_MINUTES}
+_DAY_HOUR = {"type": "number", "minimum": 0, "maximum": 24}
 _SEEDS = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}
 
 _QUEUE_GENERATOR = {
@@ -63,7 +65,7 @@ _QUEUE_GENERATOR = {
             "type": "array",
             "items": {  # [start minute in the test day, service rate]
                 "type": "array",
-                "prefixItems": [{"type": "number"}, _POSITIVE],
+                "prefixItems": [_DAY_MINUTE, _POSITIVE],
                 "minItems": 2,
                 "maxItems": 2,
             },
@@ -93,8 +95,8 @@ _THERMAL_GENERATOR = {
         "xi": _POSITIVE,
         "setpoint_day": {"type": "number"},
         "setpoint_night": {"type": "number"},
-        "day_start_h": {"type": "number"},
-        "day_end_h": {"type": "number"},
+        "day_start_h": _DAY_HOUR,
+        "day_end_h": _DAY_HOUR,
         "step": _POSITIVE,
         "obs_noise": _POSITIVE,
         "n_basis_points": {"type": "integer", "minimum": 2},

@@ -84,7 +84,7 @@ class ParamSpace:
         return [(np.log(p.lower), np.log(p.upper)) for p in self.params]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     params: dict[str, float]
     value: float
@@ -127,7 +127,8 @@ def fit(
     """
     dim = len(space.params)
     if budget < dim + 2:
-        raise InvalidParameterError("budget must be at least dimension + 2")
+        raise InvalidParameterError(f"budget {budget} is below {dim + 2} = {dim} parameters "
+                                    f"({', '.join(space.names)}) + 2")
     if restarts < 1:
         raise InvalidParameterError("need at least one restart")
 

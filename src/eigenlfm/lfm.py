@@ -13,8 +13,10 @@ eigenfunctions of the periodic force kernels, and m(t) couples each weight
 into the target through its eigenfunction value and coupling column.
 `assemble` takes the target drift F as an array, the non-periodic forces as
 LTI-SDE blocks and the periodic forces as bases whose weights share two
-scalar dynamics, a rate and a diffusion (both 0 for constant weights).  The
-model holds no measurement: a pass hands its H and R to the Kalman layer.
+scalar dynamics at unit scale, a rate and a diffusion (both 0 for constant
+weights): the sigma of the basis kernel scales the whole force.  The model
+is immutable and holds no measurement: a pass hands its H and R to the
+Kalman layer.
 
 Two step builders share one contract: `build(model, starts, dt)` takes a
 1-D array of step starts and one step length and returns the stacked
@@ -39,15 +41,15 @@ per-force jump models applied by `apply_changepoint_moments`.
 
 The periodic forces repeat every period, and so do the eigenfunction rows
 that couple the weights into the target: the transition of step k equals
-that of step k + `cycle_steps(model, dt)`.  `step_cycle(model, t0, dt)`
-builds the steps of one period from t0 once, in one batch, as an immutable
-`StepCycle`; a step that does not divide the period is a
-`ContractViolationError`.
+that of step k + `cycle_steps(model, dt)`.  `step_cycle(model, dt)`
+builds the steps of one period from t = 0, the phase origin of every basis,
+once, in one batch, as an immutable `StepCycle`; a step that does not
+divide the period is a `ContractViolationError`.
 
 A filter pass over a regular step grid takes its steps from
 `pass_steps(cycle, t_start, n_steps)` and from nothing else, so every pass
-over a model can share one cycle.  The pass start must lie on the cycle's
-step grid.  Changepoints and measurements are scheduled as integer step
+over a model can share one cycle.  The pass start must lie on the step
+grid k dt.  Changepoints and measurements are scheduled as integer step
 indices (`grid_steps`); a time that is not on the step grid is a
 `ContractViolationError`, never a skipped jump or measurement.
 """
@@ -113,18 +115,16 @@ class PeriodicForce:
     """A periodic force represented by eigenfunction weights.
 
     Every weight follows a' = weight_rate a + white noise of density
-    weight_diffusion, at unit prior scale; both are 0.0 for weights that are
-    constant between changepoints.  The per-weight diffusion and jump noise
-    are multiplied by the scaled eigenvalue of that weight.
-    `weight_prior_scale` multiplies the scaled eigenvalues to give the
-    initial weight variances.
+    weight_diffusion, at unit scale; both are 0.0 for weights that are
+    constant between changepoints.  The scaled eigenvalue of a weight is its
+    initial variance and multiplies its diffusion and jump noise, so the
+    sigma of the basis kernel sets the scale of the whole force.
     """
 
     basis: eb.EigenBasis
     coupling: np.ndarray  # (E,)
     weight_rate: float = 0.0
     weight_diffusion: float = 0.0
-    weight_prior_scale: float = 1.0
     jump: lti.JumpModel | None = None
 
 
@@ -133,34 +133,22 @@ def periodic_force(basis: eb.EigenBasis, coupling) -> PeriodicForce:
     return PeriodicForce(basis, np.asarray(coupling, float))
 
 
-def cqm_force(basis, coupling, sigma_q: float, ell_q: float) -> PeriodicForce:
+def cqm_force(basis, coupling, ell_q: float) -> PeriodicForce:
     """Quasi-periodic force whose weights decorrelate continuously: each is
-    the OU process of `lti.matern12_block(sigma_q, ell_q)`."""
-    ou = lti.matern12_block(sigma_q, ell_q)
-    return PeriodicForce(
-        basis,
-        np.asarray(coupling, float),
-        weight_rate=ou.drift[0, 0],
-        weight_diffusion=ou.diffusion,
-        weight_prior_scale=sigma_q**2,
-    )
+    the unit-scale OU process of `lti.matern12_block(1.0, ell_q)`."""
+    ou = lti.matern12_block(1.0, ell_q)
+    return PeriodicForce(basis, np.asarray(coupling, float),
+                         weight_rate=ou.drift[0, 0], weight_diffusion=ou.diffusion)
 
 
-def sqm_force(basis, coupling, sigma_q: float, ell_q: float) -> PeriodicForce:
+def sqm_force(basis, coupling, ell_q: float) -> PeriodicForce:
     """Quasi-periodic force with variance-preserving jumps at changepoints."""
-    return PeriodicForce(
-        basis,
-        np.asarray(coupling, float),
-        weight_prior_scale=sigma_q**2,
-        jump=lti.sqm_jump(sigma_q, ell_q),
-    )
+    return PeriodicForce(basis, np.asarray(coupling, float), jump=lti.sqm_jump(ell_q))
 
 
-def wqm_force(basis, coupling, xi0: float, xi: float) -> PeriodicForce:
-    """Quasi-periodic force whose variance grows by xi at each changepoint."""
-    return PeriodicForce(
-        basis, np.asarray(coupling, float), weight_prior_scale=xi0, jump=lti.wqm_jump(xi)
-    )
+def wqm_force(basis, coupling, xi: float) -> PeriodicForce:
+    """Quasi-periodic force whose weight variances grow by xi of their prior at each changepoint."""
+    return PeriodicForce(basis, np.asarray(coupling, float), jump=lti.wqm_jump(xi))
 
 
 @dataclass(frozen=True)
@@ -172,7 +160,7 @@ class StateLayout:
     dim: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AugmentedModel:
     nonperiodic: tuple[NonPeriodicForce, ...]
     periodic: tuple[PeriodicForce, ...]
@@ -181,10 +169,8 @@ class AugmentedModel:
     # assembly caches
     drift_za: np.ndarray = field(repr=False)
     diffusion: np.ndarray = field(repr=False)  # (C, C) spectral density
-    weight_rates: np.ndarray = field(repr=False)  # (n_w,)
     coupling_pad: tuple[np.ndarray, ...] = field(repr=False)
-    weight_scaled_eigs: tuple[np.ndarray, ...] = field(repr=False)
-    binary_input: np.ndarray | None = None  # (dim_za,) ON direction of a 0/1 input
+    binary_input: np.ndarray | None  # (dim_za,) ON direction of a 0/1 input
 
     @property
     def dim(self) -> int:
@@ -196,10 +182,12 @@ def assemble(
     nonperiodic: Sequence[NonPeriodicForce] = (),
     periodic: Sequence[PeriodicForce] = (),
     changepoints: Sequence[float] = (),
+    binary_input=None,
 ) -> AugmentedModel:
     """Assemble the augmented model from the target drift F (E x E), the
-    non-periodic and periodic forces and the changepoint times, and
-    precompute its building blocks."""
+    non-periodic and periodic forces, the changepoint times and the (E,)
+    target rows of a known 0/1 input or None, padded into z_a as a coupling
+    column is, and precompute its building blocks."""
     drift = np.atleast_2d(np.asarray(drift, dtype=float))
     n_target = drift.shape[0]
     if drift.shape != (n_target, n_target):
@@ -221,6 +209,8 @@ def assemble(
         w_spans.append((pos, pos + force.basis.n_selected))
         pos += force.basis.n_selected
     dim = pos
+    if binary_input is not None and np.shape(binary_input) != (n_target,):
+        raise InvalidParameterError("binary input must have one entry per target state")
 
     layout = StateLayout(n_target, tuple(np_spans), tuple(w_spans), dim_za, dim)
 
@@ -235,17 +225,14 @@ def assemble(
             force.block.noise @ force.block.noise.T
         )
 
-    weight_rates = np.zeros(dim - dim_za)
-    scaled_eigs = []
-    pads = []
     for force, (lo, hi) in zip(periodic, w_spans):
         mu = force.basis.scaled_eigenvalues()
-        scaled_eigs.append(mu)
-        weight_rates[lo - dim_za : hi - dim_za] = force.weight_rate
         diffusion[lo:hi, lo:hi] = np.diag(mu * force.weight_diffusion)
-        pad = np.zeros(dim_za)
-        pad[:n_target] = force.coupling
-        pads.append(pad)
+
+    def pad(rows: np.ndarray) -> np.ndarray:  # (E,) target rows -> (dim_za,)
+        out = np.zeros(dim_za)
+        out[:n_target] = rows
+        return out
 
     cps = np.sort(np.asarray(changepoints, dtype=float))
     if cps.size and np.any(np.diff(cps) <= 0):
@@ -258,9 +245,8 @@ def assemble(
         changepoints=cps,
         drift_za=drift_za,
         diffusion=diffusion,
-        weight_rates=weight_rates,
-        coupling_pad=tuple(pads),
-        weight_scaled_eigs=tuple(scaled_eigs),
+        coupling_pad=tuple(pad(force.coupling) for force in periodic),
+        binary_input=None if binary_input is None else pad(binary_input),
     )
 
 
@@ -334,7 +320,7 @@ def discretize(
     q[:, :cza, :cza] = noise_za
     weight_var = np.diag(model.diffusion)
     for force, pad, (lo, hi) in zip(model.periodic, model.coupling_pad, model.layout.weight_spans):
-        psi, decay, z, xi, v = _weight_response(model, pad, model.weight_rates[lo - cza], dt)
+        psi, decay, z, xi, v = _weight_response(model, pad, force.weight_rate, dt)
         phi = eb.eigenfunction_matrix(force.basis, starts)  # (n, J)
         q_phi = phi * weight_var[lo:hi]
         idx = np.arange(lo, hi)
@@ -412,16 +398,15 @@ def apply_changepoint_moments(
     """Jump update on a bank of means (rows) sharing one covariance."""
     means = np.array(means, dtype=float, copy=True)
     cov = np.array(cov, dtype=float, copy=True)
-    for r, force in enumerate(model.periodic):
+    for force, (lo, hi) in zip(model.periodic, model.layout.weight_spans):
         if force.jump is None:
             continue
-        lo, hi = model.layout.weight_spans[r]
         gain = force.jump.gain
         means[..., lo:hi] *= gain
         cov[lo:hi, :] *= gain
         cov[:, lo:hi] *= gain
         idx = np.arange(lo, hi)
-        cov[idx, idx] += model.weight_scaled_eigs[r] * force.jump.noise_var
+        cov[idx, idx] += force.basis.scaled_eigenvalues() * force.jump.noise_var
     return means, cov
 
 
@@ -485,12 +470,11 @@ class StepCycle:
     """One period of steps of a model, built once by `step_cycle` and shared
     by every pass over the model.
 
-    Slot k holds the transition of the step [t0 + k dt, t0 + (k + 1) dt];
-    a step a whole number of steps away from slot k repeats it, since the
-    periodic forces do.  The arrays are read-only."""
+    Slot k holds the transition of the step [k dt, (k + 1) dt]; a step a
+    whole number of periods away from slot k repeats it, since the periodic
+    forces do.  The arrays are read-only."""
 
     model: AugmentedModel
-    t0: float
     dt: float
     transitions: np.ndarray  # G, (n_cycle, C, C)
     noises: np.ndarray       # Q, (n_cycle, C, C)
@@ -501,10 +485,10 @@ class StepCycle:
         return self.transitions.shape[0]
 
 
-def step_cycle(model: AugmentedModel, t0: float, dt: float) -> StepCycle:
-    """The `cycle_steps(model, dt)` steps of one period from t0, built in one
-    batch: by `constant_weight_transition` when every weight is constant,
-    else by the frozen-m `discretize`.
+def step_cycle(model: AugmentedModel, dt: float) -> StepCycle:
+    """The `cycle_steps(model, dt)` steps of one period from t = 0, the basis
+    phase origin, in one batch: by `constant_weight_transition` when every
+    weight is constant, else by the frozen-m `discretize`.
 
     The input term `input_on` is B0 @ u for the model's binary input u on,
     held over a step, where B0 = int_0^dt expm(F_a s) ds: the input enters
@@ -513,21 +497,16 @@ def step_cycle(model: AugmentedModel, t0: float, dt: float) -> StepCycle:
     when `dt` does not divide the period (see `cycle_steps`).  Changepoints
     are not checked here: a pass checks those it crosses (`pass_steps`)."""
     n_cycle = cycle_steps(model, dt)
-    if not np.isfinite(t0):
-        raise InvalidParameterError("cycle start must be finite")
     cza = model.layout.dim_za
     input_on = np.zeros(model.dim)
     if model.binary_input is not None:
-        u = np.asarray(model.binary_input, dtype=float)
-        if u.shape != (cza,):
-            raise InvalidParameterError("binary input must have one entry per z_a state")
-        input_on[:cza] = _input_response(model.drift_za, dt) @ u
-    starts = t0 + dt * np.arange(n_cycle)
+        input_on[:cza] = _input_response(model.drift_za, dt) @ model.binary_input
+    starts = dt * np.arange(n_cycle)
     build = constant_weight_transition if has_constant_weights(model) else discretize
     g, q = build(model, starts, dt)
     for array in (g, q, input_on):
         array.flags.writeable = False
-    return StepCycle(model, float(t0), float(dt), g, q, input_on)
+    return StepCycle(model, float(dt), g, q, input_on)
 
 
 class PassStep(NamedTuple):
@@ -544,16 +523,16 @@ def pass_steps(cycle: StepCycle, t_start: float, n_steps: int) -> Iterator[PassS
 
     Two checks run here, before the first step: the changepoint schedule of
     the pass (`changepoint_steps`), then that t_start lies on the cycle's
-    step grid cycle.t0 + k dt (the `grid_steps` rule, naming the pass
-    start).  Step k of the pass then reads slot (offset + k) mod n_cycle,
-    where offset is t_start's index on that grid; its arrays are the cycle's
-    read-only ones.  Steps are produced lazily.
+    step grid k dt (the `grid_steps` rule, naming the pass start).  Step k
+    of the pass then reads slot (offset + k) mod n_cycle, where offset is
+    t_start's index on that grid; its arrays are the cycle's read-only ones.
+    Steps are produced lazily.
     """
     model, dt = cycle.model, cycle.dt
     jumps = np.zeros(n_steps + 1, dtype=bool)
     jumps[changepoint_steps(model, t_start, dt, n_steps)] = True
-    span = int(np.rint((t_start - cycle.t0) / dt))
-    offset = int(grid_steps([t_start], cycle.t0, dt, span, "pass start")[0])
+    span = int(np.rint(t_start / dt))
+    offset = int(grid_steps([t_start], 0.0, dt, span, "pass start")[0])
     n_cycle = cycle.n_cycle
 
     def steps():
@@ -569,8 +548,8 @@ def pass_steps(cycle: StepCycle, t_start: float, n_steps: int) -> Iterator[PassS
 
 def initial_state(model: AugmentedModel, target_mean, target_cov) -> tuple[np.ndarray, np.ndarray]:
     """Block-diagonal prior (mean, cov) at the start of a pass: given target
-    moments, stationary non-periodic blocks, and weight variances from the
-    scaled eigenvalues.
+    moments, stationary non-periodic blocks, and the scaled eigenvalues as
+    the weight variances.
 
     Marginally stable blocks (e.g. constant bias states) have no stationary
     distribution; they get a unit diagonal prior.
@@ -586,10 +565,9 @@ def initial_state(model: AugmentedModel, target_mean, target_cov) -> tuple[np.nd
             cov[lo:hi, lo:hi] = lti.stationary_covariance(force.block)
         except NoStationaryDistributionError:
             cov[lo:hi, lo:hi] = np.eye(hi - lo)
-    for r, force in enumerate(model.periodic):
-        lo, hi = model.layout.weight_spans[r]
+    for force, (lo, hi) in zip(model.periodic, model.layout.weight_spans):
         idx = np.arange(lo, hi)
-        cov[idx, idx] = model.weight_scaled_eigs[r] * force.weight_prior_scale
+        cov[idx, idx] = force.basis.scaled_eigenvalues()
     return mean, cov
 
 

@@ -5,7 +5,7 @@ constant bias of the resonator bank) as dU/dt = F U + L w with white noise w
 of spectral density q; the `extract` row reads the process value out of the
 block state.  Eigenfunction weights are not blocks: `lfm.PeriodicForce`
 holds their rate and diffusion as two floats, and a `JumpModel` for their
-jumps.
+jumps, all at unit scale.
 """
 
 from __future__ import annotations
@@ -102,14 +102,14 @@ def constant_block() -> LtiSde:
     )
 
 
-def sqm_jump(sigma: float, ell: float) -> JumpModel:
-    """Step-decorrelation jump: gain exp(-1/ell), noise sigma^2 (1 - exp(-2/ell)).
-
-    Preserves the variance exactly: gain^2 sigma^2 + noise_var = sigma^2.
-    """
-    _require_scales(sigma, ell)
+def sqm_jump(ell: float) -> JumpModel:
+    """Step-decorrelation jump at unit scale: gain exp(-1/ell), noise
+    1 - exp(-2/ell), so a unit variance is preserved: gain^2 + noise_var = 1.
+    `lfm.PeriodicForce` scales the noise by each weight's prior variance."""
+    if not np.isfinite(ell) or ell <= 0.0:
+        raise InvalidParameterError("ell must be finite and > 0")
     gain = math.exp(-1.0 / ell)
-    return JumpModel(gain=gain, noise_var=sigma**2 * (1.0 - gain**2))
+    return JumpModel(gain=gain, noise_var=1.0 - gain**2)
 
 
 def wqm_jump(xi: float) -> JumpModel:

@@ -129,9 +129,9 @@ _PERIODIC = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
 def _generic_twin(kind, basis, f):
     """The queue model's force in a generic model whose target drift is f."""
     if kind == "quasi-sqm":
-        force, changepoints = lfm.sqm_force(basis, [1.0], 1.0, 2.0), [qa.DAY_MINUTES]
+        force, changepoints = lfm.sqm_force(basis, [1.0], 2.0), [qa.DAY_MINUTES]
     else:
-        force, changepoints = lfm.cqm_force(basis, [1.0], 1.0, 2.0 * qa.DAY_MINUTES), []
+        force, changepoints = lfm.cqm_force(basis, [1.0], 2.0 * qa.DAY_MINUTES), []
     return lfm.assemble(np.array([[f]]), periodic=[force],
                         changepoints=changepoints)
 
@@ -269,6 +269,19 @@ def test_generator_validation():
         qa.generate_queue_data(qa.QueueGenConfig(days=2, omega_test=((0.0, 0.0),)), seed=0)
 
 
+@pytest.mark.parametrize("start", [-1.0, 1440.0, 2000.0])
+def test_omega_test_starts_must_lie_in_the_day(tmp_path, start):
+    # a piece that starts outside the test day would be dropped without a
+    # word, by the generator and by the reader of a record
+    config = qa.QueueGenConfig(days=2, omega_test=((0.0, 15.0), (start, 40.0)))
+    message = rf"omega_test start minutes must lie in the test day \[0, 1440\), got \[0.0, {start}\]"
+    with pytest.raises(InvalidParameterError, match=message):
+        qa.generate_queue_data(config, seed=0)
+    app_io.write_queue_dataset(tmp_path, qa.generate_queue_data(qa.QueueGenConfig(days=2), seed=0))
+    with pytest.raises(InvalidParameterError, match=message):
+        app_io.read_queue_dataset(tmp_path, config)
+
+
 def test_csv_roundtrip(tmp_path):
     cfg = qa.QueueGenConfig(days=2)
     ds = qa.generate_queue_data(cfg, seed=4)
@@ -305,6 +318,22 @@ def test_reader_requires_whole_days(tmp_path):
     path.write_text("\n".join(lines[:1] + keep) + "\n")
     with pytest.raises(InvalidParameterError,
                        match=r"queue_truth.csv: the record ends at minute 3744 \(2.6 days\)"):
+        app_io.read_queue_dataset(tmp_path, ds.config)
+
+
+def test_reader_requires_the_record_to_start_at_minute_0(tmp_path):
+    # a record without its first day would be read as the days it ends in,
+    # so its held-out day would be scored under the wrong day number
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=3), seed=0)
+    app_io.write_queue_dataset(tmp_path, ds)
+    for name in ("arrivals.csv", "queue_truth.csv", "queue_meas.csv"):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        keep = [line for line in lines[1:] if float(line.split(",")[0]) >= 1440]
+        path.write_text("\n".join(lines[:1] + keep) + "\n")
+    with pytest.raises(InvalidParameterError,
+                       match="queue_truth.csv: the record starts at minute 1440; it must start "
+                             "at minute 0"):
         app_io.read_queue_dataset(tmp_path, ds.config)
 
 

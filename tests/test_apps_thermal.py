@@ -78,7 +78,7 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
             mean[1] = ds.meas_ext[0]  # start the envelope at the exterior
         # a measurement interval longer than the pass: prediction only
         _, _, _, recs = th._run_thermal_filter(
-            lfm.step_cycle(model, 0.0, cfg.step), ds, BASE_PARAMS["sigma_obs"], mean, cov,
+            lfm.step_cycle(model, cfg.step), ds, BASE_PARAMS["sigma_obs"], mean, cov,
             0.0, 1440.0, 2880.0,
         )
         return np.array([r[1] for r in recs])
@@ -175,7 +175,7 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
 
     monkeypatch.setattr(th, "kalman_pass", recording_pass)
     monkeypatch.setattr(filtering, "update", lambda *args: updates.append(args) or update(*args))
-    cycle = lfm.step_cycle(model, 0.0, cfg.step)
+    cycle = lfm.step_cycle(model, cfg.step)
     th._run_thermal_filter(
         cycle, ds, BASE_PARAMS["sigma_obs"], *th._initial_state(model, ds, False),
         ds.test_start, ds.test_start + 1440.0, 100.0,
@@ -196,7 +196,7 @@ def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
         run = dataclasses.replace(ds, config=dataclasses.replace(ds.config, step=step))
         model = th.thermal_build("without", BASE_PARAMS, run.config)
         mean, cov = th._initial_state(model, run, False)
-        cycle = lfm.step_cycle(model, 0.0, run.config.step)
+        cycle = lfm.step_cycle(model, run.config.step)
         with pytest.raises(ContractViolationError, match=match):
             th._run_thermal_filter(
                 cycle, run, BASE_PARAMS["sigma_obs"], mean, cov, run.test_start, t_end, 100.0
@@ -217,9 +217,9 @@ def test_track_and_predict_build_one_cycle_per_model(monkeypatch, kind):
     built = []
     step_cycle = lfm.step_cycle
 
-    def counting_step_cycle(model, t0, dt):
+    def counting_step_cycle(model, dt):
         built.append(model)
-        return step_cycle(model, t0, dt)
+        return step_cycle(model, dt)
 
     monkeypatch.setattr(lfm, "step_cycle", counting_step_cycle)
     th.thermal_track_day(ds, kind, BASE_PARAMS)
@@ -297,6 +297,20 @@ def test_reader_requires_two_whole_days(tmp_path):
         app_io.read_thermal_dataset(tmp_path, ds.config)
 
 
+def test_reader_requires_the_record_to_start_at_minute_0(tmp_path):
+    # a record without its first day would load, and the first pass, which
+    # starts at minute 0, would fail without naming a file
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=3), seed=6)
+    app_io.write_thermal_dataset(tmp_path, ds)
+    for name in ("thermal.csv", "thermal_meas.csv"):
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + lines[1441:]) + "\n")
+    with pytest.raises(InvalidParameterError,
+                       match="thermal.csv: the record starts at minute 1440; it must start "
+                             "at minute 0"):
+        app_io.read_thermal_dataset(tmp_path, ds.config)
+
 
 @pytest.mark.parametrize("rows", [lambda lines: lines[:2001], lambda lines: lines[:1] + lines[2:]],
                          ids=["cut", "late-start"])
@@ -322,6 +336,16 @@ def test_envelope_fit_stays_in_bounds():
     assert np.isfinite(result.value)
     for name in ("gamma_env", "psi_env"):
         assert 1e-4 <= result.params[name] <= 0.5
+
+
+@pytest.mark.parametrize("start, end", [(23.0, 6.0), (6.0, 6.0), (-1.0, 22.0), (6.0, 25.0)])
+def test_generator_requires_the_day_hours_in_order_in_the_day(start, end):
+    # day_start_h >= day_end_h would hold the night set point all day
+    config = th.ThermalGenConfig(days=2, day_start_h=start, day_end_h=end)
+    with pytest.raises(InvalidParameterError,
+                       match=f"day_start_h {start:g} and day_end_h {end:g} must satisfy "
+                             "0 <= day_start_h < day_end_h <= 24"):
+        th.generate_thermal_data(config, seed=0)
 
 
 def test_generator_validation():

@@ -151,7 +151,7 @@ def _resonator_path(f, b, dt, n_steps, psi0, dpsi0):
     )
     state = np.array([psi0, dpsi0])
     times, psi = [], []
-    for step in lfm.pass_steps(lfm.step_cycle(model, 0.0, dt), 0.0, n_steps):
+    for step in lfm.pass_steps(lfm.step_cycle(model, dt), 0.0, n_steps):
         state = step.transition @ state
         times.append(step.t)
         psi.append(state[0])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,39 @@ def test_schema_errors_name_the_failing_key():
     # a violation of the top-level object has no key to name
     with pytest.raises(InvalidParameterError, match=r"config: Additional properties"):
         validate_config("queue", {"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "app, generator, key",
+    [
+        ("queue", {"omega_test": [[2000, 40]]}, "generator.omega_test[0][0]"),
+        ("queue", {"omega_test": [[-1, 40]]}, "generator.omega_test[0][0]"),
+        ("thermal", {"day_start_h": 25}, "generator.day_start_h"),
+        ("thermal", {"day_end_h": -2}, "generator.day_end_h"),
+    ],
+    ids=["omega-start-late", "omega-start-negative", "day-start", "day-end"],
+)
+def test_in_day_values_must_lie_in_the_day(app, generator, key):
+    with pytest.raises(InvalidParameterError, match=re.escape(f"invalid {app} config: {key}: ")):
+        validate_config(app, {"generator": generator})
+
+
+def test_thermal_day_hours_must_be_in_order(tmp_path):
+    # each hour lies in the day, but the day would end before it starts
+    config = {**THERMAL_CONFIG, "generator": {"days": 2, "day_start_h": 23, "day_end_h": 6}}
+    result, _ = _invoke(tmp_path, {**config, "seeds": [0]}, "thermal", "track")
+    _fails_cleanly(result, "day_start_h 23 and day_end_h 6 must satisfy")
+
+
+def test_fit_budget_error_names_its_numbers(tmp_path):
+    # the schema admits budget 8, but a 13-parameter fit needs 15 evaluations
+    config = {**THERMAL_CONFIG, "methods": ["resonator"], "seeds": [0], "budget": 8}
+    result, _ = _invoke(tmp_path, config, "thermal", "fit")
+    _fails_cleanly(
+        result,
+        "budget 8 is below 15 = 13 parameters (alpha, beta, sigma_ext, ell_ext, sigma_obs, "
+        "decay, diffusion, freq_0, freq_1, freq_2, freq_3, freq_4, freq_5) + 2",
+    )
 
 
 @pytest.mark.parametrize(

@@ -285,7 +285,7 @@ def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
     `lfm.pass_steps`, jumping with the model's moments, with `setpoint(t)`
     read at the pass start and every step end."""
     n_steps = int(round(horizon / step))
-    cycle = lfm.step_cycle(model, 0.0, step)
+    cycle = lfm.step_cycle(model, step)
     setpoints = [setpoint(k * step) for k in range(n_steps + 1)]
     return rbpf_predict_day(
         lfm.pass_steps(cycle, 0.0, n_steps), *init, setpoints,
@@ -294,16 +294,13 @@ def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
 
 
 def _thermal_toy(beta: float):
-    model = lfm.assemble(
+    return lfm.assemble(
         np.array([[-0.01]]),
         nonperiodic=[
             lfm.NonPeriodicForce(lti.matern32_block(2.0, 600.0), np.array([0.01]))
         ],
+        binary_input=[beta],
     )
-    binary = np.zeros(model.layout.dim_za)
-    binary[0] = beta
-    model.binary_input = binary
-    return model
 
 
 def test_rbpf_validation():
@@ -315,7 +312,7 @@ def test_rbpf_validation():
         _rbpf(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
     with pytest.raises(InvalidParameterError):  # checked before the first step
         _rbpf(model, init, lambda t: float("nan") if t == 100.0 else 0.0, 4, 10.0, 100.0, 0)
-    steps = lfm.pass_steps(lfm.step_cycle(model, 0.0, 10.0), 0.0, 10)
+    steps = lfm.pass_steps(lfm.step_cycle(model, 10.0), 0.0, 10)
     with pytest.raises(ValueError, match="zip"):  # one set point short
         rbpf_predict_day(steps, *init, np.zeros(10), 4, 0,
                          jump=functools.partial(lfm.apply_changepoint_moments, model))
@@ -373,18 +370,14 @@ def _periodic_toy(beta: float, force_kind: str):
     drift = np.array([[-0.01]])
     ext = lfm.NonPeriodicForce(lti.matern32_block(2.0, 600.0), np.array([0.01]))
     if force_kind == "cqm":
-        model = lfm.assemble(
-            drift, nonperiodic=[ext], periodic=[lfm.cqm_force(basis, [1.0], 1.0, 300.0)]
+        return lfm.assemble(
+            drift, nonperiodic=[ext], periodic=[lfm.cqm_force(basis, [1.0], 300.0)],
+            binary_input=[beta],
         )
-    else:
-        model = lfm.assemble(
-            drift, nonperiodic=[ext], periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
-            changepoints=[200.0],
-        )
-    binary = np.zeros(model.layout.dim_za)
-    binary[0] = beta
-    model.binary_input = binary
-    return model
+    return lfm.assemble(
+        drift, nonperiodic=[ext], periodic=[lfm.sqm_force(basis, [1.0], 1.0)],
+        changepoints=[200.0], binary_input=[beta],
+    )
 
 
 def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
@@ -394,7 +387,7 @@ def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
 
     Returns the records and how many particle steps had the heater on/off."""
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i])) for i in range(n_particles)]
-    input_on = lfm.step_cycle(model, 0.0, step).input_on
+    input_on = lfm.step_cycle(model, step).input_on
     build = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
     init_mean, cov = init[0], init[1].copy()
     means = [init_mean.copy() for _ in range(n_particles)]

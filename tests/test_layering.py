@@ -1,9 +1,10 @@
 """The package layering runs one way: the engine (kernels -> eigenbasis ->
 lti -> lfm -> filtering -> learn) imports nothing from the applications, the
 baselines, the CLI or the config schemas, and `filtering` does not import
-`lfm`.  Every pass over a fixed model takes its transitions from a
-`lfm.step_cycle` through `lfm.pass_steps`, so no such pass bypasses the
-cycle, and only the cycle computes the input term (`_input_response`); the
+`lfm`.  Every pass over a fixed model takes its transitions from the one
+`lfm.step_cycle(model, dt)` from t = 0 through `lfm.pass_steps`, so no such
+pass bypasses the cycle, and only the cycle computes the input term
+(`_input_response`); the
 queue, whose drift is relinearized every step, builds its own (G, Q).  No
 pass forms a covariance outside `filtering`: only `filtering.update` restores
 its symmetry (`_symmetrize`), and the Kalman loop exists once: the queue
@@ -14,8 +15,9 @@ daily prior.  One weight-space regression (`baselines.comparison.linear_regress`
 scores both linear bases, so the only Cholesky factors beside the Kalman
 layer's are its own and the dense-GP oracle's.  Every public name is reached from the package itself or kept by a
 named oracle or paper claim, and every dataclass field of an engine type is
-read in the package or kept by a named oracle.  Checked on the source with
-`ast`, so no module is imported."""
+read in the package or kept by a named oracle.  Every engine dataclass is
+frozen: a model, a basis or a fit result is built whole and never changed.
+Checked on the source with `ast`, so no module is imported."""
 
 import ast
 from pathlib import Path
@@ -261,19 +263,23 @@ UNREAD_FIELDS = {
 }
 
 
+def _engine_dataclasses() -> dict[str, ast.ClassDef]:
+    """Every dataclass of an engine module, by name."""
+    return {
+        node.name: node
+        for module in ENGINE
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+
+
 def _engine_fields() -> set[tuple[str, str]]:
     """(class, field) of every annotated field of a dataclass in an engine module."""
-    found = set()
-    for module in ENGINE:
-        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
-            if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list
-            ):
-                found |= {
-                    (node.name, s.target.id) for s in node.body
-                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                }
-    return found
+    return {
+        (name, s.target.id) for name, node in _engine_dataclasses().items() for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    }
 
 
 def test_every_engine_field_is_read():
@@ -290,3 +296,18 @@ def test_every_engine_field_is_read():
     unread = {f for f in fields if f[1] not in read}
     assert set(UNREAD_FIELDS) <= unread  # the list names only unread fields
     assert unread - set(UNREAD_FIELDS) == set()
+
+
+def test_every_engine_dataclass_is_frozen():
+    # an engine value is built whole and never changed afterwards, so a
+    # model, a basis or a fit result can be shared by every pass that reads it
+    classes = _engine_dataclasses()
+    assert {"AugmentedModel", "StepCycle", "FitResult"} <= set(classes)  # the walk sees them
+    frozen = {
+        name for name, node in classes.items() for d in node.decorator_list
+        if isinstance(d, ast.Call) and any(
+            k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in d.keywords
+        )
+    }
+    assert set(classes) - frozen == set()

@@ -16,8 +16,8 @@ def constant_kernel(c):
     ).astype(float)
 
 
-def sample_basis(ell=0.4, period=10.0, n=64, gamma=0.01):
-    return eb.build(K.PeriodicMatern(0.5, 1.5, ell, period), n, period, gamma)
+def sample_basis(ell=0.4, period=10.0, n=64, gamma=0.01, sigma=1.5):
+    return eb.build(K.PeriodicMatern(0.5, sigma, ell, period), n, period, gamma)
 
 
 def test_assemble_target_only_reduces_to_lti():
@@ -61,7 +61,7 @@ def test_identity_step():
     g, q = one_step(lfm.discretize, model, 0.0, 1.0)
     np.testing.assert_array_equal(g, np.eye(1))
     assert not q.any()
-    assert not lfm.step_cycle(model, 0.0, 1.0).input_on.any()
+    assert not lfm.step_cycle(model, 1.0).input_on.any()
 
 
 def test_constant_weight_transition_constant_kernel():
@@ -124,7 +124,7 @@ def test_transition_noise_psd():
     model = lfm.assemble(
         np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
-        periodic=[lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
+        periodic=[lfm.cqm_force(basis, [1.0], 20.0)],
     )
     for t0 in np.linspace(0.0, 9.0, 7):
         _, q = one_step(lfm.discretize, model, t0, t0 + 0.5)
@@ -148,11 +148,11 @@ def test_apply_changepoint_sqm():
     basis = eb.build(constant_kernel(1.0), 4, 1.0, gamma=0.5)
     model = lfm.assemble(
         np.zeros((1, 1)),
-        periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
+        periodic=[lfm.sqm_force(basis, [1.0], 1.0)],
         changepoints=[5.0],
     )
     # the constant kernel has mu_scaled = 1, so the weight carries unit prior
-    assert model.weight_scaled_eigs[0][0] == pytest.approx(1.0, rel=1e-12)
+    assert basis.scaled_eigenvalues()[0] == pytest.approx(1.0, rel=1e-12)
     means, cov = lfm.apply_changepoint_moments(model, np.array([[0.0, 1.0]]), np.eye(2))
     assert means[0, 1] == pytest.approx(0.36788, abs=5e-6)
     assert cov[1, 1] == pytest.approx(1.0, rel=1e-10)  # variance preserved
@@ -162,7 +162,7 @@ def test_apply_changepoint_wqm_and_cross_covariance():
     basis = eb.build(constant_kernel(1.0), 4, 1.0, gamma=0.5)
     model = lfm.assemble(
         np.zeros((1, 1)),
-        periodic=[lfm.wqm_force(basis, [1.0], 1.0, 2.0)],
+        periodic=[lfm.wqm_force(basis, [1.0], 2.0)],
         changepoints=[5.0],
     )
     cov = np.array([[2.0, 0.7], [0.7, 1.0]])
@@ -177,11 +177,11 @@ def test_apply_changepoint_wqm_and_cross_covariance():
     # gain scaling of the cross term for a step jump
     model2 = lfm.assemble(
         np.zeros((1, 1)),
-        periodic=[lfm.sqm_force(basis, [1.0], 1.0, 2.0)],
+        periodic=[lfm.sqm_force(basis, [1.0], 2.0)],
         changepoints=[5.0],
     )
     _, out2 = lfm.apply_changepoint_moments(model2, mean, cov)
-    gain = lti.sqm_jump(1.0, 2.0).gain
+    gain = lti.sqm_jump(2.0).gain
     assert out2[0, 1] == pytest.approx(0.7 * gain)
 
 
@@ -189,22 +189,21 @@ def test_changepoint_inside_step_rejected():
     basis = sample_basis()
     model = lfm.assemble(
         np.zeros((1, 1)),
-        periodic=[lfm.sqm_force(basis, [1.0], 1.0, 1.0)],
+        periodic=[lfm.sqm_force(basis, [1.0], 1.0)],
         changepoints=[5.0],
     )
-    # the cycle builds; a pass whose step (4.5, 5.5) holds the changepoint raises
+    # the cycle builds; a pass whose step (4, 6) holds the changepoint raises
     with pytest.raises(ContractViolationError, match="changepoint at 5 is not on the step grid"):
-        lfm.pass_steps(lfm.step_cycle(model, 4.5, 1.0), 4.5, 1)
+        lfm.pass_steps(lfm.step_cycle(model, 2.0), 4.0, 1)
     # steps touching the boundary are fine
-    steps = lfm.pass_steps(lfm.step_cycle(model, 4.5, 0.5), 4.5, 2)
+    steps = lfm.pass_steps(lfm.step_cycle(model, 0.5), 4.5, 2)
     assert [s.changepoint for s in steps] == [True, False]
 
 
 def test_input_term_integration():
     # dz/dt = -z + u with constant input u: z(dt) response = (1 - e^-dt) u
-    model = lfm.assemble(np.array([[-1.0]]))
-    model.binary_input = np.array([2.0])
-    input_on = lfm.step_cycle(model, 0.0, 0.8).input_on
+    model = lfm.assemble(np.array([[-1.0]]), binary_input=[2.0])
+    input_on = lfm.step_cycle(model, 0.8).input_on
     assert input_on[0] == pytest.approx(2.0 * (1.0 - np.exp(-0.8)), rel=1e-12)
 
 
@@ -212,26 +211,26 @@ def test_discretize_input_term_matches_full_drift_reference():
     # the input term from the z_a block equals B0 @ [u; 0] with B0 from the
     # exponential of the full frozen drift
     basis = sample_basis()
+    u = np.array([0.7])
     model = lfm.assemble(
         np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), np.array([0.8]))],
-        periodic=[lfm.cqm_force(basis, [1.3], 1.0, 20.0)],
+        periodic=[lfm.cqm_force(basis, [1.3], 20.0)],
+        binary_input=u,
     )
-    u = np.array([0.7, -0.2, 0.4])
     t0, dt = 1.3, 0.5
-    model.binary_input = u
-    input_on = lfm.step_cycle(model, t0, dt).input_on
+    input_on = lfm.step_cycle(model, dt).input_on
 
     c, cza = model.dim, model.layout.dim_za
     drift = np.zeros((c, c))
     drift[:cza, :cza] = model.drift_za
     drift[0, cza:] = 1.3 * eb.eigenfunction_matrix(basis, t0)[0]
-    drift[cza:, cza:] = np.diag(model.weight_rates)
+    drift[cza:, cza:] = model.periodic[0].weight_rate * np.eye(c - cza)
     block = np.zeros((2 * c, 2 * c))
     block[:c, :c] = drift
     block[:c, c:] = np.eye(c)
     b0 = scipy.linalg.expm(block * dt)[:c, c:]
-    ref = b0 @ np.concatenate([u, np.zeros(c - cza)])
+    ref = b0 @ np.concatenate([u, np.zeros(c - u.size)])
     assert np.abs(ref[cza:]).max() < 1e-14  # inputs never reach the weights
     np.testing.assert_allclose(input_on, ref, rtol=0.0, atol=1e-12)
 
@@ -241,17 +240,16 @@ def _stepper_model(kind, changepoints):
     periodic = {
         "none": [],
         "with": [lfm.periodic_force(basis, [1.0])],
-        "sqm": [lfm.sqm_force(basis, [1.0], 1.0, 2.0)],
-        "cqm": [lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
+        "sqm": [lfm.sqm_force(basis, [1.0], 2.0)],
+        "cqm": [lfm.cqm_force(basis, [1.0], 20.0)],
     }[kind]
-    model = lfm.assemble(
+    return lfm.assemble(
         np.array([[-0.5]]),
         nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
         periodic=periodic,
         changepoints=changepoints,
+        binary_input=[0.3],
     )
-    model.binary_input = np.array([0.3, 0.0])
-    return model
 
 
 @pytest.mark.parametrize("kind", ["sqm", "cqm"])
@@ -262,7 +260,7 @@ def test_pass_steps_match_direct_transitions(kind):
     np.testing.assert_array_equal(lfm.changepoint_steps(model, 1.0, 0.5, 12), [2, 8])
     direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
     input_ref = _van_loan_reference(model, 1.0, 1.5, model.binary_input)[2]
-    steps = list(lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 12))
+    steps = list(lfm.pass_steps(lfm.step_cycle(model, 0.5), 1.0, 12))
     assert [s.changepoint for s in steps] == [k in (2, 8) for k in range(1, 13)]
     for k, step in enumerate(steps):
         t0 = 1.0 + 0.5 * k
@@ -276,12 +274,8 @@ def test_pass_steps_match_direct_transitions(kind):
 @pytest.mark.parametrize("kind", ["sqm", "cqm"])
 def test_pass_steps_reject_changepoint_off_the_grid(kind):
     model = _stepper_model(kind, [2.25])
-    # the changepoint lies inside a step of a pass from 1.0 on a cycle built
-    # from 1.0 ...
-    with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
-        lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 12)
-    # ... and on a cycle built where it does not
-    cycle = lfm.step_cycle(model, 11.0, 0.5)
+    # the changepoint lies inside a step of a pass from 1.0
+    cycle = lfm.step_cycle(model, 0.5)
     with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
         lfm.pass_steps(cycle, 1.0, 12)  # raises before the first step
     with pytest.raises(ContractViolationError):
@@ -291,34 +285,36 @@ def test_pass_steps_reject_changepoint_off_the_grid(kind):
 
 @pytest.mark.parametrize("kind", ["sqm", "cqm"])
 def test_cycle_builds_over_an_off_grid_changepoint_no_pass_crosses(kind):
-    # 2.25 lies inside the step [2.0, 2.5] of a cycle built from 1.0; the
-    # cycle builds, and its slots serve a pass over (11, 17], which holds no
-    # changepoint, as a cycle built at 11.0 does.  Only a pass that crosses
-    # the changepoint raises.
+    # 2.25 lies inside the step [2.0, 2.5] of the cycle; the cycle builds,
+    # and its slots serve a pass over (11, 17], which holds no changepoint,
+    # as direct transitions do.  Only a pass that crosses the changepoint
+    # raises.
     model = _stepper_model(kind, [2.25])
-    cycle = lfm.step_cycle(model, 1.0, 0.5)
-    own = lfm.step_cycle(model, 11.0, 0.5)
+    cycle = lfm.step_cycle(model, 0.5)
+    direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
     steps = list(lfm.pass_steps(cycle, 11.0, 12))
     assert len(steps) == 12 and not any(s.changepoint for s in steps)
-    scale = np.abs(own.transitions).max()
-    for a, b in zip(steps, lfm.pass_steps(own, 11.0, 12)):
-        np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(a.noise, b.noise, rtol=1e-12, atol=1e-12 * scale)
+    scale = np.abs(cycle.transitions).max()
+    for k, step in enumerate(steps):
+        g, q = one_step(direct, model, 11.0 + 0.5 * k, 11.5 + 0.5 * k)
+        np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-12 * scale)
     with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
         lfm.pass_steps(cycle, 1.0, 12)
 
 
 @pytest.mark.parametrize("kind", ["none", "with", "sqm", "cqm"])
 def test_pass_steps_reuse_the_first_cycle(kind):
-    # 2.5 cycles of 20 steps from t = 1.3: every step, reused ones included,
-    # matches a direct transition at its actual start time
-    model = _stepper_model(kind, [6.3, 21.3])
-    t_start, dt, n_steps = 1.3, 0.5, 50
+    # 2.5 cycles of 20 steps from t = 1.5, slot 3 of the cycle from 0: every
+    # step, reused ones included, reads slot (3 + k) mod n_cycle and matches
+    # a direct transition at its actual start time
+    model = _stepper_model(kind, [6.5, 21.5])
+    t_start, dt, n_steps, offset = 1.5, 0.5, 50, 3
     n_cycle = 1 if kind == "none" else 20
     assert lfm.cycle_steps(model, dt) == n_cycle
     direct = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
     input_ref = _van_loan_reference(model, t_start, t_start + dt, model.binary_input)[2]
-    cycle = lfm.step_cycle(model, t_start, dt)
+    cycle = lfm.step_cycle(model, dt)
     assert cycle.n_cycle == n_cycle
     assert cycle.transitions.shape == cycle.noises.shape == (n_cycle, model.dim, model.dim)
     steps = list(lfm.pass_steps(cycle, t_start, n_steps))
@@ -327,7 +323,7 @@ def test_pass_steps_reuse_the_first_cycle(kind):
     for k, step in enumerate(steps):
         t0 = t_start + k * dt
         assert step.t == t0 + dt
-        assert np.shares_memory(step.transition, cycle.transitions[k % n_cycle])
+        assert np.shares_memory(step.transition, cycle.transitions[(offset + k) % n_cycle])
         g, q = one_step(direct, model, t0, t0 + dt)
         np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-12)
@@ -336,7 +332,7 @@ def test_pass_steps_reuse_the_first_cycle(kind):
 
 def test_pass_step_arrays_reject_writes():
     model = _stepper_model("sqm", [])
-    for step in lfm.pass_steps(lfm.step_cycle(model, 1.0, 0.5), 1.0, 25):
+    for step in lfm.pass_steps(lfm.step_cycle(model, 0.5), 1.0, 25):
         for array in (step.transition, step.noise, step.input_on):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -344,50 +340,35 @@ def test_pass_step_arrays_reject_writes():
 
 @pytest.mark.parametrize("kind", ["none", "sqm", "cqm"])
 def test_cycle_arrays_reject_writes(kind):
-    cycle = lfm.step_cycle(_stepper_model(kind, []), 1.0, 0.5)
+    cycle = lfm.step_cycle(_stepper_model(kind, []), 0.5)
     for array in (cycle.transitions, cycle.noises, cycle.input_on):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     with pytest.raises(AttributeError):
-        cycle.t0 = 2.0
+        cycle.dt = 2.0
 
 
 def test_cycle_must_be_whole_steps():
     with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
         lfm.cycle_steps(_stepper_model("with", []), 0.3)
     with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
-        lfm.step_cycle(_stepper_model("cqm", []), 1.0, 0.3)
+        lfm.step_cycle(_stepper_model("cqm", []), 0.3)
+    with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
+        lfm.step_cycle(_stepper_model("cqm", []), -0.5)
     assert lfm.cycle_steps(_stepper_model("none", []), 0.3) == 1
     # a pass checks its changepoint schedule before its start
-    cycle = lfm.step_cycle(_stepper_model("sqm", [12.4]), 1.0, 0.5)
+    cycle = lfm.step_cycle(_stepper_model("sqm", [12.4]), 0.5)
     with pytest.raises(ContractViolationError, match="changepoint at 12.4"):
         lfm.pass_steps(cycle, 1.25, 25)
-    with pytest.raises(ContractViolationError, match="pass start at 1.25"):
+    with pytest.raises(
+        ContractViolationError, match=r"pass start at 1.25 is not on the step grid 0 \+ k \* 0.5"
+    ):
         lfm.pass_steps(cycle, 1.25, 20)
 
     forces = [lfm.periodic_force(sample_basis(period=p), [1.0]) for p in (10.0, 5.0)]
     model = lfm.assemble(np.array([[-0.5]]), periodic=forces)
     with pytest.raises(ContractViolationError, match="different periods"):
         lfm.cycle_steps(model, 0.5)
-
-
-@pytest.mark.parametrize("kind", ["none", "with", "sqm", "cqm"])
-def test_pass_from_a_shared_cycle_equals_a_cycle_built_at_its_start(kind):
-    # a cycle built at 1.3 serves passes that start 4 periods, 7 steps or 3
-    # steps before it: each equals a pass on a cycle built at its own start
-    model = _stepper_model(kind, [])
-    dt = 0.5
-    shared = lfm.step_cycle(model, 1.3, dt)
-    scale = np.abs(shared.transitions).max()
-    for start in (1.3 + 4 * 10.0, 1.3 + 7 * dt, 1.3 - 3 * dt):
-        own = lfm.step_cycle(model, start, dt)
-        for a, b in zip(lfm.pass_steps(shared, start, 30), lfm.pass_steps(own, start, 30)):
-            assert a.t == b.t
-            np.testing.assert_allclose(a.transition, b.transition, rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(a.noise, b.noise, rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_array_equal(a.input_on, b.input_on)
-    with pytest.raises(ContractViolationError, match=r"pass start at 1.55 is not on the step grid 1.3 \+ k \* 0.5"):
-        lfm.pass_steps(shared, 1.55, 5)
 
 
 def _full_drift(model, t):
@@ -397,7 +378,7 @@ def _full_drift(model, t):
     out[:cza, :cza] = model.drift_za
     for force, pad, (lo, hi) in zip(model.periodic, model.coupling_pad, model.layout.weight_spans):
         out[:cza, lo:hi] = np.outer(pad, eb.eigenfunction_matrix(force.basis, t)[0])
-    out[cza:, cza:] = np.diag(model.weight_rates)
+        out[lo:hi, lo:hi] = force.weight_rate * np.eye(hi - lo)
     return out
 
 
@@ -423,7 +404,7 @@ def _van_loan_reference(model, t0, t1, input_value=None):
     return g, 0.5 * (q + q.T), b
 
 
-def _random_ou_model(n_target, seed):
+def _random_ou_model(n_target, seed, binary_input=None):
     # a stable random target, one Matern-3/2 force, and two periodic forces
     # whose OU weights decorrelate at different rates
     rng = np.random.default_rng(seed)
@@ -433,9 +414,10 @@ def _random_ou_model(n_target, seed):
         drift,
         nonperiodic=[lfm.NonPeriodicForce(lti.matern32_block(1.0, 2.0), rng.standard_normal(n_target))],
         periodic=[
-            lfm.cqm_force(sample_basis(ell=0.5), rng.standard_normal(n_target), 1.2, 3.0),
-            lfm.cqm_force(sample_basis(ell=0.9), rng.standard_normal(n_target), 0.7, 15.0),
+            lfm.cqm_force(sample_basis(ell=0.5, sigma=1.5 * 1.2), rng.standard_normal(n_target), 3.0),
+            lfm.cqm_force(sample_basis(ell=0.9, sigma=1.5 * 0.7), rng.standard_normal(n_target), 15.0),
         ],
+        binary_input=binary_input,
     )
 
 
@@ -446,17 +428,16 @@ def _rel_err(a, b):
 @pytest.mark.parametrize("n_target", [1, 2, 3])
 @pytest.mark.parametrize("with_input", [False, True])
 def test_discretize_matches_the_full_state_van_loan(n_target, with_input):
-    model = _random_ou_model(n_target, seed=n_target)
-    assert len(set(model.weight_rates)) == 2
     rng = np.random.default_rng(10 + n_target)
-    u = rng.standard_normal(model.layout.dim_za) if with_input else None
-    model.binary_input = u
-    input_on = lfm.step_cycle(model, 0.0, 0.4).input_on
+    u = rng.standard_normal(n_target) if with_input else None
+    model = _random_ou_model(n_target, seed=n_target, binary_input=u)
+    assert len({force.weight_rate for force in model.periodic}) == 2
+    input_on = lfm.step_cycle(model, 0.4).input_on
     starts = np.array([0.0, 1.7, 4.35, 9.9])
     batch_g, batch_q = lfm.discretize(model, starts, 0.4)
     assert batch_g.shape == batch_q.shape == (starts.size, model.dim, model.dim)
     for k, t0 in enumerate(starts):
-        g, q, b = _van_loan_reference(model, t0, t0 + 0.4, u)
+        g, q, b = _van_loan_reference(model, t0, t0 + 0.4, model.binary_input)
         for tr_g, tr_q in (one_step(lfm.discretize, model, t0, t0 + 0.4), (batch_g[k], batch_q[k])):
             assert _rel_err(tr_g, g) <= 1e-12
             assert _rel_err(tr_q, q) <= 1e-12
@@ -471,7 +452,7 @@ def test_constant_weight_batch_matches_per_step_quadrature():
     # sum_i w_i dt expm(F_a dt (1 - x_i)) pad phi(t0 + x_i dt)^T
     periodic = [
         lfm.periodic_force(sample_basis(ell=0.5), [1.0, -0.4]),
-        lfm.sqm_force(sample_basis(ell=0.9), [0.3, 0.8], 1.0, 2.0),
+        lfm.sqm_force(sample_basis(ell=0.9), [0.3, 0.8], 2.0),
     ]
     model = lfm.assemble(
         np.array([[-0.5, 0.2], [0.1, -0.3]]),
@@ -495,22 +476,23 @@ def test_constant_weight_batch_matches_per_step_quadrature():
         np.testing.assert_array_equal(batch_q[k][cza:], 0.0)
 
 
-def test_step_cycle_validates_its_start_and_the_binary_input():
-    model = _stepper_model("cqm", [])
-    with pytest.raises(InvalidParameterError, match="cycle start must be finite"):
-        lfm.step_cycle(model, float("nan"), 0.5)
-    with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
-        lfm.step_cycle(model, 0.0, -0.5)
-    model.binary_input = np.array([0.3])
-    with pytest.raises(InvalidParameterError, match="binary input must have one entry per z_a state"):
-        lfm.step_cycle(model, 0.0, 0.5)
+def test_assemble_validates_the_binary_input():
+    # the input takes the target rows and is padded into z_a; a z_a-sized
+    # input is refused at assembly, before any cycle is built
+    np.testing.assert_array_equal(_stepper_model("cqm", []).binary_input, [0.3, 0.0])
+    with pytest.raises(InvalidParameterError, match="binary input must have one entry per target state"):
+        lfm.assemble(
+            np.array([[-0.5]]),
+            nonperiodic=[lfm.NonPeriodicForce(lti.matern12_block(1.0, 3.0), np.array([1.0]))],
+            binary_input=[0.3, 0.0],
+        )
 
 
 def test_constant_weight_requires_constant_weights():
     basis = sample_basis()
     model = lfm.assemble(
         np.array([[-0.5]]),
-        periodic=[lfm.cqm_force(basis, [1.0], 1.0, 20.0)],
+        periodic=[lfm.cqm_force(basis, [1.0], 20.0)],
     )
     with pytest.raises(ContractViolationError):
         one_step(lfm.constant_weight_transition, model, 0.0, 0.5)
@@ -520,18 +502,17 @@ def test_cqm_force_takes_its_weight_dynamics_from_the_ou_block():
     # the weights of a cqm force are OU processes of the Matern-1/2 block,
     # bit for bit; the other forces hold constant weights
     basis = sample_basis()
-    ou = lti.matern12_block(1.3, 7.0)
-    force = lfm.cqm_force(basis, [1.0], 1.3, 7.0)
+    ou = lti.matern12_block(1.0, 7.0)
+    force = lfm.cqm_force(basis, [1.0], 7.0)
     assert (force.weight_rate, force.weight_diffusion) == (ou.drift[0, 0], ou.diffusion)
     for constant in (
-        lfm.periodic_force(basis, [1.0]), lfm.sqm_force(basis, [1.0], 1.3, 2.0),
-        lfm.wqm_force(basis, [1.0], 1.0, 0.5),
+        lfm.periodic_force(basis, [1.0]), lfm.sqm_force(basis, [1.0], 2.0),
+        lfm.wqm_force(basis, [1.0], 0.5),
     ):
         assert (constant.weight_rate, constant.weight_diffusion) == (0.0, 0.0)
         assert lfm.has_constant_weights(lfm.assemble(np.zeros((1, 1)), periodic=[constant]))
     model = lfm.assemble(np.zeros((1, 1)), periodic=[force])
     assert not lfm.has_constant_weights(model)
-    np.testing.assert_array_equal(model.weight_rates, ou.drift[0, 0])
     np.testing.assert_array_equal(
         np.diag(model.diffusion)[1:], basis.scaled_eigenvalues() * ou.diffusion
     )
@@ -578,17 +559,26 @@ def test_hartikainen_equivalence_small():
 def test_force_only_loglik_matches_dense_gp(kind):
     # a periodic force observed in noise, with no target (so m is never
     # discretized): the state-space log-likelihood equals the dense-GP one
-    # of its kernel, the basis resynthesis times the quasi-periodic factor
+    # of its kernel, the basis resynthesis times the quasi-periodic factor.
+    # The factor's scale enters the state space as sigma on the basis kernel
+    # (and, for wqm, as the increment xi / xi0 of the scaled weights)
     from eigenlfm.baselines import DenseGp, log_marginal_likelihood
 
     period, dt, n_steps, noise = 10.0, 0.5, 100, 0.1
     basis = sample_basis(period=period)
     empty = np.zeros(0)
+
+    def scaled(factor):
+        return sample_basis(period=period, sigma=1.5 * factor)
+
     force, quasi = {
         "with": (lfm.periodic_force(basis, empty), None),
-        "sqm": (lfm.sqm_force(basis, empty, 1.3, 2.0), K.StepQuasi(1.3, 2.0, period)),
-        "wqm": (lfm.wqm_force(basis, empty, 0.8, 0.5), K.WienerStepQuasi(0.8, 0.5, period)),
-        "cqm": (lfm.cqm_force(basis, empty, 1.3, 7.0), K.Matern(0.5, 1.3, 7.0)),
+        "sqm": (lfm.sqm_force(scaled(1.3), empty, 2.0), K.StepQuasi(1.3, 2.0, period)),
+        "wqm": (
+            lfm.wqm_force(scaled(np.sqrt(0.8)), empty, 0.5 / 0.8),
+            K.WienerStepQuasi(0.8, 0.5, period),
+        ),
+        "cqm": (lfm.cqm_force(scaled(1.3), empty, 7.0), K.Matern(0.5, 1.3, 7.0)),
     }[kind]
     model = lfm.assemble(
         np.zeros((0, 0)),
@@ -603,7 +593,7 @@ def test_force_only_loglik_matches_dense_gp(kind):
         return update(mean, cov, lfm.periodic_force_row(model, 0, t)[None, :], [[noise]], [y])
 
     mean, cov, loglik = observe(*lfm.initial_state(model, empty, np.zeros((0, 0))), times[0], ys[0])
-    steps = list(lfm.pass_steps(lfm.step_cycle(model, 0.0, dt), 0.0, n_steps))
+    steps = list(lfm.pass_steps(lfm.step_cycle(model, dt), 0.0, n_steps))
     assert sum(s.changepoint for s in steps) == 5
     for step, y in zip(steps, ys[1:]):
         mean, cov = predict(mean, cov, step.transition, step.noise)

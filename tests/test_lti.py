@@ -77,19 +77,21 @@ def test_cqm_long_scale_limit():
 
 
 def test_sqm_jump_values():
-    jump = lti.sqm_jump(1.0, 1.0)
+    jump = lti.sqm_jump(1.0)
     assert jump.gain == pytest.approx(0.36788, abs=5e-6)
     assert jump.noise_var == pytest.approx(0.86466, abs=5e-6)
 
 
 @pytest.mark.parametrize("sigma,ell", [(1.0, 1.0), (2.3, 0.7), (0.5, 9.0)])
 def test_sqm_variance_preservation_exact(sigma, ell):
-    jump = lti.sqm_jump(sigma, ell)
-    assert jump.gain**2 * sigma**2 + jump.noise_var == sigma**2
+    # the jump is at unit scale; a weight of prior variance sigma^2 scales
+    # its noise by sigma^2, as lfm does with the weight's scaled eigenvalue
+    jump = lti.sqm_jump(ell)
+    assert jump.gain**2 * sigma**2 + sigma**2 * jump.noise_var == sigma**2
 
 
 def test_sqm_long_scale_limit():
-    jump = lti.sqm_jump(1.0, 1e9)
+    jump = lti.sqm_jump(1e9)
     assert jump.gain == pytest.approx(1.0, abs=1e-8)
     assert jump.noise_var == pytest.approx(0.0, abs=1e-8)
 
@@ -108,7 +110,7 @@ def test_weight_chain_covariance_matches_sqm_kernel():
     from eigenlfm import kernels
 
     sigma, ell = 1.3, 2.0
-    jump = lti.sqm_jump(sigma, ell)
+    jump = lti.sqm_jump(ell)
     kernel = kernels.StepQuasi(sigma, ell, 1.0)
     cross = sigma**2
     for m in range(1, 8):
@@ -123,6 +125,6 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         lti.matern32_block(1.0, -1.0)
     with pytest.raises(InvalidParameterError):
-        lti.sqm_jump(1.0, 0.0)
+        lti.sqm_jump(0.0)
     with pytest.raises(InvalidParameterError):
         lti.wqm_jump(0.0)

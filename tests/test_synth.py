@@ -37,7 +37,7 @@ def _reference_periodic_draw(grid, basis, kind, rng, ell_q, xi):
     days = int(np.ceil((grid[-1] + 1e-9) / period))
     w = np.empty((days, mu.size))
     w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)
-    jump = lti.sqm_jump(1.0, ell_q)
+    jump = lti.sqm_jump(ell_q)
     for d in range(1, days):
         if kind == "with":
             w[d] = w[0]
