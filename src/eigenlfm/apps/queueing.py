@@ -30,7 +30,9 @@ from ..filtering import kalman_pass
 # unused here: bench/test_bench.py::test_tracer_patches_every_binding lists this
 # binding; ROADMAP item 2 drops it from that list, and then this import
 from ..filtering import update  # noqa: F401
-from .synth import DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, periodic_roster, score
+from .synth import (
+    DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, periodic_roster, roster_force, score,
+)
 
 __all__ = [
     "QueueGenConfig",
@@ -152,7 +154,10 @@ def _omega_profile(config: QueueGenConfig):
     """Service rate as a function of time: `omega_train` until the test day,
     then the `omega_test` pieces (each from its start minute in the day).
     The function takes a scalar or an array of times; a scalar gives a
-    scalar.  A piece that does not start in the day raises."""
+    scalar.  A rate <= 0, or a piece that does not start in the day, raises."""
+    rates = [config.omega_train, *(rate for _, rate in config.omega_test)]
+    if min(rates) <= 0.0:
+        raise InvalidParameterError(f"service rates must be > 0, got {rates}")
     starts = [start for start, _ in config.omega_test]
     if not all(0.0 <= start < DAY_MINUTES for start in starts):
         raise InvalidParameterError(f"omega_test start minutes must lie in the test day "
@@ -175,10 +180,8 @@ def _draw_rate(config: QueueGenConfig, grid: np.ndarray, rng) -> np.ndarray:
     """Zero-mean arrival-rate draw on `grid` from the configured prior."""
     if config.kind == "hart":
         return config.sigma_p * draw_ou(grid, 1.0, config.ell_t, rng)
-    return draw_periodic_force(
-        grid, daily_basis(config.sigma_p, config.ell_p, config), config.kind, rng,
-        ell_q=config.ell_q, xi=config.xi,
-    )
+    basis = daily_basis(config.sigma_p, config.ell_p, config)
+    return draw_periodic_force(grid, roster_force(config.kind, basis, vars(config), [1.0]), rng)
 
 
 def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
@@ -189,10 +192,8 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
     RK4 stable (`queue_simulate`); at omega_max = 10 that is 0.25."""
     if config.days < 2:
         raise InvalidParameterError("need at least one training day plus the test day")
-    rates = [config.omega_train, *(rate for _, rate in config.omega_test)]
-    if min(rates) <= 0.0:
-        raise InvalidParameterError(f"service rates must be > 0, got {rates}")
     omega = _omega_profile(config)
+    omega_max = max([config.omega_train, *(rate for _, rate in config.omega_test)])
     rng = np.random.default_rng(seed)
     horizon = config.days * DAY_MINUTES
     times = np.arange(0.0, horizon + 1e-9, config.step)
@@ -212,7 +213,7 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
         frac = t - i
         return (1.0 - frac) * rate_fine[i] + frac * rate_fine[i + 1]
 
-    truth = queue_simulate(times, arrival, omega, l0=0.0, substep=min(0.25, 2.5 / max(rates)))
+    truth = queue_simulate(times, arrival, omega, l0=0.0, substep=min(0.25, 2.5 / omega_max))
 
     test_start = (config.days - 1) * DAY_MINUTES
     train_times = np.arange(config.train_meas_every, test_start + 1e-9,

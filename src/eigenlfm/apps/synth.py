@@ -1,13 +1,15 @@
 """What the two applications share: the daily period `DAY_MINUTES` (time
 is in minutes), the daily periodic eigenbasis of every generator and model
-(`daily_basis`), the force and changepoints of a periodic roster entry
-(`periodic_roster`), the held-out scorer (`score`) and the synthetic draws.
+(`daily_basis`), the force of a periodic roster entry on a basis
+(`roster_force`) and its changepoints (`periodic_roster`), the held-out
+scorer (`score`) and the synthetic draws.
 
-Forces are drawn from the same priors the filters assume: periodic draws use
-the eigenfunction basis with per-cycle weight chains (step or random-walk
-jumps, or continuous OU decorrelation), evaluating its rows over one period
-of a uniform grid, since they repeat every period; non-periodic draws use
-exact discretizations of the corresponding LTI blocks.
+Forces are drawn from the same priors the filters assume: a periodic draw
+takes the `roster_force` of its kind and follows that force's weight
+dynamics (step or random-walk jumps at each cycle, or continuous OU
+decorrelation), evaluating the eigenfunction rows over one period of a
+uniform grid, since they repeat every period; non-periodic draws use exact
+discretizations of the corresponding LTI blocks.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .. import kernels, lfm, lti
 from ..errors import ContractViolationError, InvalidParameterError
 
 __all__ = [
-    "DAY_MINUTES", "daily_basis", "periodic_roster", "score",
+    "DAY_MINUTES", "daily_basis", "roster_force", "periodic_roster", "score",
     "draw_periodic_force", "draw_ou", "draw_matern32",
 ]
 
 DAY_MINUTES = 1440.0
-_PERIODIC_KINDS = ("with", "quasi-cqm", "quasi-sqm", "quasi-wqm")
 
 
 def daily_basis(sigma: float, ell: float, config) -> eb.EigenBasis:
@@ -37,23 +38,31 @@ def daily_basis(sigma: float, ell: float, config) -> eb.EigenBasis:
     return eb.build(kernel, config.n_basis_points, DAY_MINUTES, config.gamma)
 
 
-def periodic_roster(kind: str, sigma: float, ell: float, params: dict, config, coupling):
-    """(force, changepoints) of a periodic roster entry on `daily_basis`; the
-    changepoints are the day boundaries of the record when the force jumps
-    (sqm, wqm).  More than 30 basis functions raise ContractViolationError."""
-    if kind not in _PERIODIC_KINDS:
-        raise InvalidParameterError(f"unknown periodic roster entry {kind!r}")
-    basis = daily_basis(sigma, ell, config)
-    if basis.n_selected > 30:
-        raise ContractViolationError("periodic roster exceeded 30 basis functions")
+def roster_force(kind: str, basis: eb.EigenBasis, params, coupling) -> lfm.PeriodicForce:
+    """The force of a periodic roster entry on `basis`: "with" keeps its
+    weights fixed, "quasi-sqm" and "quasi-wqm" jump at each cycle boundary
+    (`params["ell_q"]` in cycles, `params["xi"]`), "quasi-cqm" decorrelates
+    them continuously over `params["ell_q"]` cycles.  Another kind raises
+    InvalidParameterError."""
     if kind == "with":
-        force = lfm.periodic_force(basis, coupling)
-    elif kind == "quasi-cqm":
-        force = lfm.cqm_force(basis, coupling, params["ell_q"] * DAY_MINUTES)
-    elif kind == "quasi-sqm":
-        force = lfm.sqm_force(basis, coupling, params["ell_q"])
-    else:
-        force = lfm.wqm_force(basis, coupling, params["xi"])
+        return lfm.periodic_force(basis, coupling)
+    if kind == "quasi-cqm":
+        return lfm.cqm_force(basis, coupling, params["ell_q"] * basis.period)
+    if kind == "quasi-sqm":
+        return lfm.sqm_force(basis, coupling, params["ell_q"])
+    if kind == "quasi-wqm":
+        return lfm.wqm_force(basis, coupling, params["xi"])
+    raise InvalidParameterError(f"unknown periodic roster entry {kind!r}")
+
+
+def periodic_roster(kind: str, sigma: float, ell: float, params: dict, config, coupling):
+    """(force, changepoints) of a periodic roster entry: its `roster_force`
+    on `daily_basis`, and the day boundaries of the record when the force
+    jumps (sqm, wqm).  More than 30 basis functions raise
+    ContractViolationError."""
+    force = roster_force(kind, daily_basis(sigma, ell, config), params, coupling)
+    if force.basis.n_selected > 30:
+        raise ContractViolationError("periodic roster exceeded 30 basis functions")
     changepoints = () if force.jump is None else DAY_MINUTES * np.arange(1, config.days)
     return force, changepoints
 
@@ -72,24 +81,21 @@ def score(times, mean, var, grid, truth) -> dict:
 
 
 def draw_periodic_force(
-    grid: np.ndarray,
-    basis: eb.EigenBasis,
-    kind: str,
-    rng: np.random.Generator,
-    ell_q: float = 2.0,
-    xi: float = 1.0,
+    grid: np.ndarray, force: lfm.PeriodicForce, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one force trajectory on `grid` from a (quasi-)periodic prior.
+    """Draw one trajectory of `force` (its coupling aside) on `grid`.
 
-    `kind` selects the weight dynamics: "with" keeps the weights fixed,
-    "quasi-sqm" / "quasi-wqm" jump at each cycle boundary, "quasi-cqm"
-    evolves them as OU chains with time constant ell_q cycles.  The grid must
-    be uniform from its start with a step dividing the period (the
-    `lfm.grid_steps` tolerance; else ContractViolationError): the rows are
-    evaluated on its first period only, and point k reads row k mod n_period
-    and the weights of cycle k // n_period.
+    The weights start from their prior N(0, mu_j / N) and follow the force's
+    dynamics: with a `weight_rate` they are OU chains at that rate, else they
+    are fixed within each cycle and, given a `jump`, take it at each cycle
+    boundary.  The grid must be uniform from its start with a step dividing
+    the period (the `lfm.grid_steps` tolerance; else
+    ContractViolationError): the rows are evaluated on its first period
+    only, and point k reads row k mod n_period and the weights of cycle
+    k // n_period.
     """
     grid = np.asarray(grid, dtype=float)
+    basis = force.basis
     mu = basis.scaled_eigenvalues()
     period = basis.period
     k = np.arange(grid.size)
@@ -100,32 +106,22 @@ def draw_periodic_force(
     (n_period,) = lfm.grid_steps([grid[0] + period], grid[0], step, k[-1], f"{what}: period end")
     phi = eb.eigenfunction_matrix(basis, grid[:n_period])
 
-    if kind == "quasi-cqm":
-        rate = 1.0 / (ell_q * period)
+    if force.weight_rate:
         w = rng.standard_normal((grid.size, mu.size))
         w[0] *= np.sqrt(mu)
         for i in range(1, grid.size):
-            g = math.exp(-rate * (grid[i] - grid[i - 1]))
+            g = math.exp(force.weight_rate * (grid[i] - grid[i - 1]))
             w[i] = g * w[i - 1] + w[i] * np.sqrt(mu * (1.0 - g * g))
         return np.sum(phi[k % n_period] * w, axis=1)
 
     days = (grid.size - 1) // n_period + 1
-    w = np.empty((days, mu.size))
-    if kind == "with":
-        w[:] = rng.standard_normal(mu.size) * np.sqrt(mu)
-    elif kind == "quasi-sqm":
-        jump = lti.sqm_jump(ell_q)
-        w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)
+    w = np.tile(rng.standard_normal(mu.size) * np.sqrt(mu), (days, 1))
+    jump = force.jump
+    if jump is not None:
         for d in range(1, days):
             w[d] = jump.gain * w[d - 1] + rng.standard_normal(mu.size) * np.sqrt(
                 mu * jump.noise_var
             )
-    elif kind == "quasi-wqm":
-        w[0] = rng.standard_normal(mu.size) * np.sqrt(mu)
-        for d in range(1, days):
-            w[d] = w[d - 1] + rng.standard_normal(mu.size) * np.sqrt(mu * xi)
-    else:
-        raise InvalidParameterError(f"unsupported periodic draw kind {kind!r}")
     return np.sum(phi[k % n_period] * w[k // n_period], axis=1)
 
 

@@ -35,7 +35,7 @@ from ..filtering import kalman_pass, rbpf_predict_day
 from ..filtering import update  # noqa: F401
 from .synth import (
     DAY_MINUTES, daily_basis, draw_matern32, draw_ou, draw_periodic_force, periodic_roster,
-    score,
+    roster_force, score,
 )
 
 __all__ = [
@@ -129,10 +129,9 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
     elif config.residual_kind == "without":
         residual = np.zeros(n)
     else:
-        residual = config.residual_scale * draw_periodic_force(
-            minutes, daily_basis(config.sigma_r, config.ell_r, config), config.residual_kind,
-            rng, ell_q=config.ell_q, xi=config.xi,
-        )
+        basis = daily_basis(config.sigma_r, config.ell_r, config)
+        force = roster_force(config.residual_kind, basis, vars(config), [1.0])
+        residual = config.residual_scale * draw_periodic_force(minutes, force, rng)
 
     # RK4 over Python floats, one minute per step, with the external
     # temperature and residual interpolated at the three stage offsets of

@@ -1,7 +1,8 @@
 """Sparse-spectrum features (Lazaro-Gredilla et al., JMLR 2010): trigonometric
-features at frequencies Monte-Carlo-sampled from the kernel's normalized
-spectral density.  `baselines.comparison.linear_regress` regresses on them,
-as on the eigenfunction rows, with the weight prior sigma^2 / S per feature.
+features at frequencies Monte-Carlo-sampled from the normalized spectral
+density of a squared-exponential kernel, the one kernel `compare-bases`
+builds.  `baselines.comparison.linear_regress` regresses on them, as on the
+eigenfunction rows, with the weight prior sigma^2 / S per feature.
 
 Conventions (stated because sign/2-pi choices differ across sources): for
 k(tau) = sigma^2 exp(-tau^2 / (2 ell^2)) the frequencies are drawn as
@@ -33,26 +34,15 @@ class SsgprModel:
         return self.frequencies.size
 
 
-def _sample_frequencies(kernel, n_points: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(kernel, kernels.SquaredExponential):
-        return rng.normal(0.0, 1.0 / (2.0 * np.pi * kernel.ell), size=n_points)
-    if isinstance(kernel, kernels.Matern):
-        # 2 pi f ell follows a Student-t with 2 nu degrees of freedom
-        df = 2.0 * kernel.nu
-        return rng.standard_t(df, size=n_points) / (2.0 * np.pi * kernel.ell)
-    raise InvalidParameterError(
-        "spectral sampling supports stationary kernels with a closed-form "
-        "density: SquaredExponential and Matern"
-    )
-
-
 def ssgpr_build(kernel, n_points: int, seed: int) -> SsgprModel:
     """Draw `n_points` spectral points i.i.d. from the normalized spectral
-    density of a stationary kernel."""
+    density of a squared-exponential kernel."""
     if n_points < 1:
         raise InvalidParameterError("need at least one spectral point")
+    if not isinstance(kernel, kernels.SquaredExponential):
+        raise InvalidParameterError("spectral sampling supports the SquaredExponential kernel")
     rng = np.random.default_rng(seed)
-    freqs = _sample_frequencies(kernel, n_points, rng)
+    freqs = rng.normal(0.0, 1.0 / (2.0 * np.pi * kernel.ell), size=n_points)
     return SsgprModel(frequencies=freqs, sigma2=kernel.sigma**2)
 
 

@@ -24,25 +24,25 @@ __all__ = ["EigenBasis", "build"]
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Eigenpairs of a kernel Gram matrix plus the significance selection.
+    """Gram eigenvalues plus the significance selection.  Of the
+    eigenvectors only the selected ones are kept, privately, for the
+    Nystrom rule: `eigenfunction_matrix` at `sample_points` gives them
+    times sqrt(N).
 
     Attributes
     ----------
     kernel : kernel variant or callable
     sample_points : (N,) strictly increasing quadrature grid
     eigenvalues : (N,) Gram eigenvalues, descending
-    eigenvectors : (N, N) orthonormal columns, matching `eigenvalues`
-    selected : indices j with eigenvalues[j] >= gamma * eigenvalues[0]
-    gamma : significance fraction used for the selection
+    selected : indices j with eigenvalues[j] >= gamma * eigenvalues[0],
+        for the significance fraction gamma passed to `build`
     period : length of the sampled window
     """
 
     kernel: kernels.KernelLike
     sample_points: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     selected: np.ndarray
-    gamma: float
     period: float
     _v_selected: np.ndarray = field(repr=False, default=None)
     _scale_selected: np.ndarray = field(repr=False, default=None)
@@ -109,9 +109,7 @@ def build(
         kernel=kernel,
         sample_points=points,
         eigenvalues=eigvals,
-        eigenvectors=eigvecs,
         selected=selected,
-        gamma=gamma,
         period=period,
         _v_selected=eigvecs[:, selected],
         _scale_selected=np.sqrt(n_points) / eigvals[selected],

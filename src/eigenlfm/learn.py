@@ -88,10 +88,13 @@ class ParamSpace:
 class FitResult:
     params: dict[str, float]
     value: float
-    trace: list[float] = field(repr=False, default_factory=list)
-    evaluations: int = 0
+    trace: list[float] = field(repr=False, default_factory=list)  # every scored value, in order
     restarts: int = 1
     truncated: bool = False
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -137,11 +140,8 @@ def fit(
     rng = np.random.default_rng(seed)
     bounds = space.bounds_transformed()
     trace: list[float] = []
-    count = 0
 
     def negated(coords: np.ndarray) -> float:
-        nonlocal count
-        count += 1
         values = space.untransform(coords)
         try:
             out = float(objective(dict(zip(space.names, values))))
@@ -170,7 +170,7 @@ def fit(
                 [lo + 1e-9 for lo, _ in bounds],
                 [hi - 1e-9 for _, hi in bounds],
             )
-        remaining = budget - count
+        remaining = budget - len(trace)
         if remaining < dim + 2:
             truncated = True
             break
@@ -196,7 +196,6 @@ def fit(
         params=dict(zip(space.names, map(float, values))),
         value=float(best_value),
         trace=trace,
-        evaluations=count,
         restarts=restarts,
         truncated=truncated,
     )

@@ -15,8 +15,9 @@ into the target through its eigenfunction value and coupling column.
 LTI-SDE blocks and the periodic forces as bases whose weights share two
 scalar dynamics at unit scale, a rate and a diffusion (both 0 for constant
 weights): the sigma of the basis kernel scales the whole force.  The model
-is immutable and holds no measurement: a pass hands its H and R to the
-Kalman layer.
+is immutable and holds no measurement: a pass builds its H (a non-periodic
+force is read out of the state by `nonperiodic_force_row`) and hands it and
+R to the Kalman layer.
 
 Two step builders share one contract: `build(model, starts, dt)` takes a
 1-D array of step starts and one step length and returns the stacked
@@ -93,7 +94,6 @@ __all__ = [
     "grid_steps",
     "apply_changepoint_moments",
     "initial_state",
-    "periodic_force_row",
     "nonperiodic_force_row",
     "has_constant_weights",
     "gauss_nodes",
@@ -569,14 +569,6 @@ def initial_state(model: AugmentedModel, target_mean, target_cov) -> tuple[np.nd
         idx = np.arange(lo, hi)
         cov[idx, idx] = force.basis.scaled_eigenvalues()
     return mean, cov
-
-
-def periodic_force_row(model: AugmentedModel, r: int, t: float) -> np.ndarray:
-    """Row vector reading periodic force r out of the state at time t."""
-    row = np.zeros(model.dim)
-    lo, hi = model.layout.weight_spans[r]
-    row[lo:hi] = eb.eigenfunction_matrix(model.periodic[r].basis, t)[0]
-    return row
 
 
 def nonperiodic_force_row(model: AugmentedModel, i: int) -> np.ndarray:

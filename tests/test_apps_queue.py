@@ -79,7 +79,7 @@ def test_generated_sqm_intercycle_correlation():
     basis = eb.build(kernel, 64, 10.0, 0.01)
     grid = np.arange(0.0, 201 * 10.0, 0.5)
     rng = np.random.default_rng(0)
-    force = draw_periodic_force(grid, basis, "quasi-sqm", rng, ell_q=ell_q)
+    force = draw_periodic_force(grid, lfm.sqm_force(basis, [1.0], ell_q), rng)
     per_cycle = force[: 200 * 20].reshape(200, 20)
     corr = np.corrcoef(per_cycle[:-1].ravel(), per_cycle[1:].ravel())[0, 1]
     assert abs(corr - np.exp(-1.0 / ell_q)) < 0.1
@@ -88,7 +88,7 @@ def test_generated_sqm_intercycle_correlation():
 def test_generated_with_draw_repeats_daily():
     basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, qa.DAY_MINUTES), 64, qa.DAY_MINUTES, 0.01)
     grid = np.arange(0.0, 3 * qa.DAY_MINUTES + 1e-9, 5.0)
-    force = draw_periodic_force(grid, basis, "with", np.random.default_rng(1))
+    force = draw_periodic_force(grid, lfm.periodic_force(basis, [1.0]), np.random.default_rng(1))
     day = int(qa.DAY_MINUTES / 5.0)
     np.testing.assert_allclose(force[day:], force[:-day], rtol=0.0, atol=1e-12)
 
@@ -101,7 +101,9 @@ def test_generated_wqm_increment_variance():
     grid = np.arange(0.0, 101 * 10.0, 0.5)
     increments = []
     for seed in range(40):
-        force = draw_periodic_force(grid, basis, "quasi-wqm", np.random.default_rng(seed), xi=xi)
+        force = draw_periodic_force(
+            grid, lfm.wqm_force(basis, [1.0], xi), np.random.default_rng(seed)
+        )
         per_cycle = force[: 101 * 20].reshape(101, 20)
         increments.append(np.diff(per_cycle, axis=0))
     phi = eb.eigenfunction_matrix(basis, grid[:20])
@@ -110,9 +112,10 @@ def test_generated_wqm_increment_variance():
 
 
 def test_generated_draw_rejects_an_unknown_kind():
-    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, 10.0), 16, 10.0, 0.01)
-    with pytest.raises(InvalidParameterError, match="unsupported periodic draw kind 'quasi-xqm'"):
-        draw_periodic_force(np.arange(0.0, 20.0), basis, "quasi-xqm", np.random.default_rng(0))
+    # the generator builds the force of its kind as the roster does, which
+    # refuses a kind it does not know
+    with pytest.raises(InvalidParameterError, match="unknown periodic roster entry 'quasi-xqm'"):
+        qa.generate_queue_data(qa.QueueGenConfig(days=2, kind="quasi-xqm"), seed=0)
 
 
 def test_int_exp_small_argument_series():
@@ -267,6 +270,17 @@ def test_generator_validation():
         qa.queue_simulate([0.0, 1.0], lambda t: 0.0, lambda t: 1.0, 0.0, substep=0.0)
     with pytest.raises(InvalidParameterError, match="service rates must be > 0"):
         qa.generate_queue_data(qa.QueueGenConfig(days=2, omega_test=((0.0, 0.0),)), seed=0)
+
+
+def test_reader_refuses_a_service_rate_at_or_below_zero(tmp_path):
+    # the reader rebuilds the service rate from the config: a negative rate
+    # would make the linearized queue grow without bound in the filter
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=4.0), seed=0)
+    app_io.write_queue_dataset(tmp_path, ds)
+    config = qa.QueueGenConfig(days=2, step=4.0, omega_test=((0.0, -5.0),))
+    with pytest.raises(InvalidParameterError,
+                       match=r"service rates must be > 0, got \[10.0, -5.0\]"):
+        app_io.read_queue_dataset(tmp_path, config)
 
 
 @pytest.mark.parametrize("start", [-1.0, 1440.0, 2000.0])

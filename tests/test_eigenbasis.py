@@ -15,8 +15,10 @@ def test_constant_kernel_basis():
     c = 2.5
     basis = eb.build(constant_kernel(c), 4, 1.0, gamma=0.5)
     assert basis.eigenvalues[0] == pytest.approx(4 * c, rel=1e-12)
-    np.testing.assert_allclose(basis.eigenvectors[:, 0], 0.5 * np.ones(4), atol=1e-12)
     assert list(basis.selected) == [0]
+    # its eigenvector, phi at the sample points over sqrt(N), is 1 / sqrt(4) everywhere
+    v = eb.eigenfunction_matrix(basis, basis.sample_points)[:, 0] / np.sqrt(basis.n_points)
+    np.testing.assert_allclose(v, 0.5 * np.ones(4), atol=1e-12)
     # the single eigenfunction is identically one
     ts = np.linspace(-3, 7, 23)
     np.testing.assert_allclose(eb.eigenfunction_matrix(basis, ts)[:, 0], np.ones(23), atol=1e-10)
@@ -35,17 +37,25 @@ def test_selected_counts():
 def test_nystrom_identity_at_sample_points():
     basis = eb.build(K.PeriodicMatern(0.5, 1.5, 0.4, 10.0), 64, 10.0, gamma=0.01)
     phi = eb.eigenfunction_matrix(basis, basis.sample_points)
-    ref = np.sqrt(basis.n_points) * basis.eigenvectors[:, basis.selected]
+    # the eigenvectors of the Gram, descending, each signed so that its
+    # largest-magnitude entry is positive
+    s = basis.sample_points
+    gram = K.eval_matrix(basis.kernel, s, s)
+    mu, v = np.linalg.eigh(0.5 * (gram + gram.T))
+    v = v[:, np.argsort(mu)[::-1]][:, basis.selected]
+    v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
+    ref = np.sqrt(basis.n_points) * v
     assert np.max(np.abs(phi - ref)) < 1e-8
 
 
 def test_orthonormality_and_ordering():
     basis = eb.build(K.PeriodicMatern(0.5, 1.5, 0.4, 10.0), 64, 10.0, gamma=0.01)
-    v = basis.eigenvectors
-    np.testing.assert_allclose(v.T @ v, np.eye(64), atol=1e-10)
+    # the eigenfunctions are orthonormal on the sample points: phi^T phi / N = I
+    phi = eb.eigenfunction_matrix(basis, basis.sample_points)
+    np.testing.assert_allclose(phi.T @ phi / basis.n_points, np.eye(basis.n_selected), atol=1e-10)
     mu = basis.eigenvalues
     assert np.all(np.diff(mu) <= 1e-10 * mu[0])
-    assert np.all(mu[basis.selected] >= basis.gamma * mu[0])
+    assert np.all(mu[basis.selected] >= 0.01 * mu[0])  # the gamma of the build
 
 
 def test_eigenfunction_periodicity():

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import lti
+from eigenlfm import lfm, lti
 from eigenlfm.apps import queueing as qa
 from eigenlfm.apps import synth
 from eigenlfm.apps import thermal as ta
@@ -90,7 +90,8 @@ def test_tiled_periodic_draw_matches_full_grid_rows(kind, period, step, n_cycles
     basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, period), 64, period, 0.01)
     grid = np.arange(0.0, n_cycles * period + 1e-9, step)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    drawn = synth.draw_periodic_force(grid, basis, kind, rng, ell_q=2.0, xi=0.5)
+    force = synth.roster_force(kind, basis, {"ell_q": 2.0, "xi": 0.5}, [1.0])
+    drawn = synth.draw_periodic_force(grid, force, rng)
     expected = _reference_periodic_draw(grid, basis, kind, ref_rng, 2.0, 0.5)
     np.testing.assert_allclose(drawn, expected, rtol=0.0, atol=1e-12)
     assert _same_state(rng, ref_rng)
@@ -126,7 +127,7 @@ def test_ou_draw_matches_one_draw_per_step_bit_for_bit():
 def test_periodic_draw_rejects_a_grid_it_cannot_tile(grid, step):
     basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, 10.0), 16, 10.0, 0.01)
     with pytest.raises(ContractViolationError, match=f"mean step {step}, period 10\\)"):
-        synth.draw_periodic_force(grid, basis, "with", np.random.default_rng(0))
+        synth.draw_periodic_force(grid, lfm.periodic_force(basis, [1.0]), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
