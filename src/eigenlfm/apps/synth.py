@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .. import eigenbasis as eb
 from .. import kernels, lfm, lti
 from ..errors import ContractViolationError, InvalidParameterError
+from ..pade import expm
 
 __all__ = [
     "DAY_MINUTES", "daily_basis", "roster_force", "periodic_roster", "score",
@@ -107,11 +107,16 @@ def draw_periodic_force(
     phi = eb.eigenfunction_matrix(basis, grid[:n_period])
 
     if force.weight_rate:
+        # w[i] = g w[i-1] + e[i] as a prefix scan: after shift s, w[i] sums
+        # g^j e[i-j] over j < 2s; it stops once g^s underflows to 0
+        g = math.exp(force.weight_rate * step)
         w = rng.standard_normal((grid.size, mu.size))
         w[0] *= np.sqrt(mu)
-        for i in range(1, grid.size):
-            g = math.exp(force.weight_rate * (grid[i] - grid[i - 1]))
-            w[i] = g * w[i - 1] + w[i] * np.sqrt(mu * (1.0 - g * g))
+        w[1:] *= np.sqrt(mu * (1.0 - g * g))
+        shift, g_shift = 1, g
+        while shift < grid.size and g_shift > 0.0:
+            w[shift:] += g_shift * w[:-shift]
+            shift, g_shift = 2 * shift, g_shift * g_shift
         return np.sum(phi[k % n_period] * w, axis=1)
 
     days = (grid.size - 1) // n_period + 1
@@ -140,7 +145,7 @@ def draw_matern32(n: int, step: float, sigma: float, ell: float, rng) -> np.ndar
     """Exact Matern-3/2 draw on a uniform grid of `n` points: returns values
     (not derivatives), initialized from the stationary distribution."""
     block = lti.matern32_block(sigma, ell)
-    g = scipy.linalg.expm(block.drift * step)
+    g = expm(block.drift * step)
     p_inf = lti.stationary_covariance(block)
     q = p_inf - g @ p_inf @ g.T
     chol_q = np.linalg.cholesky(q + 1e-14 * np.eye(2) * max(1.0, q[0, 0]))

@@ -7,7 +7,7 @@ particle filter for a binary control input, on the same `predict` and `update`.
 This module knows nothing of how a model is discretized: a pass hands it its
 steps (`lfm.PassStep`-shaped, from `lfm.pass_steps` or relinearized per
 step) and, where the model jumps, a jump callable.  The recursion is the
-standard one (Särkkä, *Bayesian Filtering and Smoothing*, 2013).
+standard one (Särkkä, *Bayesian Filtering and Smoothing*, 2013), in numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import ContractViolationError, InvalidParameterError, NumericError
 
@@ -62,19 +61,18 @@ def update(
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Measurement update with the Joseph-stabilized covariance form.
 
-    H is (d, C), R (d, d) and y (d,), or (P, d) for a bank of means (P, C);
-    any other shape (a 0-d y too) raises InvalidParameterError.  Returns the
-    posterior mean and covariance (symmetrized) and the log-density of y: a
-    float for one mean, (P,) for a bank.  S = L L^T is factored by LAPACK's
-    `potrf`, which reads its lower triangle only, and L inverted by `trtri`,
-    called directly: on a d x d matrix numpy.linalg's wrappers cost several
-    times the factorization.  A non-positive-definite S raises NumericError
-    ("singular"), and so does a non-finite log det S, taken from L's diagonal
-    (potrf passes a NaN through).  With W = L^-1 H P the gain is K = W^T L^-1
-    and the mean moves by (L^-1 v)^T W.  The Joseph form (I - KH) P (I - KH)^T
-    + K R K^T is formed as P - K (HP) - ((HP)^T - K S) K^T: the C x d term
-    vanishes in exact arithmetic, and keeping it lets a round-off error in K
-    reach the covariance at second order only, as in the Joseph form.
+    H is (d, C), R (d, d) and y (d,), or (P, d) for a bank of means (P, C),
+    with d = 1 or 2; anything else (a 0-d y too) raises InvalidParameterError.
+    Returns the posterior mean and covariance (symmetrized) and the
+    log-density of y: a float for one mean, (P,) for a bank.  S = L L^T is
+    factored and L inverted in closed form on Python floats, from S's lower
+    triangle: at d <= 2 a LAPACK call costs more than the arithmetic.  A
+    pivot <= 0 raises NumericError ("singular"), and so does a non-finite
+    log det S (a NaN passes the pivot test).  With W = L^-1 H P the gain is
+    K = W^T L^-1 and the mean moves by (L^-1 v)^T W.  The Joseph form
+    (I - KH) P (I - KH)^T + K R K^T is formed as P - K (HP) - ((HP)^T - K S) K^T:
+    the C x d term vanishes in exact arithmetic, and keeping it lets a
+    round-off error in K reach the covariance at second order only.
     """
     h, z = np.asarray(obs_matrix, dtype=float), np.asarray(obs_noise, dtype=float)
     y = np.asarray(observation, dtype=float)
@@ -87,18 +85,31 @@ def update(
         )
     if z.shape != d * 2:
         raise InvalidParameterError(f"observation noise of shape {z.shape} must be {d * 2}")
+    if d not in ((1,), (2,)):
+        raise InvalidParameterError(f"update observes d = 1 or 2 entries, not d = {d[0]}")
 
     # np.dot, not @: it dispatches faster on small arrays, and @ of (P, 1) by (1, C) is 5x slower
     innovation = y - np.dot(mean, h.T)
     hp = np.dot(h, cov)
     s = np.dot(hp, h.T) + z
-    chol, info = dpotrf(s, lower=1, clean=1)
-    if info:
+    rows = s.tolist()
+    s00 = rows[0][0]
+    if s00 <= 0.0:
         raise NumericError("innovation covariance is singular")
-    log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
+    i00 = 1.0 / math.sqrt(s00)
+    if d == (2,):
+        l10 = rows[1][0] * i00
+        pivot = rows[1][1] - l10 * l10
+        if pivot <= 0.0:
+            raise NumericError("innovation covariance is singular")
+        i11 = 1.0 / math.sqrt(pivot)
+        log_det = math.log(s00) + math.log(pivot)
+        chol_inv = np.array([[i00, 0.0], [-(i11 * l10) * i00, i11]])
+    else:
+        log_det = math.log(s00)
+        chol_inv = np.array([[i00]])
     if not math.isfinite(log_det):
         raise NumericError(f"innovation covariance S is not finite: log det S = {log_det}")
-    chol_inv, _ = dtrtri(chol, lower=1)
 
     w = np.dot(chol_inv, hp)
     gain = np.dot(w.T, chol_inv)

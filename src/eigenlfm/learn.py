@@ -5,9 +5,9 @@ deterministic seed-jittered restarts.  The objective is a log-likelihood to
 be maximized.
 
 `scipy.optimize` is imported inside `fit`, not at module level: of the
-commands that import this module only a fit runs the optimizer, and the
-import costs about 0.2 s of every CLI start-up.  A fit pays it on its first
-call.
+commands that import this module only a fit runs the optimizer, and no other
+CLI command loads scipy at all.  A fit pays the import, 0.4-0.55 s in a fresh
+interpreter on a 2-vCPU Xeon, on its first call.
 """
 
 from __future__ import annotations

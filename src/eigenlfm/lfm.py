@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import eigenbasis as eb
 from . import lti
@@ -71,6 +70,7 @@ from .errors import (
     NoStationaryDistributionError,
     NumericError,
 )
+from .pade import expm
 
 __all__ = [
     "NonPeriodicForce",
@@ -263,7 +263,7 @@ def _van_loan(drift: np.ndarray, diffusion: np.ndarray, dt: float):
     block[:n, :n] = drift
     block[:n, n:] = diffusion
     block[n:, n:] = -drift.T
-    top = scipy.linalg.expm(block * dt)[:n, :]
+    top = expm(block * dt)[:n, :]
     g = top[:, :n]
     q = top[:, n:] @ g.T
     return g, 0.5 * (q + q.T)
@@ -275,7 +275,7 @@ def _input_response(drift: np.ndarray, dt: float) -> np.ndarray:
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = drift
     block[:n, n:] = np.eye(n)
-    return scipy.linalg.expm(block * dt)[:n, n:]
+    return expm(block * dt)[:n, n:]
 
 
 def _weight_response(model: AugmentedModel, pad: np.ndarray, rate: float, dt: float):
@@ -351,7 +351,7 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> tuple:
     cza = model.layout.dim_za
     x, w = gauss_nodes()
     phi_za, noise_za = _van_loan(drift_za, model.diffusion[:cza, :cza], dt)
-    props = [scipy.linalg.expm(drift_za * (dt * (1.0 - xi))) for xi in x]
+    props = [expm(drift_za * (dt * (1.0 - xi))) for xi in x]
     coupling = tuple(
         np.stack([p @ pad for p in props]) for pad in model.coupling_pad
     )

@@ -117,7 +117,7 @@ def _reference_update(mean, cov, h, z, y):
     return post_mean, 0.5 * (post + post.T), log_density
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
 def test_update_matches_scipy_reference(d):
     rng = np.random.default_rng(d)
     bank_rng = np.random.default_rng(100 + d)
@@ -145,6 +145,13 @@ def test_update_matches_scipy_reference(d):
             np.testing.assert_allclose(got_bank[i], ref_mean, rtol=1e-12, atol=1e-12)
             assert got_log_density[i] == pytest.approx(ref_log_density, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(got_cov, ref_cov, rtol=1e-12, atol=1e-12)
+
+
+def test_update_refuses_more_than_two_observed_entries():
+    # the closed-form factor covers d = 1 (queue, particle filter) and d = 2
+    # (thermal); a d = 3 update with well-formed shapes is refused, naming d
+    with pytest.raises(InvalidParameterError, match="not d = 3"):
+        update(np.zeros(4), np.eye(4), np.eye(3, 4), np.eye(3), np.ones(3))
 
 
 def test_update_rejects_an_observation_of_the_wrong_shape():
@@ -178,17 +185,22 @@ def test_update_singular_innovation_raises():
 
 
 @pytest.mark.parametrize(
-    "cov, noise, match",
+    "cov, h, noise, match",
     [
-        ([[1.0, 0.0], [0.0, 1.0]], -2.0, "singular"),
-        ([[np.nan, 0.0], [0.0, 1.0]], 0.1, "not finite"),  # potrf passes a NaN through
-        ([[np.inf, 0.0], [0.0, 1.0]], 0.1, "not finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]], [[-2.0]], "singular"),
+        ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0]], [[0.1]], "not finite"),  # NaN passes a pivot
+        ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0]], [[0.1]], "not finite"),
+        # d = 2: S = [[1, 1], [1, 1 + r]] (P all ones, H = I) has second pivot r = R[1, 1]
+        (np.ones((2, 2)), np.eye(2), [[0.0, 0.0], [0.0, 0.0]], "singular"),
+        (np.ones((2, 2)), np.eye(2), [[0.0, 0.0], [0.0, -0.5]], "singular"),
+        (np.ones((2, 2)), np.eye(2), [[0.0, 0.0], [0.0, np.nan]], "not finite"),
+        (np.ones((2, 2)), np.eye(2), [[0.0, 0.0], [0.0, np.inf]], "not finite"),
     ],
-    ids=["indefinite", "nan", "inf"],
+    ids=["indefinite", "nan", "inf", "d2-zero-pivot", "d2-negative-pivot", "d2-nan", "d2-inf"],
 )
-def test_update_rejects_an_innovation_covariance_it_cannot_factor(cov, noise, match):
+def test_update_rejects_an_innovation_covariance_it_cannot_factor(cov, h, noise, match):
     with pytest.raises(NumericError, match=match):
-        update(np.zeros(2), np.array(cov), [[1.0, 0.0]], [[noise]], [0.5])
+        update(np.zeros(2), np.array(cov), h, noise, np.full(len(h), 0.5))
 
 
 def test_log_likelihood_single_measurement():

@@ -1,7 +1,8 @@
-"""The package layering runs one way: the engine (kernels -> eigenbasis ->
-lti -> lfm -> filtering -> learn) imports nothing from the applications, the
-baselines, the CLI or the config schemas, and `filtering` does not import
-`lfm`.  Every pass over a fixed model takes its transitions from the one
+"""The package layering runs one way: the engine (pade -> kernels ->
+eigenbasis -> lti -> lfm -> filtering -> learn) imports nothing from the
+applications, the baselines, the CLI or the config schemas, and `filtering`
+does not import `lfm`.  Every pass over a fixed model takes its
+transitions from the one
 `lfm.step_cycle(model, dt)` from t = 0 through `lfm.pass_steps`, so no such
 pass bypasses the cycle, and only the cycle computes the input term
 (`_input_response`); the
@@ -16,17 +17,24 @@ scores both linear bases, so the only Cholesky factor beside the Kalman
 layer's is its own.  Every public name is used in the package itself, and
 every dataclass field of an engine type is read there: what only a test
 reaches lives in `tests/`.  Every engine dataclass is frozen: a model, a
-basis or a fit result is built whole and never changed.  Checked on the
-source with `ast`, so no module is imported; each of the last two walks is
+basis or a fit result is built whole and never changed.  Only a fit
+(`learn.fit`) and the basis comparison (`baselines.comparison.linear_regress`)
+import scipy, inside the function, so `import eigenlfm.cli` loads no scipy
+module and track, predict, simulate and eigenbasis never pay for it.  Checked
+on the source with `ast`, so no module is imported, except the import pin,
+which imports the CLI in a fresh interpreter; each of the last four pins is
 also run over a small package that breaks its rule, to show it can fail."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eigenlfm"
-ENGINE = ("kernels", "eigenbasis", "lti", "lfm", "filtering", "learn")
+ENGINE = ("pade", "kernels", "eigenbasis", "lti", "lfm", "filtering", "learn")
 OUTER = {"apps", "baselines", "cli", "config"}
 
 
@@ -317,3 +325,66 @@ def test_every_engine_dataclass_is_frozen():
         )
     }
     assert set(classes) - frozen == set()
+
+
+def _scipy_imports(root: Path) -> set[tuple[str, str]]:
+    """(file, enclosing top-level function or "<module>") of every import of
+    scipy or one of its modules in the package under `root`."""
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    where = getattr(top, "name", "<module>")
+                    found.add((str(path.relative_to(root)), where))
+    return found
+
+
+def test_only_a_fit_and_the_basis_comparison_import_scipy():
+    # track and predict run on numpy alone (pade.expm, the closed-form
+    # update); scipy is imported where the optimizer and the regression run
+    assert _scipy_imports(PACKAGE) == {
+        ("learn.py", "fit"), ("baselines/comparison.py", "linear_regress"),
+    }
+
+
+def test_scipy_import_walk_reports_module_level_imports(tmp_path):
+    root = _package(tmp_path, {
+        "lfm": "import scipy.linalg\n\ndef step(a): return scipy.linalg.expm(a)\n",
+        "learn": "def fit():\n    from scipy.optimize import minimize\n    return minimize\n",
+        "filtering": "from scipy.linalg.lapack import dpotrf\n",
+    })
+    assert _scipy_imports(root) == {
+        ("lfm.py", "<module>"), ("learn.py", "fit"), ("filtering.py", "<module>"),
+    }
+
+
+def _loads_scipy(root: Path, module: str) -> list[str]:
+    """The scipy modules that a fresh interpreter, with `root` on its path,
+    has loaded after importing `module`."""
+    probe = (f"import sys, {module}\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(root))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    return out.split()
+
+
+def test_the_cli_loads_no_scipy_module():
+    assert _loads_scipy(PACKAGE.parent, "eigenlfm.cli") == []
+
+
+def test_scipy_load_probe_sees_a_module_level_import(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "lazy.py").write_text("def fit():\n    import scipy.optimize\n")
+    (package / "eager.py").write_text("from . import lazy\nimport scipy\n")
+    assert _loads_scipy(tmp_path, "pkg.lazy") == []
+    assert "scipy" in _loads_scipy(tmp_path, "pkg.eager")

@@ -2,7 +2,8 @@
 
 The periodic draw evaluates its eigenfunction rows over one period and
 tiles them; the references below evaluate every row of the grid, and run
-the Matern recursions in the matrix form and with one scalar draw per step.
+the Matern recursions in the matrix form and with one scalar draw per step,
+and the quasi-cqm weight chain as the sequential recursion the draw scans.
 """
 
 import math
@@ -93,6 +94,22 @@ def test_tiled_periodic_draw_matches_full_grid_rows(kind, period, step, n_cycles
     force = synth.roster_force(kind, basis, {"ell_q": 2.0, "xi": 0.5}, [1.0])
     drawn = synth.draw_periodic_force(grid, force, rng)
     expected = _reference_periodic_draw(grid, basis, kind, ref_rng, 2.0, 0.5)
+    np.testing.assert_allclose(drawn, expected, rtol=0.0, atol=1e-12)
+    assert _same_state(rng, ref_rng)
+
+
+@pytest.mark.parametrize("ell_q", [0.002, 1e-4], ids=["g32-underflows", "g2-underflows"])
+def test_cqm_scan_matches_the_sequential_recursion(ell_q):
+    # the cqm weights are one prefix scan in powers of g = exp(-step / ell)
+    # (the tiled-draw test covers a long ell_q); at ell_q = 0.002 cycles
+    # g^32 = e^-800 underflows to 0 before the scan covers the 87-point grid,
+    # and at 1e-4 g^2 = e^-1000 does
+    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.4, 10.0), 64, 10.0, 0.01)
+    grid = np.arange(0.0, 43.0 + 1e-9, 0.5)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    force = synth.roster_force("quasi-cqm", basis, {"ell_q": ell_q}, [1.0])
+    drawn = synth.draw_periodic_force(grid, force, rng)
+    expected = _reference_periodic_draw(grid, basis, "quasi-cqm", ref_rng, ell_q, None)
     np.testing.assert_allclose(drawn, expected, rtol=0.0, atol=1e-12)
     assert _same_state(rng, ref_rng)
 
