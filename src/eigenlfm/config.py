@@ -2,22 +2,37 @@
 
 Every CLI command validates its configuration document before doing any
 work; unknown keys are rejected so typos fail loudly.
+
+The schemas are JSON Schema (Draft 2020-12) dicts, checked by a short walker
+that implements only the keywords they use: `type`, `enum` and a local
+`$ref` (into `$defs`); `properties`, `required` and `additionalProperties`;
+`items`, `prefixItems`, `minItems` and `maxItems`; `minimum`, `maximum`,
+`exclusiveMinimum` and `exclusiveMaximum`.  Any other keyword raises
+`NotImplementedError`, so a schema edit cannot be silently ignored.  The
+walker reports the first violation it meets, as "<key path>: <message>" in
+the wording of the reference Python validator (which the tests compare it
+with), and is stricter than JSON Schema in two ways:
+
+- `integer` admits only an int (as there, never a bool), not an integral
+  float such as 1.0, which the code reading the value would refuse with a
+  traceback;
+- no number anywhere in the document may be NaN or infinite (`json.load`
+  reads both), even under a key with no schema of its own.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
-
-import jsonschema
 
 from .apps.queueing import QUEUE_METHODS, QueueGenConfig
 from .apps.synth import DAY_MINUTES
 from .apps.thermal import THERMAL_METHODS, ThermalGenConfig
 from .errors import InvalidParameterError
 
-__all__ = ["load_config", "validate_config", "SCHEMAS"]
+__all__ = ["load_config", "validate_config", "SCHEMAS", "KEYWORDS"]
 
 _KERNEL_SCHEMA = {
     "type": "object",
@@ -172,15 +187,90 @@ SCHEMAS = {
 }
 
 
+KEYWORDS = frozenset({
+    "type", "enum", "$ref", "$defs", "properties", "required", "additionalProperties",
+    "items", "prefixItems", "minItems", "maxItems",
+    "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+})
+
+_TYPES = {
+    "object": dict, "array": list, "string": str, "boolean": bool,
+    "number": (int, float), "integer": int,
+}
+
+
+def _is(doc, name: str) -> bool:
+    # a bool is an int to Python, but only a JSON boolean to the schema
+    return isinstance(doc, _TYPES[name]) and (name == "boolean" or not isinstance(doc, bool))
+
+
+_BOUNDS = {  # keyword: (test that fails the bound, message)
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+
+def _violation(doc, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple, str] | None:
+    """(key path, message) of the first place where `doc` breaks `schema`, or
+    None; a `$ref` resolves against `root`."""
+    unknown = schema.keys() - KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"schema keyword(s) {sorted(unknown)} not implemented")
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return path, f"{doc!r} is not a finite number"
+    if "$ref" in schema:  # "#/$defs/<name>"
+        found = _violation(doc, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], root, path)
+        if found:
+            return found
+    if "type" in schema and not _is(doc, schema["type"]):
+        return path, f"{doc!r} is not of type {schema['type']!r}"
+    if "enum" in schema and doc not in schema["enum"]:
+        return path, f"{doc!r} is not one of {schema['enum']!r}"
+    children = []
+    if isinstance(doc, dict):
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", {})
+        for key in schema.get("required", ()):
+            if key not in doc:
+                return path, f"{key!r} is a required property"
+        unexpected = sorted(doc.keys() - properties.keys())
+        if extra is False and unexpected:
+            names = ", ".join(map(repr, unexpected))
+            verb = "was" if len(unexpected) == 1 else "were"
+            return path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        children = [(k, v, properties.get(k, extra)) for k, v in doc.items()]
+    elif isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            return path, f"{doc!r} " + ("should be non-empty" if schema["minItems"] == 1
+                                        else "is too short")
+        if len(doc) > schema.get("maxItems", len(doc)):
+            return path, f"{doc!r} is too long"
+        prefix = schema.get("prefixItems", [])
+        items = schema.get("items", {})
+        children = [(i, v, prefix[i] if i < len(prefix) else items) for i, v in enumerate(doc)]
+    elif _is(doc, "number"):
+        for key, (fails, text) in _BOUNDS.items():
+            if key in schema and fails(doc, schema[key]):
+                return path, f"{doc!r} is {text} of {schema[key]!r}"
+    for key, value, sub in children:
+        # a key with no schema of its own is still walked for non-finite numbers
+        found = _violation(value, sub, root, (*path, key))
+        if found:
+            return found
+    return None
+
+
 def validate_config(command: str, config: dict) -> dict:
     if command not in SCHEMAS:
         raise InvalidParameterError(f"no schema for command {command!r}")
-    try:
-        jsonschema.validate(config, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in exc.absolute_path)
+    found = _violation(config, SCHEMAS[command], SCHEMAS[command])
+    if found:
+        keys, message = found
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
         where = f"{path[1:]}: " if path else ""  # the failing key, e.g. generator.step
-        raise InvalidParameterError(f"invalid {command} config: {where}{exc.message}") from exc
+        raise InvalidParameterError(f"invalid {command} config: {where}{message}")
     if command not in ("queue", "thermal"):
         return config
     defaults = QueueGenConfig() if command == "queue" else ThermalGenConfig()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -100,6 +101,47 @@ def test_schema_errors_name_the_failing_key():
     # a violation of the top-level object has no key to name
     with pytest.raises(InvalidParameterError, match=r"config: Additional properties"):
         validate_config("queue", {"bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "config, command, text",
+    [
+        ({**QUEUE_CONFIG, "seeds": [1.0]}, ["queue", "track"],
+         "invalid queue config: seeds[0]: 1.0 is not of type 'integer'"),
+        ({**THERMAL_CONFIG, "seeds": [0], "n_particles": 8.0}, ["thermal", "predict"],
+         "invalid thermal config: n_particles: 8.0 is not of type 'integer'"),
+    ],
+    ids=["seeds", "n-particles"],
+)
+def test_integer_keys_refuse_integral_floats(tmp_path, config, command, text):
+    # JSON Schema's integer admits 1.0, which the seed sequence and the
+    # particle bank then refused with a traceback
+    result, out = _invoke(tmp_path, config, *command)
+    _fails_cleanly(result, text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "patch, text",
+    [
+        ({"generator": {"days": 2, "step": math.nan}}, "generator.step: nan"),
+        ({"generator": {"days": 2, "step": 4.0, "obs_noise": math.nan}},
+         "generator.obs_noise: nan"),
+        ({"generator": {"days": 2, "step": 4.0, "mean_peak": math.inf}},
+         "generator.mean_peak: inf"),
+        # a key with no schema of its own is walked too
+        ({"params": {**QUEUE_CONFIG["params"],
+                     "hart": {**QUEUE_CONFIG["params"]["hart"], "sigma_obs": -math.inf}}},
+         "params.hart.sigma_obs: -inf"),
+    ],
+    ids=["step", "obs-noise", "mean-peak", "params"],
+)
+def test_non_finite_numbers_are_refused_by_key(tmp_path, patch, text):
+    # json reads NaN and Infinity; in the generator they used to fail later,
+    # under another key's name or under none
+    result, out = _invoke(tmp_path, {**QUEUE_CONFIG, "seeds": [0], **patch}, "queue", "track")
+    _fails_cleanly(result, f"invalid queue config: {text} is not a finite number")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,10 @@ reaches lives in `tests/`.  Every engine dataclass is frozen: a model, a
 basis or a fit result is built whole and never changed.  Only a fit
 (`learn.fit`) and the basis comparison (`baselines.comparison.linear_regress`)
 import scipy, inside the function, so `import eigenlfm.cli` loads no scipy
-module and track, predict, simulate and eigenbasis never pay for it.  Checked
-on the source with `ast`, so no module is imported, except the import pin,
-which imports the CLI in a fresh interpreter; each of the last four pins is
+module and track, predict, simulate and eigenbasis never pay for it; nor
+does it load jsonschema, which `config` no longer uses.  Checked
+on the source with `ast`, so no module is imported, except the import pins,
+which import the CLI in a fresh interpreter; each of the last five pins is
 also run over a small package that breaks its rule, to show it can fail."""
 
 import ast
@@ -365,19 +366,27 @@ def test_scipy_import_walk_reports_module_level_imports(tmp_path):
     }
 
 
-def _loads_scipy(root: Path, module: str) -> list[str]:
-    """The scipy modules that a fresh interpreter, with `root` on its path,
-    has loaded after importing `module`."""
+def _loads(root: Path, module: str, packages: set[str]) -> list[str]:
+    """The modules of `packages` that a fresh interpreter, with `root` on its
+    path, has loaded after importing `module`."""
     probe = (f"import sys, {module}\n"
-             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {sorted(packages)}))")
     env = dict(os.environ, PYTHONPATH=str(root))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     return out.split()
 
 
+# jsonschema and the packages it loads: the config walker replaced it
+SCHEMA_VALIDATOR = {"jsonschema", "referencing", "rpds"}
+
+
 def test_the_cli_loads_no_scipy_module():
-    assert _loads_scipy(PACKAGE.parent, "eigenlfm.cli") == []
+    assert _loads(PACKAGE.parent, "eigenlfm.cli", {"scipy"}) == []
+
+
+def test_the_cli_loads_no_schema_validator():
+    assert _loads(PACKAGE.parent, "eigenlfm.cli", SCHEMA_VALIDATOR) == []
 
 
 def test_scipy_load_probe_sees_a_module_level_import(tmp_path):
@@ -386,5 +395,17 @@ def test_scipy_load_probe_sees_a_module_level_import(tmp_path):
     (package / "__init__.py").write_text("")
     (package / "lazy.py").write_text("def fit():\n    import scipy.optimize\n")
     (package / "eager.py").write_text("from . import lazy\nimport scipy\n")
-    assert _loads_scipy(tmp_path, "pkg.lazy") == []
-    assert "scipy" in _loads_scipy(tmp_path, "pkg.eager")
+    assert _loads(tmp_path, "pkg.lazy", {"scipy"}) == []
+    assert "scipy" in _loads(tmp_path, "pkg.eager", {"scipy"})
+
+
+def test_schema_validator_probe_sees_its_packages(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "walker.py").write_text("import json\n")
+    (package / "config.py").write_text("import jsonschema\n")
+    assert _loads(tmp_path, "pkg.walker", SCHEMA_VALIDATOR) == []
+    # each of the three packages counts: jsonschema loads the other two
+    assert {m.split(".")[0] for m in _loads(tmp_path, "pkg.config", SCHEMA_VALIDATOR)} == (
+        SCHEMA_VALIDATOR)
