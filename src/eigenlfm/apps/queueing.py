@@ -299,8 +299,10 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
 
     What does not depend on f is built once: the G and Q templates and the
     eigenfunction rows of every step.  A step copies the templates and fills
-    row 0 (and column 0 of Q).  Constant weights take the exact quadrature
-    coupling from the weighted rows at the Gauss nodes, with no noise.  OU force
+    row 0 (and column 0 of Q).  Constant weights take the coupling by
+    8-node Gauss-Legendre quadrature of the weighted rows at the nodes, with
+    no noise; as in `lfm.constant_weight_transition`, the quadrature is not
+    exact across the kinks of the eigenfunctions (ROADMAP item 3).  OU force
     states take `_ou_target_step` of a unit force, scaled by their noise q:
     cqm's weights with the coupling frozen at the step-start row phi(t0), or
     hart's one force, the same step with phi = 1.  Their decay e^{-c dt} and

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 DAY_MINUTES = 1440.0
+MAX_BASIS = 30  # eigenfunctions a periodic roster entry may select
 
 
 def daily_basis(sigma: float, ell: float, config) -> eb.EigenBasis:
@@ -58,11 +59,15 @@ def roster_force(kind: str, basis: eb.EigenBasis, params, coupling) -> lfm.Perio
 def periodic_roster(kind: str, sigma: float, ell: float, params: dict, config, coupling):
     """(force, changepoints) of a periodic roster entry: its `roster_force`
     on `daily_basis`, and the day boundaries of the record when the force
-    jumps (sqm, wqm).  More than 30 basis functions raise
-    ContractViolationError."""
+    jumps (sqm, wqm).  More than `MAX_BASIS` basis functions raise
+    ContractViolationError naming the kind, the phase scale and the count."""
     force = roster_force(kind, daily_basis(sigma, ell, config), params, coupling)
-    if force.basis.n_selected > 30:
-        raise ContractViolationError("periodic roster exceeded 30 basis functions")
+    if force.basis.n_selected > MAX_BASIS:
+        raise ContractViolationError(
+            f"periodic roster exceeded {MAX_BASIS} basis functions: {kind!r} at "
+            f"phase scale ell = {ell:g} selects {force.basis.n_selected}, "
+            f"the cap is {MAX_BASIS}"
+        )
     changepoints = () if force.jump is None else DAY_MINUTES * np.arange(1, config.days)
     return force, changepoints
 

@@ -7,7 +7,10 @@ Eigenfunctions are extended off the sample grid by the Nystrom rule
     phi_j(t) = (sqrt(N) / mu_j) K(t, S) v_j,
 
 and the kernel is resynthesized from the significant eigenpairs as
-sum_j (mu_j / N) phi_j(t) phi_j(t').
+sum_j (mu_j / N) phi_j(t) phi_j(t').  `eigenfunction_matrix` evaluates
+K(t, S) in blocks of at most `BLOCK_ENTRIES` kernel entries, so rows at
+any number of points cost the memory of the (len(t), J) result, not of an
+(len(t), N) kernel block.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from . import kernels
 from .errors import InvalidParameterError, NumericError
 
 __all__ = ["EigenBasis", "build"]
+
+# kernel entries K(t_i, s_j) evaluated per block of eigenfunction rows
+BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -117,10 +123,29 @@ def build(
 
 
 def eigenfunction_matrix(basis: EigenBasis, t) -> np.ndarray:
-    """Matrix of all selected eigenfunctions at t: shape (len(t), J)."""
+    """Matrix of all selected eigenfunctions at t: shape (len(t), J).
+
+    K(t, S) is evaluated in the fewest equal blocks of at most
+    `BLOCK_ENTRIES // N` points, so for any len(t) the memory is the result
+    plus a transient of a few arrays of at most `BLOCK_ENTRIES` entries.  A
+    row equals the one-shot (K(t, S) @ V) * scale bit for bit when BLAS
+    multiplies each block with the kernel it takes for the whole product;
+    for a thin block (few rows times few eigenfunctions) it may take
+    another, which sums in another order.  Equal blocks keep the last block
+    from being thinner than the rest.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    rows = kernels.eval_matrix(basis.kernel, t, basis.sample_points)
-    return (rows @ basis._v_selected) * basis._scale_selected
+    if t.size == 0:
+        raise InvalidParameterError("eigenfunction points must be non-empty")
+    out = np.empty((t.size, basis.n_selected))
+    n_blocks = -(-t.size // max(1, BLOCK_ENTRIES // basis.n_points))
+    bounds = (np.arange(n_blocks + 1) * t.size // n_blocks).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = kernels.eval_matrix(basis.kernel, t[lo:hi], basis.sample_points)
+        block = out[lo:hi]
+        np.matmul(rows, basis._v_selected, out=block)
+        block *= basis._scale_selected
+    return out
 
 
 def reconstruct(basis: EigenBasis, t, tp):

@@ -52,7 +52,8 @@ class ParamSpace:
         return tuple(p.name for p in self.params)
 
     def check(self, params: dict, method: str) -> None:
-        """Raise when `params` lacks a parameter of this space or sets one
+        """Raise when `params` lacks a parameter of this space, sets one to
+        a value that is not a real number (a bool is not one) or sets one
         outside its [lower, upper] bounds; extra keys pass."""
         missing = [n for n in self.names if n not in params]
         if missing:
@@ -61,7 +62,12 @@ class ParamSpace:
             )
         for p in self.params:
             value = params[p.name]
-            if not (isinstance(value, numbers.Real) and p.lower <= value <= p.upper):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidParameterError(
+                    f"params for method {method!r}: {p.name} = {value!r} is a "
+                    f"{type(value).__name__}, not a real number"
+                )
+            if not p.lower <= value <= p.upper:
                 raise InvalidParameterError(
                     f"params for method {method!r}: {p.name} = {value} "
                     f"lies outside [{p.lower:g}, {p.upper:g}]"

@@ -32,10 +32,14 @@ the changepoint schedule; neither builder does either.
   of size dim_za + 1 per force, and the z_a noise gains a term linear in
   sum_j q_j phi_j(t0)^2 (exact for the LTI part, O(dt^2) in the
   m-variation).  No exponential of the full state is taken.
-* `constant_weight_transition` is exact when all weights are constant between
+* `constant_weight_transition` holds all weights constant between
   changepoints: the weight columns of the transition are the convolution
   integrals of the target transition with the eigenfunctions, evaluated by
-  fixed-order Gauss-Legendre quadrature.
+  8-node Gauss-Legendre quadrature.  Only its z_a block and weight rows are
+  exact.  The Matern-1/2 eigenfunctions have kinks at the N sample points,
+  and one quadrature panel per step loses its order across a kink: one
+  10-minute step differs from two 5-minute steps by 8.3e-4 in the
+  weight columns of G (ROADMAP item 3).
 
 Step quasi-periodic models perturb the weights at changepoints through
 per-force jump models applied by `apply_changepoint_moments`.
@@ -361,11 +365,13 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> tuple:
 def constant_weight_transition(
     model: AugmentedModel, starts: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (G, Q) of the steps [t0, t0 + dt] for t0 in `starts` when all
+    """(G, Q) of the steps [t0, t0 + dt] for t0 in `starts` when all
     eigenfunction weights are constant; shapes as for `discretize`.
 
-    The weight columns of G are the quadrature-evaluated convolutions of the
-    z_a transition with each eigenfunction; the weight rows are identity.
+    The weight columns of G are the convolutions of the z_a transition with
+    each eigenfunction by 8-node Gauss-Legendre quadrature, which is not
+    exact across the kinks of the Matern-1/2 eigenfunctions (see the module
+    docstring); the z_a block is exact and the weight rows are identity.
     The eigenfunction rows at the quadrature nodes of every step of the
     batch come from one evaluation per periodic force, and the columns of
     all steps from one batched product with the node couplings.

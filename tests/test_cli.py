@@ -210,6 +210,16 @@ def _fails_cleanly(result, text):
             **THERMAL_CONFIG["params"],
             "quasi-sqm": {**THERMAL_CONFIG["params"]["quasi-sqm"], "ell_r": 0.1}}},
          ["thermal", "track"], "ell_r = 0.1 lies outside [0.35, 1.5]"),
+        ({**QUEUE_CONFIG, "params": {
+            **QUEUE_CONFIG["params"],
+            "hart": {**QUEUE_CONFIG["params"]["hart"], "sigma_obs": True}}},
+         ["queue", "track"],
+         "params for method 'hart': sigma_obs = True is a bool, not a real number"),
+        ({**QUEUE_CONFIG, "params": {
+            **QUEUE_CONFIG["params"],
+            "hart": {**QUEUE_CONFIG["params"]["hart"], "sigma_obs": "0.5"}}},
+         ["queue", "track"],
+         "params for method 'hart': sigma_obs = '0.5' is a str, not a real number"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):

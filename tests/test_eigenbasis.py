@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,48 @@ def test_kpca_regression_prior_variance():
         basis.scaled_eigenvalues(), 1e-8,
     )
     np.testing.assert_allclose(var, eb.reconstruct(basis, t, t).diagonal(), rtol=1e-10)
+
+
+def _queue_node_rows():
+    """The queue's daily basis (N = 100, J = 19) and the Gauss-node times of
+    one day of 2-minute steps: 720 steps of 8 nodes, 5760 rows."""
+    basis = eb.build(K.PeriodicMatern(0.5, 1.2, 0.5, 1440.0), 100, 1440.0, gamma=0.01)
+    x, _ = np.polynomial.legendre.leggauss(8)
+    nodes = (2.0 * np.arange(720)[:, None] + (x + 1.0)).ravel()
+    return basis, nodes
+
+
+def test_blocked_rows_equal_the_one_shot_product_bitwise():
+    basis, nodes = _queue_node_rows()
+    assert (basis.n_points, basis.n_selected) == (100, 19)
+    block = eb.BLOCK_ENTRIES // basis.n_points
+    assert block < nodes.size
+
+    def one_shot(t):
+        rows = K.eval_matrix(basis.kernel, t, basis.sample_points)
+        return (rows @ basis._v_selected) * basis._scale_selected
+
+    for t in (nodes[7], nodes[:1], nodes[:block], nodes[:block + 1], nodes):
+        got = eb.eigenfunction_matrix(basis, t)
+        assert got.shape == (np.size(t), basis.n_selected)
+        np.testing.assert_array_equal(got, one_shot(t))
+
+
+def test_eigenfunction_rows_are_evaluated_in_bounded_blocks():
+    # the (5760, 19) result is 0.88 MB; an unblocked (5760, 100) kernel block
+    # and its temporaries would peak near 19 MB
+    basis, nodes = _queue_node_rows()
+    eb.eigenfunction_matrix(basis, nodes[:10])
+    tracemalloc.start()
+    try:
+        eb.eigenfunction_matrix(basis, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_eigenfunction_points_must_be_non_empty():
+    basis, _ = _queue_node_rows()
+    with pytest.raises(InvalidParameterError, match="non-empty"):
+        eb.eigenfunction_matrix(basis, [])

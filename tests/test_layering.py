@@ -14,8 +14,10 @@ calls to `filtering.kalman_pass`, and no module outside `filtering` calls `predi
 into a module is used there.  Only `apps/synth.py` builds the applications'
 daily prior.  One weight-space regression (`baselines.comparison.linear_regress`)
 scores both linear bases, so the only Cholesky factor beside the Kalman
-layer's is its own.  Every public name is used in the package itself, and
-every dataclass field of an engine type is read there: what only a test
+layer's is its own.  Kernel matrices are built only by `eigenbasis` (the
+Gram and the bounded blocks of eigenfunction rows) and by the basis
+comparison's true covariance.  Every public name is used in the package
+itself, and every dataclass field of an engine type is read there: what only a test
 reaches lives in `tests/`.  Every engine dataclass is frozen: a model, a
 basis or a fit result is built whole and never changed.  Only a fit
 (`learn.fit`) and the basis comparison (`baselines.comparison.linear_regress`)
@@ -165,6 +167,17 @@ def test_one_weight_space_regression():
     # eigenfunction and sparse-spectrum features share one regression; a
     # second copy of it would factor its own precision matrix
     assert _uses({"cho_factor"}) == {("baselines/comparison.py", "linear_regress", "cho_factor")}
+
+
+def test_kernel_blocks_are_built_by_the_basis():
+    # eigenfunction rows are evaluated in bounded blocks inside the basis, so
+    # no pass builds an n x N kernel block of its own beside them; only the
+    # Gram of a basis and the comparison's true covariance are whole matrices
+    assert _uses({"eval_matrix"}) == {
+        ("eigenbasis.py", "build", "eval_matrix"),
+        ("eigenbasis.py", "eigenfunction_matrix", "eval_matrix"),
+        ("baselines/comparison.py", "compare_linear_bases", "eval_matrix"),
+    }
 
 
 DAILY_PRIOR = {"PeriodicMatern", "build", "periodic_force", "cqm_force", "sqm_force", "wqm_force"}

@@ -133,6 +133,8 @@ def test_check_rejects_missing_and_out_of_bounds_params():
         space.check({"a": 1.0}, "m")
     with pytest.raises(InvalidParameterError, match=r"'m': b = 200.0 lies outside \[0.001, 100\]"):
         space.check({"a": 1.0, "b": 200.0}, "m")
-    for bad in (0.0, float("nan"), "1.0"):
+    for bad in (0.0, float("nan")):
         with pytest.raises(InvalidParameterError, match="a = .* lies outside"):
             space.check({"a": bad, "b": 1.0}, "m")
+    with pytest.raises(InvalidParameterError, match="a = '1.0' is a str, not a real number"):
+        space.check({"a": "1.0", "b": 1.0}, "m")

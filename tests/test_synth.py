@@ -170,3 +170,12 @@ def test_generators_evaluate_one_period_of_rows(monkeypatch, generate, config):
     monkeypatch.setattr(eb, "eigenfunction_matrix", counting)
     generate(config, 0)
     assert rows == [int(synth.DAY_MINUTES)]
+
+
+def test_roster_cap_error_names_kind_scale_and_count():
+    # the thermal generator's own default phase scale selects more than the cap
+    config = ta.ThermalGenConfig()
+    text = (r"^periodic roster exceeded 30 basis functions: 'with' at phase scale "
+            r"ell = 0\.3 selects 33, the cap is 30$")
+    with pytest.raises(ContractViolationError, match=text):
+        synth.periodic_roster("with", config.sigma_r, config.ell_r, {}, config, np.ones(1))
