@@ -25,6 +25,7 @@ __all__ = [
     "write_thermal_dataset",
     "read_thermal_dataset",
     "write_csv",
+    "write_columns",
 ]
 
 
@@ -37,9 +38,10 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _g10(columns: list[np.ndarray]):
-    """The rows of `columns`, each value to 10 significant digits."""
-    return ([f"{v:.10g}" for v in row] for row in zip(*columns))
+def write_columns(path: Path, header, columns) -> None:
+    """Write the rows of `columns` (equal-length sequences), each value to 10
+    significant digits: the one precision of every dataset and pass CSV."""
+    write_csv(path, header, ([f"{v:.10g}" for v in row] for row in zip(*columns)))
 
 
 def _read_csv(path: Path, expected: list[str], step: float | None = None) -> list[np.ndarray]:
@@ -90,11 +92,9 @@ def _whole_days(path: Path, times: np.ndarray) -> int:
 def write_queue_dataset(out_dir, dataset: QueueDataset) -> list[Path]:
     out = Path(out_dir)
     paths = [out / "arrivals.csv", out / "queue_truth.csv", out / "queue_meas.csv"]
-    write_csv(paths[0], ["time_min", "arrival_rate"],
-              _g10([dataset.rate_times, dataset.rate_values]))
-    write_csv(paths[1], ["time_min", "queue_len"], _g10([dataset.times, dataset.truth_queue]))
-    write_csv(paths[2], ["time_min", "queue_len"],
-              _g10([dataset.meas_times, dataset.meas_values]))
+    write_columns(paths[0], ["time_min", "arrival_rate"], [dataset.rate_times, dataset.rate_values])
+    write_columns(paths[1], ["time_min", "queue_len"], [dataset.times, dataset.truth_queue])
+    write_columns(paths[2], ["time_min", "queue_len"], [dataset.meas_times, dataset.meas_values])
     return paths
 
 
@@ -131,14 +131,12 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
 def write_thermal_dataset(out_dir, dataset: ThermalDataset) -> list[Path]:
     out = Path(out_dir)
     paths = [out / "thermal.csv", out / "thermal_meas.csv"]
-    write_csv(
-        paths[0],
-        ["time_min", "t_int", "t_ext", "setpoint", "heater"],
-        _g10([dataset.minutes, dataset.t_int, dataset.t_ext, dataset.setpoint,
-              dataset.heater]),
+    write_columns(
+        paths[0], ["time_min", "t_int", "t_ext", "setpoint", "heater"],
+        [dataset.minutes, dataset.t_int, dataset.t_ext, dataset.setpoint, dataset.heater],
     )
-    write_csv(paths[1], ["time_min", "t_int", "t_ext"],
-              _g10([dataset.minutes, dataset.meas_int, dataset.meas_ext]))
+    write_columns(paths[1], ["time_min", "t_int", "t_ext"],
+                  [dataset.minutes, dataset.meas_int, dataset.meas_ext])
     return paths
 
 

@@ -252,9 +252,10 @@ def _run_thermal_filter(
     temperatures with noise std `sigma_obs` every `measure_every` minutes (a
     whole number of steps).  Step starts and measurement times are mapped to
     indices of the one-minute record once, up front; a time off that grid or
-    past the record raises ContractViolationError."""
+    past the record, or a `t_end` off the step grid, raises
+    ContractViolationError."""
     model, dt = cycle.model, cycle.dt
-    n_steps = int(round((t_end - t_start) / dt))
+    n_steps = _pass_length(t_start, t_end, dt)
     every = int(round(measure_every / dt))
     if every < 1 or not math.isclose(every * dt, measure_every, rel_tol=1e-9):
         raise InvalidParameterError(
@@ -278,6 +279,13 @@ def _run_thermal_filter(
         h, sigma_obs**2 * np.eye(2),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
+
+
+def _pass_length(t_start: float, t_end: float, dt: float) -> int:
+    """Steps of a pass over [t_start, t_end] (`lfm.grid_steps`); a `t_end`
+    off the step grid t_start + k dt raises, naming it."""
+    span = int(np.rint((t_end - t_start) / dt))
+    return int(lfm.grid_steps([t_end], t_start, dt, span, "thermal pass end")[0])
 
 
 def _record_minutes(dataset: ThermalDataset, times: np.ndarray) -> np.ndarray:
@@ -411,7 +419,7 @@ def thermal_predict_day(
     the Rao-Blackwellised particle filter against the set-point schedule."""
     cycle, mean, cov = _trained_state(dataset, kind, params, envelope)
     model, t_start = cycle.model, dataset.test_start
-    n_steps = int(round(DAY_MINUTES / cycle.dt))
+    n_steps = _pass_length(t_start, t_start + DAY_MINUTES, cycle.dt)
     minute = _record_minutes(dataset, t_start + cycle.dt * np.arange(n_steps + 1))
     records = rbpf_predict_day(
         lfm.pass_steps(cycle, t_start, n_steps), mean, cov, dataset.setpoint[minute],

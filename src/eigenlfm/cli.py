@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Subcommands: eigenbasis, compare-bases, queue simulate|fit|track, thermal
-simulate|fit|predict|track.  Every command is deterministic given the
-configuration document and seed at a fixed BLAS thread count; the only
-nondeterministic output field is runtime_ms in the metrics records.
+Commands: eigenbasis, compare-bases and one group per application of
+`_APPS`, whose entry declares the group's subcommands and their help lines.
+Every command is deterministic given the configuration document and seed at
+a fixed BLAS thread count; the only nondeterministic output field is
+runtime_ms in the metrics records.
 
-The queue and thermal commands share one seed worker, `_seed_work`; what
+The application subcommands share one seed worker, `_seed_work`; what
 differs per application (generator settings, dataset generate/read/write,
-fit, the scored pass of each command, default methods) is looked up in
+fit, the scored pass of each subcommand, default methods) is looked up in
 `_APPS`.  An option the config leaves out is not passed, so its default
 lives only in the function called (the application's, `eb.build`,
 `compare_linear_bases`).
@@ -60,13 +61,6 @@ def main(ctx, config_path, seed, out_dir, jobs):
         "out": Path(out_dir),
         "jobs": jobs,
     }
-
-
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @main.command("eigenbasis")
@@ -149,26 +143,38 @@ class _App:
     its target up on the module at call time, so a binding patched there (as
     bench/tracing.py does) is the one that runs."""
 
+    help: str             # the CLI group's help line
     gen_config: Callable  # **config["generator"] -> generator settings
     generate: Callable    # (settings, seed) -> dataset
     read: Callable        # (data_dir, settings) -> dataset
     write: Callable       # (directory, dataset)
     fit: Callable         # (dataset, method, config) -> FitResult
-    passes: dict          # command -> (dataset, method, params, config, seed) -> scores
+    # subcommand -> (help line, scored pass or None); a scored pass maps
+    # (dataset, method, params, config, seed) -> scores
+    commands: dict
     methods: tuple        # roster when the config names none
 
 
 _APPS = {
     "queue": _App(
+        help="Queue tracking with quasi-periodic arrival rates.",
         gen_config=_queue_config,
         generate=lambda gen, seed: queueing.generate_queue_data(gen, seed),
         read=lambda path, gen: app_io.read_queue_dataset(path, gen),
         write=lambda path, ds: app_io.write_queue_dataset(path, ds),
         fit=lambda ds, m, config: queueing.queue_fit(ds, m, **_given(config, _FIT_KEYS)),
-        passes={"track": lambda ds, m, p, config, seed: queueing.queue_track(ds, m, p)},
+        commands={
+            "simulate": ("Write synthetic arrival/queue CSV datasets.", None),
+            "fit": ("Fit hyperparameters; write one fit report per method.", None),
+            "track": (
+                "Fit, track the held-out day, and write metrics.",
+                lambda ds, m, p, config, seed: queueing.queue_track(ds, m, p),
+            ),
+        },
         methods=("quasi-sqm", "hart"),
     ),
     "thermal": _App(
+        help="Home-thermal tracking and day-ahead prediction.",
         gen_config=lambda **gen: thermal.ThermalGenConfig(**gen),
         generate=lambda gen, seed: thermal.generate_thermal_data(gen, seed),
         read=lambda path, gen: app_io.read_thermal_dataset(path, gen),
@@ -176,12 +182,21 @@ _APPS = {
         fit=lambda ds, m, config: thermal.thermal_fit(
             ds, m, **_given(config, {**_FIT_KEYS, **_ENVELOPE})
         ),
-        passes={
-            "track": lambda ds, m, p, config, seed: thermal.thermal_track_day(
-                ds, m, p, **_given(config, {"track_meas_every": "measure_every", **_ENVELOPE})
+        commands={
+            "simulate": ("Write a synthetic thermal CSV dataset.", None),
+            "fit": ("Fit thermal and residual parameters; write fit reports.", None),
+            "predict": (
+                "Day-ahead prediction with the particle filter; write metrics.",
+                lambda ds, m, p, config, seed: thermal.thermal_predict_day(
+                    ds, m, p, seed=seed,
+                    **_given(config, {"n_particles": "n_particles", **_ENVELOPE}),
+                ),
             ),
-            "predict": lambda ds, m, p, config, seed: thermal.thermal_predict_day(
-                ds, m, p, seed=seed, **_given(config, {"n_particles": "n_particles", **_ENVELOPE})
+            "track": (
+                "Day-ahead tracking with sparse measurements; write metrics.",
+                lambda ds, m, p, config, seed: thermal.thermal_track_day(
+                    ds, m, p, **_given(config, {"track_meas_every": "measure_every", **_ENVELOPE})
+                ),
             ),
         },
         methods=("quasi-sqm", "without", "hart"),
@@ -216,11 +231,10 @@ def _seed_work(args) -> list[dict]:
             (out / f"fit-{method}.json").write_text(fit.to_json() + "\n")
         if command == "fit":
             continue
-        result = app.passes[command](dataset, method, dict(params), config, seed)
-        columns = (result[k] for k in ("times", "mean", "var", "truth"))
-        app_io.write_csv(
+        result = app.commands[command][1](dataset, method, dict(params), config, seed)
+        app_io.write_columns(
             out / f"{command}-{method}.csv", ["time_min", "pred_mean", "pred_var", "truth"],
-            [[f"{v:.10g}" for v in row] for row in zip(*columns)],
+            [result[k] for k in ("times", "mean", "var", "truth")],
         )
         records.append({
             "method": method, "dataset": tag, "day": dataset.config.days - 1,
@@ -265,70 +279,24 @@ def _app_entry(ctx, app_name, command) -> None:
     for r in records:
         if not all(np.isfinite(v) for v in (r["rmse"], r["ell"])):
             _fail(f"non-finite metrics for {r['dataset']}/{r['method']}")
-    _write_json(out / "metrics.json", records)
+    # each record's CSV is written under `out`, so the directory exists
+    (out / "metrics.json").write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote {len(records)} metric records to {out / 'metrics.json'}")
 
 
-@main.group()
-def queue():
-    """Queue tracking with quasi-periodic arrival rates."""
+def _register(app_name: str, app: _App) -> None:
+    """Add the application's CLI group, with one subcommand per entry of
+    `app.commands`, to `main`."""
+    group = click.Group(app_name, help=app.help)
+    for command, (help_line, _) in app.commands.items():
+        group.add_command(click.Command(command, help=help_line, callback=click.pass_context(
+            lambda ctx, command=command: _app_entry(ctx, app_name, command)
+        )))
+    main.add_command(group)
 
 
-@queue.command("simulate")
-@click.pass_context
-def queue_simulate_cmd(ctx):
-    """Write synthetic arrival/queue CSV datasets."""
-    _app_entry(ctx, "queue", "simulate")
-
-
-@queue.command("fit")
-@click.pass_context
-def queue_fit_cmd(ctx):
-    """Fit hyperparameters; write one fit report per method."""
-    _app_entry(ctx, "queue", "fit")
-
-
-@queue.command("track")
-@click.pass_context
-def queue_track_cmd(ctx):
-    """Fit, track the held-out day, and write metrics."""
-    _app_entry(ctx, "queue", "track")
-
-
-@main.group()
-def thermal_group():
-    """Home-thermal tracking and day-ahead prediction."""
-
-
-main.add_command(thermal_group, name="thermal")
-
-
-@thermal_group.command("simulate")
-@click.pass_context
-def thermal_simulate_cmd(ctx):
-    """Write a synthetic thermal CSV dataset."""
-    _app_entry(ctx, "thermal", "simulate")
-
-
-@thermal_group.command("fit")
-@click.pass_context
-def thermal_fit_cmd(ctx):
-    """Fit thermal and residual parameters; write fit reports."""
-    _app_entry(ctx, "thermal", "fit")
-
-
-@thermal_group.command("predict")
-@click.pass_context
-def thermal_predict_cmd(ctx):
-    """Day-ahead prediction with the particle filter; write metrics."""
-    _app_entry(ctx, "thermal", "predict")
-
-
-@thermal_group.command("track")
-@click.pass_context
-def thermal_track_cmd(ctx):
-    """Day-ahead tracking with sparse measurements; write metrics."""
-    _app_entry(ctx, "thermal", "track")
+for _name, _app in _APPS.items():
+    _register(_name, _app)
 
 
 if __name__ == "__main__":

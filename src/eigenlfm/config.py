@@ -60,7 +60,6 @@ _GRID_SCHEMA = {
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _DAY_MINUTE = {"type": "number", "minimum": 0, "exclusiveMaximum": DAY_MINUTES}
 _DAY_HOUR = {"type": "number", "minimum": 0, "maximum": 24}
-_SEEDS = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1}
 
 _QUEUE_GENERATOR = {
     "type": "object",
@@ -121,6 +120,27 @@ _THERMAL_GENERATOR = {
     "additionalProperties": False,
 }
 
+
+def _app_schema(generator: dict, methods, **extra) -> dict:
+    """The config of an application: the keys every application reads, and
+    the `extra` ones of its own."""
+    return {
+        "type": "object",
+        "properties": {
+            "generator": generator,
+            "methods": {"type": "array", "items": {"enum": list(methods)}, "minItems": 1},
+            "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+            "budget": {"type": "integer", "minimum": 4},
+            "restarts": {"type": "integer", "minimum": 1},
+            "fit_seed": {"type": "integer", "minimum": 0},
+            "data_dir": {"type": "string"},
+            "params": {"type": "object"},
+            **extra,
+        },
+        "additionalProperties": False,
+    }
+
+
 SCHEMAS = {
     "eigenbasis": {
         "type": "object",
@@ -153,37 +173,13 @@ SCHEMAS = {
         },
         "additionalProperties": False,
     },
-    "queue": {
-        "type": "object",
-        "properties": {
-            "generator": _QUEUE_GENERATOR,
-            "methods": {"type": "array", "items": {"enum": list(QUEUE_METHODS)}, "minItems": 1},
-            "seeds": _SEEDS,
-            "budget": {"type": "integer", "minimum": 4},
-            "restarts": {"type": "integer", "minimum": 1},
-            "fit_seed": {"type": "integer", "minimum": 0},
-            "data_dir": {"type": "string"},
-            "params": {"type": "object"},
-        },
-        "additionalProperties": False,
-    },
-    "thermal": {
-        "type": "object",
-        "properties": {
-            "generator": _THERMAL_GENERATOR,
-            "methods": {"type": "array", "items": {"enum": list(THERMAL_METHODS)}, "minItems": 1},
-            "seeds": _SEEDS,
-            "budget": {"type": "integer", "minimum": 4},
-            "restarts": {"type": "integer", "minimum": 1},
-            "fit_seed": {"type": "integer", "minimum": 0},
-            "n_particles": {"type": "integer", "minimum": 1},
-            "envelope": {"type": "boolean"},
-            "track_meas_every": _POSITIVE,
-            "data_dir": {"type": "string"},
-            "params": {"type": "object"},
-        },
-        "additionalProperties": False,
-    },
+    "queue": _app_schema(_QUEUE_GENERATOR, QUEUE_METHODS),
+    "thermal": _app_schema(
+        _THERMAL_GENERATOR, THERMAL_METHODS,
+        n_particles={"type": "integer", "minimum": 1},
+        envelope={"type": "boolean"},
+        track_meas_every=_POSITIVE,
+    ),
 }
 
 

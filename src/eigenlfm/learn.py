@@ -52,13 +52,19 @@ class ParamSpace:
         return tuple(p.name for p in self.params)
 
     def check(self, params: dict, method: str) -> None:
-        """Raise when `params` lacks a parameter of this space, sets one to
-        a value that is not a real number (a bool is not one) or sets one
-        outside its [lower, upper] bounds; extra keys pass."""
+        """Raise when `params` lacks a parameter of this space, names one it
+        does not have, sets one to a value that is not a real number (a bool
+        is not one) or sets one outside its [lower, upper] bounds."""
         missing = [n for n in self.names if n not in params]
         if missing:
             raise InvalidParameterError(
                 f"params for method {method!r} lack {', '.join(missing)}"
+            )
+        unknown = [str(k) for k in params if k not in self.names]
+        if unknown:
+            raise InvalidParameterError(
+                f"params for method {method!r} name {', '.join(unknown)}, which it does "
+                f"not have; its parameters are {', '.join(self.names)}"
             )
         for p in self.params:
             value = params[p.name]

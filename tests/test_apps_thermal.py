@@ -11,19 +11,25 @@ from eigenlfm.filtering import predict
 from helpers import one_step
 
 
-BASE_PARAMS = dict(
-    alpha=0.01, beta=0.1, sigma_ext=3.0, ell_ext=600.0, sigma_obs=0.05,
-    sigma_r=2.0, ell_r=0.5, ell_q=3.0,
-)
+_BASE = dict(alpha=0.01, beta=0.1, sigma_ext=3.0, ell_ext=600.0, sigma_obs=0.05)
+_PERIODIC = dict(_BASE, sigma_r=2.0, ell_r=0.5)
+PARAMS = {  # each method's parameters, no more: the passes refuse a name they lack
+    "without": _BASE,
+    "with": _PERIODIC,
+    "quasi-sqm": dict(_PERIODIC, ell_q=3.0),
+    "quasi-cqm": dict(_PERIODIC, ell_q=3.0),
+    "quasi-wqm": dict(_PERIODIC, xi=0.5),
+    "hart": dict(_BASE, sigma_r=2.0, ell_r_min=120.0),
+}
 
 
 def test_build_state_dimensions():
     cfg = th.ThermalGenConfig()
-    single = th.thermal_build("quasi-sqm", BASE_PARAMS, cfg)
+    single = th.thermal_build("quasi-sqm", PARAMS["quasi-sqm"], cfg)
     j = single.dim - single.layout.dim_za
     assert single.layout.dim_za == 3
     assert single.dim == 3 + j
-    env_params = dict(BASE_PARAMS, gamma_env=0.02, psi_env=0.02)
+    env_params = dict(PARAMS["quasi-sqm"], gamma_env=0.02, psi_env=0.02)
     envelope = th.thermal_build("quasi-sqm", env_params, cfg, envelope=True)
     assert envelope.layout.dim_za == 4
     assert envelope.dim == 4 + j
@@ -33,7 +39,7 @@ def test_relaxation_toward_constant_exterior():
     # no residual, heater off: the internal temperature relaxes to the
     # (pinned) external temperature at rate alpha
     cfg = th.ThermalGenConfig()
-    params = dict(BASE_PARAMS, ell_ext=1e9)  # effectively frozen exterior
+    params = dict(PARAMS["without"], ell_ext=1e9)  # effectively frozen exterior
     model = th.thermal_build("without", params, cfg)
     mean, cov = lfm.initial_state(model, [0.0], [[0.0]])
     lo, _ = model.layout.nonperiodic_spans[0]
@@ -49,7 +55,7 @@ def test_relaxation_toward_constant_exterior():
 
 def test_envelope_equilibrium_midpoint():
     cfg = th.ThermalGenConfig()
-    params = dict(BASE_PARAMS, gamma_env=0.05, psi_env=0.05)
+    params = dict(PARAMS["without"], gamma_env=0.05, psi_env=0.05)
     model = th.thermal_build("without", params, cfg, envelope=True)
     # at equilibrium of the envelope row: gam T_int + psi T_ext = (gam+psi) T_env
     drift = model.drift_za
@@ -67,8 +73,8 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
     # T_env to T_ext and the predictions approach the single-output model
     cfg = th.ThermalGenConfig(days=2)
     ds = th.generate_thermal_data(cfg, seed=0)
-    single = th.thermal_build("without", BASE_PARAMS, cfg)
-    env_params = dict(BASE_PARAMS, gamma_env=1e-4, psi_env=10.0)
+    single = th.thermal_build("without", PARAMS["without"], cfg)
+    env_params = dict(PARAMS["without"], gamma_env=1e-4, psi_env=10.0)
     envelope = th.thermal_build("without", env_params, cfg, envelope=True)
 
     def run(model, envelope_flag):
@@ -78,7 +84,7 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
             mean[1] = ds.meas_ext[0]  # start the envelope at the exterior
         # a measurement interval longer than the pass: prediction only
         _, _, _, recs = th._run_thermal_filter(
-            lfm.step_cycle(model, cfg.step), ds, BASE_PARAMS["sigma_obs"], mean, cov,
+            lfm.step_cycle(model, cfg.step), ds, PARAMS["without"]["sigma_obs"], mean, cov,
             0.0, 1440.0, 2880.0,
         )
         return np.array([r[1] for r in recs])
@@ -97,7 +103,7 @@ def test_envelope_prediction_ignores_the_held_out_measurements():
     moved = dataclasses.replace(
         ds, meas_int=np.where(ds.minutes > ds.test_start, ds.meas_int + 3.0, ds.meas_int)
     )
-    params = dict(BASE_PARAMS, gamma_env=0.02, psi_env=0.02)
+    params = dict(PARAMS["quasi-sqm"], gamma_env=0.02, psi_env=0.02)
     a, b = (
         th.thermal_predict_day(d, "quasi-sqm", params, n_particles=8, seed=0, envelope=True)
         for d in (ds, moved)
@@ -138,18 +144,10 @@ def test_heater_matches_threshold_controller():
 def test_track_and_predict_smoke():
     cfg = th.ThermalGenConfig(days=2)
     ds = th.generate_thermal_data(cfg, seed=3)
-    for kind, extra in [
-        ("quasi-sqm", {}),
-        ("quasi-wqm", {"xi": 0.5}),
-        ("quasi-cqm", {}),
-        ("with", {}),
-        ("without", {}),
-        ("hart", {"ell_r_min": 120.0}),
-    ]:
-        params = dict(BASE_PARAMS, **extra)
+    for kind, params in PARAMS.items():
         tr = th.thermal_track_day(ds, kind, params)
         assert np.isfinite(tr["rmse"]) and np.isfinite(tr["ell"])
-    pr = th.thermal_predict_day(ds, "quasi-sqm", BASE_PARAMS, n_particles=16, seed=0)
+    pr = th.thermal_predict_day(ds, "quasi-sqm", PARAMS["quasi-sqm"], n_particles=16, seed=0)
     assert np.isfinite(pr["rmse"])
 
 
@@ -158,13 +156,13 @@ def test_measurement_interval_must_be_whole_steps(every):
     cfg = th.ThermalGenConfig(days=2)
     ds = th.generate_thermal_data(cfg, seed=7)
     with pytest.raises(InvalidParameterError, match=f"interval {every:g} min"):
-        th.thermal_track_day(ds, "without", BASE_PARAMS, measure_every=every)
+        th.thermal_track_day(ds, "without", PARAMS["without"], measure_every=every)
 
 
 def test_default_interval_measures_every_ten_steps(monkeypatch):
     cfg = th.ThermalGenConfig(days=2)
     ds = th.generate_thermal_data(cfg, seed=7)
-    model = th.thermal_build("without", BASE_PARAMS, cfg)
+    model = th.thermal_build("without", PARAMS["without"], cfg)
     # the pass is handed the measurement steps, and updates at each of them
     measured, updates = [], []
     kalman_pass, update = th.kalman_pass, filtering.update
@@ -177,7 +175,7 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
     monkeypatch.setattr(filtering, "update", lambda *args: updates.append(args) or update(*args))
     cycle = lfm.step_cycle(model, cfg.step)
     th._run_thermal_filter(
-        cycle, ds, BASE_PARAMS["sigma_obs"], *th._initial_state(model, ds, False),
+        cycle, ds, PARAMS["without"]["sigma_obs"], *th._initial_state(model, ds, False),
         ds.test_start, ds.test_start + 1440.0, 100.0,
     )
     np.testing.assert_array_equal(measured, ds.test_start + 100.0 * np.arange(1, 15))
@@ -194,13 +192,35 @@ def test_pass_reads_the_record_by_minute_index_or_fails_loudly():
         (2.5, 2880.0, "time at 1442.5 is not on the step grid"),
     ]:
         run = dataclasses.replace(ds, config=dataclasses.replace(ds.config, step=step))
-        model = th.thermal_build("without", BASE_PARAMS, run.config)
+        model = th.thermal_build("without", PARAMS["without"], run.config)
         mean, cov = th._initial_state(model, run, False)
         cycle = lfm.step_cycle(model, run.config.step)
         with pytest.raises(ContractViolationError, match=match):
             th._run_thermal_filter(
-                cycle, run, BASE_PARAMS["sigma_obs"], mean, cov, run.test_start, t_end, 100.0
+                cycle, run, PARAMS["without"]["sigma_obs"], mean, cov, run.test_start, t_end, 100.0
             )
+
+
+@pytest.mark.parametrize("run", [
+    lambda ds: th.thermal_fit(ds, "without", budget=8),
+    lambda ds: th.thermal_predict_day(ds, "hart", PARAMS["hart"], n_particles=4, seed=0),
+], ids=["fit", "predict"])
+def test_training_pass_must_end_on_the_step_grid(run):
+    # a 7-minute step used to run 206 training steps, to minute 1442 of the
+    # held-out day; the day-ahead pass then failed past the record's end
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2, step=7.0), seed=0)
+    with pytest.raises(ContractViolationError,
+                       match=r"thermal pass end at 1440 is not on the step grid 0 \+ k \* 7"):
+        run(ds)
+
+
+@pytest.mark.parametrize("run", [th.thermal_track_day, th.thermal_predict_day])
+def test_held_out_pass_must_end_on_the_step_grid(run):
+    # 960-minute steps divide the two training days but not the held-out one
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=3, step=960.0), seed=0)
+    with pytest.raises(ContractViolationError,
+                       match=r"thermal pass end at 4320 is not on the step grid 2880 \+ k \* 960"):
+        run(ds, "hart", PARAMS["hart"])
 
 
 @pytest.mark.parametrize("step", [2.5, 0.5, 0.0])
@@ -222,9 +242,9 @@ def test_track_and_predict_build_one_cycle_per_model(monkeypatch, kind):
         return step_cycle(model, dt)
 
     monkeypatch.setattr(lfm, "step_cycle", counting_step_cycle)
-    th.thermal_track_day(ds, kind, BASE_PARAMS)
+    th.thermal_track_day(ds, kind, PARAMS[kind])
     assert len(built) == 1
-    th.thermal_predict_day(ds, kind, BASE_PARAMS, n_particles=4, seed=0)
+    th.thermal_predict_day(ds, kind, PARAMS[kind], n_particles=4, seed=0)
     assert len(built) == 2 and built[0] is not built[1]
 
 
@@ -244,8 +264,8 @@ def test_resonator_roster_runs():
 def test_prediction_deterministic_in_seed():
     cfg = th.ThermalGenConfig(days=2)
     ds = th.generate_thermal_data(cfg, seed=5)
-    a = th.thermal_predict_day(ds, "without", BASE_PARAMS, n_particles=16, seed=9)
-    b = th.thermal_predict_day(ds, "without", BASE_PARAMS, n_particles=16, seed=9)
+    a = th.thermal_predict_day(ds, "without", PARAMS["without"], n_particles=16, seed=9)
+    b = th.thermal_predict_day(ds, "without", PARAMS["without"], n_particles=16, seed=9)
     assert a["rmse"] == b["rmse"] and a["ell"] == b["ell"]
 
 
@@ -352,4 +372,4 @@ def test_generator_validation():
     with pytest.raises(InvalidParameterError):
         th.generate_thermal_data(th.ThermalGenConfig(days=1), seed=0)
     with pytest.raises(InvalidParameterError):
-        th.thermal_build("nope", BASE_PARAMS, th.ThermalGenConfig())
+        th.thermal_build("nope", PARAMS["with"], th.ThermalGenConfig())

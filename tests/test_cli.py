@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from eigenlfm.cli import main
+from eigenlfm.cli import _APPS, main
 from eigenlfm.config import validate_config
 from eigenlfm.errors import InvalidParameterError
 
@@ -220,6 +220,13 @@ def _fails_cleanly(result, text):
             "hart": {**QUEUE_CONFIG["params"]["hart"], "sigma_obs": "0.5"}}},
          ["queue", "track"],
          "params for method 'hart': sigma_obs = '0.5' is a str, not a real number"),
+        # a name the method does not have used to pass without a word
+        ({**QUEUE_CONFIG, "params": {
+            **QUEUE_CONFIG["params"],
+            "hart": {**QUEUE_CONFIG["params"]["hart"], "bogus": 3}}},
+         ["queue", "track"],
+         "params for method 'hart' name bogus, which it does not have; its parameters are "
+         "sigma_obs, sigma_f, ell_f"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
@@ -383,3 +390,43 @@ def test_cli_import_leaves_out_the_optimizer_and_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# each command's help line as `--help` lists it; the application groups and
+# their subcommands are registered from `cli._APPS`
+COMMAND_TREE = {
+    (): {
+        "compare-bases": "Eigenfunction vs sparse-spectrum comparison; emits a...",
+        "eigenbasis": "Emit the eigenvalue spectrum and eigenfunction grids as CSV.",
+        "queue": "Queue tracking with quasi-periodic arrival rates.",
+        "thermal": "Home-thermal tracking and day-ahead prediction.",
+    },
+    ("queue",): {
+        "fit": "Fit hyperparameters; write one fit report per method.",
+        "simulate": "Write synthetic arrival/queue CSV datasets.",
+        "track": "Fit, track the held-out day, and write metrics.",
+    },
+    ("thermal",): {
+        "fit": "Fit thermal and residual parameters; write fit reports.",
+        "predict": "Day-ahead prediction with the particle filter; write metrics.",
+        "simulate": "Write a synthetic thermal CSV dataset.",
+        "track": "Day-ahead tracking with sparse measurements; write metrics.",
+    },
+}
+
+
+@pytest.mark.parametrize("group", sorted(COMMAND_TREE), ids=lambda g: "-".join(g) or "main")
+def test_each_group_lists_exactly_its_commands(group):
+    commands = COMMAND_TREE[group]
+    result = CliRunner().invoke(main, [*group, "--help"], prog_name="eigenlfm")
+    assert result.exit_code == 0, result.output
+    listing = result.output.split("\nCommands:\n")[1].splitlines()
+    assert dict(line.split(None, 1) for line in listing) == commands
+    if group:
+        assert set(_APPS[group[0]].commands) == set(commands)
+    for name, help_line in commands.items():
+        result = CliRunner().invoke(main, [*group, name, "--help"], prog_name="eigenlfm")
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"Usage: eigenlfm {' '.join((*group, name))} [OPTIONS]")
+        if not help_line.endswith("..."):
+            assert f"\n  {help_line}\n" in result.output

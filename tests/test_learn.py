@@ -128,7 +128,10 @@ def test_ou_scale_recovery_band():
 
 def test_check_rejects_missing_and_out_of_bounds_params():
     space = quadratic_space()
-    space.check({"a": 1e-3, "b": 100.0, "extra": -1.0}, "m")  # bounds are inclusive
+    space.check({"a": 1e-3, "b": 100.0}, "m")  # bounds are inclusive
+    with pytest.raises(InvalidParameterError,
+                       match="'m' name extra, which it does not have; its parameters are a, b"):
+        space.check({"a": 1.0, "b": 1.0, "extra": -1.0}, "m")
     with pytest.raises(InvalidParameterError, match="lack b"):
         space.check({"a": 1.0}, "m")
     with pytest.raises(InvalidParameterError, match=r"'m': b = 200.0 lies outside \[0.001, 100\]"):
