@@ -134,7 +134,8 @@ def _app_schema(generator: dict, methods, **extra) -> dict:
             "restarts": {"type": "integer", "minimum": 1},
             "fit_seed": {"type": "integer", "minimum": 0},
             "data_dir": {"type": "string"},
-            "params": {"type": "object"},
+            "params": {"type": "object", "additionalProperties": False,
+                       "properties": {m: {"type": "object"} for m in methods}},
             **extra,
         },
         "additionalProperties": False,

@@ -1,8 +1,8 @@
 """Gaussian filtering on plain arrays: Kalman `predict` and `update` of one
-mean (C,) or a bank (P, C) sharing one covariance (`update` alone restores
-its symmetry and returns the innovation log-density), the one Kalman pass
-`kalman_pass` that every application filter runs, and the Rao-Blackwellised
-particle filter for a binary control input, on the same `predict` and `update`.
+mean (C,) and its covariance (`update` alone restores its symmetry and
+returns the innovation log-density), the one Kalman pass `kalman_pass` that
+every application filter runs, and the Rao-Blackwellised particle filter for
+a binary control input, whose shared covariance takes the same two steps.
 
 This module knows nothing of how a model is discretized: a pass hands it its
 steps (`lfm.PassStep`-shaped, from `lfm.pass_steps` or relinearized per
@@ -38,8 +38,8 @@ def predict(
     process_noise: np.ndarray,
     input_term: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linear-Gaussian time update: each mean -> G mean + b, cov -> G cov G^T + Q,
-    not symmetrized.  The mean is (C,) or a bank (P, C); G and Q must be (C, C)."""
+    """Linear-Gaussian time update: mean -> G mean + b, cov -> G cov G^T + Q,
+    not symmetrized.  The mean is (C,); G and Q must be (C, C)."""
     g, q = np.asarray(transition, dtype=float), np.asarray(process_noise, dtype=float)
     square = mean.shape[-1:] * 2
     if g.shape != square or q.shape != square:
@@ -58,18 +58,18 @@ def update(
     obs_matrix: np.ndarray,
     obs_noise: np.ndarray,
     observation: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Measurement update with the Joseph-stabilized covariance form.
 
-    H is (d, C), R (d, d) and y (d,), or (P, d) for a bank of means (P, C),
-    with d = 1 or 2; anything else (a 0-d y too) raises InvalidParameterError.
-    Returns the posterior mean and covariance (symmetrized) and the
-    log-density of y: a float for one mean, (P,) for a bank.  S = L L^T is
-    factored and L inverted in closed form on Python floats, from S's lower
-    triangle: at d <= 2 a LAPACK call costs more than the arithmetic.  A
-    pivot <= 0 raises NumericError ("singular"), and so does a non-finite
-    log det S (a NaN passes the pivot test).  With W = L^-1 H P the gain is
-    K = W^T L^-1 and the mean moves by (L^-1 v)^T W.  The Joseph form
+    The mean is (C,), H (d, C), R (d, d) and y (d,), with d = 1 or 2;
+    anything else (a 0-d y too) raises InvalidParameterError.  Returns the
+    posterior mean and covariance (symmetrized) and the log-density of y,
+    a float.  S = L L^T is factored and L inverted in closed form on Python
+    floats, from S's lower triangle: at d <= 2 a LAPACK call costs more than
+    the arithmetic.  A pivot <= 0 raises NumericError ("singular"), and so
+    does a non-finite log det S (a NaN passes the pivot test).  With
+    W = L^-1 H P the gain is K = W^T L^-1 and the mean moves by
+    (L^-1 v)^T W.  The Joseph form
     (I - KH) P (I - KH)^T + K R K^T is formed as P - K (HP) - ((HP)^T - K S) K^T:
     the C x d term vanishes in exact arithmetic, and keeping it lets a
     round-off error in K reach the covariance at second order only.
@@ -77,18 +77,17 @@ def update(
     h, z = np.asarray(obs_matrix, dtype=float), np.asarray(obs_noise, dtype=float)
     y = np.asarray(observation, dtype=float)
     d = h.shape[:1]
-    expected = mean.shape[:-1] + d
-    if h.shape != d + mean.shape[-1:] or y.shape != expected:
+    if h.shape != d + mean.shape or y.shape != d:
         raise InvalidParameterError(
             f"observation of shape {y.shape} and observation matrix of shape {h.shape} for "
-            f"means of shape {mean.shape}: the observation must have shape {expected}"
+            f"a mean of shape {mean.shape}: the observation must have shape {d}"
         )
     if z.shape != d * 2:
         raise InvalidParameterError(f"observation noise of shape {z.shape} must be {d * 2}")
     if d not in ((1,), (2,)):
         raise InvalidParameterError(f"update observes d = 1 or 2 entries, not d = {d[0]}")
 
-    # np.dot, not @: it dispatches faster on small arrays, and @ of (P, 1) by (1, C) is 5x slower
+    # np.dot, not @: it dispatches faster on small arrays
     innovation = y - np.dot(mean, h.T)
     hp = np.dot(h, cov)
     s = np.dot(hp, h.T) + z
@@ -117,9 +116,9 @@ def update(
     mean = mean + np.dot(white, w)
     cov = _symmetrize(cov - np.dot(gain, hp) - np.dot(hp.T - np.dot(gain, s), gain.T))
 
-    quad = (white * white).sum(axis=-1)
+    quad = (white * white).sum()
     log_density = -0.5 * (h.shape[0] * math.log(2.0 * math.pi) + log_det + quad)
-    return mean, cov, log_density if y.ndim > 1 else float(log_density)
+    return mean, cov, float(log_density)
 
 
 def kalman_pass(
@@ -187,26 +186,30 @@ def rbpf_predict_day(
 
     From the moments (mean, cov), `steps` yields the n_steps steps of the
     pass in order, each with the end time `t`, the `transition` G and
-    `noise` Q, the input term `input_on` of a heater that is on, and whether
-    a `changepoint` falls on the step end (see `lfm.pass_steps`); it may be
-    lazy.  On such a step, `jump(means, cov)` maps the bank of means and the
-    shared covariance across the changepoint.  The temperature is state 0.
-    `setpoints` holds the n_steps + 1 set points at the pass start and at
-    each step end; none may be NaN, and a count that does not match the
-    steps raises ValueError.
+    `noise` Q, the input term `input_on` b of a heater that is on, and
+    whether a `changepoint` falls on the step end (see `lfm.pass_steps`); it
+    may be lazy.  On such a step, `jump(means, cov)` maps the (P, C) particle
+    means and the shared covariance across the changepoint.  The temperature
+    is state 0.  `setpoints` holds the n_steps + 1 set points at the pass
+    start and at each step end; none may be NaN, and a count that does not
+    match the steps raises ValueError.
 
     Per step and particle: the heater is on while the particle's last sampled
     temperature is strictly below the set point, the Kalman prediction runs
     with that input held constant over the step, the temperature marginal is
     sampled, and the Gaussian is conditioned on that sample.  All particles
-    share one covariance (input changes only the mean): a step is `predict` on
-    the bank, the input on rows whose heater is on, the jump, and `update` with
-    H = e_0, zero noise and the samples as observations; cost O(C^2 T (C + P)).
+    share G, Q, the covariance and the gain K; with H = e_0 and no noise,
+    particle i's innovation is sd z_i (sd^2 the temperature variance, z_i
+    its draw), so conditioning adds g z^T with g = K sd.  The bank is thus
+    state-major, (C + 2, P): the means before the last conditioning, its
+    draws z and the heaters.  One product [G | G g | b] @ bank conditions,
+    predicts and heats every mean, 2 C (C + 2) P flops per step; the
+    covariance, G g and g take `predict` and `update`, O(C^3) per step.
 
     Particle i draws from its own stream, one normal per step drawn up front
     (`_particle_draws`): the k-th conditioning step consumes column k of the
     block, and a step that does not condition (a vanishing temperature
-    variance) consumes none.
+    variance) consumes none and sets g and z to zero.
 
     Returns one record per step: {"t", "mean", "var"} with the equal-weight
     mixture moments of the temperature marginal after the prediction.
@@ -217,38 +220,33 @@ def rbpf_predict_day(
     if np.isnan(setpoints).any():
         raise InvalidParameterError("setpoint must not be NaN")
 
-    draws = _particle_draws(seed, n_particles, setpoints.size - 1)
-    n_drawn = 0
-
-    bank = np.tile(mean, (n_particles, 1))
-    temperature, no_noise = np.eye(1, mean.shape[-1]), np.zeros((1, 1))
-
-    # initial heater from the known initial temperature
-    heaters = np.full(n_particles, mean[0] < setpoints[0])
+    draws = iter(_particle_draws(seed, n_particles, setpoints.size - 1).T)
+    c = mean.size
+    bank = np.zeros((c + 2, n_particles))
+    bank[:c] = mean[:, None]
+    bank[c + 1] = mean[0] < setpoints[0]  # the heater from the known initial temperature
+    no_gain, temperature, no_noise = np.zeros(c), np.eye(1, c), np.zeros((1, 1))
+    gain = no_gain
 
     records = []
     for step, sp in zip(steps, setpoints[1:], strict=True):
-        # G and Q do not depend on the input; the input term, non-zero in the
-        # columns `on` only, is added there to the rows whose heater is on
-        bank, cov = predict(bank, cov, step.transition, step.noise)
-        on = np.flatnonzero(step.input_on)
-        bank[:, on] += np.outer(heaters, step.input_on[on])
+        moved_gain, cov = predict(gain, cov, step.transition, step.noise)
+        bank[:c] = np.column_stack((step.transition, moved_gain, step.input_on)) @ bank
         if step.changepoint:
-            bank, cov = jump(bank, cov)
+            means, cov = jump(bank[:c].T, cov)
+            bank[:c] = means.T
 
         var_t = float(cov[0, 0])
-        m_t = bank[:, 0]
+        m_t = bank[0]
         mix_mean = float(np.mean(m_t))
         mix_var = var_t + float(np.mean(m_t**2) - mix_mean**2)
         records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
 
         if var_t > 1e-14:
-            samples = m_t + math.sqrt(var_t) * draws[:, n_drawn]
-            n_drawn += 1
-            bank, cov, _ = update(bank, cov, temperature, no_noise, samples[:, None])
+            sd, bank[c] = math.sqrt(var_t), next(draws)
+            gain, cov, _ = update(no_gain, cov, temperature, no_noise, [sd])
         else:
-            samples = m_t
-
-        heaters = samples < sp
+            sd, gain, bank[c] = 0.0, no_gain, 0.0
+        bank[c + 1] = m_t + sd * bank[c] < sp
 
     return records

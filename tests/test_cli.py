@@ -227,6 +227,13 @@ def _fails_cleanly(result, text):
          ["queue", "track"],
          "params for method 'hart' name bogus, which it does not have; its parameters are "
          "sigma_obs, sigma_f, ell_f"),
+        # params under a name that is not a method would be ignored, and the
+        # method fitted instead
+        ({**QUEUE_CONFIG, "methods": ["hart"],
+          "params": {"Hart": QUEUE_CONFIG["params"]["hart"]}},
+         ["queue", "track"],
+         "invalid queue config: params: Additional properties are not allowed "
+         "('Hart' was unexpected)"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):

@@ -34,19 +34,6 @@ def test_predict_input_term():
     mean, _ = predict(np.zeros(3), np.eye(3), np.eye(3), np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
     np.testing.assert_array_equal(mean, [1.0, 0.0, 0.0])
 
-    # a bank of 5 means sharing one covariance: each row moves as one mean does
-    rng = np.random.default_rng(0)
-    c = 28
-    a, b = rng.standard_normal((c, c)), rng.standard_normal((c, c))
-    bank, cov = rng.standard_normal((5, c)), a @ a.T / c
-    g, q, u = rng.standard_normal((c, c)) / c, b @ b.T / c, rng.standard_normal(c)
-    out_bank, out_cov = predict(bank, cov, g, q, u)
-    assert out_bank.shape == (5, c)
-    for row, moved in zip(bank, out_bank):
-        single_mean, single_cov = predict(row, cov, g, q, u)
-        np.testing.assert_allclose(moved, single_mean, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out_cov, single_cov, rtol=1e-12, atol=1e-12)
-
 
 def test_predict_dimension_mismatch():
     with pytest.raises(InvalidParameterError):
@@ -120,7 +107,6 @@ def _reference_update(mean, cov, h, z, y):
 @pytest.mark.parametrize("d", [1, 2])
 def test_update_matches_scipy_reference(d):
     rng = np.random.default_rng(d)
-    bank_rng = np.random.default_rng(100 + d)
     c = 28
     for _ in range(10):
         a = rng.standard_normal((c, c))
@@ -135,17 +121,6 @@ def test_update_matches_scipy_reference(d):
         np.testing.assert_allclose(got_cov, ref_cov, rtol=1e-12, atol=1e-12)
         assert got_log_density == pytest.approx(ref_log_density, rel=1e-12, abs=1e-12)
 
-        # a bank of 5 means sharing the covariance, one observation row each
-        bank = bank_rng.standard_normal((5, c))
-        ys = bank_rng.standard_normal((5, d))
-        got_bank, got_cov, got_log_density = update(bank, cov, h, z, ys)
-        assert got_bank.shape == (5, c) and got_log_density.shape == (5,)
-        for i, (row, y) in enumerate(zip(bank, ys)):
-            ref_mean, ref_cov, ref_log_density = _reference_update(row, cov, h, z, y)
-            np.testing.assert_allclose(got_bank[i], ref_mean, rtol=1e-12, atol=1e-12)
-            assert got_log_density[i] == pytest.approx(ref_log_density, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(got_cov, ref_cov, rtol=1e-12, atol=1e-12)
-
 
 def test_update_refuses_more_than_two_observed_entries():
     # the closed-form factor covers d = 1 (queue, particle filter) and d = 2
@@ -158,8 +133,8 @@ def test_update_rejects_an_observation_of_the_wrong_shape():
     # one entry for d = 2 would broadcast against the two predicted entries
     with pytest.raises(InvalidParameterError, match=r"shape \(1,\).*must have shape \(2,\)"):
         update(np.zeros(3), np.eye(3), np.eye(2, 3), np.eye(2), [1.0])
-    # a bank takes one observation row per mean
-    with pytest.raises(InvalidParameterError, match=r"shape \(2,\).*must have shape \(4, 2\)"):
+    # one mean per update: a bank of means (P, C) is refused
+    with pytest.raises(InvalidParameterError, match=r"for a mean of shape \(4, 3\)"):
         update(np.zeros((4, 3)), np.eye(3), np.eye(2, 3), np.eye(2), [1.0, 2.0])
 
 
@@ -374,6 +349,23 @@ def test_rbpf_mixture_mean_variance_shrinks_with_particles():
         spreads.append(np.var(finals))
     assert spreads[2] < spreads[0]
     assert spreads[1] < 4.0 * spreads[0]  # allow noise, but no blow-up
+
+
+def test_rbpf_without_temperature_variance_follows_the_heater_recursion():
+    # a forceless model started at variance 0 keeps var_t = 0, so no step
+    # conditions or draws: every particle follows T_k = a T_{k-1} + u, with
+    # the heater input u only while T_{k-1} is below the set point
+    model = lfm.assemble(np.array([[-0.01]]), binary_input=[0.1])
+    init = lfm.initial_state(model, [1.0], [[0.0]])
+    recs = _rbpf(model, init, lambda t: 0.85, 4, 10.0, 100.0, 0)
+    a = math.exp(-0.1)
+    temperature, ref = 1.0, []
+    for _ in range(10):
+        temperature = a * temperature + (10.0 * (1.0 - a) if temperature < 0.85 else 0.0)
+        ref.append(temperature)
+    assert [r["var"] for r in recs] == [0.0] * 10
+    np.testing.assert_allclose([r["mean"] for r in recs], ref, rtol=1e-12, atol=0.0)
+    assert [round(r["mean"], 6) for r in recs[:3]] == [0.904837, 0.818731, 1.692444]
 
 
 def _periodic_toy(beta: float, force_kind: str):

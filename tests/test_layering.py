@@ -297,16 +297,23 @@ def _engine_dataclasses(root: Path) -> dict[str, ast.ClassDef]:
 def _unread_fields(root: Path) -> set[tuple[str, str]]:
     """(class, field) of every annotated dataclass field of an engine module
     under `root` that no module there reads: a read is an attribute load of
-    its name."""
+    its name, except from a name that an import binds in that module (a
+    module's function, such as `np.trace`, is not a field)."""
     fields = {
         (name, s.target.id) for name, node in _engine_dataclasses(root).items()
         for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
     }
     read = set()
     for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names
+        }
         read |= {
-            n.attr for n in ast.walk(ast.parse(path.read_text()))
+            n.attr for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and not (isinstance(n.value, ast.Name) and n.value.id in imported)
         }
     return {f for f in fields if f[1] not in read}
 
@@ -319,11 +326,13 @@ def test_every_engine_field_is_read():
 def test_field_walk_reports_an_unread_field(tmp_path):
     root = _package(tmp_path, {
         "lti": "from dataclasses import dataclass\n\n"
-               "@dataclass(frozen=True)\nclass Block:\n    drift: float\n    spare: float\n",
-        "lfm": "def rate(block):\n    block.spare = 0.0  # a store is not a read\n"
-               "    return block.drift\n",
+               "@dataclass(frozen=True)\nclass Block:\n"
+               "    drift: float\n    spare: float\n    gamma: float\n",
+        "lfm": "import math\n\n"
+               "def rate(block):\n    block.spare = 0.0  # a store is not a read\n"
+               "    return block.drift * math.gamma(2.0)  # nor is a module's function\n",
     })
-    assert _unread_fields(root) == {("Block", "spare")}
+    assert _unread_fields(root) == {("Block", "spare"), ("Block", "gamma")}
 
 
 def test_every_engine_dataclass_is_frozen():
