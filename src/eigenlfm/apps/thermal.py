@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import learn, lfm, lti
 from ..baselines.resonator import resonator_bank
 from ..errors import ContractViolationError, InvalidParameterError
-from ..filtering import kalman_pass, rbpf_predict_day
+from ..filtering import kalman_pass, particle_draws, rbpf_predict_day
 # unused here: bench/test_bench.py::test_tracer_patches_every_binding lists this
 # binding; ROADMAP item 2 drops it from that list, and then this import
 from ..filtering import update  # noqa: F401
@@ -93,6 +93,7 @@ class ThermalDataset:
     residual: np.ndarray     # true residual force
     test_start: float
     config: ThermalGenConfig
+    draws: tuple = field(default=((), None), init=False, repr=False, compare=False)  # (key, block)
 
 
 def _setpoint_profile(config: ThermalGenConfig, minutes: np.ndarray) -> np.ndarray:
@@ -416,13 +417,17 @@ def thermal_predict_day(
     envelope: bool = False,
 ) -> dict:
     """Day-ahead prediction: no measurements, heater switching simulated by
-    the Rao-Blackwellised particle filter against the set-point schedule."""
+    the Rao-Blackwellised particle filter against the set-point schedule.
+    The methods predicted on one dataset share its one block of particle draws."""
     cycle, mean, cov = _trained_state(dataset, kind, params, envelope)
     model, t_start = cycle.model, dataset.test_start
     n_steps = _pass_length(t_start, t_start + DAY_MINUTES, cycle.dt)
     minute = _record_minutes(dataset, t_start + cycle.dt * np.arange(n_steps + 1))
+    key = (seed, n_particles, n_steps)
+    if dataset.draws[0] != key:  # another key replaces the block: the dataset keeps one
+        dataset.draws = key, particle_draws(*key)
     records = rbpf_predict_day(
         lfm.pass_steps(cycle, t_start, n_steps), mean, cov, dataset.setpoint[minute],
-        n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
+        n_particles, dataset.draws[1], jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
     return _score(dataset, model, [(r["t"], r["mean"], r["var"]) for r in records])

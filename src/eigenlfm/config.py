@@ -6,8 +6,8 @@ work; unknown keys are rejected so typos fail loudly.
 The schemas are JSON Schema (Draft 2020-12) dicts, checked by a short walker
 that implements only the keywords they use: `type`, `enum` and a local
 `$ref` (into `$defs`); `properties`, `required` and `additionalProperties`;
-`items`, `prefixItems`, `minItems` and `maxItems`; `minimum`, `maximum`,
-`exclusiveMinimum` and `exclusiveMaximum`.  Any other keyword raises
+`items`, `prefixItems`, `minItems`, `maxItems` and `uniqueItems`; `minimum`,
+`maximum`, `exclusiveMinimum` and `exclusiveMaximum`.  Any other keyword raises
 `NotImplementedError`, so a schema edit cannot be silently ignored.  The
 walker reports the first violation it meets, as "<key path>: <message>" in
 the wording of the reference Python validator (which the tests compare it
@@ -58,6 +58,7 @@ _GRID_SCHEMA = {
 }
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_LIST = {"type": "array", "minItems": 1, "uniqueItems": True}  # a repeated item would run twice
 _DAY_MINUTE = {"type": "number", "minimum": 0, "exclusiveMaximum": DAY_MINUTES}
 _DAY_HOUR = {"type": "number", "minimum": 0, "maximum": 24}
 
@@ -128,8 +129,8 @@ def _app_schema(generator: dict, methods, **extra) -> dict:
         "type": "object",
         "properties": {
             "generator": generator,
-            "methods": {"type": "array", "items": {"enum": list(methods)}, "minItems": 1},
-            "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+            "methods": {**_LIST, "items": {"enum": list(methods)}},
+            "seeds": {**_LIST, "items": {"type": "integer", "minimum": 0}},
             "budget": {"type": "integer", "minimum": 4},
             "restarts": {"type": "integer", "minimum": 1},
             "fit_seed": {"type": "integer", "minimum": 0},
@@ -169,7 +170,7 @@ SCHEMAS = {
             "noise": {"type": "number", "minimum": 0},
             "grid_count": {"type": "integer", "minimum": 2},
             "ssgpr_multipliers": {
-                "type": "array", "items": {"type": "integer", "minimum": 1},
+                "type": "array", "items": {"type": "integer", "minimum": 1}, "uniqueItems": True,
             },
         },
         "additionalProperties": False,
@@ -186,7 +187,7 @@ SCHEMAS = {
 
 KEYWORDS = frozenset({
     "type", "enum", "$ref", "$defs", "properties", "required", "additionalProperties",
-    "items", "prefixItems", "minItems", "maxItems",
+    "items", "prefixItems", "minItems", "maxItems", "uniqueItems",
     "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
 })
 
@@ -244,6 +245,9 @@ def _violation(doc, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple, 
                                         else "is too short")
         if len(doc) > schema.get("maxItems", len(doc)):
             return path, f"{doc!r} is too long"
+        keyed = [(isinstance(v, bool), v) for v in doc]  # to JSON, true is not 1
+        if schema.get("uniqueItems") and any(v in keyed[:i] for i, v in enumerate(keyed)):
+            return path, f"{doc!r} has non-unique elements"
         prefix = schema.get("prefixItems", [])
         items = schema.get("items", {})
         children = [(i, v, prefix[i] if i < len(prefix) else items) for i, v in enumerate(doc)]

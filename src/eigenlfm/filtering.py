@@ -2,7 +2,8 @@
 mean (C,) and its covariance (`update` alone restores its symmetry and
 returns the innovation log-density), the one Kalman pass `kalman_pass` that
 every application filter runs, and the Rao-Blackwellised particle filter for
-a binary control input, whose shared covariance takes the same two steps.
+a binary control input, whose shared covariance takes the same two steps and
+whose `particle_draws` block the methods predicted on one dataset share.
 
 This module knows nothing of how a model is discretized: a pass hands it its
 steps (`lfm.PassStep`-shaped, from `lfm.pass_steps` or relinearized per
@@ -23,6 +24,7 @@ __all__ = [
     "predict",
     "update",
     "kalman_pass",
+    "particle_draws",
     "rbpf_predict_day",
 ]
 
@@ -155,9 +157,9 @@ def kalman_pass(
     return loglik, mean, cov, records
 
 
-def _particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
-    """(n_particles, n_draws) standard normals: row i is the start of the
-    counter-based Philox stream keyed by (seed, i), the stream of
+def particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
+    """(n_particles, n_draws) standard normals, read-only: row i is the start
+    of the counter-based Philox stream keyed by (seed, i), the stream of
     `Generator(Philox(key=[seed, i]))`, so a particle's draws do not depend
     on how particles are scheduled.  One generator is re-keyed per row (key
     (seed, i), counter 0, empty buffer) instead of building one per particle."""
@@ -169,6 +171,7 @@ def _particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
         fresh["state"]["key"][1] = i
         bit_gen.state = fresh
         rng.standard_normal(out=row)
+    draws.flags.writeable = False
     return draws
 
 
@@ -178,7 +181,7 @@ def rbpf_predict_day(
     cov: np.ndarray,
     setpoints: np.ndarray,
     n_particles: int,
-    seed: int,
+    draws: np.ndarray,
     *,
     jump: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> list[dict]:
@@ -206,10 +209,10 @@ def rbpf_predict_day(
     predicts and heats every mean, 2 C (C + 2) P flops per step; the
     covariance, G g and g take `predict` and `update`, O(C^3) per step.
 
-    Particle i draws from its own stream, one normal per step drawn up front
-    (`_particle_draws`): the k-th conditioning step consumes column k of the
-    block, and a step that does not condition (a vanishing temperature
-    variance) consumes none and sets g and z to zero.
+    `draws` (`particle_draws`) is an (n_particles, n_steps) block, only read,
+    so the methods predicted on one dataset share one block; row i holds
+    particle i's normals.  The k-th conditioning step consumes column k; a
+    step that does not (a vanishing temperature variance) consumes none, zeroing g and z.
 
     Returns one record per step: {"t", "mean", "var"} with the equal-weight
     mixture moments of the temperature marginal after the prediction.
@@ -219,31 +222,34 @@ def rbpf_predict_day(
     setpoints = np.asarray(setpoints, dtype=float)
     if np.isnan(setpoints).any():
         raise InvalidParameterError("setpoint must not be NaN")
-
-    draws = iter(_particle_draws(seed, n_particles, setpoints.size - 1).T)
+    if draws.shape != (n_particles, setpoints.size - 1):
+        raise InvalidParameterError(f"particle draws of shape {draws.shape}; the pass needs "
+                                    f"{(n_particles, setpoints.size - 1)}")
+    columns = iter(draws.T)
     c = mean.size
     bank = np.zeros((c + 2, n_particles))
     bank[:c] = mean[:, None]
     bank[c + 1] = mean[0] < setpoints[0]  # the heater from the known initial temperature
     no_gain, temperature, no_noise = np.zeros(c), np.eye(1, c), np.zeros((1, 1))
-    gain = no_gain
+    gain, product = no_gain, np.empty((c, c + 2))  # product: [G | G g | b]
 
     records = []
     for step, sp in zip(steps, setpoints[1:], strict=True):
-        moved_gain, cov = predict(gain, cov, step.transition, step.noise)
-        bank[:c] = np.column_stack((step.transition, moved_gain, step.input_on)) @ bank
+        product[:, c], cov = predict(gain, cov, step.transition, step.noise)
+        product[:, :c], product[:, c + 1] = step.transition, step.input_on
+        bank[:c] = product @ bank
         if step.changepoint:
             means, cov = jump(bank[:c].T, cov)
             bank[:c] = means.T
 
         var_t = float(cov[0, 0])
         m_t = bank[0]
-        mix_mean = float(np.mean(m_t))
-        mix_var = var_t + float(np.mean(m_t**2) - mix_mean**2)
+        mix_mean = float(np.add.reduce(m_t) / n_particles)
+        mix_var = var_t + float(np.add.reduce(m_t * m_t) / n_particles - mix_mean**2)
         records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
 
         if var_t > 1e-14:
-            sd, bank[c] = math.sqrt(var_t), next(draws)
+            sd, bank[c] = math.sqrt(var_t), next(columns)
             gain, cov, _ = update(no_gain, cov, temperature, no_noise, [sd])
         else:
             sd, gain, bank[c] = 0.0, no_gain, 0.0

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -267,6 +269,63 @@ def test_prediction_deterministic_in_seed():
     a = th.thermal_predict_day(ds, "without", PARAMS["without"], n_particles=16, seed=9)
     b = th.thermal_predict_day(ds, "without", PARAMS["without"], n_particles=16, seed=9)
     assert a["rmse"] == b["rmse"] and a["ell"] == b["ell"]
+
+
+def _counting_draws(monkeypatch) -> list[tuple]:
+    """The keys of every `particle_draws` call the thermal module makes."""
+    calls, draw = [], th.particle_draws
+    monkeypatch.setattr(th, "particle_draws", lambda *key: calls.append(key) or draw(*key))
+    return calls
+
+
+def test_methods_predicted_on_one_dataset_share_one_block_of_draws(monkeypatch):
+    cfg = th.ThermalGenConfig(days=2)
+    calls = _counting_draws(monkeypatch)
+    ds = th.generate_thermal_data(cfg, seed=3)
+    methods = ("quasi-sqm", "without", "hart")
+    shared = [th.thermal_predict_day(ds, m, PARAMS[m], n_particles=32, seed=4) for m in methods]
+    assert calls == [(4, 32, 144)]  # one block of 32 particles x 144 ten-minute steps
+    # each method, predicted alone on a fresh dataset, gives the same records
+    for method, out in zip(methods, shared):
+        alone = th.thermal_predict_day(
+            th.generate_thermal_data(cfg, seed=3), method, PARAMS[method], n_particles=32, seed=4
+        )
+        assert out.keys() == alone.keys()
+        for key, value in out.items():
+            np.testing.assert_array_equal(value, alone[key], err_msg=f"{method}: {key}")
+    assert len(calls) == 1 + len(methods)
+
+
+def test_the_block_of_draws_is_read_only_and_dies_with_its_dataset():
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=3)
+    th.thermal_predict_day(ds, "without", PARAMS["without"], n_particles=8, seed=0)
+    key, block = ds.draws
+    assert key == (0, 8, 144) and block.shape == (8, 144)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0.0
+    # the block is kept out of the dataset's repr and equality
+    assert "draws" not in repr(ds)
+    assert ds == dataclasses.replace(ds) and dataclasses.replace(ds).draws == ((), None)
+    ref = weakref.ref(block)
+    del block, ds
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("change", [{"n_particles": 16}, {"seed": 1}])
+def test_another_key_replaces_the_block_of_draws(monkeypatch, change):
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=3)
+    calls = _counting_draws(monkeypatch)
+    th.thermal_predict_day(ds, "without", PARAMS["without"], n_particles=8, seed=0)
+    old = weakref.ref(ds.draws[1])
+    options = {"n_particles": 8, "seed": 0, **change}
+    th.thermal_predict_day(ds, "without", PARAMS["without"], **options)
+    gc.collect()
+    assert old() is None  # replaced, not kept beside the new block
+    assert ds.draws[0] == (options["seed"], options["n_particles"], 144)
+    assert ds.draws[1].shape == (options["n_particles"], 144)
+    assert calls == [(0, 8, 144), ds.draws[0]]
 
 
 def test_csv_roundtrip(tmp_path):

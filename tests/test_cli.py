@@ -234,11 +234,51 @@ def _fails_cleanly(result, text):
          ["queue", "track"],
          "invalid queue config: params: Additional properties are not allowed "
          "('Hart' was unexpected)"),
+        # a repeated method used to run twice and write its CSV twice
+        ({**THERMAL_CONFIG, "methods": ["without", "without"]}, ["thermal", "track"],
+         "invalid thermal config: methods: ['without', 'without'] has non-unique elements"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
     result, _ = _invoke(tmp_path, {**config, "seeds": [0]}, *command)
     _fails_cleanly(result, text)
+
+
+@pytest.mark.parametrize(
+    "config, command, text",
+    [
+        ({**THERMAL_CONFIG, "methods": ["without"], "seeds": [3, 3]}, ["thermal", "track"],
+         "invalid thermal config: seeds: [3, 3] has non-unique elements"),
+        ({"ssgpr_multipliers": [2, 2]}, ["compare-bases"],
+         "invalid compare-bases config: ssgpr_multipliers: [2, 2] has non-unique elements"),
+    ],
+    ids=["seeds", "ssgpr-multipliers"],
+)
+def test_repeated_list_items_are_refused(tmp_path, config, command, text):
+    # a repeated seed wrote the same record and CSV twice (at once under
+    # --jobs 2), and a repeated multiplier wrote two identical rows
+    result, out = _invoke(tmp_path, config, *command)
+    _fails_cleanly(result, text)
+    assert not out.exists()
+
+
+def test_methods_predicted_together_match_methods_predicted_alone(tmp_path):
+    # the methods predicted on one dataset share its block of particle draws;
+    # sharing it must leave each method's outputs as a run of that method alone
+    config = {**THERMAL_CONFIG, "seeds": [3]}
+    outputs = {}
+    for methods in (["quasi-sqm", "without"], ["quasi-sqm"], ["without"]):
+        result, out = _invoke(tmp_path / "+".join(methods), {**config, "methods": methods},
+                              "thermal", "predict")
+        assert result.exit_code == 0, result.output
+        for r in json.loads((out / "metrics.json").read_text()):
+            del r["runtime_ms"]
+            csv = (out / r["dataset"] / f"predict-{r['method']}.csv").read_bytes()
+            outputs.setdefault(r["method"], []).append((r, csv))
+    assert sorted(outputs) == ["quasi-sqm", "without"]
+    for method, ((together, csv), (alone, alone_csv)) in outputs.items():
+        assert together == alone, method
+        assert csv == alone_csv, method
 
 
 def test_track_meas_every_must_be_a_multiple_of_the_step(tmp_path):

@@ -121,7 +121,7 @@ def test_walker_agrees_with_jsonschema(command):
     assert reference.is_valid(VALID[command])
     assert _violation(VALID[command], schema, schema) is None
     rng = random.Random(f"config-walker:{command}")
-    refused, stricter = 0, Counter()
+    refused, stricter, repeats = 0, Counter(), 0
     for _ in range(2000):
         doc = _mutate(VALID[command], rng)
         found = _violation(doc, schema, schema)
@@ -133,9 +133,32 @@ def test_walker_agrees_with_jsonschema(command):
         else:
             assert found, json.dumps(doc)
             refused += 1
+            repeats += found[1].endswith("has non-unique elements")
     # the corpus holds both kinds of document, and both stricter cases
     assert 200 < refused < 1800
     assert set(stricter) == {"non-finite", "integral float"}
+    # a mutation that repeats an item of a uniqueItems list reaches that branch
+    assert (repeats > 0) == (command != "eigenbasis")
+
+
+@pytest.mark.parametrize("command, key, items", [
+    ("queue", "methods", ["hart", "quasi-sqm", "hart"]),
+    ("thermal", "seeds", [3, 3]),
+    ("compare-bases", "ssgpr_multipliers", [2, 1, 2]),
+])
+def test_a_repeated_item_is_refused_in_the_reference_wording(command, key, items):
+    schema = SCHEMAS[command]
+    [error] = jsonschema.Draft202012Validator(schema).iter_errors({key: items})
+    assert error.validator == "uniqueItems"
+    assert _violation({key: items}, schema, schema) == ((key,), error.message)
+
+
+@pytest.mark.parametrize("items", [[1, 1.0], [0, False], [1, True], [True, True], ["a", "a"]])
+def test_unique_items_compare_as_json_values(items):
+    # 1 and 1.0 are one JSON number, but a boolean equals only a boolean
+    schema = {"type": "array", "uniqueItems": True}
+    found = _violation(items, schema, schema)
+    assert (found is None) == jsonschema.Draft202012Validator(schema).is_valid(items)
 
 
 def _keywords(schema: dict) -> set[str]:

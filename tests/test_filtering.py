@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eigenlfm import lfm, lti
 from eigenlfm.errors import ContractViolationError, InvalidParameterError, NumericError
 from eigenlfm.filtering import (
     kalman_pass,
+    particle_draws,
     predict,
     rbpf_predict_day,
     update,
@@ -275,8 +277,9 @@ def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
     cycle = lfm.step_cycle(model, step)
     setpoints = [setpoint(k * step) for k in range(n_steps + 1)]
     return rbpf_predict_day(
-        lfm.pass_steps(cycle, 0.0, n_steps), *init, setpoints,
-        n_particles, seed, jump=functools.partial(lfm.apply_changepoint_moments, model),
+        lfm.pass_steps(cycle, 0.0, n_steps), *init, setpoints, n_particles,
+        particle_draws(seed, n_particles, n_steps),
+        jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
 
 
@@ -301,8 +304,32 @@ def test_rbpf_validation():
         _rbpf(model, init, lambda t: float("nan") if t == 100.0 else 0.0, 4, 10.0, 100.0, 0)
     steps = lfm.pass_steps(lfm.step_cycle(model, 10.0), 0.0, 10)
     with pytest.raises(ValueError, match="zip"):  # one set point short
-        rbpf_predict_day(steps, *init, np.zeros(10), 4, 0,
+        rbpf_predict_day(steps, *init, np.zeros(10), 4, particle_draws(0, 4, 9),
                          jump=functools.partial(lfm.apply_changepoint_moments, model))
+
+
+@pytest.mark.parametrize("shape", [(3, 10), (4, 9), (4, 11), (10, 4), (40,)])
+def test_rbpf_refuses_a_block_of_draws_of_the_wrong_shape(shape):
+    # 4 particles over 10 steps read a (4, 10) block, one row per particle
+    model = _thermal_toy(0.1)
+    init = lfm.initial_state(model, [1.0], [[0.01]])
+    steps = lfm.pass_steps(lfm.step_cycle(model, 10.0), 0.0, 10)
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"draws of shape {shape}; the pass needs (4, 10)")):
+        rbpf_predict_day(steps, *init, np.zeros(11), 4, np.zeros(shape),
+                         jump=functools.partial(lfm.apply_changepoint_moments, model))
+
+
+def test_particle_draws_are_read_only_particle_streams():
+    draws = particle_draws(5, 3, 4)
+    assert draws.shape == (3, 4) and not draws.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        draws[0, 0] = 0.0
+    for i, row in enumerate(draws):  # row i is the stream keyed by (seed, i)
+        rng = np.random.Generator(np.random.Philox(key=[5, i]))
+        np.testing.assert_array_equal(row, rng.standard_normal(4))
+    # a longer block extends each row's stream: the first columns agree
+    np.testing.assert_array_equal(particle_draws(5, 3, 9)[:, :4], draws)
 
 
 def test_rbpf_heater_irrelevant_when_beta_zero():

@@ -12,7 +12,9 @@ its symmetry (`_symmetrize`), and the Kalman loop exists once: the queue
 and thermal filters (the thermal roster holds the resonator baseline) are
 calls to `filtering.kalman_pass`, and no module outside `filtering` calls `predict` or `update`.  Every name imported
 into a module is used there.  Only `apps/synth.py` builds the applications'
-daily prior.  One weight-space regression (`baselines.comparison.linear_regress`)
+daily prior.  The particle streams are drawn only by
+`filtering.particle_draws`, which only the thermal prediction calls.  One
+weight-space regression (`baselines.comparison.linear_regress`)
 scores both linear bases, so the only Cholesky factor beside the Kalman
 layer's is its own.  Kernel matrices are built only by `eigenbasis` (the
 Gram and the bounded blocks of eigenfunction rows) and by the basis
@@ -167,6 +169,15 @@ def test_one_weight_space_regression():
     # eigenfunction and sparse-spectrum features share one regression; a
     # second copy of it would factor its own precision matrix
     assert _uses({"cho_factor"}) == {("baselines/comparison.py", "linear_regress", "cho_factor")}
+
+
+def test_particle_streams_are_drawn_in_one_place():
+    # the particle streams are defined once, in `filtering.particle_draws`,
+    # and the RBPF never draws for itself: it reads the block the thermal
+    # prediction keeps on its dataset, which the methods predicted there share
+    assert _uses({"Philox"}) == {("filtering.py", "particle_draws", "Philox")}
+    assert _uses({"particle_draws"}) == {("apps/thermal.py", "thermal_predict_day",
+                                          "particle_draws")}
 
 
 def test_kernel_blocks_are_built_by_the_basis():
