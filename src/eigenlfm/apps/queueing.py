@@ -351,29 +351,35 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
 def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
     """One full `filtering.kalman_pass` over the dataset's grid, observing the
     queue length (state 0) with noise std `sigma_obs`; returns its
-    (loglik, mean, cov, records).  Step k relinearizes the drift at the
-    filtered mean and takes slot (k - 1) mod n_cycle of `_relinearized_steps`
-    over one cycle.  Jumps and measurements are looked up by integer step
-    index, so a measurement time off the step grid raises
-    `ContractViolationError` instead of being dropped, and so does one
-    outside the pass.  The service rate is evaluated on the step grid once."""
+    (loglik, mean, cov, records), a record at each of `dataset.times[1:]`.
+    Step k relinearizes the drift at the filtered mean and reads its
+    `lfm.pass_schedule` slot of `_relinearized_steps` over one cycle.
+    Measurements are looked up by integer step index, so a measurement time
+    off the step grid raises `ContractViolationError` instead of being
+    dropped, and so do one outside the pass and a repeated one.  The service
+    rate is evaluated on the step grid once."""
     dt = dataset.config.step
     times = dataset.times
     n_steps = times.size - 1
-    jumps = set(lfm.changepoint_steps(model, times[0], dt, n_steps).tolist())
+    slots, changepoints = lfm.pass_schedule(model, dt, times[0], n_steps)
     meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, n_steps, "measurement")
+    _, first = np.unique(meas_steps, return_index=True)
+    if first.size < meas_steps.size:  # a step end takes one update
+        repeated = np.delete(dataset.meas_times, first)[0]
+        raise ContractViolationError(f"measurements repeat minute {repeated:g}")
 
-    n_cycle = lfm.cycle_steps(model, dt)
-    relinearized = _relinearized_steps(model, times[: min(n_cycle, n_steps)], dt)
+    # slot s is the step [s dt, (s + 1) dt] of the cycle from t = 0
+    relinearized = _relinearized_steps(model, dt * np.arange(max(slots, default=0) + 1), dt)
     omega = dataset.omega(times[:n_steps]).tolist()
 
     def step(k: int, mean: np.ndarray) -> tuple:
         f = queue_linearize(omega[k - 1], max(mean[0], 0.0))
-        return times[k], *relinearized((k - 1) % n_cycle, f), None, k in jumps
+        return *relinearized(slots[k - 1], f), None
 
     mean, cov = lfm.initial_state(model, [0.0], [[25.0]])
     return kalman_pass(
-        mean, cov, n_steps, step, dict(zip(meas_steps.tolist(), dataset.meas_values[:, None])),
+        mean, cov, n_steps, step, changepoints,
+        dict(zip(meas_steps.tolist(), dataset.meas_values[:, None])),
         np.eye(1, model.dim), np.array([[sigma_obs**2]]),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
@@ -435,8 +441,9 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
     _param_space(kind, dataset).check(params, kind)
     model = _queue_model(kind, params, dataset.config)
     _, _, _, records = _run_queue_filter(model, dataset, params["sigma_obs"])
-    held_out = [r for r in records if r[0] > dataset.test_start + 1e-9]
-    times, mean, var = zip(*held_out)
-    out = score(times, mean, var, dataset.times, dataset.truth_queue)
+    times = dataset.times[1:]
+    held_out = times > dataset.test_start + 1e-9
+    mean, var = np.array(records)[held_out].T
+    out = score(times[held_out], mean, var, dataset.times, dataset.truth_queue)
     out["n_basis"] = model.dim - model.layout.dim_za
     return out

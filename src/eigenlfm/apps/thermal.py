@@ -249,14 +249,15 @@ def _run_thermal_filter(
     cov: np.ndarray, t_start: float, t_end: float, measure_every: float,
 ):
     """`filtering.kalman_pass` from (mean, cov) with the known heater record
-    over [t_start, t_end], on the steps of `cycle`, measuring both
-    temperatures with noise std `sigma_obs` every `measure_every` minutes (a
-    whole number of steps).  Step starts and measurement times are mapped to
-    indices of the one-minute record once, up front; a time off that grid or
-    past the record, or a `t_end` off the step grid, raises
-    ContractViolationError."""
+    over [t_start, t_end], on the `cycle` slots of `lfm.pass_schedule`,
+    measuring both temperatures with noise std `sigma_obs` every
+    `measure_every` minutes (a whole number of steps).  Step starts and
+    measurement times are mapped to indices of the one-minute record once,
+    up front; a time off that grid or past the record, or a `t_end` off the
+    step grid, raises ContractViolationError."""
     model, dt = cycle.model, cycle.dt
     n_steps = _pass_length(t_start, t_end, dt)
+    slots, changepoints = lfm.pass_schedule(model, dt, t_start, n_steps)
     every = int(round(measure_every / dt))
     if every < 1 or not math.isclose(every * dt, measure_every, rel_tol=1e-9):
         raise InvalidParameterError(
@@ -266,20 +267,24 @@ def _run_thermal_filter(
 
     # minute of each step boundary t_start + k dt, k = 0 .. n_steps
     minute = _record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
-    heater = dataset.heater[minute[:-1]].tolist()
-    observed = np.column_stack((dataset.meas_int, dataset.meas_ext))
+    # a heater that is off adds no input
+    inputs = [cycle.input_on if on else None for on in dataset.heater[minute[:-1]].tolist()]
+    measured = minute[every::every]
+    observed = np.column_stack((dataset.meas_int[measured], dataset.meas_ext[measured]))
     h = np.zeros((2, model.dim))
     h[0, 0] = 1.0
     h[1] = lfm.nonperiodic_force_row(model, 0)
-    # the pass asks for the steps in order; a heater that is off adds no input
-    steps = (s if on else s._replace(input_on=None)
-             for s, on in zip(lfm.pass_steps(cycle, t_start, n_steps), heater))
     return kalman_pass(
-        mean, cov, n_steps, lambda *_: next(steps),
-        {k: observed[minute[k]] for k in range(every, n_steps + 1, every)},
-        h, sigma_obs**2 * np.eye(2),
+        mean, cov, n_steps, _cycle_step(cycle, slots, inputs), changepoints,
+        dict(zip(range(every, n_steps + 1, every), observed)), h, sigma_obs**2 * np.eye(2),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
+
+
+def _cycle_step(cycle: lfm.StepCycle, slots: list[int], inputs: list):
+    """`step(k, mean)` of a pass: slot slots[k - 1] of `cycle`, input inputs[k - 1]."""
+    g, q = cycle.transitions, cycle.noises
+    return lambda k, _: (g[slots[k - 1]], q[slots[k - 1]], inputs[k - 1])
 
 
 def _pass_length(t_start: float, t_end: float, dt: float) -> int:
@@ -369,10 +374,13 @@ def thermal_fit(
     )
 
 
-def _score(dataset: ThermalDataset, model: lfm.AugmentedModel, records) -> dict:
-    """`synth.score` of (time, mean, var) records against the true internal
-    temperature, with the model's basis size."""
-    times, mean, var = zip(*records)
+def _score(dataset: ThermalDataset, cycle: lfm.StepCycle, records) -> dict:
+    """`synth.score` of the (mean, var) records of a held-out pass of `cycle`
+    at test_start + k dt against the true internal temperature, with the
+    model's basis size."""
+    model = cycle.model
+    mean, var = zip(*records)
+    times = dataset.test_start + cycle.dt * np.arange(1, len(records) + 1)
     out = score(times, mean, var, dataset.minutes, dataset.t_int)
     out["n_basis"] = model.layout.dim - model.layout.dim_za
     return out
@@ -405,7 +413,7 @@ def thermal_track_day(
         cycle, dataset, params["sigma_obs"], mean, cov, dataset.test_start,
         dataset.test_start + DAY_MINUTES, measure_every,
     )
-    return _score(dataset, cycle.model, records)
+    return _score(dataset, cycle, records)
 
 
 def thermal_predict_day(
@@ -420,14 +428,16 @@ def thermal_predict_day(
     the Rao-Blackwellised particle filter against the set-point schedule.
     The methods predicted on one dataset share its one block of particle draws."""
     cycle, mean, cov = _trained_state(dataset, kind, params, envelope)
-    model, t_start = cycle.model, dataset.test_start
-    n_steps = _pass_length(t_start, t_start + DAY_MINUTES, cycle.dt)
-    minute = _record_minutes(dataset, t_start + cycle.dt * np.arange(n_steps + 1))
+    model, dt, t_start = cycle.model, cycle.dt, dataset.test_start
+    n_steps = _pass_length(t_start, t_start + DAY_MINUTES, dt)
+    slots, changepoints = lfm.pass_schedule(model, dt, t_start, n_steps)
+    minute = _record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
     key = (seed, n_particles, n_steps)
     if dataset.draws[0] != key:  # another key replaces the block: the dataset keeps one
         dataset.draws = key, particle_draws(*key)
     records = rbpf_predict_day(
-        lfm.pass_steps(cycle, t_start, n_steps), mean, cov, dataset.setpoint[minute],
-        n_particles, dataset.draws[1], jump=functools.partial(lfm.apply_changepoint_moments, model),
+        mean, cov, n_steps, _cycle_step(cycle, slots, [cycle.input_on] * n_steps), changepoints,
+        dataset.setpoint[minute], n_particles, dataset.draws[1],
+        jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
-    return _score(dataset, model, [(r["t"], r["mean"], r["var"]) for r in records])
+    return _score(dataset, cycle, records)

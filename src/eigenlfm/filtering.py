@@ -5,16 +5,18 @@ every application filter runs, and the Rao-Blackwellised particle filter for
 a binary control input, whose shared covariance takes the same two steps and
 whose `particle_draws` block the methods predicted on one dataset share.
 
-This module knows nothing of how a model is discretized: a pass hands it its
-steps (`lfm.PassStep`-shaped, from `lfm.pass_steps` or relinearized per
-step) and, where the model jumps, a jump callable.  The recursion is the
+This module knows nothing of how a model is discretized.  Both passes take
+one protocol: `step(k, mean)` returns the (G, Q, input term or None) of
+step k = 1 .. n_steps, and a jump callable maps the moments across the
+steps in a `changepoints` set.  Both record the predictive (mean, var) of
+state 0 at each step end; the caller knows the times.  The recursion is the
 standard one (Särkkä, *Bayesian Filtering and Smoothing*, 2013), in numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Mapping
 
 import numpy as np
 
@@ -124,19 +126,19 @@ def update(
 
 
 def kalman_pass(
-    mean: np.ndarray, cov: np.ndarray, n_steps: int, step: Callable, observations: Mapping,
-    obs_matrix: np.ndarray, obs_noise: np.ndarray, *, jump: Callable,
+    mean: np.ndarray, cov: np.ndarray, n_steps: int, step: Callable, changepoints: Container,
+    observations: Mapping, obs_matrix: np.ndarray, obs_noise: np.ndarray, *, jump: Callable,
 ) -> tuple[float, np.ndarray, np.ndarray, list[tuple]]:
     """One Kalman filter pass of `n_steps` steps from the moments (mean, cov).
 
     Step k = 1 .. n_steps ends on grid point k: `step(k, mean)`, called in
-    order with the mean before the step, returns it `lfm.PassStep`-shaped,
-    (t, G, Q, input term or None, changepoint) with t its end time.  The
-    pass predicts, applies `jump(mean, cov)` on a changepoint, records the
-    predictive marginal (t, mean[0], cov[0, 0]) of state 0 and updates on
-    `observations[k]`, if any, with H = `obs_matrix` and R = `obs_noise`.
-    An observation keyed outside 1 .. n_steps raises ContractViolationError.
-    Returns (log-likelihood of the observations, mean, cov, records).
+    order with the mean before the step, returns its (G, Q, input term or
+    None).  The pass predicts, applies `jump(mean, cov)` when k is in
+    `changepoints`, records the predictive marginal (mean[0], cov[0, 0]) of
+    state 0 and updates on `observations[k]`, if any, with H = `obs_matrix`
+    and R = `obs_noise`.  An observation keyed outside 1 .. n_steps raises
+    ContractViolationError.  Returns (log-likelihood of the observations,
+    mean, cov, records), one record per step.
     """
     outside = sorted(k for k in observations if not 1 <= k <= n_steps)
     if outside:
@@ -145,11 +147,10 @@ def kalman_pass(
         )
     loglik, records = 0.0, []
     for k in range(1, n_steps + 1):
-        t, transition, noise, input_term, changepoint = step(k, mean)
-        mean, cov = predict(mean, cov, transition, noise, input_term)
-        if changepoint:
+        mean, cov = predict(mean, cov, *step(k, mean))
+        if k in changepoints:
             mean, cov = jump(mean, cov)
-        records.append((t, mean[0], cov[0, 0]))
+        records.append((mean[0], cov[0, 0]))
         y = observations.get(k)
         if y is not None:
             mean, cov, log_density = update(mean, cov, obs_matrix, obs_noise, y)
@@ -176,26 +177,19 @@ def particle_draws(seed: int, n_particles: int, n_draws: int) -> np.ndarray:
 
 
 def rbpf_predict_day(
-    steps: Iterable,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    setpoints: np.ndarray,
-    n_particles: int,
-    draws: np.ndarray,
-    *,
-    jump: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> list[dict]:
+    mean: np.ndarray, cov: np.ndarray, n_steps: int, step: Callable, changepoints: Container,
+    setpoints: np.ndarray, n_particles: int, draws: np.ndarray, *, jump: Callable,
+) -> list[tuple[float, float]]:
     """Day-ahead prediction with particles over the binary heater input.
 
-    From the moments (mean, cov), `steps` yields the n_steps steps of the
-    pass in order, each with the end time `t`, the `transition` G and
-    `noise` Q, the input term `input_on` b of a heater that is on, and
-    whether a `changepoint` falls on the step end (see `lfm.pass_steps`); it
-    may be lazy.  On such a step, `jump(means, cov)` maps the (P, C) particle
-    means and the shared covariance across the changepoint.  The temperature
-    is state 0.  `setpoints` holds the n_steps + 1 set points at the pass
-    start and at each step end; none may be NaN, and a count that does not
-    match the steps raises ValueError.
+    From the moments (mean, cov), step k = 1 .. n_steps takes the protocol
+    of `kalman_pass`: `step(k, means)`, called in order with the (P, C)
+    particle means before the step, returns its G, Q and the input term b of
+    a heater that is on (None: no input), and when k is in `changepoints`,
+    `jump(means, cov)` maps the particle means and the shared covariance
+    across the changepoint.  The temperature is state 0.  `setpoints` holds
+    the n_steps + 1 set points at the pass start and at each step end; none
+    may be NaN, and another count raises InvalidParameterError.
 
     Per step and particle: the heater is on while the particle's last sampled
     temperature is strictly below the set point, the Kalman prediction runs
@@ -214,17 +208,20 @@ def rbpf_predict_day(
     particle i's normals.  The k-th conditioning step consumes column k; a
     step that does not (a vanishing temperature variance) consumes none, zeroing g and z.
 
-    Returns one record per step: {"t", "mean", "var"} with the equal-weight
-    mixture moments of the temperature marginal after the prediction.
+    Returns one record per step: the (mean, var) of the equal-weight mixture
+    of the temperature marginals after the prediction.
     """
     if n_particles < 1:
         raise InvalidParameterError("need at least one particle")
     setpoints = np.asarray(setpoints, dtype=float)
+    if setpoints.shape != (n_steps + 1,):
+        raise InvalidParameterError(f"{setpoints.size} set points for a pass of {n_steps} "
+                                    f"steps; it needs {n_steps + 1}")
     if np.isnan(setpoints).any():
         raise InvalidParameterError("setpoint must not be NaN")
-    if draws.shape != (n_particles, setpoints.size - 1):
+    if draws.shape != (n_particles, n_steps):
         raise InvalidParameterError(f"particle draws of shape {draws.shape}; the pass needs "
-                                    f"{(n_particles, setpoints.size - 1)}")
+                                    f"{(n_particles, n_steps)}")
     columns = iter(draws.T)
     c = mean.size
     bank = np.zeros((c + 2, n_particles))
@@ -234,11 +231,12 @@ def rbpf_predict_day(
     gain, product = no_gain, np.empty((c, c + 2))  # product: [G | G g | b]
 
     records = []
-    for step, sp in zip(steps, setpoints[1:], strict=True):
-        product[:, c], cov = predict(gain, cov, step.transition, step.noise)
-        product[:, :c], product[:, c + 1] = step.transition, step.input_on
+    for k, sp in enumerate(setpoints[1:], start=1):
+        transition, noise, input_on = step(k, bank[:c].T)
+        product[:, c], cov = predict(gain, cov, transition, noise)
+        product[:, :c], product[:, c + 1] = transition, 0.0 if input_on is None else input_on
         bank[:c] = product @ bank
-        if step.changepoint:
+        if k in changepoints:
             means, cov = jump(bank[:c].T, cov)
             bank[:c] = means.T
 
@@ -246,7 +244,7 @@ def rbpf_predict_day(
         m_t = bank[0]
         mix_mean = float(np.add.reduce(m_t) / n_particles)
         mix_var = var_t + float(np.add.reduce(m_t * m_t) / n_particles - mix_mean**2)
-        records.append({"t": step.t, "mean": mix_mean, "var": mix_var})
+        records.append((mix_mean, mix_var))
 
         if var_t > 1e-14:
             sd, bank[c] = math.sqrt(var_t), next(columns)

@@ -51,18 +51,19 @@ builds the steps of one period from t = 0, the phase origin of every basis,
 once, in one batch, as an immutable `StepCycle`; a step that does not
 divide the period is a `ContractViolationError`.
 
-A filter pass over a regular step grid takes its steps from
-`pass_steps(cycle, t_start, n_steps)` and from nothing else, so every pass
-over a model can share one cycle.  The pass start must lie on the step
-grid k dt.  Changepoints and measurements are scheduled as integer step
-indices (`grid_steps`); a time that is not on the step grid is a
-`ContractViolationError`, never a skipped jump or measurement.
+A filter pass over a regular step grid takes the cycle slot of each step
+and the steps that end on a changepoint from `pass_schedule(model, dt,
+t_start, n_steps)` and from nothing else, so every pass over a model can
+share one cycle (the queue relinearizes at the same slots).  The pass start
+must lie on the step grid k dt.  Changepoints and measurements are
+scheduled as integer step indices (`grid_steps`); a time that is not on the
+step grid is a `ContractViolationError`, never a skipped jump or measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,7 +82,6 @@ __all__ = [
     "PeriodicForce",
     "StateLayout",
     "AugmentedModel",
-    "PassStep",
     "assemble",
     "periodic_force",
     "cqm_force",
@@ -92,7 +92,7 @@ __all__ = [
     "make_constant_step_plan",
     "StepCycle",
     "step_cycle",
-    "pass_steps",
+    "pass_schedule",
     "cycle_steps",
     "changepoint_steps",
     "grid_steps",
@@ -446,6 +446,11 @@ def changepoint_steps(model: AugmentedModel, t_start: float, dt: float, n_steps:
     return grid_steps(cps, t_start, dt, n_steps, "changepoint")
 
 
+def _check_step(dt: float) -> None:
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise InvalidParameterError("step must be finite and > 0")
+
+
 def cycle_steps(model: AugmentedModel, dt: float) -> int:
     """Steps per period of the periodic forces, after which every transition
     repeats: `period / dt`, or 1 for a model with no periodic force.
@@ -453,8 +458,7 @@ def cycle_steps(model: AugmentedModel, dt: float) -> int:
     Raises ContractViolationError, naming the numbers, when the forces'
     periods differ or `dt` does not divide the period (the `grid_steps`
     tolerance): the transitions would then not repeat."""
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise InvalidParameterError("step must be finite and > 0")
+    _check_step(dt)
     periods = [force.basis.period for force in model.periodic]
     if not periods:
         return 1
@@ -486,10 +490,6 @@ class StepCycle:
     noises: np.ndarray       # Q, (n_cycle, C, C)
     input_on: np.ndarray     # (C,) input term with the binary input on; zero without one
 
-    @property
-    def n_cycle(self) -> int:
-        return self.transitions.shape[0]
-
 
 def step_cycle(model: AugmentedModel, dt: float) -> StepCycle:
     """The `cycle_steps(model, dt)` steps of one period from t = 0, the basis
@@ -501,7 +501,7 @@ def step_cycle(model: AugmentedModel, dt: float) -> StepCycle:
     z_a only, so one exponential of the z_a drift gives it, for every step
     alike.  It is zero without a binary input.  Raises ContractViolationError
     when `dt` does not divide the period (see `cycle_steps`).  Changepoints
-    are not checked here: a pass checks those it crosses (`pass_steps`)."""
+    are not checked here: a pass checks those it crosses (`pass_schedule`)."""
     n_cycle = cycle_steps(model, dt)
     cza = model.layout.dim_za
     input_on = np.zeros(model.dim)
@@ -515,41 +515,24 @@ def step_cycle(model: AugmentedModel, dt: float) -> StepCycle:
     return StepCycle(model, float(dt), g, q, input_on)
 
 
-class PassStep(NamedTuple):
-    t: float                # end time of the step
-    transition: np.ndarray  # G, (C, C), read-only
-    noise: np.ndarray       # Q, (C, C), read-only
-    input_on: np.ndarray    # (C,) input term with the binary input on; zero without one
-    changepoint: bool       # a changepoint falls on the step end
+def pass_schedule(
+    model: AugmentedModel, dt: float, t_start: float, n_steps: int
+) -> tuple[list[int], set[int]]:
+    """(slots, changepoints) of a pass of `n_steps` steps of length `dt` from
+    `t_start`: slots[k - 1] is the `step_cycle(model, dt)` slot of step k,
+    (offset + k - 1) mod n_cycle with offset t_start's index on the grid
+    k dt, and `changepoints` is the set of the k whose step end is one.
 
-
-def pass_steps(cycle: StepCycle, t_start: float, n_steps: int) -> Iterator[PassStep]:
-    """The steps of one filter pass over [t_start, t_start + n_steps dt],
-    read from `cycle` (step length dt = `cycle.dt`).
-
-    Two checks run here, before the first step: the changepoint schedule of
-    the pass (`changepoint_steps`), then that t_start lies on the cycle's
-    step grid k dt (the `grid_steps` rule, naming the pass start).  Step k
-    of the pass then reads slot (offset + k) mod n_cycle, where offset is
-    t_start's index on that grid; its arrays are the cycle's read-only ones.
-    Steps are produced lazily.
-    """
-    model, dt = cycle.model, cycle.dt
-    jumps = np.zeros(n_steps + 1, dtype=bool)
-    jumps[changepoint_steps(model, t_start, dt, n_steps)] = True
+    After the step itself, three checks run here, in order, before the first
+    step: the changepoint schedule (`changepoint_steps`), the pass start on
+    the grid k dt (the `grid_steps` rule, naming it), and that dt divides
+    the period (`cycle_steps`)."""
+    _check_step(dt)
+    changepoints = set(changepoint_steps(model, t_start, dt, n_steps).tolist())
     span = int(np.rint(t_start / dt))
     offset = int(grid_steps([t_start], 0.0, dt, span, "pass start")[0])
-    n_cycle = cycle.n_cycle
-
-    def steps():
-        for k in range(n_steps):
-            t0 = t_start + k * dt
-            slot = (offset + k) % n_cycle
-            yield PassStep(
-                t0 + dt, cycle.transitions[slot], cycle.noises[slot], cycle.input_on,
-                bool(jumps[k + 1]),
-            )
-    return steps()
+    n_cycle = cycle_steps(model, dt)
+    return [(offset + k) % n_cycle for k in range(n_steps)], changepoints
 
 
 def initial_state(model: AugmentedModel, target_mean, target_cov) -> tuple[np.ndarray, np.ndarray]:

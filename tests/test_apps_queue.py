@@ -217,6 +217,26 @@ def test_track_rejects_a_measurement_outside_the_pass(minute, step):
         qa.queue_track(ds, "hart", params)
 
 
+def test_track_rejects_a_repeated_measurement_time():
+    # a second measurement on one step end used to replace the first: the
+    # pass updated once where the record holds two rows
+    params = dict(sigma_obs=0.5, sigma_f=1.2, ell_f=120.0)
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=4.0), seed=0)
+    assert 120.0 in ds.meas_times
+    ds = dataclasses.replace(
+        ds, meas_times=np.append(ds.meas_times, 120.0), meas_values=np.append(ds.meas_values, 50.0)
+    )
+    with pytest.raises(ContractViolationError, match="measurements repeat minute 120"):
+        qa.queue_track(ds, "hart", params)
+
+
+def test_track_times_are_the_step_ends_of_the_held_out_day():
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=4.0), seed=0)
+    out = qa.queue_track(ds, "hart", dict(sigma_obs=0.5, sigma_f=1.2, ell_f=120.0))
+    np.testing.assert_array_equal(out["times"], ds.times[ds.times > ds.test_start])
+    assert out["times"].size == out["mean"].size == 360
+
+
 def test_track_dense_measurements_hits_noise_floor():
     cfg = qa.QueueGenConfig(
         days=2, obs_noise=0.05, train_meas_every=2.0, test_meas_every=2.0

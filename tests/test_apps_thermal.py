@@ -89,7 +89,7 @@ def test_envelope_nests_single_output_with_fast_exterior_coupling():
             lfm.step_cycle(model, cfg.step), ds, PARAMS["without"]["sigma_obs"], mean, cov,
             0.0, 1440.0, 2880.0,
         )
-        return np.array([r[1] for r in recs])
+        return np.array([r[0] for r in recs])
 
     a = run(single, False)
     b = run(envelope, True)
@@ -153,6 +153,16 @@ def test_track_and_predict_smoke():
     assert np.isfinite(pr["rmse"])
 
 
+def test_track_and_predict_times_are_the_step_ends_of_the_held_out_day():
+    ds = th.generate_thermal_data(th.ThermalGenConfig(days=2), seed=7)
+    times = ds.test_start + 10.0 * np.arange(1, 145)
+    track = th.thermal_track_day(ds, "quasi-sqm", PARAMS["quasi-sqm"])
+    predict_day = th.thermal_predict_day(ds, "quasi-sqm", PARAMS["quasi-sqm"], n_particles=4)
+    for out in (track, predict_day):
+        np.testing.assert_array_equal(out["times"], times)
+        assert out["mean"].size == out["var"].size == 144
+
+
 @pytest.mark.parametrize("every", [25.0, 15.0, 5.0])
 def test_measurement_interval_must_be_whole_steps(every):
     cfg = th.ThermalGenConfig(days=2)
@@ -169,9 +179,9 @@ def test_default_interval_measures_every_ten_steps(monkeypatch):
     measured, updates = [], []
     kalman_pass, update = th.kalman_pass, filtering.update
 
-    def recording_pass(mean, cov, n_steps, step, observations, *args, **kwargs):
+    def recording_pass(mean, cov, n_steps, step, changepoints, observations, *args, **kwargs):
         measured.extend(ds.test_start + cfg.step * np.array(sorted(observations)))
-        return kalman_pass(mean, cov, n_steps, step, observations, *args, **kwargs)
+        return kalman_pass(mean, cov, n_steps, step, changepoints, observations, *args, **kwargs)
 
     monkeypatch.setattr(th, "kalman_pass", recording_pass)
     monkeypatch.setattr(filtering, "update", lambda *args: updates.append(args) or update(*args))

@@ -140,13 +140,14 @@ def _resonator_path(f, b, dt, n_steps, psi0, dpsi0):
         np.zeros((0, 0)),
         nonperiodic=[lfm.NonPeriodicForce(resonator_block(f, b, 0.0), np.zeros(0))],
     )
+    cycle = lfm.step_cycle(model, dt)
+    slots, _ = lfm.pass_schedule(model, dt, 0.0, n_steps)
     state = np.array([psi0, dpsi0])
-    times, psi = [], []
-    for step in lfm.pass_steps(lfm.step_cycle(model, dt), 0.0, n_steps):
-        state = step.transition @ state
-        times.append(step.t)
+    psi = []
+    for slot in slots:
+        state = cycle.transitions[slot] @ state
         psi.append(state[0])
-    return np.array(times), np.array(psi)
+    return dt * np.arange(1, n_steps + 1), np.array(psi)
 
 
 def test_resonator_constant_frequency_is_cosine():

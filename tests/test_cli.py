@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from eigenlfm.apps.io import write_queue_dataset
+from eigenlfm.apps.queueing import QueueGenConfig, generate_queue_data
 from eigenlfm.cli import _APPS, main
 from eigenlfm.config import validate_config
 from eigenlfm.errors import InvalidParameterError
@@ -237,11 +239,27 @@ def _fails_cleanly(result, text):
         # a repeated method used to run twice and write its CSV twice
         ({**THERMAL_CONFIG, "methods": ["without", "without"]}, ["thermal", "track"],
          "invalid thermal config: methods: ['without', 'without'] has non-unique elements"),
+        # a repeated measurement minute used to keep only its last value
+        ({**QUEUE_CONFIG, "methods": ["hart"], "data_dir": "repeated"}, ["queue", "track"],
+         "measurements repeat minute 120"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
+    if "data_dir" in config:
+        config = {**config, "data_dir": str(_repeated_queue_measurement(tmp_path / "data"))}
     result, _ = _invoke(tmp_path, {**config, "seeds": [0]}, *command)
     _fails_cleanly(result, text)
+
+
+def _repeated_queue_measurement(data_dir):
+    """A queue dataset directory whose measurement file repeats minute 120."""
+    dataset = generate_queue_data(QueueGenConfig(days=2, step=4.0), seed=0)
+    write_queue_dataset(data_dir, dataset)
+    meas = data_dir / "queue_meas.csv"
+    lines = meas.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("120,"))
+    meas.write_text("\n".join([*lines[:row + 1], "120,50", *lines[row + 1:]]) + "\n")
+    return data_dir
 
 
 @pytest.mark.parametrize(

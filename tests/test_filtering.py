@@ -194,16 +194,15 @@ def test_log_likelihood_block_independence():
     assert joint == pytest.approx(a + b, rel=1e-12)
 
 
-def _scalar_steps(g, q, dt, changepoints=()):
-    """`kalman_pass` step callable of a scalar state with one (G, Q): step k
-    ends at k dt, and a changepoint falls on the end of the steps listed."""
-    return lambda k, mean: (k * dt, np.array([[g]]), np.array([[q]]), None, k in changepoints)
+def _scalar_step(g, q):
+    """`kalman_pass` step callable of a scalar state with one (G, Q)."""
+    return lambda k, mean: (np.array([[g]]), np.array([[q]]), None)
 
 
 def test_kalman_pass_matches_the_loop_it_runs():
     # predict, jump on the changepoint steps, record the predictive marginal,
     # then update where an observation is keyed
-    g, q, dt, noise = 0.9, 0.3, 2.0, 0.5
+    g, q, noise = 0.9, 0.3, 0.5
     observations = {2: [1.5], 3: [-0.4], 5: [0.8]}
     jumped = []
 
@@ -212,7 +211,7 @@ def test_kalman_pass_matches_the_loop_it_runs():
         return 0.5 * mean, cov + 1.0
 
     loglik, mean, cov, records = kalman_pass(
-        np.array([1.0]), np.array([[2.0]]), 5, _scalar_steps(g, q, dt, changepoints={3}),
+        np.array([1.0]), np.array([[2.0]]), 5, _scalar_step(g, q), {3},
         observations, [[1.0]], [[noise]], jump=jump,
     )
 
@@ -221,7 +220,7 @@ def test_kalman_pass_matches_the_loop_it_runs():
         ref_mean, ref_cov = g * ref_mean, g * ref_cov * g + q
         if k == 3:
             ref_mean, ref_cov = 0.5 * ref_mean, ref_cov + 1.0
-        ref_records.append((k * dt, ref_mean[0], ref_cov[0, 0]))
+        ref_records.append((ref_mean[0], ref_cov[0, 0]))
         if k in observations:
             ref_mean, ref_cov, log_density = update(ref_mean, ref_cov, [[1.0]], [[noise]], observations[k])
             ref_loglik += log_density
@@ -237,8 +236,8 @@ def test_kalman_pass_matches_the_loop_it_runs():
 def test_kalman_pass_rejects_an_observation_outside_it(key):
     # an observation keyed off steps 1..n_steps would never be reached
     with pytest.raises(ContractViolationError, match=f"step {key} lies outside the pass of 5"):
-        kalman_pass(np.zeros(1), np.eye(1), 5, _scalar_steps(1.0, 0.0, 1.0), {2: [0.0], key: [1.0]},
-                    [[1.0]], [[1.0]], jump=None)
+        kalman_pass(np.zeros(1), np.eye(1), 5, _scalar_step(1.0, 0.0), set(),
+                    {2: [0.0], key: [1.0]}, [[1.0]], [[1.0]], jump=None)
 
 
 def test_covariance_stays_symmetric_over_predict_only_stretches():
@@ -259,8 +258,8 @@ def test_covariance_stays_symmetric_over_predict_only_stretches():
         covs.append(cov)
         return mean, cov
 
-    *_, cov, _ = kalman_pass(np.zeros(c), np.eye(c), 400, lambda k, _: (k, g, q, None, True),
-                             observations, h, noise, jump=jump)
+    *_, cov, _ = kalman_pass(np.zeros(c), np.eye(c), 400, lambda k, _: (g, q, None),
+                             set(range(1, 401)), observations, h, noise, jump=jump)
     assert len(covs) == 400
     for p in [*covs, cov]:
         scale = np.abs(p).max()
@@ -269,16 +268,22 @@ def test_covariance_stays_symmetric_over_predict_only_stretches():
     np.testing.assert_array_equal(cov, cov.T)  # the pass ends on an update
 
 
+def _cycle_step(cycle, slots):
+    """The RBPF's `step(k, means)` over the cycle's slots, with its input term."""
+    return lambda k, _: (cycle.transitions[slots[k - 1]], cycle.noises[slots[k - 1]],
+                         cycle.input_on)
+
+
 def _rbpf(model, init, setpoint, n_particles, step, horizon, seed):
-    """RBPF from the moments `init` at time 0 over the steps of
-    `lfm.pass_steps`, jumping with the model's moments, with `setpoint(t)`
-    read at the pass start and every step end."""
+    """RBPF from the moments `init` at time 0 over the slots and changepoints
+    of `lfm.pass_schedule`, jumping with the model's moments, with
+    `setpoint(t)` read at the pass start and every step end."""
     n_steps = int(round(horizon / step))
-    cycle = lfm.step_cycle(model, step)
+    slots, changepoints = lfm.pass_schedule(model, step, 0.0, n_steps)
     setpoints = [setpoint(k * step) for k in range(n_steps + 1)]
     return rbpf_predict_day(
-        lfm.pass_steps(cycle, 0.0, n_steps), *init, setpoints, n_particles,
-        particle_draws(seed, n_particles, n_steps),
+        *init, n_steps, _cycle_step(lfm.step_cycle(model, step), slots), changepoints,
+        setpoints, n_particles, particle_draws(seed, n_particles, n_steps),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
 
@@ -302,10 +307,28 @@ def test_rbpf_validation():
         _rbpf(model, init, lambda t: float("nan"), 4, 10.0, 100.0, 0)
     with pytest.raises(InvalidParameterError):  # checked before the first step
         _rbpf(model, init, lambda t: float("nan") if t == 100.0 else 0.0, 4, 10.0, 100.0, 0)
-    steps = lfm.pass_steps(lfm.step_cycle(model, 10.0), 0.0, 10)
-    with pytest.raises(ValueError, match="zip"):  # one set point short
-        rbpf_predict_day(steps, *init, np.zeros(10), 4, particle_draws(0, 4, 9),
-                         jump=functools.partial(lfm.apply_changepoint_moments, model))
+    step = _cycle_step(lfm.step_cycle(model, 10.0), [0] * 10)
+    for count in (10, 12):  # one set point short or over, checked before the first step
+        with pytest.raises(InvalidParameterError,
+                           match=f"{count} set points for a pass of 10 steps; it needs 11"):
+            rbpf_predict_day(*init, 10, step, set(), np.zeros(count), 4, particle_draws(0, 4, 10),
+                             jump=None)
+
+
+def test_rbpf_takes_no_input_as_none():
+    # the step protocol is `kalman_pass`'s, where None means no input term:
+    # a step without one moves the bank as a zero input term does
+    model = _thermal_toy(0.1)
+    init = lfm.initial_state(model, [1.0], [[0.01]])
+    cycle = lfm.step_cycle(model, 10.0)
+    g, q = cycle.transitions[0], cycle.noises[0]
+    runs = [
+        rbpf_predict_day(*init, 10, lambda k, _: (g, q, b), set(), np.full(11, 5.0), 4,
+                         particle_draws(0, 4, 10), jump=None)
+        for b in (None, np.zeros_like(cycle.input_on))
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0] != _rbpf(model, init, lambda t: 5.0, 4, 10.0, 100.0, 0)  # the heater is on
 
 
 @pytest.mark.parametrize("shape", [(3, 10), (4, 9), (4, 11), (10, 4), (40,)])
@@ -313,10 +336,10 @@ def test_rbpf_refuses_a_block_of_draws_of_the_wrong_shape(shape):
     # 4 particles over 10 steps read a (4, 10) block, one row per particle
     model = _thermal_toy(0.1)
     init = lfm.initial_state(model, [1.0], [[0.01]])
-    steps = lfm.pass_steps(lfm.step_cycle(model, 10.0), 0.0, 10)
+    step = _cycle_step(lfm.step_cycle(model, 10.0), [0] * 10)
     with pytest.raises(InvalidParameterError,
                        match=re.escape(f"draws of shape {shape}; the pass needs (4, 10)")):
-        rbpf_predict_day(steps, *init, np.zeros(11), 4, np.zeros(shape),
+        rbpf_predict_day(*init, 10, step, set(), np.zeros(11), 4, np.zeros(shape),
                          jump=functools.partial(lfm.apply_changepoint_moments, model))
 
 
@@ -338,14 +361,13 @@ def test_rbpf_heater_irrelevant_when_beta_zero():
     model = _thermal_toy(0.0)
     init = lfm.initial_state(model, [1.0], [[0.01]])
     recs = _rbpf(model, init, lambda t: 1.0, 64, 10.0, 400.0, 3)
-    (mean, cov), t = init, 0.0
-    for r in recs:
-        g, q = one_step(lfm.discretize, model, t, r["t"])
+    mean, cov = init
+    for k in range(len(recs)):
+        g, q = one_step(lfm.discretize, model, 10.0 * k, 10.0 * (k + 1))
         mean, cov = predict(mean, cov, g, q)
-        t = r["t"]
     v_kf = cov[0, 0]
     # 3-sigma band for a variance estimate from 64 draws
-    assert abs(recs[-1]["var"] - v_kf) < 3.0 * v_kf * math.sqrt(2.0 / 64)
+    assert abs(recs[-1][1] - v_kf) < 3.0 * v_kf * math.sqrt(2.0 / 64)
 
 
 def test_rbpf_bit_reproducible():
@@ -353,11 +375,9 @@ def test_rbpf_bit_reproducible():
     init = lfm.initial_state(model, [0.0], [[0.04]])
     a = _rbpf(model, init, lambda t: 0.5, 16, 10.0, 300.0, 42)
     b = _rbpf(model, init, lambda t: 0.5, 16, 10.0, 300.0, 42)
-    assert all(
-        ra["mean"] == rb["mean"] and ra["var"] == rb["var"] for ra, rb in zip(a, b)
-    )
+    assert a == b
     c = _rbpf(model, init, lambda t: 0.5, 16, 10.0, 300.0, 43)
-    assert any(ra["mean"] != rc["mean"] for ra, rc in zip(a, c))
+    assert any(ra[0] != rc[0] for ra, rc in zip(a, c))
 
 
 def test_rbpf_mixture_mean_variance_shrinks_with_particles():
@@ -368,9 +388,7 @@ def test_rbpf_mixture_mean_variance_shrinks_with_particles():
     spreads = []
     for n_particles in (16, 64, 256):
         finals = [
-            _rbpf(model, init, lambda t: 0.3, n_particles, 10.0, 300.0, s)[-1][
-                "mean"
-            ]
+            _rbpf(model, init, lambda t: 0.3, n_particles, 10.0, 300.0, s)[-1][0]
             for s in range(20)
         ]
         spreads.append(np.var(finals))
@@ -390,9 +408,9 @@ def test_rbpf_without_temperature_variance_follows_the_heater_recursion():
     for _ in range(10):
         temperature = a * temperature + (10.0 * (1.0 - a) if temperature < 0.85 else 0.0)
         ref.append(temperature)
-    assert [r["var"] for r in recs] == [0.0] * 10
-    np.testing.assert_allclose([r["mean"] for r in recs], ref, rtol=1e-12, atol=0.0)
-    assert [round(r["mean"], 6) for r in recs[:3]] == [0.904837, 0.818731, 1.692444]
+    assert [var for _, var in recs] == [0.0] * 10
+    np.testing.assert_allclose([mean for mean, _ in recs], ref, rtol=1e-12, atol=0.0)
+    assert [round(mean, 6) for mean, _ in recs[:3]] == [0.904837, 0.818731, 1.692444]
 
 
 def _periodic_toy(beta: float, force_kind: str):
@@ -440,9 +458,7 @@ def _rbpf_reference(model, init, setpoint, n_particles, step, horizon, seed):
 
         var = cov[0, 0]
         temps = np.array([m[0] for m in means])
-        records.append(
-            {"t": t, "mean": temps.mean(), "var": var + np.mean(temps**2) - temps.mean() ** 2}
-        )
+        records.append((temps.mean(), var + np.mean(temps**2) - temps.mean() ** 2))
         gain = cov[:, 0] / var
         samples = [m[0] + math.sqrt(var) * rng.standard_normal() for m, rng in zip(means, rngs)]
         means = [m + (s - m[0]) * gain for m, s in zip(means, samples)]
@@ -464,6 +480,4 @@ def test_rbpf_matches_per_particle_reference(force_kind):
     assert n_on > 0 and n_off > 0  # both input branches are exercised
     assert len(recs) == len(ref) == 30
     for r, q in zip(recs, ref):
-        assert r["t"] == q["t"]
-        assert r["mean"] == pytest.approx(q["mean"], rel=1e-12, abs=1e-12)
-        assert r["var"] == pytest.approx(q["var"], rel=1e-12, abs=1e-12)
+        assert r == pytest.approx(q, rel=1e-12, abs=1e-12)

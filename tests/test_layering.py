@@ -1,12 +1,13 @@
 """The package layering runs one way: the engine (pade -> kernels ->
 eigenbasis -> lti -> lfm -> filtering -> learn) imports nothing from the
 applications, the baselines, the CLI or the config schemas, and `filtering`
-does not import `lfm`.  Every pass over a fixed model takes its
-transitions from the one
-`lfm.step_cycle(model, dt)` from t = 0 through `lfm.pass_steps`, so no such
-pass bypasses the cycle, and only the cycle computes the input term
-(`_input_response`); the
-queue, whose drift is relinearized every step, builds its own (G, Q).  No
+does not import `lfm`.  Every pass takes its cycle slots and changepoint
+steps from `lfm.pass_schedule` alone, and only `lfm` computes a changepoint
+schedule or a cycle length.  Every pass over a fixed model reads its
+transitions from the one `lfm.step_cycle(model, dt)` from t = 0 at those
+slots, so no such pass bypasses the cycle, and only the cycle computes the
+input term (`_input_response`); the queue, whose drift is relinearized
+every step, reads its relinearized (G, Q) at the same slots.  No
 pass forms a covariance outside `filtering`: only `filtering.update` restores
 its symmetry (`_symmetrize`), and the Kalman loop exists once: the queue
 and thermal filters (the thermal roster holds the resonator baseline) are
@@ -108,6 +109,21 @@ def test_only_step_cycle_builds_steps():
     # a constant-weight batch builds its own plan; no builder reads the input
     allowed = {("lfm.py", "constant_weight_transition", "make_constant_step_plan")}
     assert {u for u in uses if u[:2] != ("lfm.py", "step_cycle")} <= allowed
+
+
+def test_every_pass_takes_one_schedule():
+    # the three passes read their slots and changepoints from one checked
+    # function, so no pass keeps a second copy of the schedule, and the step
+    # record type and its per-step rewrites are gone
+    uses = _uses({"changepoint_steps", "cycle_steps"})
+    assert ("lfm.py", "pass_schedule", "changepoint_steps") in uses  # the walk sees references
+    assert {u[0] for u in uses} == {"lfm.py"}
+    assert {
+        ("apps/queueing.py", "_run_queue_filter", "pass_schedule"),
+        ("apps/thermal.py", "_run_thermal_filter", "pass_schedule"),
+        ("apps/thermal.py", "thermal_predict_day", "pass_schedule"),
+    } <= _uses({"pass_schedule"})
+    assert _uses({"PassStep", "pass_steps", "_replace"}) == set()
 
 
 def test_only_predict_and_update_form_a_covariance():

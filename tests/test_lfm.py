@@ -202,11 +202,11 @@ def test_changepoint_inside_step_rejected():
         changepoints=[5.0],
     )
     # the cycle builds; a pass whose step (4, 6) holds the changepoint raises
+    lfm.step_cycle(model, 2.0)
     with pytest.raises(ContractViolationError, match="changepoint at 5 is not on the step grid"):
-        lfm.pass_steps(lfm.step_cycle(model, 2.0), 4.0, 1)
+        lfm.pass_schedule(model, 2.0, 4.0, 1)
     # steps touching the boundary are fine
-    steps = lfm.pass_steps(lfm.step_cycle(model, 0.5), 4.5, 2)
-    assert [s.changepoint for s in steps] == [True, False]
+    assert lfm.pass_schedule(model, 0.5, 4.5, 2) == ([9, 10], {1})
 
 
 def test_input_term_integration():
@@ -269,24 +269,25 @@ def test_pass_steps_match_direct_transitions(kind):
     np.testing.assert_array_equal(lfm.changepoint_steps(model, 1.0, 0.5, 12), [2, 8])
     direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
     input_ref = _van_loan_reference(model, 1.0, 1.5, model.binary_input)[2]
-    steps = list(lfm.pass_steps(lfm.step_cycle(model, 0.5), 1.0, 12))
-    assert [s.changepoint for s in steps] == [k in (2, 8) for k in range(1, 13)]
-    for k, step in enumerate(steps):
+    cycle = lfm.step_cycle(model, 0.5)
+    slots, changepoints = lfm.pass_schedule(model, 0.5, 1.0, 12)
+    assert changepoints == {2, 8}
+    assert len(slots) == 12
+    np.testing.assert_allclose(cycle.input_on, input_ref, rtol=1e-12, atol=1e-14)
+    for k, slot in enumerate(slots):
         t0 = 1.0 + 0.5 * k
         g, q = one_step(direct, model, t0, t0 + 0.5)
-        assert step.t == t0 + 0.5
-        np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(step.input_on, input_ref, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(cycle.transitions[slot], g, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(cycle.noises[slot], q, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["sqm", "cqm"])
 def test_pass_steps_reject_changepoint_off_the_grid(kind):
     model = _stepper_model(kind, [2.25])
     # the changepoint lies inside a step of a pass from 1.0
-    cycle = lfm.step_cycle(model, 0.5)
+    lfm.step_cycle(model, 0.5)
     with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
-        lfm.pass_steps(cycle, 1.0, 12)  # raises before the first step
+        lfm.pass_schedule(model, 0.5, 1.0, 12)  # raises before the first step
     with pytest.raises(ContractViolationError):
         lfm.changepoint_steps(model, 1.0, 0.5, 12)
     assert lfm.changepoint_steps(model, 1.0, 0.5, 2).size == 0  # beyond the pass
@@ -301,15 +302,15 @@ def test_cycle_builds_over_an_off_grid_changepoint_no_pass_crosses(kind):
     model = _stepper_model(kind, [2.25])
     cycle = lfm.step_cycle(model, 0.5)
     direct = lfm.constant_weight_transition if kind == "sqm" else lfm.discretize
-    steps = list(lfm.pass_steps(cycle, 11.0, 12))
-    assert len(steps) == 12 and not any(s.changepoint for s in steps)
+    slots, changepoints = lfm.pass_schedule(model, 0.5, 11.0, 12)
+    assert len(slots) == 12 and changepoints == set()
     scale = np.abs(cycle.transitions).max()
-    for k, step in enumerate(steps):
+    for k, slot in enumerate(slots):
         g, q = one_step(direct, model, 11.0 + 0.5 * k, 11.5 + 0.5 * k)
-        np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(cycle.transitions[slot], g, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(cycle.noises[slot], q, rtol=1e-12, atol=1e-12 * scale)
     with pytest.raises(ContractViolationError, match="changepoint at 2.25"):
-        lfm.pass_steps(cycle, 1.0, 12)
+        lfm.pass_schedule(model, 0.5, 1.0, 12)
 
 
 @pytest.mark.parametrize("kind", ["none", "with", "sqm", "cqm"])
@@ -324,25 +325,25 @@ def test_pass_steps_reuse_the_first_cycle(kind):
     direct = lfm.constant_weight_transition if lfm.has_constant_weights(model) else lfm.discretize
     input_ref = _van_loan_reference(model, t_start, t_start + dt, model.binary_input)[2]
     cycle = lfm.step_cycle(model, dt)
-    assert cycle.n_cycle == n_cycle
     assert cycle.transitions.shape == cycle.noises.shape == (n_cycle, model.dim, model.dim)
-    steps = list(lfm.pass_steps(cycle, t_start, n_steps))
-    assert len(steps) == n_steps
-    assert [s.changepoint for s in steps] == [k in (10, 40) for k in range(1, n_steps + 1)]
-    for k, step in enumerate(steps):
+    np.testing.assert_allclose(cycle.input_on, input_ref, rtol=1e-12, atol=1e-12)
+    slots, changepoints = lfm.pass_schedule(model, dt, t_start, n_steps)
+    assert slots == [(offset + k) % n_cycle for k in range(n_steps)]
+    assert changepoints == {10, 40}
+    for k, slot in enumerate(slots):
         t0 = t_start + k * dt
-        assert step.t == t0 + dt
-        assert np.shares_memory(step.transition, cycle.transitions[(offset + k) % n_cycle])
         g, q = one_step(direct, model, t0, t0 + dt)
-        np.testing.assert_allclose(step.transition, g, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(step.noise, q, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(step.input_on, input_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cycle.transitions[slot], g, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cycle.noises[slot], q, rtol=1e-12, atol=1e-12)
 
 
 def test_pass_step_arrays_reject_writes():
+    # a pass reads its steps as views of the cycle's stacks at its slots
     model = _stepper_model("sqm", [])
-    for step in lfm.pass_steps(lfm.step_cycle(model, 0.5), 1.0, 25):
-        for array in (step.transition, step.noise, step.input_on):
+    cycle = lfm.step_cycle(model, 0.5)
+    slots, _ = lfm.pass_schedule(model, 0.5, 1.0, 25)
+    for slot in slots:
+        for array in (cycle.transitions[slot], cycle.noises[slot], cycle.input_on):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -365,14 +366,20 @@ def test_cycle_must_be_whole_steps():
     with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
         lfm.step_cycle(_stepper_model("cqm", []), -0.5)
     assert lfm.cycle_steps(_stepper_model("none", []), 0.3) == 1
-    # a pass checks its changepoint schedule before its start
-    cycle = lfm.step_cycle(_stepper_model("sqm", [12.4]), 0.5)
+    # a pass checks its step, its changepoint schedule, its start, then that
+    # its step divides the period
+    model = _stepper_model("sqm", [12.4])
+    for dt in (0.0, float("nan")):
+        with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
+            lfm.pass_schedule(model, dt, 0.0, 20)
+    with pytest.raises(ContractViolationError, match="step 0.3 does not divide the period 10"):
+        lfm.pass_schedule(model, 0.3, 1.2, 20)
     with pytest.raises(ContractViolationError, match="changepoint at 12.4"):
-        lfm.pass_steps(cycle, 1.25, 25)
+        lfm.pass_schedule(model, 0.5, 1.25, 25)
     with pytest.raises(
         ContractViolationError, match=r"pass start at 1.25 is not on the step grid 0 \+ k \* 0.5"
     ):
-        lfm.pass_steps(cycle, 1.25, 20)
+        lfm.pass_schedule(model, 0.5, 1.25, 20)
 
     forces = [lfm.periodic_force(sample_basis(period=p), [1.0]) for p in (10.0, 5.0)]
     model = lfm.assemble(np.array([[-0.5]]), periodic=forces)
@@ -544,19 +551,19 @@ def test_hartikainen_equivalence_small():
     starts = np.concatenate([[0.0], times])
 
     def step(k, mean):  # from the previous time (0 for the first) to times[k - 1]
-        return (times[k - 1], *one_step(lfm.discretize, model, starts[k - 1], starts[k]), None, False)
+        return (*one_step(lfm.discretize, model, starts[k - 1], starts[k]), None)
 
     for n in range(1, times.size + 1):
         observations = {k: [y] for k, y in enumerate(ys[:n], start=1)}
         _, mean, cov, records = kalman_pass(
-            np.zeros(2), p_inf, n, step, observations, h, [[noise]], jump=None
+            np.zeros(2), p_inf, n, step, set(), observations, h, [[noise]], jump=None
         )
         t = times[n - 1]
         # the record holds the prediction at t from the data before t
         mu, var = gp_regress(kern, noise, times[: n - 1], ys[: n - 1], [t])
-        assert records[-1][0] == t
-        assert records[-1][1] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
-        assert records[-1][2] == pytest.approx(var[0], rel=1e-6)
+        assert len(records) == n
+        assert records[-1][0] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
+        assert records[-1][1] == pytest.approx(var[0], rel=1e-6)
         mu, var = gp_regress(kern, noise, times[:n], ys[:n], [t])
         assert mean[0] == pytest.approx(mu[0], rel=1e-6, abs=1e-9)
         assert cov[0, 0] == pytest.approx(var[0], rel=1e-6)
@@ -598,13 +605,14 @@ def test_force_only_loglik_matches_dense_gp(kind):
         return update(mean, cov, periodic_force_row(model, t)[None, :], [[noise]], [y])
 
     mean, cov, loglik = observe(*lfm.initial_state(model, empty, np.zeros((0, 0))), times[0], ys[0])
-    steps = list(lfm.pass_steps(lfm.step_cycle(model, dt), 0.0, n_steps))
-    assert sum(s.changepoint for s in steps) == 5
-    for step, y in zip(steps, ys[1:]):
-        mean, cov = predict(mean, cov, step.transition, step.noise)
-        if step.changepoint:
+    cycle = lfm.step_cycle(model, dt)
+    slots, changepoints = lfm.pass_schedule(model, dt, 0.0, n_steps)
+    assert changepoints == {20, 40, 60, 80, 100}
+    for k, (slot, t, y) in enumerate(zip(slots, times[1:], ys[1:]), start=1):
+        mean, cov = predict(mean, cov, cycle.transitions[slot], cycle.noises[slot])
+        if k in changepoints:
             mean, cov = lfm.apply_changepoint_moments(model, mean, cov)
-        mean, cov, log_density = observe(mean, cov, step.t, y)
+        mean, cov, log_density = observe(mean, cov, t, y)
         loglik += log_density
 
     def kernel(t, tp):  # eval_matrix passes a column of t and a row of t'
