@@ -63,20 +63,20 @@ def update(
     obs_noise: np.ndarray,
     observation: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Measurement update with the Joseph-stabilized covariance form.
+    """Measurement update as one symmetric rank-d downdate of the covariance.
 
     The mean is (C,), H (d, C), R (d, d) and y (d,), with d = 1 or 2;
     anything else (a 0-d y too) raises InvalidParameterError.  Returns the
-    posterior mean and covariance (symmetrized) and the log-density of y,
-    a float.  S = L L^T is factored and L inverted in closed form on Python
-    floats, from S's lower triangle: at d <= 2 a LAPACK call costs more than
-    the arithmetic.  A pivot <= 0 raises NumericError ("singular"), and so
-    does a non-finite log det S (a NaN passes the pivot test).  With
-    W = L^-1 H P the gain is K = W^T L^-1 and the mean moves by
-    (L^-1 v)^T W.  The Joseph form
-    (I - KH) P (I - KH)^T + K R K^T is formed as P - K (HP) - ((HP)^T - K S) K^T:
-    the C x d term vanishes in exact arithmetic, and keeping it lets a
-    round-off error in K reach the covariance at second order only.
+    posterior mean and covariance and the log-density of y, a float.
+    S = L L^T is factored and L inverted in closed form on Python floats,
+    from S's lower triangle: at d <= 2 a LAPACK call costs more than the
+    arithmetic.  A pivot <= 0 raises NumericError ("singular"), and so does a
+    non-finite log det S (a NaN passes the pivot test).  With the whitened
+    rows W = L^-1 H P the mean moves by (L^-1 (y - H m))^T W, and the
+    covariance is the downdate P - W^T W of the prior P symmetrized first;
+    numpy forms W^T W as a symmetric rank-d product, so the posterior is
+    exactly symmetric.  The Joseph form guards against round-off in the gain
+    K, but K is never formed: mean and covariance take the same factor W.
     """
     h, z = np.asarray(obs_matrix, dtype=float), np.asarray(obs_noise, dtype=float)
     y = np.asarray(observation, dtype=float)
@@ -92,7 +92,6 @@ def update(
         raise InvalidParameterError(f"update observes d = 1 or 2 entries, not d = {d[0]}")
 
     # np.dot, not @: it dispatches faster on small arrays
-    innovation = y - np.dot(mean, h.T)
     hp = np.dot(h, cov)
     s = np.dot(hp, h.T) + z
     rows = s.tolist()
@@ -115,12 +114,11 @@ def update(
         raise NumericError(f"innovation covariance S is not finite: log det S = {log_det}")
 
     w = np.dot(chol_inv, hp)
-    gain = np.dot(w.T, chol_inv)
-    white = np.dot(innovation, chol_inv.T)
+    white = np.dot(chol_inv, y - np.dot(h, mean))
     mean = mean + np.dot(white, w)
-    cov = _symmetrize(cov - np.dot(gain, hp) - np.dot(hp.T - np.dot(gain, s), gain.T))
+    cov = _symmetrize(cov) - np.dot(w.T, w)
 
-    quad = (white * white).sum()
+    quad = np.dot(white, white)
     log_density = -0.5 * (h.shape[0] * math.log(2.0 * math.pi) + log_det + quad)
     return mean, cov, float(log_density)
 

@@ -422,8 +422,10 @@ def _grid_tol(t_start: float, dt: float, n_steps: int) -> float:
 
 def grid_steps(times, t_start: float, dt: float, n_steps: int, what: str) -> np.ndarray:
     """Integer indices k of `times` on the step grid t_start + k dt of a pass
-    of `n_steps` steps.  Raises ContractViolationError, naming `what`, for a
-    time that is not on the grid (an event there would be skipped)."""
+    of `n_steps` steps.  A step that is not finite and > 0 raises
+    InvalidParameterError; a time that is not on the grid (an event there
+    would be skipped) raises ContractViolationError, naming `what`."""
+    _check_step(dt)
     times = np.asarray(times, dtype=float)
     steps = np.rint((times - t_start) / dt)
     off = np.abs(t_start + steps * dt - times) > _grid_tol(t_start, dt, n_steps)
@@ -523,11 +525,10 @@ def pass_schedule(
     (offset + k - 1) mod n_cycle with offset t_start's index on the grid
     k dt, and `changepoints` is the set of the k whose step end is one.
 
-    After the step itself, three checks run here, in order, before the first
-    step: the changepoint schedule (`changepoint_steps`), the pass start on
-    the grid k dt (the `grid_steps` rule, naming it), and that dt divides
-    the period (`cycle_steps`)."""
-    _check_step(dt)
+    After the step itself (`grid_steps`), three checks run here, in order,
+    before the first step: the changepoint schedule (`changepoint_steps`),
+    the pass start on the grid k dt (the `grid_steps` rule, naming it), and
+    that dt divides the period (`cycle_steps`)."""
     changepoints = set(changepoint_steps(model, t_start, dt, n_steps).tolist())
     span = int(np.rint(t_start / dt))
     offset = int(grid_steps([t_start], 0.0, dt, span, "pass start")[0])

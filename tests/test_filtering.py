@@ -1,14 +1,18 @@
 import functools
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from eigenlfm import eigenbasis as eb
+from eigenlfm import filtering
 from eigenlfm import kernels as K
 from eigenlfm import lfm, lti
+from eigenlfm.apps import queueing, thermal
 from eigenlfm.errors import ContractViolationError, InvalidParameterError, NumericError
 from eigenlfm.filtering import (
     kalman_pass,
@@ -18,6 +22,9 @@ from eigenlfm.filtering import (
     update,
 )
 from helpers import one_step
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import QUEUE_PARAMS, THERMAL_PARAMS  # noqa: E402
 
 
 def test_predict_identity():
@@ -88,6 +95,44 @@ def test_update_joseph_form_ill_conditioned():
     _, cov, _ = update(np.zeros(2), np.diag([1.0, 1e-8]), h, [[1e-4]], [3.0])
     eigs = np.linalg.eigvalsh(cov)
     assert eigs.min() >= -1e-10 * np.trace(cov)
+
+
+def test_update_downdate_ill_conditioned_in_the_thermal_layout():
+    # both temperatures observed (H = [e_0; e_lo]) with the thermal fit's
+    # smallest noise, sigma = 0.005, on a predicted prior whose variances
+    # reach 1e2 and whose other states follow the observed two: the downdate
+    # P - W^T W cancels all but about 1e-3 of the prior's trace
+    rng = np.random.default_rng(1)
+    c, lo = 28, 1
+    sd = np.sqrt(np.logspace(-6, 2, c))
+    sd[[0, lo]] = 10.0
+    a = rng.standard_normal((c, c))
+    a[:, 2:] *= 1e-3
+    norms = np.linalg.norm(a, axis=1)
+    corr = a @ a.T / np.outer(norms, norms)
+    g = np.eye(c) + 1e-3 * rng.standard_normal((c, c))
+    mean, prior = predict(np.zeros(c), corr * np.outer(sd, sd), g, np.zeros((c, c)))
+    h = np.zeros((2, c))
+    h[0, 0] = h[1, lo] = 1.0
+    _, cov, _ = update(mean, prior, h, 0.005**2 * np.eye(2), [0.3, -0.2])
+    assert np.trace(cov) < 1e-3 * np.trace(prior)
+    assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.trace(cov)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_update_posterior_is_exactly_symmetric(d):
+    # `predict` leaves its covariance asymmetric at round-off; `update`
+    # downdates the symmetrized prior by W^T W, which numpy forms as a
+    # symmetric rank-d product, so the posterior is exactly symmetric
+    rng = np.random.default_rng(30 + d)
+    c = 28
+    for _ in range(10):
+        a, g = rng.standard_normal((c, c)), rng.standard_normal((c, c)) / math.sqrt(c)
+        mean, prior = predict(rng.standard_normal(c), a @ a.T / c, g, 0.01 * np.eye(c))
+        assert not np.array_equal(prior, prior.T)
+        _, cov, _ = update(mean, prior, rng.standard_normal((d, c)), 0.1 * np.eye(d),
+                           rng.standard_normal(d))
+        assert np.array_equal(cov, cov.T)
 
 
 def _reference_update(mean, cov, h, z, y):
@@ -266,6 +311,30 @@ def test_covariance_stays_symmetric_over_predict_only_stretches():
         assert np.abs(p - p.T).max() <= 1e-13 * scale
         assert np.linalg.eigvalsh(p).min() >= -1e-12 * scale
     np.testing.assert_array_equal(cov, cov.T)  # the pass ends on an update
+
+
+def test_every_posterior_of_the_bench_passes_stays_psd(monkeypatch):
+    # at the benchmark's parameters on 2-day records: the training pass of
+    # every thermal method and the track pass of every queue method keep
+    # each posterior's smallest eigenvalue >= -1e-12 of its largest
+    floors = []
+
+    def recording(*args):
+        mean, cov, log_density = update(*args)
+        eigs = np.linalg.eigvalsh(cov)
+        floors.append(eigs[0] / eigs[-1])
+        return mean, cov, log_density
+
+    monkeypatch.setattr(filtering, "update", recording)
+    dataset = thermal.generate_thermal_data(thermal.ThermalGenConfig(days=2), seed=3)
+    for kind in thermal.THERMAL_METHODS:
+        thermal._trained_state(dataset, kind, THERMAL_PARAMS[kind], envelope=False)
+    n_thermal = len(thermal.THERMAL_METHODS) * round(dataset.test_start / dataset.config.step)
+    dataset = queueing.generate_queue_data(queueing.QueueGenConfig(days=2), seed=3)
+    for kind in queueing.QUEUE_METHODS:
+        queueing.queue_track(dataset, kind, QUEUE_PARAMS[kind])
+    assert len(floors) == n_thermal + len(queueing.QUEUE_METHODS) * dataset.meas_times.size
+    assert min(floors) >= -1e-12
 
 
 def _cycle_step(cycle, slots):

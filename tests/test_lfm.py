@@ -387,6 +387,15 @@ def test_cycle_must_be_whole_steps():
         lfm.cycle_steps(model, 0.5)
 
 
+@pytest.mark.parametrize("dt", [0.0, float("nan"), -1.0, float("inf")],
+                         ids=["zero", "nan", "negative", "inf"])
+def test_grid_steps_refuses_a_step_that_is_not_finite_and_positive(dt):
+    # 0 and NaN would cast a NaN index to an int, -1 would run the grid
+    # backwards and inf would put every time on step 0
+    with pytest.raises(InvalidParameterError, match="step must be finite and > 0"):
+        lfm.grid_steps([1.0], 0.0, dt, 3, "x")
+
+
 def _full_drift(model, t):
     """Frozen drift [[F_a, m(t)], [0, F_A]] of the full state."""
     c, cza = model.dim, model.layout.dim_za
