@@ -45,8 +45,9 @@ def write_columns(path: Path, header, columns) -> None:
 
 
 def _read_csv(path: Path, expected: list[str], step: float | None = None) -> list[np.ndarray]:
-    """The columns of a CSV file with the `expected` header.  Given a `step`,
-    the file is read by row position, so its times (first column) must run
+    """The columns of a CSV file with the `expected` header.  A cell that is
+    not finite raises, naming its column and data row.  Given a `step`, the
+    file is read by row position, so its times (first column) must run
     t0, t0 + step, ...: a file off that grid raises, naming the spacing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -59,6 +60,11 @@ def _read_csv(path: Path, expected: list[str], step: float | None = None) -> lis
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         raise InvalidParameterError(f"{path.name} is empty")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidParameterError(f"{path.name}: data row {i + 1} has {expected[j]} = "
+                                    f"{data[i, j]:g}; every value must be finite")
     if step is not None:
         times = data[:, 0]
         grid = times[0] + step * np.arange(times.size)

@@ -245,17 +245,16 @@ def _int_exp(a: float, dt: float) -> float:
     return math.expm1(x) / a
 
 
-def _ou_target_step(f: float, c: float, dt: float):
+def _ou_target_step(f: float, c: float, dt: float, decay: float, i_2c: float):
     """The f-dependent terms (e_f, g_cross, q11, q12) of the exact step of
     dL/dt = f L + u, du/dt = -c u + unit white noise: G = [[e_f, g_cross],
-    [0, e^{-c dt}]] and Q = [[q11, q12], [q12, (e^{-2c dt} - 1) / (-2c)]]."""
+    [0, decay]], Q = [[q11, q12], [q12, i_2c]] (decay and i_2c given)."""
     e_f = math.exp(f * dt)
     d = f + c
     if abs(d) * dt > 1e-7:
-        g_cross = math.exp(-c * dt) * _int_exp(d, dt)
+        g_cross = decay * _int_exp(d, dt)
         i_2f = _int_exp(2.0 * f, dt)
         i_fc = _int_exp(f - c, dt)
-        i_2c = _int_exp(-2.0 * c, dt)
         q11 = (i_2f - 2.0 * i_fc + i_2c) / d**2
         q12 = (i_fc - i_2c) / d
     else:
@@ -295,21 +294,19 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
 
 def _relinearized_steps(model, starts: np.ndarray, dt: float):
     """Step builder of the model relinearized to dL/dt = f L + force: returns
-    `step(k, f)`, the (G, Q) of the step [starts[k], starts[k] + dt] at drift f.
-
-    What does not depend on f is built once: the G and Q templates and the
-    eigenfunction rows of every step.  A step copies the templates and fills
-    row 0 (and column 0 of Q).  Constant weights take the coupling by
-    8-node Gauss-Legendre quadrature of the weighted rows at the nodes, with
-    no noise; as in `lfm.constant_weight_transition`, the quadrature is not
-    exact across the kinks of the eigenfunctions (ROADMAP item 3).  OU force
-    states take `_ou_target_step` of a unit force, scaled by their noise q:
-    cqm's weights with the coupling frozen at the step-start row phi(t0), or
-    hart's one force, the same step with phi = 1.  Their decay e^{-c dt} and
-    noise q (e^{-2c dt} - 1) / (-2c) fill the templates' diagonals.
+    `step(k, f)`, the (G, Q or None) of the step [starts[k], starts[k] + dt]
+    at drift f.  One G (and Q) and every step's eigenfunction rows are built
+    once; a call rewrites row 0 of G (and row and column 0 of Q) in place.
+    Constant weights take the coupling by 8-node Gauss-Legendre quadrature
+    of the weighted rows at the nodes, with no noise (Q None), inexact across
+    the eigenfunctions' kinks as in `lfm.constant_weight_transition` (ROADMAP
+    item 3).  OU force states take `_ou_target_step` of a unit force, scaled
+    by their noise q: cqm's weights with the coupling frozen at the
+    step-start row phi(t0), or hart's one force with phi = 1; their decay
+    e^{-c dt} and noise q (e^{-2c dt} - 1) / (-2c) fill the diagonals once.
     """
-    c = model.dim
-    g, q = np.eye(c), np.zeros((c, c))
+    g = np.eye(model.dim)
+    g_row = g[0, 1:]
     if model.periodic and lfm.has_constant_weights(model):
         nodes = (starts[:, None] + dt * _GAUSS_X).ravel()
         phi = eb.eigenfunction_matrix(model.periodic[0].basis, nodes)
@@ -317,10 +314,9 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
         lags = dt * (1.0 - _GAUSS_X)
 
         def step(k: int, f: float):
-            gk = g.copy()
-            gk[0, 0] = math.exp(f * dt)
-            gk[0, 1:] = np.exp(f * lags) @ phi[k]
-            return gk, q
+            g[0, 0] = math.exp(f * dt)
+            np.dot(np.exp(f * lags), phi[k], out=g_row)
+            return g, None
 
         return step
 
@@ -333,17 +329,17 @@ def _relinearized_steps(model, starts: np.ndarray, dt: float):
     qd = np.diag(model.diffusion)[1:]
     q_phi = qd * phi
     mass = (q_phi * phi).sum(axis=1).tolist()
-    g[1:, 1:] *= math.exp(-rate * dt)
-    q[1:, 1:] = np.diag(qd * _int_exp(-2.0 * rate, dt))
+    decay, i_2c = math.exp(-rate * dt), _int_exp(-2.0 * rate, dt)
+    g[1:, 1:] *= decay
+    q = np.diag(np.append(0.0, qd * i_2c))
+    q_row, q_col = q[0, 1:], q[1:, 0]
 
     def step(k: int, f: float):
-        e_f, g_cross, q11, q12 = _ou_target_step(f, rate, dt)
-        gk, qk = g.copy(), q.copy()
-        gk[0, 0] = e_f
-        gk[0, 1:] = g_cross * phi[k]
-        qk[0, 0] = q11 * mass[k]
-        qk[0, 1:] = qk[1:, 0] = q12 * q_phi[k]
-        return gk, qk
+        g[0, 0], g_cross, q11, q12 = _ou_target_step(f, rate, dt, decay, i_2c)
+        np.multiply(phi[k], g_cross, out=g_row)
+        q[0, 0] = q11 * mass[k]
+        q_col[:] = np.multiply(q_phi[k], q12, out=q_row)
+        return g, q
 
     return step
 
@@ -373,7 +369,7 @@ def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
     omega = dataset.omega(times[:n_steps]).tolist()
 
     def step(k: int, mean: np.ndarray) -> tuple:
-        f = queue_linearize(omega[k - 1], max(mean[0], 0.0))
+        f = queue_linearize(omega[k - 1], max(mean.item(0), 0.0))
         return *relinearized(slots[k - 1], f), None
 
     mean, cov = lfm.initial_state(model, [0.0], [[25.0]])

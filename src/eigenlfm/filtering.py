@@ -6,11 +6,12 @@ a binary control input, whose shared covariance takes the same two steps and
 whose `particle_draws` block the methods predicted on one dataset share.
 
 This module knows nothing of how a model is discretized.  Both passes take
-one protocol: `step(k, mean)` returns the (G, Q, input term or None) of
-step k = 1 .. n_steps, and a jump callable maps the moments across the
-steps in a `changepoints` set.  Both record the predictive (mean, var) of
-state 0 at each step end; the caller knows the times.  The recursion is the
-standard one (Särkkä, *Bayesian Filtering and Smoothing*, 2013), in numpy alone.
+one protocol: `step(k, mean)` returns the (G, Q or None, input term or
+None) of step k = 1 .. n_steps, read before the next call (so a step may
+rewrite them), and a jump callable maps the moments across the steps in a
+`changepoints` set.  Both record the predictive (mean, var) of state 0 at
+each step end; the caller knows the times.  The recursion is the standard
+one (Särkkä, *Bayesian Filtering and Smoothing*, 2013), in numpy alone.
 """
 
 from __future__ import annotations
@@ -39,21 +40,24 @@ def predict(
     mean: np.ndarray,
     cov: np.ndarray,
     transition: np.ndarray,
-    process_noise: np.ndarray,
+    process_noise: np.ndarray | None,
     input_term: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear-Gaussian time update: mean -> G mean + b, cov -> G cov G^T + Q,
-    not symmetrized.  The mean is (C,); G and Q must be (C, C)."""
-    g, q = np.asarray(transition, dtype=float), np.asarray(process_noise, dtype=float)
+    not symmetrized; None is no Q or no b.  The mean is (C,), G and Q (C, C)."""
+    g = np.asarray(transition, dtype=float)
+    q = None if process_noise is None else np.asarray(process_noise, dtype=float)
     square = mean.shape[-1:] * 2
-    if g.shape != square or q.shape != square:
-        raise InvalidParameterError(
-            f"transition of shape {g.shape} and noise of shape {q.shape} must both be {square}"
-        )
+    if g.shape != square or (q is not None and q.shape != square):
+        raise InvalidParameterError(f"transition of shape {g.shape} and noise of shape "
+                                    f"{getattr(q, 'shape', None)} must both be {square}")
     mean = np.dot(mean, g.T)
     if input_term is not None:
         mean = mean + input_term
-    return mean, np.dot(np.dot(g, cov), g.T) + q
+    cov = np.dot(np.dot(g, cov), g.T)
+    if q is not None:
+        cov += q
+    return mean, cov
 
 
 def update(
@@ -130,13 +134,13 @@ def kalman_pass(
     """One Kalman filter pass of `n_steps` steps from the moments (mean, cov).
 
     Step k = 1 .. n_steps ends on grid point k: `step(k, mean)`, called in
-    order with the mean before the step, returns its (G, Q, input term or
-    None).  The pass predicts, applies `jump(mean, cov)` when k is in
-    `changepoints`, records the predictive marginal (mean[0], cov[0, 0]) of
-    state 0 and updates on `observations[k]`, if any, with H = `obs_matrix`
-    and R = `obs_noise`.  An observation keyed outside 1 .. n_steps raises
-    ContractViolationError.  Returns (log-likelihood of the observations,
-    mean, cov, records), one record per step.
+    order with the mean before the step, returns its (G, Q or None, input
+    term or None), read before the next call.  The pass predicts, jumps by
+    `jump(mean, cov)` if k is in `changepoints`, records the predictive
+    (mean[0], cov[0, 0]) of state 0 and updates on `observations[k]`, if
+    any, with H = `obs_matrix` and R = `obs_noise`.  An observation keyed
+    outside 1 .. n_steps raises ContractViolationError.  Returns (the
+    observations' log-likelihood, mean, cov, records), one record per step.
     """
     outside = sorted(k for k in observations if not 1 <= k <= n_steps)
     if outside:
@@ -182,12 +186,12 @@ def rbpf_predict_day(
 
     From the moments (mean, cov), step k = 1 .. n_steps takes the protocol
     of `kalman_pass`: `step(k, means)`, called in order with the (P, C)
-    particle means before the step, returns its G, Q and the input term b of
-    a heater that is on (None: no input), and when k is in `changepoints`,
-    `jump(means, cov)` maps the particle means and the shared covariance
-    across the changepoint.  The temperature is state 0.  `setpoints` holds
-    the n_steps + 1 set points at the pass start and at each step end; none
-    may be NaN, and another count raises InvalidParameterError.
+    particle means, returns its (G, Q or None, b or None), b the input of a
+    heater that is on, read before the next call; `jump(means, cov)` maps
+    the particle means and shared covariance across a `changepoints` step.
+    The temperature is state 0.  `setpoints` holds the n_steps + 1 set
+    points at the pass start and each step end; none may be NaN, and
+    another count raises InvalidParameterError.
 
     Per step and particle: the heater is on while the particle's last sampled
     temperature is strictly below the set point, the Kalman prediction runs

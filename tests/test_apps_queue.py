@@ -10,7 +10,7 @@ from eigenlfm import filtering, lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.apps.synth import draw_periodic_force
-from eigenlfm.errors import ContractViolationError, InvalidParameterError
+from eigenlfm.errors import ContractViolationError, InvalidParameterError, NumericError
 from helpers import one_step
 
 
@@ -168,6 +168,9 @@ def test_relinearized_step_matches_generic(kind, params, f, t0, dt, tol):
     build = lfm.constant_weight_transition if lfm.has_constant_weights(generic) else lfm.discretize
     ref_g, ref_q = one_step(build, generic, t0, t0 + dt)
     g, q = qa._relinearized_steps(model, np.array([t0]), dt)(0, f)
+    if q is None:  # constant weights: a step without process noise
+        assert lfm.has_constant_weights(model)
+        q = np.zeros_like(ref_q)
     np.testing.assert_allclose(g, ref_g, rtol=0.0, atol=tol)
     np.testing.assert_allclose(q, ref_q, rtol=0.0, atol=tol)
 
@@ -179,6 +182,39 @@ def test_relinearized_step_matches_generic(kind, params, f, t0, dt, tol):
     for got, ref in zip(lfm.apply_changepoint_moments(model, means, cov),
                         lfm.apply_changepoint_moments(generic, means, cov)):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("hart", dict(sigma_obs=0.6, sigma_f=1.2, ell_f=120.0)),
+    ("with", dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4)),
+    ("quasi-cqm", _PERIODIC),
+])
+def test_relinearized_step_after_another_matches_a_fresh_builder(kind, params):
+    # a builder rewrites one G and Q in place: after a call at another slot
+    # and drift, a call returns what a fresh builder's first call returns
+    model = qa._queue_model(kind, params, qa.QueueGenConfig(days=2, n_basis_points=64))
+    starts = np.array([100.0, 102.0])
+    step = qa._relinearized_steps(model, starts, 2.0)
+    step(0, -2.0)
+    for got, fresh in zip(step(1, -0.5), qa._relinearized_steps(model, starts, 2.0)(1, -0.5)):
+        np.testing.assert_array_equal(got, fresh)
+
+
+def test_queue_pass_from_a_nan_mean_raises(monkeypatch):
+    # the clamp of the linearization point must keep a NaN mean NaN, so that
+    # the first update refuses it rather than the pass returning a NaN loglik
+    initial_state = lfm.initial_state
+
+    def nan_start(*args):
+        mean, cov = initial_state(*args)
+        return np.full_like(mean, np.nan), cov
+
+    monkeypatch.setattr(lfm, "initial_state", nan_start)
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, step=4.0), seed=0)
+    for kind, params in [("hart", dict(sigma_obs=0.5, sigma_f=1.2, ell_f=120.0)),
+                         ("with", dict(sigma_obs=0.5, sigma_p=1.2, ell_p=0.5))]:
+        with pytest.raises(NumericError, match="log det S = nan"):
+            qa.queue_track(ds, kind, params)
 
 
 def test_track_rejects_changepoints_off_the_step_grid():

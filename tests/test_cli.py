@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from eigenlfm.apps.io import write_queue_dataset
+from eigenlfm.apps.io import write_queue_dataset, write_thermal_dataset
 from eigenlfm.apps.queueing import QueueGenConfig, generate_queue_data
+from eigenlfm.apps.thermal import ThermalGenConfig, generate_thermal_data
 from eigenlfm.cli import _APPS, main
 from eigenlfm.config import validate_config
 from eigenlfm.errors import InvalidParameterError
@@ -242,23 +243,52 @@ def _fails_cleanly(result, text):
         # a repeated measurement minute used to keep only its last value
         ({**QUEUE_CONFIG, "methods": ["hart"], "data_dir": "repeated"}, ["queue", "track"],
          "measurements repeat minute 120"),
+        # a NaN measurement ended in "sigma_f: initial point must be interior"
+        ({**QUEUE_CONFIG, "methods": ["hart"], "data_dir": "queue-nan"}, ["queue", "track"],
+         "queue_meas.csv: data row 3 has queue_len = nan; every value must be finite"),
+        # a NaN measurement ended in "non-finite metrics for <dataset>/without"
+        ({**THERMAL_CONFIG, "methods": ["without"], "data_dir": "thermal-nan"},
+         ["thermal", "predict"], "thermal_meas.csv: data row 121 has t_int = nan"),
+        # a NaN time passed the step-grid check, and without a measurement
+        # file the track ran to exit 0
+        ({**THERMAL_CONFIG, "methods": ["without"], "data_dir": "thermal-nan-time"},
+         ["thermal", "track"], "thermal.csv: data row 121 has time_min = nan"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
     if "data_dir" in config:
-        config = {**config, "data_dir": str(_repeated_queue_measurement(tmp_path / "data"))}
+        config = {**config, "data_dir": str(_edited_data_dir(tmp_path / "data",
+                                                             config["data_dir"]))}
     result, _ = _invoke(tmp_path, {**config, "seeds": [0]}, *command)
     _fails_cleanly(result, text)
 
 
-def _repeated_queue_measurement(data_dir):
-    """A queue dataset directory whose measurement file repeats minute 120."""
-    dataset = generate_queue_data(QueueGenConfig(days=2, step=4.0), seed=0)
-    write_queue_dataset(data_dir, dataset)
-    meas = data_dir / "queue_meas.csv"
-    lines = meas.read_text().splitlines()
+# data directory edits: (file, the line of minute 120 -> its new text, file to drop)
+_DATA_EDITS = {
+    "repeated": ("queue_meas.csv", lambda line: f"{line}\n120,50", None),
+    "queue-nan": ("queue_meas.csv", lambda line: "120,nan", None),
+    "thermal-nan": ("thermal_meas.csv", lambda line: "120,nan," + line.split(",")[2], None),
+    "thermal-nan-time": ("thermal.csv", lambda line: "nan" + line.removeprefix("120"),
+                         "thermal_meas.csv"),
+}
+
+
+def _edited_data_dir(data_dir, edit):
+    """A generated dataset directory with the line of minute 120 in one file
+    rewritten (and one file dropped) as `_DATA_EDITS[edit]` says."""
+    name, rewrite, dropped = _DATA_EDITS[edit]
+    if name.startswith("queue"):
+        dataset = generate_queue_data(QueueGenConfig(days=2, step=4.0), seed=0)
+        write_queue_dataset(data_dir, dataset)
+    else:
+        write_thermal_dataset(data_dir, generate_thermal_data(ThermalGenConfig(days=2), seed=0))
+    if dropped:
+        (data_dir / dropped).unlink()
+    path = data_dir / name
+    lines = path.read_text().splitlines()
     row = next(i for i, line in enumerate(lines) if line.startswith("120,"))
-    meas.write_text("\n".join([*lines[:row + 1], "120,50", *lines[row + 1:]]) + "\n")
+    lines[row] = rewrite(lines[row])
+    path.write_text("\n".join(lines) + "\n")
     return data_dir
 
 

@@ -58,6 +58,20 @@ def test_predict_rejects_a_transition_or_noise_that_is_not_square():
         predict(np.zeros(2), np.eye(2), np.ones((3, 2)), np.eye(3))
     with pytest.raises(InvalidParameterError, match=r"transition of shape \(3, 2\)"):
         predict(np.zeros((4, 2)), np.eye(2), np.ones((3, 2)), np.eye(3))
+    # without noise the transition is still checked
+    with pytest.raises(InvalidParameterError, match=r"transition of shape \(3, 2\)"):
+        predict(np.zeros(2), np.eye(2), np.ones((3, 2)), None)
+
+
+def test_predict_without_noise_is_predict_with_zero_noise():
+    rng = np.random.default_rng(2)
+    a, g, b = rng.standard_normal((3, 5, 5))
+    mean, cov = rng.standard_normal(5), a @ a.T
+    for input_term in (None, b[0]):
+        got = predict(mean, cov, g, None, input_term)
+        ref = predict(mean, cov, g, np.zeros((5, 5)), input_term)
+        for x, y in zip(got, ref):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_update_scalar():
@@ -275,6 +289,32 @@ def test_kalman_pass_matches_the_loop_it_runs():
     np.testing.assert_allclose(mean, ref_mean, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=0.0)
     assert loglik == pytest.approx(ref_loglik, rel=1e-12)
+
+
+def test_kalman_pass_keeps_no_array_of_a_step():
+    # a step may rewrite and return the same G and Q on every call: the pass
+    # reads them before the next call, so the pass equals one over fresh arrays
+    rng = np.random.default_rng(4)
+    c = 4
+    gs = [np.eye(c) + 0.2 * rng.standard_normal((c, c)) for _ in range(3)]
+    qs = [0.1 * a @ a.T for a in rng.standard_normal((3, c, c))]
+    g_buf, q_buf = np.empty((c, c)), np.empty((c, c))
+
+    def rewriting(k, mean):
+        g_buf[...], q_buf[...] = gs[k % 3], qs[k % 3]
+        return g_buf, q_buf, None
+
+    observations = {k: rng.standard_normal(1) for k in range(2, 31, 3)}
+    passes = [
+        kalman_pass(np.zeros(c), np.eye(c), 30, step, {7, 20}, observations,
+                    np.eye(1, c), [[0.25]], jump=lambda mean, cov: (mean, cov + np.eye(c)))
+        for step in (rewriting, lambda k, mean: (gs[k % 3].copy(), qs[k % 3].copy(), None))
+    ]
+    (loglik, mean, cov, records), (ref_loglik, ref_mean, ref_cov, ref_records) = passes
+    assert loglik == ref_loglik
+    assert records == ref_records
+    np.testing.assert_array_equal(mean, ref_mean)
+    np.testing.assert_array_equal(cov, ref_cov)
 
 
 @pytest.mark.parametrize("key", [0, 6, -1])
