@@ -5,6 +5,12 @@ Formats:
   queue truth/meas    time_min,queue_len        (truth on the generator.step grid)
   thermal record      time_min,t_int,t_ext,setpoint,heater   (1-minute grid)
   thermal meas        time_min,t_int,t_ext                   (1-minute grid)
+
+Every dataset and pass CSV is written by `write_columns` in one dialect,
+without the csv module: comma-separated cells, `\r\n` line ends, each value
+formatted `%.10g` and never quoted, since a formatted number holds no comma
+or quote.  These are the bytes `csv.writer` writes for the same cells.
+`write_csv` writes rows of cells that are already strings.
 """
 
 from __future__ import annotations
@@ -41,23 +47,44 @@ def write_csv(path: Path, header, rows) -> None:
 def write_columns(path: Path, header, columns) -> None:
     """Write the rows of `columns` (equal-length sequences), each value to 10
     significant digits: the one precision of every dataset and pass CSV."""
-    write_csv(path, header, ([f"{v:.10g}" for v in row] for row in zip(*columns)))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["%.10g"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % values for values in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _row_values(path: Path, expected: list[str], n: int, row: list[str]) -> list[float]:
+    """The numbers of data row `n`; a row of another length than `expected`
+    or a cell that is not a number raises, naming the row (and column)."""
+    if len(row) != len(expected):
+        raise InvalidParameterError(f"{path.name}: data row {n} has a cell count of "
+                                    f"{len(row)}, not {len(expected)} ({', '.join(expected)})")
+    values = []
+    for name, cell in zip(expected, row):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise InvalidParameterError(f"{path.name}: data row {n} has {name} = {cell!r}; "
+                                        "every value must be a number") from None
+    return values
 
 
 def _read_csv(path: Path, expected: list[str], step: float | None = None) -> list[np.ndarray]:
-    """The columns of a CSV file with the `expected` header.  A cell that is
-    not finite raises, naming its column and data row.  Given a `step`, the
-    file is read by row position, so its times (first column) must run
-    t0, t0 + step, ...: a file off that grid raises, naming the spacing."""
+    """The columns of a CSV file with the `expected` header.  A row of another
+    length, or a cell that is not a finite number, raises, naming its data
+    row (and column).  Given a `step`, the file is read by row position, so
+    its times (first column) must run t0, t0 + step, ...: a file off that
+    grid raises, naming the spacing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != expected:
             raise InvalidParameterError(
                 f"{path.name}: expected columns {expected}, found {header}"
             )
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
+        rows = [row for row in reader if row]
+    data = np.array([_row_values(path, expected, i + 1, row) for i, row in enumerate(rows)])
     if data.size == 0:
         raise InvalidParameterError(f"{path.name} is empty")
     bad = np.argwhere(~np.isfinite(data))

@@ -66,22 +66,26 @@ def queue_simulate(times, arrival, omega, l0: float, substep: float = 0.25) -> n
     length is clamped at zero after every substep (the mean-queue equation
     can otherwise go negative under negative arrival rates).  The substep
     must resolve the fastest service time constant (1/omega) for RK4
-    stability: h omega <= 2.78 on the linearized drift.
+    stability: h omega <= 2.78 on the linearized drift.  Every grid time
+    must be finite.
     """
     times = np.asarray(times, dtype=float)
     if substep <= 0.0:
         raise InvalidParameterError("substep must be > 0")
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise InvalidParameterError(f"grid time {bad[0]} is {times[bad[0]]:g}; it must be finite")
 
-    starts, widths, last = [], [], []
-    for t, t_end in zip(times[:-1].tolist(), times[1:].tolist()):
-        n_sub = max(1, int(round((t_end - t) / substep)))
-        h = (t_end - t) / n_sub
-        for _ in range(n_sub):
-            starts.append(t)
-            widths.append(h)
-            t += h
-        last.append(len(starts) - 1)
-    starts, widths = np.array(starts), np.array(widths)
+    span = np.diff(times)
+    n_sub = np.maximum(1, np.rint(span / substep)).astype(int)
+    h = span / n_sub
+    grid = np.empty((span.size, n_sub.max(initial=1)))
+    grid[:, 0] = times[:-1]
+    for j in range(1, grid.shape[1]):  # t + h + ... + h summed as `t += h`, not t + j h
+        grid[:, j] = grid[:, j - 1] + h
+    starts = grid[np.arange(grid.shape[1]) < n_sub[:, None]]
+    widths = np.repeat(h, n_sub)
+    last = np.cumsum(n_sub) - 1
     stages = (starts, starts + 0.5 * widths, starts + widths)
     zeta = [np.broadcast_to(arrival(s), s.shape).tolist() for s in stages]
     rate = [np.broadcast_to(omega(s), s.shape).tolist() for s in stages]

@@ -138,7 +138,10 @@ def fit(
     r > 0 starts from the initial point jittered (in transformed coordinates)
     by seeded Gaussian noise, so the whole search is deterministic in `seed`.
     A non-finite value or a NumericError from `objective` scores as a very
-    poor value; at the initial point it raises InvalidParameterError.
+    poor value; at the initial point it raises InvalidParameterError.  The
+    first restart's first vertex is the initial point: its score is served
+    from the first evaluation, so it counts in `budget` and the trace, but
+    the objective runs there once.
     """
     dim = len(space.params)
     if budget < dim + 2:
@@ -154,12 +157,15 @@ def fit(
     trace: list[float] = []
 
     def negated(coords: np.ndarray) -> float:
-        values = space.untransform(coords)
-        try:
-            out = float(objective(dict(zip(space.names, values))))
-        except NumericError:  # e.g. a singular innovation covariance: scored as non-finite
-            out = math.nan
-        out = out if math.isfinite(out) else -_BAD
+        if len(trace) == 1 and np.array_equal(coords, start0):
+            out = trace[0]  # Nelder-Mead's first vertex: the initial point, already scored
+        else:
+            values = space.untransform(coords)
+            try:
+                out = float(objective(dict(zip(space.names, values))))
+            except NumericError:  # e.g. a singular innovation covariance: scored as non-finite
+                out = math.nan
+            out = out if math.isfinite(out) else -_BAD
         trace.append(out)
         return -out
 

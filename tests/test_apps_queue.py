@@ -46,6 +46,71 @@ def test_simulate_step_halving_convergence():
     assert np.max(np.abs(a - b)) < 1e-6
 
 
+def _loop_schedule(times, substep):
+    """The substep starts, widths and last substep of each grid interval,
+    built one substep at a time: the reference for `queue_simulate`'s
+    array schedule."""
+    starts, widths, last = [], [], []
+    for t, t_end in zip(times[:-1].tolist(), times[1:].tolist()):
+        n_sub = max(1, int(round((t_end - t) / substep)))
+        h = (t_end - t) / n_sub
+        for _ in range(n_sub):
+            starts.append(t)
+            widths.append(h)
+            t += h
+        last.append(len(starts) - 1)
+    return np.array(starts), np.array(widths), last
+
+
+def _loop_simulate(times, arrival, omega, l0, substep):
+    """RK4 over the loop schedule, step for step as `queue_simulate`."""
+    starts, widths, last = _loop_schedule(times, substep)
+    stages = (starts, starts + 0.5 * widths, starts + widths)
+    zeta = [np.broadcast_to(arrival(s), s.shape).tolist() for s in stages]
+    rate = [np.broadcast_to(omega(s), s.shape).tolist() for s in stages]
+    state, path = float(l0), []
+    for h, z0, zm, z1, w0, wm, w1 in zip(widths.tolist(), *zeta, *rate):
+        lc = max(state, 0.0)
+        k1 = -w0 * lc / (1.0 + lc) + z0
+        lc = max(state + 0.5 * h * k1, 0.0)
+        k2 = -wm * lc / (1.0 + lc) + zm
+        lc = max(state + 0.5 * h * k2, 0.0)
+        k3 = -wm * lc / (1.0 + lc) + zm
+        lc = max(state + h * k3, 0.0)
+        k4 = -w1 * lc / (1.0 + lc) + z1
+        state = max(state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+        path.append(state)
+    return np.concatenate([[l0], np.array(path)[last]])
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 2.5, 2.6, 7.0], [3.0]], ids=["uneven", "one-point"])
+def test_simulate_matches_the_substep_loop(times):
+    # the intervals take 2, 8, 1 (0.1 rounds to 0, raised to 1) and 18
+    # substeps of 0.25; every substep start is the loop's `t += h` sum, so
+    # the path is bitwise the loop's
+    times = np.array(times)
+    stage_times = []
+
+    def arrival(t):
+        stage_times.append(t)
+        return 3.0 + 2.0 * np.sin(t)
+
+    omega = lambda t: 4.0 + np.cos(t)
+    out = qa.queue_simulate(times, arrival, omega, 1.5, substep=0.25)
+    starts, widths, _ = _loop_schedule(times, 0.25)
+    for got, want in zip(stage_times, (starts, starts + 0.5 * widths, starts + widths)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(out, _loop_simulate(times, arrival, omega, 1.5, 0.25))
+    assert out.shape == times.shape
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_simulate_rejects_a_grid_time_that_is_not_finite(bad):
+    # a NaN time ended in "cannot convert float NaN to integer"
+    with pytest.raises(InvalidParameterError, match=f"grid time 2 is {bad:g}; it must be finite"):
+        qa.queue_simulate(np.array([0.0, 1.0, bad, 3.0]), lambda t: 1.0, lambda t: 2.0, 0.0)
+
+
 def test_generator_resolves_a_fast_service_rate(monkeypatch):
     # at a fixed 0.25-minute substep, RK4 on a service rate of 40 collapsed
     # the queue to 0; the generator's truth matches a fine-substep reference
@@ -365,6 +430,15 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_header_check(tmp_path):
     (tmp_path / "arrivals.csv").write_text("time,rate\n0,1\n")
     with pytest.raises(InvalidParameterError):
+        app_io.read_queue_dataset(tmp_path, qa.QueueGenConfig(days=2))
+
+
+def test_reader_refuses_an_empty_file(tmp_path):
+    # a file without a header line ended in a bare StopIteration
+    (tmp_path / "arrivals.csv").write_text("")
+    with pytest.raises(InvalidParameterError,
+                       match=r"arrivals.csv: expected columns \['time_min', 'arrival_rate'\], "
+                             r"found \[\]"):
         app_io.read_queue_dataset(tmp_path, qa.QueueGenConfig(days=2))
 
 

@@ -253,6 +253,12 @@ def _fails_cleanly(result, text):
         # file the track ran to exit 0
         ({**THERMAL_CONFIG, "methods": ["without"], "data_dir": "thermal-nan-time"},
          ["thermal", "track"], "thermal.csv: data row 121 has time_min = nan"),
+        # a short row ended in numpy's "inhomogeneous shape" error
+        ({**QUEUE_CONFIG, "methods": ["hart"], "data_dir": "short-row"}, ["queue", "track"],
+         "queue_meas.csv: data row 3 has a cell count of 1, not 2 (time_min, queue_len)"),
+        # a cell that is not a number ended in "could not convert string to float: 'abc'"
+        ({**QUEUE_CONFIG, "methods": ["hart"], "data_dir": "not-a-number"}, ["queue", "track"],
+         "queue_meas.csv: data row 3 has queue_len = 'abc'; every value must be a number"),
     ],
 )
 def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
@@ -270,6 +276,8 @@ _DATA_EDITS = {
     "thermal-nan": ("thermal_meas.csv", lambda line: "120,nan," + line.split(",")[2], None),
     "thermal-nan-time": ("thermal.csv", lambda line: "nan" + line.removeprefix("120"),
                          "thermal_meas.csv"),
+    "short-row": ("queue_meas.csv", lambda line: "120", None),
+    "not-a-number": ("queue_meas.csv", lambda line: "120,abc", None),
 }
 
 

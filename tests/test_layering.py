@@ -26,7 +26,8 @@ basis or a fit result is built whole and never changed.  Only a fit
 (`learn.fit`) and the basis comparison (`baselines.comparison.linear_regress`)
 import scipy, inside the function, so `import eigenlfm.cli` loads no scipy
 module and track, predict, simulate and eigenbasis never pay for it; nor
-does it load jsonschema, which `config` no longer uses.  Checked
+does it load jsonschema, which `config` no longer uses.  Only `apps/io`
+imports csv, so the dataset and pass files have one dialect.  Checked
 on the source with `ast`, so no module is imported, except the import pins,
 which import the CLI in a fresh interpreter; each of the last five pins is
 also run over a small package that breaks its rule, to show it can fail."""
@@ -377,9 +378,9 @@ def test_every_engine_dataclass_is_frozen():
     assert set(classes) - frozen == set()
 
 
-def _scipy_imports(root: Path) -> set[tuple[str, str]]:
+def _imports_of(root: Path, package: str) -> set[tuple[str, str]]:
     """(file, enclosing top-level function or "<module>") of every import of
-    scipy or one of its modules in the package under `root`."""
+    `package` or one of its modules in the package under `root`."""
     found = set()
     for path in sorted(root.rglob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -390,7 +391,7 @@ def _scipy_imports(root: Path) -> set[tuple[str, str]]:
                     names = [node.module]
                 else:
                     continue
-                if any(n.split(".")[0] == "scipy" for n in names):
+                if any(n.split(".")[0] == package for n in names):
                     where = getattr(top, "name", "<module>")
                     found.add((str(path.relative_to(root)), where))
     return found
@@ -399,7 +400,7 @@ def _scipy_imports(root: Path) -> set[tuple[str, str]]:
 def test_only_a_fit_and_the_basis_comparison_import_scipy():
     # track and predict run on numpy alone (pade.expm, the closed-form
     # update); scipy is imported where the optimizer and the regression run
-    assert _scipy_imports(PACKAGE) == {
+    assert _imports_of(PACKAGE, "scipy") == {
         ("learn.py", "fit"), ("baselines/comparison.py", "linear_regress"),
     }
 
@@ -410,9 +411,15 @@ def test_scipy_import_walk_reports_module_level_imports(tmp_path):
         "learn": "def fit():\n    from scipy.optimize import minimize\n    return minimize\n",
         "filtering": "from scipy.linalg.lapack import dpotrf\n",
     })
-    assert _scipy_imports(root) == {
+    assert _imports_of(root, "scipy") == {
         ("lfm.py", "<module>"), ("learn.py", "fit"), ("filtering.py", "<module>"),
     }
+
+
+def test_only_apps_io_imports_csv():
+    # every CSV the package writes or reads goes through `apps/io`, which
+    # holds the one dialect of the dataset and pass files
+    assert _imports_of(PACKAGE, "csv") == {("apps/io.py", "<module>")}
 
 
 def _loads(root: Path, module: str, packages: set[str]) -> list[str]:

@@ -45,6 +45,22 @@ def test_monotone_best_so_far():
     assert result.value == pytest.approx(best[-1])
 
 
+def test_the_initial_point_is_scored_once():
+    # Nelder-Mead's first vertex is the initial point, which `fit` has already
+    # scored: the trace holds its value twice, and the objective ran once there
+    calls = []
+
+    def objective(p):
+        calls.append(p)
+        return -((p["a"] - 1.0) ** 2) - (p["b"] - 1.0) ** 2
+
+    result = learn.fit(objective, quadratic_space(), budget=12, seed=0)
+    assert len(result.trace) == 12
+    assert len(calls) == len(result.trace) - 1
+    assert result.trace[1] == result.trace[0]
+    assert calls[1] != calls[0]
+
+
 def test_nonfinite_initial_point():
     with pytest.raises(InvalidParameterError):
         learn.fit(lambda p: float("nan"), quadratic_space(), budget=50)
