@@ -348,6 +348,19 @@ def _param_space(kind: str, envelope: bool) -> learn.ParamSpace:
     return learn.ParamSpace(tuple(params))
 
 
+def _train(dataset, kind, params, envelope):
+    """(loglik, cycle, mean, cov) of the training pass over [0, test_start]:
+    the model's step cycle, which a held-out pass reuses, and the (mean, cov)
+    at `dataset.test_start`."""
+    model = thermal_build(kind, params, dataset.config, envelope=envelope)
+    cycle = lfm.step_cycle(model, dataset.config.step)
+    loglik, mean, cov, _ = _run_thermal_filter(
+        cycle, dataset, params["sigma_obs"], *_initial_state(model, dataset, envelope),
+        0.0, dataset.test_start, dataset.config.step,
+    )
+    return loglik, cycle, mean, cov
+
+
 def thermal_fit(
     dataset: ThermalDataset,
     kind: str,
@@ -358,18 +371,8 @@ def thermal_fit(
 ) -> learn.FitResult:
     """Maximum-likelihood parameters from the training days (measurements of
     both temperatures at every control step)."""
-
-    def objective(p: dict) -> float:
-        model = thermal_build(kind, p, dataset.config, envelope=envelope)
-        loglik, _, _, _ = _run_thermal_filter(
-            lfm.step_cycle(model, dataset.config.step), dataset, p["sigma_obs"],
-            *_initial_state(model, dataset, envelope),
-            0.0, dataset.test_start, dataset.config.step,
-        )
-        return loglik
-
     return learn.fit(
-        objective, _param_space(kind, envelope),
+        lambda p: _train(dataset, kind, p, envelope)[0], _param_space(kind, envelope),
         budget=budget, restarts=restarts, seed=seed,
     )
 
@@ -387,16 +390,9 @@ def _score(dataset: ThermalDataset, cycle: lfm.StepCycle, records) -> dict:
 
 
 def _trained_state(dataset, kind, params, envelope):
-    """The model's step cycle, which the held-out pass reuses, and the
-    (mean, cov) after the training pass, at `dataset.test_start`."""
+    """`_train`'s (cycle, mean, cov) at parameters checked against the bounds."""
     _param_space(kind, envelope).check(params, kind)
-    model = thermal_build(kind, params, dataset.config, envelope=envelope)
-    cycle = lfm.step_cycle(model, dataset.config.step)
-    _, mean, cov, _ = _run_thermal_filter(
-        cycle, dataset, params["sigma_obs"], *_initial_state(model, dataset, envelope),
-        0.0, dataset.test_start, dataset.config.step,
-    )
-    return cycle, mean, cov
+    return _train(dataset, kind, params, envelope)[1:]
 
 
 def thermal_track_day(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import eigenbasis as eb
 from .. import kernels
-from ..errors import NumericError
+from ..errors import InvalidParameterError, NumericError
 from .ssgpr import implied_covariance, ssgpr_build, ssgpr_features
 
 __all__ = ["compare_linear_bases", "linear_regress"]
@@ -76,7 +76,14 @@ def compare_linear_bases(
     # significance threshold tuned so exactly n_basis eigenpairs survive
     probe = eb.build(kernel, n_points, window, gamma=1e-15)
     mu = probe.eigenvalues
-    gamma = 0.5 * (mu[n_basis - 1] + mu[min(n_basis, n_points - 1)]) / mu[0]
+    positive = int(np.count_nonzero(mu > 0.0))
+    if n_basis > positive:
+        raise InvalidParameterError(
+            f"n_basis = {n_basis} exceeds the count of positive eigenvalues of the "
+            f"n_points = {n_points} Gram, {positive}"
+        )
+    # midway to the next eigenvalue, or to 0 when that one is not positive
+    gamma = 0.5 * (mu[n_basis - 1] + max(mu[min(n_basis, n_points - 1)], 0.0)) / mu[0]
     basis = eb.build(kernel, n_points, window, gamma=gamma)
 
     true_cov = kernels.eval_matrix(kernel, grid, grid)

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidParameterError, NumericError
 
-__all__ = ["EigenBasis", "build"]
+__all__ = ["EigenBasis", "build", "eigenfunction_matrix", "reconstruct", "spectrum_table"]
 
 # kernel entries K(t_i, s_j) evaluated per block of eigenfunction rows
 BLOCK_ENTRIES = 2**14

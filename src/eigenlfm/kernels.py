@@ -287,17 +287,26 @@ _VARIANT_TYPES = {
 
 def kernel_from_config(config: dict) -> Kernel:
     """Kernel from its config {"variant": ..., "params": {...}}; a "product"
-    carries "left" and "right" kernel configs instead of params."""
+    carries "left" and "right" kernel configs instead of params.  A missing
+    factor, and a key that the variant would drop, is an InvalidParameterError."""
     try:
         variant = config["variant"]
     except (TypeError, KeyError):
         raise InvalidParameterError("kernel config must carry a 'variant' key")
     if variant == "product":
+        for key in ("left", "right"):
+            if key not in config:
+                raise InvalidParameterError(f"product kernel config lacks {key!r}")
+        if config.get("params"):
+            raise InvalidParameterError("product kernel config has 'params'; its factors hold them")
         return Product(
             kernel_from_config(config["left"]), kernel_from_config(config["right"])
         )
     if variant not in _VARIANT_TYPES:
         raise InvalidParameterError(f"unknown kernel variant {variant!r}")
+    for key in ("left", "right"):
+        if key in config:
+            raise InvalidParameterError(f"{variant!r} kernel config has {key!r}, a product key")
     params = dict(config.get("params", {}))
     try:
         return _VARIANT_TYPES[variant](**params)

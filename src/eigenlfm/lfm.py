@@ -350,14 +350,14 @@ def make_constant_step_plan(model: AugmentedModel, dt: float) -> tuple:
     (expm(F_a dt), the exact z_a noise over one step, the (n,) quadrature
     node offsets into the step, their (n,) weights scaled by dt, and per
     force the (n, dim_za) z_a response to its coupling from each node to
-    the step end)."""
+    the step end).  A model with no periodic force takes no node propagator."""
     drift_za = model.drift_za
     cza = model.layout.dim_za
     x, w = gauss_nodes()
     phi_za, noise_za = _van_loan(drift_za, model.diffusion[:cza, :cza], dt)
-    props = [expm(drift_za * (dt * (1.0 - xi))) for xi in x]
     coupling = tuple(
-        np.stack([p @ pad for p in props]) for pad in model.coupling_pad
+        np.stack([expm(drift_za * (dt * (1.0 - xi))) @ pad for xi in x])
+        for pad in model.coupling_pad
     )
     return phi_za, noise_za, x * dt, w * dt, coupling
 

@@ -9,6 +9,7 @@ from eigenlfm import kernels as K
 from eigenlfm import filtering, lfm
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
+from eigenlfm.apps import synth
 from eigenlfm.apps.synth import draw_periodic_force
 from eigenlfm.errors import ContractViolationError, InvalidParameterError, NumericError
 from helpers import one_step
@@ -348,20 +349,35 @@ def test_track_dense_measurements_hits_noise_floor():
     assert out["rmse"] < 3.0 * cfg.obs_noise
 
 
+ROSTER = {
+    "quasi-sqm": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4, ell_q=3.0),
+    "quasi-wqm": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4, xi=1.0),
+    "quasi-cqm": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4, ell_q=3.0),
+    "with": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4),
+    "hart": dict(sigma_obs=0.5, sigma_f=2.0, ell_f=120.0),
+}
+
+
 def test_track_reports_finite_metrics_all_methods():
     cfg = qa.QueueGenConfig(days=2)
     ds = qa.generate_queue_data(cfg, seed=1)
-    roster = {
-        "quasi-sqm": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4, ell_q=3.0),
-        "quasi-wqm": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4, xi=1.0),
-        "quasi-cqm": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4, ell_q=3.0),
-        "with": dict(sigma_obs=0.5, sigma_p=2.0, ell_p=0.4),
-        "hart": dict(sigma_obs=0.5, sigma_f=2.0, ell_f=120.0),
-    }
-    for kind, params in roster.items():
+    for kind, params in ROSTER.items():
         out = qa.queue_track(ds, kind, params)
         assert np.isfinite(out["rmse"]) and np.isfinite(out["ell"])
         assert out["n_basis"] <= 30
+
+
+@pytest.mark.parametrize("kind", sorted(ROSTER))
+def test_queue_path_takes_no_exponential(monkeypatch, kind):
+    # the generator and the relinearized steps use closed forms only, so no
+    # change to pade.expm can move a queue output or a queue digest
+    def refuse(a):
+        raise AssertionError("the queue path took a matrix exponential")
+
+    monkeypatch.setattr(lfm, "expm", refuse)
+    monkeypatch.setattr(synth, "expm", refuse)
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=2, kind=kind), seed=1)
+    assert np.isfinite(qa.queue_track(ds, kind, ROSTER[kind])["rmse"])
 
 
 def test_variable_service_rate_runs():

@@ -116,6 +116,20 @@ def test_kpca_beats_ssgpr_on_covariance_error():
     assert by["kpca"]["basis_count"] == 22
 
 
+def test_kpca_takes_every_positive_eigenpair_and_no_more():
+    # at n_basis equal to the count of positive Gram eigenvalues the threshold
+    # fell midway to the next, negative one, which could put it at or below 0
+    # (the 100-point Gram's 69th and 70th eigenvalues are 2.9e-17 and -5.2e-17
+    # on one OpenBLAS kernel); one more eigenpair is refused by name
+    mu = eb.build(K.SquaredExponential(1.0, 10.0), 100, 120.0, gamma=1e-15).eigenvalues
+    positive = int(np.count_nonzero(mu > 0.0))
+    rows = compare_linear_bases(n_points=100, n_basis=positive, n_draws=1, grid_count=60,
+                                ssgpr_multipliers=())
+    assert rows[0]["basis_count"] == positive
+    with pytest.raises(InvalidParameterError, match=f"n_basis = {positive + 1} exceeds"):
+        compare_linear_bases(n_points=100, n_basis=positive + 1, n_draws=1)
+
+
 def test_ssgpr_implied_error_exceeds_kpca_in_most_seeds():
     kernel = K.SquaredExponential(1.0, 10.0)
     window = 120.0

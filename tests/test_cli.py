@@ -269,6 +269,29 @@ def test_package_errors_end_in_an_error_line(tmp_path, config, command, text):
     _fails_cleanly(result, text)
 
 
+@pytest.mark.parametrize(
+    "config, command, text",
+    [
+        # ended in "IndexError: index 149 is out of bounds for axis 0 with size 100"
+        ({"n_points": 100, "n_basis": 150}, ["compare-bases"],
+         "n_basis = 150 exceeds the count of positive eigenvalues of the n_points = 100 Gram"),
+        # ended in "gamma must lie in (0, 1]", which names no key of this config:
+        # the 100th eigenvalue of the SE Gram is not positive
+        ({"n_points": 100, "n_basis": 100}, ["compare-bases"],
+         "n_basis = 100 exceeds the count of positive eigenvalues of the n_points = 100 Gram"),
+        # ended in "error: 'right'", the repr of a KeyError
+        ({"kernel": {"variant": "product",
+                     "left": {"variant": "se", "params": {"sigma": 1.0, "ell": 0.2}}},
+          "period": 1.0}, ["eigenbasis"], "product kernel config lacks 'right'"),
+    ],
+    ids=["n-basis-beyond-points", "n-basis-beyond-positive", "product-without-right"],
+)
+def test_basis_config_errors_end_in_an_error_line(tmp_path, config, command, text):
+    result, out = _invoke(tmp_path, config, *command)
+    _fails_cleanly(result, text)
+    assert not out.exists()
+
+
 # data directory edits: (file, the line of minute 120 -> its new text, file to drop)
 _DATA_EDITS = {
     "repeated": ("queue_meas.csv", lambda line: f"{line}\n120,50", None),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,32 @@ def test_config_errors():
         K.kernel_from_config({"variant": "matern", "params": {"bogus": 1.0}})
     with pytest.raises(InvalidParameterError):
         K.kernel_from_config({})
+
+
+_SE = {"variant": "se", "params": {"sigma": 1.0, "ell": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "config, text",
+    [
+        # a missing factor ended in the repr of a KeyError, "'right'"
+        ({"variant": "product", "left": _SE}, "product kernel config lacks 'right'"),
+        ({"variant": "product", "right": _SE}, "product kernel config lacks 'left'"),
+        # these keys were dropped without a word
+        ({"variant": "product", "left": _SE, "right": _SE, "params": {"sigma": 2.0}},
+         "product kernel config has 'params'; its factors hold them"),
+        ({**_SE, "left": {"variant": "nope"}},
+         "'se' kernel config has 'left', a product key"),
+        ({**_SE, "right": _SE}, "'se' kernel config has 'right', a product key"),
+    ],
+    ids=["no-right", "no-left", "product-params", "se-left", "se-right"],
+)
+def test_config_names_the_key_it_lacks_or_would_drop(config, text):
+    with pytest.raises(InvalidParameterError, match=re.escape(text)):
+        K.kernel_from_config(config)
+
+
+def test_product_config_with_empty_params_is_accepted():
+    config = {"variant": "product", "params": {}, "left": _SE, "right": _SE}
+    se = K.SquaredExponential(1.0, 2.0)
+    assert K.kernel_from_config(config) == K.Product(se, se)

@@ -19,17 +19,18 @@ weight-space regression (`baselines.comparison.linear_regress`)
 scores both linear bases, so the only Cholesky factor beside the Kalman
 layer's is its own.  Kernel matrices are built only by `eigenbasis` (the
 Gram and the bounded blocks of eigenfunction rows) and by the basis
-comparison's true covariance.  Every public name is used in the package
-itself, and every dataclass field of an engine type is read there: what only a test
-reaches lives in `tests/`.  Every engine dataclass is frozen: a model, a
-basis or a fit result is built whole and never changed.  Only a fit
+comparison's true covariance.  Every public name is listed in its module's
+`__all__` and used in the package itself, and every dataclass field of an
+engine type is read there: what only a test reaches lives in `tests/`.
+Every engine dataclass is frozen: a model, a basis or a fit result is built
+whole and never changed.  Only a fit
 (`learn.fit`) and the basis comparison (`baselines.comparison.linear_regress`)
 import scipy, inside the function, so `import eigenlfm.cli` loads no scipy
 module and track, predict, simulate and eigenbasis never pay for it; nor
 does it load jsonschema, which `config` no longer uses.  Only `apps/io`
 imports csv, so the dataset and pass files have one dialect.  Checked
 on the source with `ast`, so no module is imported, except the import pins,
-which import the CLI in a fresh interpreter; each of the last five pins is
+which import the CLI in a fresh interpreter; each of the last six pins is
 also run over a small package that breaks its rule, to show it can fail."""
 
 import ast
@@ -172,7 +173,7 @@ def _unused_imports() -> set[tuple[str, str]]:
                 bound |= {a.asname or a.name for a in node.names}
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         rel = str(path.relative_to(PACKAGE))
-        found |= {(rel, name) for name in bound - read - set(_exports(tree))}
+        found |= {(rel, name) for name in bound - read - set(_exports(tree) or [])}
     return found
 
 
@@ -232,13 +233,14 @@ def test_apps_build_the_daily_prior_once():
     assert uses["synth.py"] == DAILY_PRIOR  # the walk sees references
 
 
-def _exports(tree: ast.Module) -> list[str]:
+def _exports(tree: ast.Module) -> list[str] | None:
+    """The names in a module's `__all__`, or None when it defines none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return [elt.value for elt in node.value.elts]
-    return []
+    return None
 
 
 def _annotation_nodes(tree: ast.Module) -> set[int]:
@@ -267,7 +269,7 @@ def _unreached(root: Path) -> dict[str, list[str]]:
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text())
         rel = str(path.relative_to(root))
-        for name in _exports(tree):
+        for name in _exports(tree) or []:
             exports.setdefault(name, []).append(rel)
         hints = _annotation_nodes(tree)
         for top in tree.body:
@@ -309,6 +311,42 @@ def test_public_names_walk_reports_an_unused_export(tmp_path):
     })
     # recursion, an annotation and the export itself are not uses
     assert _unreached(root) == {"unused": ["kernels.py"]}
+
+
+def _unlisted(root: Path) -> dict[str, list[str]]:
+    """Public top-level functions and classes of each module under `root`
+    that defines `__all__` but does not list them, by file."""
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        listed = _exports(tree)
+        if listed is None:
+            continue
+        unlisted = [
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in listed
+        ]
+        if unlisted:
+            found[str(path.relative_to(root))] = unlisted
+    return found
+
+
+def test_every_public_name_is_in_all():
+    # a public name missing from __all__ escapes the public-name pin above
+    assert _unlisted(PACKAGE) == {}
+
+
+def test_all_walk_reports_an_unlisted_public_name(tmp_path):
+    root = _package(tmp_path, {
+        "kernels": '__all__ = ["listed"]\n\n'
+                   "def listed(): pass\n\n"
+                   "def _private(): pass\n\n"
+                   "class Unlisted: pass\n\n"
+                   "def unlisted(): pass\n",
+        "lfm": "def no_all(): pass\n",  # a module without __all__ lists nothing
+    })
+    assert _unlisted(root) == {"kernels.py": ["Unlisted", "unlisted"]}
 
 
 def _engine_dataclasses(root: Path) -> dict[str, ast.ClassDef]:

@@ -3,7 +3,8 @@ test-side reference: on every exponential that the step cycle of each
 thermal roster entry takes (the Van Loan blocks of periodic, sqm, wqm and
 cqm weights, of the OU and Matern-3/2 blocks and of the resonator bank, the
 input response and the constant-weight node propagators), and on a sweep of
-1-norms from each Padé degree through several squarings.
+1-norms from 0.01, far inside theta_13, through several squarings of the one
+degree-13 approximant.
 
 Both are backward stable, not identical: they agree to TOL relative to the
 largest entry of the exponential.
@@ -50,20 +51,43 @@ def test_expm_matches_scipy_on_every_step_cycle_exponential(monkeypatch, kind, e
     assert worst < TOL
 
 
+# exponentials per step cycle: the input response and the z_a Van Loan, plus
+# 8 node propagators of a constant-weight force or one Van Loan per force of
+# the frozen-m steps; a model with no periodic force reads no propagator
+EXPONENTIALS = {"without": 2, "hart": 2, "resonator": 2, "with": 10, "quasi-sqm": 10,
+                "quasi-wqm": 10, "quasi-cqm": 3}
+
+
+@pytest.mark.parametrize("kind", th.THERMAL_METHODS)
+def test_step_cycle_takes_no_exponential_that_no_force_reads(monkeypatch, kind):
+    taken = []
+
+    def counting(a):
+        taken.append(a)
+        return pade.expm(a)
+
+    monkeypatch.setattr(lfm, "expm", counting)
+    lfm.step_cycle(th.thermal_build(kind, PARAMS, th.ThermalGenConfig()), 10.0)
+    assert len(taken) == EXPONENTIALS[kind]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 30])
 @pytest.mark.parametrize(
-    "norm, degree, squarings",
+    # one norm in the range where Higham's 2005 cost ladder takes degree 3, 5,
+    # 7, 9 or 13 (the ids' middle number), all of which the one degree-13
+    # approximant covers, then 2^-s scaling into theta_13
+    "norm, ladder_degree, squarings",
     [(0.01, 3, 0), (0.2, 5, 0), (0.9, 7, 0), (2.0, 9, 0), (5.0, 13, 0), (8.0, 13, 1),
      (40.0, 13, 3), (100.0, 13, 5)],
 )
-def test_expm_matches_scipy_over_a_norm_sweep(monkeypatch, n, norm, degree, squarings):
-    # each Padé degree up to theta_13, then 2^-s scaling into it; the drifts
-    # are stable, as every model's is, and scaled to the given 1-norm
-    approximants = []
+def test_expm_matches_scipy_over_a_norm_sweep(monkeypatch, n, norm, ladder_degree, squarings):
+    # the drifts are stable, as every model's is, and scaled to the given 1-norm
+    assert squarings == max(0, math.ceil(math.log2(norm / pade._THETA_13)))
+    scaled_norms = []
 
-    def recording(a, m):
-        approximants.append((m, np.abs(a).sum(axis=0).max()))
-        return approximant(a, m)
+    def recording(a):
+        scaled_norms.append(np.abs(a).sum(axis=0).max())
+        return approximant(a)
 
     approximant = pade._pade
     monkeypatch.setattr(pade, "_pade", recording)
@@ -72,9 +96,7 @@ def test_expm_matches_scipy_over_a_norm_sweep(monkeypatch, n, norm, degree, squa
         a = rng.standard_normal((n, n)) - 2.0 * math.sqrt(n) * np.eye(n)
         a *= norm / np.abs(a).sum(axis=0).max()
         assert _relative_error(a) < TOL
-    assert {(m, round(math.log2(norm / scaled))) for m, scaled in approximants} == {
-        (degree, squarings)
-    }
+    assert {round(math.log2(norm / scaled)) for scaled in scaled_norms} == {squarings}
 
 
 def test_expm_of_zero_and_of_a_non_finite_matrix():
