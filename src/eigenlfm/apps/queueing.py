@@ -8,7 +8,8 @@ fluid flow approximation (PSFFA)
 with service rate Omega and mean arrival rate zeta.  The arrival rate is a
 latent force with a periodic or quasi-periodic GP prior.  Tracking is an
 extended Kalman filter: `filtering.kalman_pass` asks for each step with
-the filtered mean, and the step relinearizes the drift there.
+the filtered mean, and the step relinearizes the drift there and takes its
+(G, Q) from `lfm.relinearized_steps`.
 
 Ground truth is always simulated from the full nonlinear equation; the
 linearization is used only inside the filter.  Time is in minutes and the
@@ -18,12 +19,10 @@ cycle period is one day (1440 minutes).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import eigenbasis as eb
 from .. import learn, lfm, lti
 from ..errors import ContractViolationError, InvalidParameterError
 from ..filtering import kalman_pass
@@ -241,41 +240,6 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
     )
 
 
-def _int_exp(a: float, dt: float) -> float:
-    """(exp(a dt) - 1) / a, robust at a -> 0."""
-    x = a * dt
-    if abs(x) < 1e-8:
-        return dt * (1.0 + 0.5 * x + x * x / 6.0)
-    return math.expm1(x) / a
-
-
-def _ou_target_step(f: float, c: float, dt: float, decay: float, i_2c: float):
-    """The f-dependent terms (e_f, g_cross, q11, q12) of the exact step of
-    dL/dt = f L + u, du/dt = -c u + unit white noise: G = [[e_f, g_cross],
-    [0, decay]], Q = [[q11, q12], [q12, i_2c]] (decay and i_2c given)."""
-    e_f = math.exp(f * dt)
-    d = f + c
-    if abs(d) * dt > 1e-7:
-        g_cross = decay * _int_exp(d, dt)
-        i_2f = _int_exp(2.0 * f, dt)
-        i_fc = _int_exp(f - c, dt)
-        q11 = (i_2f - 2.0 * i_fc + i_2c) / d**2
-        q12 = (i_fc - i_2c) / d
-    else:
-        # f ~ -c: the cross response degenerates to u exp(f u); here |f| dt
-        # is small, so fixed-order quadrature of the smooth integrand is exact
-        # to round-off
-        g_cross = dt * e_f
-        u = dt * _GAUSS_X
-        gu = u * np.exp(f * u)
-        q11 = dt * float(_GAUSS_W @ gu**2)
-        q12 = dt * float(_GAUSS_W @ (gu * np.exp(-c * u)))
-    return e_f, g_cross, q11, q12
-
-
-_GAUSS_X, _GAUSS_W = lfm.gauss_nodes()
-
-
 def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.AugmentedModel:
     """State (queue length, arrival-rate states): an OU force for "hart",
     eigenfunction weights of a periodic arrival rate otherwise.  The target
@@ -296,64 +260,12 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
     )
 
 
-def _relinearized_steps(model, starts: np.ndarray, dt: float):
-    """Step builder of the model relinearized to dL/dt = f L + force: returns
-    `step(k, f)`, the (G, Q or None) of the step [starts[k], starts[k] + dt]
-    at drift f.  One G (and Q) and every step's eigenfunction rows are built
-    once; a call rewrites row 0 of G (and row and column 0 of Q) in place.
-    Constant weights take the coupling by 8-node Gauss-Legendre quadrature
-    of the weighted rows at the nodes, with no noise (Q None), inexact across
-    the eigenfunctions' kinks as in `lfm.constant_weight_transition` (ROADMAP
-    item 3).  OU force states take `_ou_target_step` of a unit force, scaled
-    by their noise q: cqm's weights with the coupling frozen at the
-    step-start row phi(t0), or hart's one force with phi = 1; their decay
-    e^{-c dt} and noise q (e^{-2c dt} - 1) / (-2c) fill the diagonals once.
-    """
-    g = np.eye(model.dim)
-    g_row = g[0, 1:]
-    if model.periodic and lfm.has_constant_weights(model):
-        nodes = (starts[:, None] + dt * _GAUSS_X).ravel()
-        phi = eb.eigenfunction_matrix(model.periodic[0].basis, nodes)
-        phi = dt * _GAUSS_W[:, None] * phi.reshape(starts.size, _GAUSS_X.size, -1)
-        lags = dt * (1.0 - _GAUSS_X)
-
-        def step(k: int, f: float):
-            g[0, 0] = math.exp(f * dt)
-            np.dot(np.exp(f * lags), phi[k], out=g_row)
-            return g, None
-
-        return step
-
-    if model.nonperiodic:
-        rate = -model.nonperiodic[0].block.drift[0, 0]
-        phi = np.ones((starts.size, 1))
-    else:
-        rate = -model.periodic[0].weight_rate
-        phi = eb.eigenfunction_matrix(model.periodic[0].basis, starts)
-    qd = np.diag(model.diffusion)[1:]
-    q_phi = qd * phi
-    mass = (q_phi * phi).sum(axis=1).tolist()
-    decay, i_2c = math.exp(-rate * dt), _int_exp(-2.0 * rate, dt)
-    g[1:, 1:] *= decay
-    q = np.diag(np.append(0.0, qd * i_2c))
-    q_row, q_col = q[0, 1:], q[1:, 0]
-
-    def step(k: int, f: float):
-        g[0, 0], g_cross, q11, q12 = _ou_target_step(f, rate, dt, decay, i_2c)
-        np.multiply(phi[k], g_cross, out=g_row)
-        q[0, 0] = q11 * mass[k]
-        q_col[:] = np.multiply(q_phi[k], q12, out=q_row)
-        return g, q
-
-    return step
-
-
 def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
     """One full `filtering.kalman_pass` over the dataset's grid, observing the
     queue length (state 0) with noise std `sigma_obs`; returns its
     (loglik, mean, cov, records), a record at each of `dataset.times[1:]`.
     Step k relinearizes the drift at the filtered mean and reads its
-    `lfm.pass_schedule` slot of `_relinearized_steps` over one cycle.
+    `lfm.pass_schedule` slot of `lfm.relinearized_steps` over one cycle.
     Measurements are looked up by integer step index, so a measurement time
     off the step grid raises `ContractViolationError` instead of being
     dropped, and so do one outside the pass and a repeated one.  The service
@@ -368,8 +280,7 @@ def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
         repeated = np.delete(dataset.meas_times, first)[0]
         raise ContractViolationError(f"measurements repeat minute {repeated:g}")
 
-    # slot s is the step [s dt, (s + 1) dt] of the cycle from t = 0
-    relinearized = _relinearized_steps(model, dt * np.arange(max(slots, default=0) + 1), dt)
+    relinearized = lfm.relinearized_steps(model, dt)
     omega = dataset.omega(times[:n_steps]).tolist()
 
     def step(k: int, mean: np.ndarray) -> tuple:

@@ -19,11 +19,14 @@ is immutable and holds no measurement: a pass builds its H (a non-periodic
 force is read out of the state by `nonperiodic_force_row`) and hands it and
 R to the Kalman layer.
 
-Two step builders share one contract: `build(model, starts, dt)` takes a
-1-D array of step starts and one step length and returns the stacked
-`(G, Q)` pair, each (n, C, C), of the steps [starts[k], starts[k] + dt].
-`step_cycle`, their one caller, computes the input term, and a pass checks
-the changepoint schedule; neither builder does either.
+Three step builders discretize every model; their one quadrature is the
+8-node Gauss-Legendre rule `_GAUSS_X`, `_GAUSS_W`, at whose nodes
+`_node_rows` evaluates the eigenfunction rows.  Two take
+`build(model, starts, dt)`, a 1-D array of step starts and one step
+length, and return the stacked `(G, Q)`, each (n, C, C), of the steps
+[starts[k], starts[k] + dt]; `step_cycle`, their one caller, computes the
+input term, and a pass checks the changepoint schedule.  The third,
+`relinearized_steps`, steps the queue's target, relinearized every step.
 
 * `discretize` freezes m at each step start.  The weights of a periodic
   force are independent OU processes with one rate, so the step has a
@@ -35,7 +38,7 @@ the changepoint schedule; neither builder does either.
 * `constant_weight_transition` holds all weights constant between
   changepoints: the weight columns of the transition are the convolution
   integrals of the target transition with the eigenfunctions, evaluated by
-  8-node Gauss-Legendre quadrature.  Only its z_a block and weight rows are
+  the Gauss-Legendre rule.  Only its z_a block and weight rows are
   exact.  The Matern-1/2 eigenfunctions have kinks at the N sample points,
   and one quadrature panel per step loses its order across a kink: one
   10-minute step differs from two 5-minute steps by 8.3e-4 in the
@@ -62,6 +65,7 @@ step grid is a `ContractViolationError`, never a skipped jump or measurement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -92,6 +96,7 @@ __all__ = [
     "make_constant_step_plan",
     "StepCycle",
     "step_cycle",
+    "relinearized_steps",
     "pass_schedule",
     "cycle_steps",
     "changepoint_steps",
@@ -100,10 +105,12 @@ __all__ = [
     "initial_state",
     "nonperiodic_force_row",
     "has_constant_weights",
-    "gauss_nodes",
 ]
 
 _BOUNDARY_TOL = 1e-9
+# the 8-node Gauss-Legendre rule, mapped from [-1, 1] to the unit interval
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W
 
 
 @dataclass(frozen=True)
@@ -339,27 +346,26 @@ def discretize(
     return g, q
 
 
-def gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
-    """The 8 Gauss-Legendre nodes and weights on the unit interval."""
-    x, w = np.polynomial.legendre.leggauss(8)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _node_rows(basis: eb.EigenBasis, starts: np.ndarray, dt: float) -> np.ndarray:
+    """(n, 8, J) eigenfunction rows of `basis`, in one evaluation, at the
+    Gauss-Legendre nodes t0 + x_i dt of the steps [t0, t0 + dt], t0 in `starts`."""
+    nodes = (starts[:, None] + dt * _GAUSS_X).ravel()
+    return eb.eigenfunction_matrix(basis, nodes).reshape(starts.size, _GAUSS_X.size, -1)
 
 
 def make_constant_step_plan(model: AugmentedModel, dt: float) -> tuple:
     """What every constant-weight step of length dt shares, as the tuple
     (expm(F_a dt), the exact z_a noise over one step, the (n,) quadrature
-    node offsets into the step, their (n,) weights scaled by dt, and per
-    force the (n, dim_za) z_a response to its coupling from each node to
-    the step end).  A model with no periodic force takes no node propagator."""
-    drift_za = model.drift_za
-    cza = model.layout.dim_za
-    x, w = gauss_nodes()
+    weights scaled by dt, and per force the (n, dim_za) z_a response to its
+    coupling from each node to the step end).  A model with no periodic
+    force takes no node propagator."""
+    drift_za, cza = model.drift_za, model.layout.dim_za
     phi_za, noise_za = _van_loan(drift_za, model.diffusion[:cza, :cza], dt)
     coupling = tuple(
-        np.stack([expm(drift_za * (dt * (1.0 - xi))) @ pad for xi in x])
+        np.stack([expm(drift_za * (dt * (1.0 - xi))) @ pad for xi in _GAUSS_X])
         for pad in model.coupling_pad
     )
-    return phi_za, noise_za, x * dt, w * dt, coupling
+    return phi_za, noise_za, _GAUSS_W * dt, coupling
 
 
 def constant_weight_transition(
@@ -369,18 +375,18 @@ def constant_weight_transition(
     eigenfunction weights are constant; shapes as for `discretize`.
 
     The weight columns of G are the convolutions of the z_a transition with
-    each eigenfunction by 8-node Gauss-Legendre quadrature, which is not
-    exact across the kinks of the Matern-1/2 eigenfunctions (see the module
+    each eigenfunction by the Gauss-Legendre rule, which is not exact
+    across the kinks of the Matern-1/2 eigenfunctions (see the module
     docstring); the z_a block is exact and the weight rows are identity.
-    The eigenfunction rows at the quadrature nodes of every step of the
-    batch come from one evaluation per periodic force, and the columns of
-    all steps from one batched product with the node couplings.
+    The node rows of every step of the batch come from one `_node_rows`
+    per periodic force, and the columns of all steps from one batched
+    product with the node couplings.
     """
     if not has_constant_weights(model):
         raise ContractViolationError(
             "constant_weight_transition requires constant weights"
         )
-    phi_za, noise_za, offsets, weights, node_coupling = make_constant_step_plan(model, dt)
+    phi_za, noise_za, weights, node_coupling = make_constant_step_plan(model, dt)
 
     n, c, cza = starts.size, model.dim, model.layout.dim_za
     g = np.zeros((n, c, c))
@@ -390,11 +396,9 @@ def constant_weight_transition(
     q = np.zeros((n, c, c))
     q[:, :cza, :cza] = noise_za
 
-    nodes = (starts[:, None] + offsets).ravel()
     for force, coupling, (lo, hi) in zip(model.periodic, node_coupling, model.layout.weight_spans):
-        phi = eb.eigenfunction_matrix(force.basis, nodes).reshape(n, offsets.size, hi - lo)
         cols = coupling * weights[:, None]  # (n_nodes, dim_za)
-        g[:, :cza, lo:hi] = cols.T @ phi
+        g[:, :cza, lo:hi] = cols.T @ _node_rows(force.basis, starts, dt)
     return g, q
 
 
@@ -515,6 +519,90 @@ def step_cycle(model: AugmentedModel, dt: float) -> StepCycle:
     for array in (g, q, input_on):
         array.flags.writeable = False
     return StepCycle(model, float(dt), g, q, input_on)
+
+
+def _int_exp(a: float, dt: float) -> float:
+    """(exp(a dt) - 1) / a, robust at a -> 0."""
+    x = a * dt
+    if abs(x) < 1e-8:
+        return dt * (1.0 + 0.5 * x + x * x / 6.0)
+    return math.expm1(x) / a
+
+
+def _ou_target_step(f: float, c: float, dt: float, decay: float, i_2c: float):
+    """The f-dependent terms (e_f, g_cross, q11, q12) of the exact step of
+    dL/dt = f L + u, du/dt = -c u + unit white noise: G = [[e_f, g_cross],
+    [0, decay]], Q = [[q11, q12], [q12, i_2c]] (decay and i_2c given)."""
+    e_f = math.exp(f * dt)
+    d = f + c
+    if abs(d) * dt > 1e-7:
+        g_cross = decay * _int_exp(d, dt)
+        i_2f = _int_exp(2.0 * f, dt)
+        i_fc = _int_exp(f - c, dt)
+        q11 = (i_2f - 2.0 * i_fc + i_2c) / d**2
+        q12 = (i_fc - i_2c) / d
+    else:
+        # f ~ -c: the cross response degenerates to u exp(f u); here |f| dt
+        # is small, so fixed-order quadrature of the smooth integrand is exact
+        # to round-off
+        g_cross = dt * e_f
+        u = dt * _GAUSS_X
+        gu = u * np.exp(f * u)
+        q11 = dt * float(_GAUSS_W @ gu**2)
+        q12 = dt * float(_GAUSS_W @ (gu * np.exp(-c * u)))
+    return e_f, g_cross, q11, q12
+
+
+def relinearized_steps(model: AugmentedModel, dt: float):
+    """Step builder of a model of one target state whose drift is
+    relinearized to f at every step, coupled with unit weight to exactly one
+    force, a one-state OU block or one periodic force (the model's own
+    target drift is not read): returns `step(slot, f)`, the (G, Q or None)
+    of `step_cycle`'s slot `slot` at drift f.  One G (and Q) and the rows
+    of every slot are built once; a call rewrites row 0 of G (and row and
+    column 0 of Q) in place.  Constant weights take the coupling from
+    `_node_rows` as `constant_weight_transition` does, with no noise (Q
+    None).  OU force states take `_ou_target_step` of a unit force, scaled
+    by their noise q: cqm's weights with the coupling frozen at phi(t0) as
+    in `discretize`, or the OU block with phi = 1; their decay e^{-c dt}
+    and noise q (e^{-2c dt} - 1) / (-2c) fill the diagonals once.
+    """
+    starts = dt * np.arange(cycle_steps(model, dt))
+    g = np.eye(model.dim)
+    g_row = g[0, 1:]
+    if model.periodic and has_constant_weights(model):
+        phi = dt * _GAUSS_W[:, None] * _node_rows(model.periodic[0].basis, starts, dt)
+        lags = dt * (1.0 - _GAUSS_X)
+
+        def step(slot: int, f: float):
+            g[0, 0] = math.exp(f * dt)
+            np.dot(np.exp(f * lags), phi[slot], out=g_row)
+            return g, None
+
+        return step
+
+    if model.nonperiodic:
+        rate = -model.nonperiodic[0].block.drift[0, 0]
+        phi = np.ones((starts.size, 1))
+    else:
+        rate = -model.periodic[0].weight_rate
+        phi = eb.eigenfunction_matrix(model.periodic[0].basis, starts)
+    qd = np.diag(model.diffusion)[1:]
+    q_phi = qd * phi
+    mass = (q_phi * phi).sum(axis=1).tolist()
+    decay, i_2c = math.exp(-rate * dt), _int_exp(-2.0 * rate, dt)
+    g[1:, 1:] *= decay
+    q = np.diag(np.append(0.0, qd * i_2c))
+    q_row, q_col = q[0, 1:], q[1:, 0]
+
+    def step(slot: int, f: float):
+        g[0, 0], g_cross, q11, q12 = _ou_target_step(f, rate, dt, decay, i_2c)
+        np.multiply(phi[slot], g_cross, out=g_row)
+        q[0, 0] = q11 * mass[slot]
+        q_col[:] = np.multiply(q_phi[slot], q12, out=q_row)
+        return g, q
+
+    return step
 
 
 def pass_schedule(

@@ -184,14 +184,6 @@ def test_generated_draw_rejects_an_unknown_kind():
         qa.generate_queue_data(qa.QueueGenConfig(days=2, kind="quasi-xqm"), seed=0)
 
 
-def test_int_exp_small_argument_series():
-    # below |a dt| = 1e-8 the series replaces expm1(a dt) / a, which it matches
-    dt = 2.0
-    for a in (3e-9, -4.9e-9, 1e-13, -2e-17):
-        assert qa._int_exp(a, dt) == pytest.approx(math.expm1(a * dt) / a, rel=1e-15)
-    assert qa._int_exp(0.0, dt) == dt
-
-
 _PERIODIC = dict(sigma_obs=0.6, sigma_p=3.0, ell_p=0.4, ell_q=2.0)
 
 
@@ -233,7 +225,7 @@ def test_relinearized_step_matches_generic(kind, params, f, t0, dt, tol):
         generic = _generic_twin(kind, model.periodic[0].basis, f)
     build = lfm.constant_weight_transition if lfm.has_constant_weights(generic) else lfm.discretize
     ref_g, ref_q = one_step(build, generic, t0, t0 + dt)
-    g, q = qa._relinearized_steps(model, np.array([t0]), dt)(0, f)
+    g, q = lfm.relinearized_steps(model, dt)(int(t0 / dt), f)  # the step's cycle slot
     if q is None:  # constant weights: a step without process noise
         assert lfm.has_constant_weights(model)
         q = np.zeros_like(ref_q)
@@ -257,13 +249,43 @@ def test_relinearized_step_matches_generic(kind, params, f, t0, dt, tol):
 ])
 def test_relinearized_step_after_another_matches_a_fresh_builder(kind, params):
     # a builder rewrites one G and Q in place: after a call at another slot
-    # and drift, a call returns what a fresh builder's first call returns
+    # (hart's cycle has one) and drift, a call returns what a fresh
+    # builder's first call returns
     model = qa._queue_model(kind, params, qa.QueueGenConfig(days=2, n_basis_points=64))
-    starts = np.array([100.0, 102.0])
-    step = qa._relinearized_steps(model, starts, 2.0)
-    step(0, -2.0)
-    for got, fresh in zip(step(1, -0.5), qa._relinearized_steps(model, starts, 2.0)(1, -0.5)):
+    slot = 0 if kind == "hart" else 51
+    step = lfm.relinearized_steps(model, 2.0)
+    step(max(slot - 1, 0), -2.0)
+    for got, fresh in zip(step(slot, -0.5), lfm.relinearized_steps(model, 2.0)(slot, -0.5)):
         np.testing.assert_array_equal(got, fresh)
+
+
+@pytest.mark.parametrize("kind, params, tol", [
+    ("quasi-sqm", _PERIODIC, 1e-12),
+    ("quasi-cqm", _PERIODIC, 1e-10),
+    ("hart", dict(sigma_obs=0.6, sigma_f=1.2, ell_f=120.0), 1e-9),
+])
+def test_every_relinearized_slot_matches_the_step_cycle(kind, params, tol):
+    # over a whole cycle of 24 hourly slots, slot k of the queue's steps at
+    # drift f is slot k of the generic twin's step cycle; adjacent slots
+    # differ by far more than the tolerance, so a slot off by one fails
+    f, dt = -0.05, 60.0  # |f| dt = 3: the frozen-m Van Loan is accurate here
+    model = qa._queue_model(kind, params, qa.QueueGenConfig(days=2, n_basis_points=64))
+    if kind == "hart":
+        generic = lfm.assemble(np.array([[f]]), nonperiodic=model.nonperiodic)
+    else:
+        generic = _generic_twin(kind, model.periodic[0].basis, f)
+    cycle = lfm.step_cycle(generic, dt)
+    step = lfm.relinearized_steps(model, dt)
+    n_cycle = cycle.transitions.shape[0]
+    assert n_cycle == (1 if kind == "hart" else 24)
+    for slot in range(n_cycle):
+        g, q = step(slot, f)
+        np.testing.assert_allclose(g, cycle.transitions[slot], rtol=0.0, atol=tol)
+        q = np.zeros_like(g) if q is None else q  # constant weights: no noise
+        np.testing.assert_allclose(q, cycle.noises[slot], rtol=0.0, atol=tol)
+    if n_cycle > 1:
+        shifts = np.abs(np.diff(cycle.transitions, axis=0)).max(axis=(1, 2))
+        assert shifts.min() > 1e3 * tol
 
 
 def test_queue_pass_from_a_nan_mean_raises(monkeypatch):

@@ -7,7 +7,10 @@ schedule or a cycle length.  Every pass over a fixed model reads its
 transitions from the one `lfm.step_cycle(model, dt)` from t = 0 at those
 slots, so no such pass bypasses the cycle, and only the cycle computes the
 input term (`_input_response`); the queue, whose drift is relinearized
-every step, reads its relinearized (G, Q) at the same slots.  No
+every step, reads its (G, Q) at the same slots from the one other builder
+a pass may call, `lfm.relinearized_steps`.  Both step integrators take
+their node rows from `lfm._node_rows`, only `lfm` builds the quadrature
+rule, and no application but `synth` imports `eigenbasis`.  No
 pass forms a covariance outside `filtering`: only `filtering.update` restores
 its symmetry (`_symmetrize`), and the Kalman loop exists once: the queue
 and thermal filters (the thermal roster holds the resonator baseline) are
@@ -111,6 +114,28 @@ def test_only_step_cycle_builds_steps():
     # a constant-weight batch builds its own plan; no builder reads the input
     allowed = {("lfm.py", "constant_weight_transition", "make_constant_step_plan")}
     assert {u for u in uses if u[:2] != ("lfm.py", "step_cycle")} <= allowed
+    # the one builder besides the cycle steps a drift that moves every step
+    assert _uses({"relinearized_steps"}) == {
+        ("apps/queueing.py", "_run_queue_filter", "relinearized_steps"),
+    }
+
+
+def test_the_step_builders_share_one_quadrature():
+    # one Gauss-Legendre rule, built once in lfm, and one evaluation of the
+    # rows at its nodes serve both builders that integrate eigenfunctions
+    assert _uses({"leggauss"}) == {("lfm.py", "<module>", "leggauss")}
+    assert _uses({"_node_rows"}) == {
+        ("lfm.py", "constant_weight_transition", "_node_rows"),
+        ("lfm.py", "relinearized_steps", "_node_rows"),
+    }
+
+
+def test_no_application_evaluates_rows_for_a_step():
+    # the applications take their steps from lfm; only synth, which builds
+    # the daily prior and draws the synthetic forces, reads the basis
+    apps = [path.stem for path in sorted((PACKAGE / "apps").glob("*.py"))]
+    assert "queueing" in apps
+    assert {m for m in apps if "eigenbasis" in _imports(f"apps/{m}")} == {"synth"}
 
 
 def test_every_pass_takes_one_schedule():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -487,7 +489,7 @@ def test_constant_weight_batch_matches_per_step_quadrature():
     cza, dt = model.layout.dim_za, 0.5
     starts = 1.3 + dt * np.arange(20)
     batch_g, batch_q = lfm.constant_weight_transition(model, starts, dt)
-    x, w = lfm.gauss_nodes()
+    x, w = lfm._GAUSS_X, lfm._GAUSS_W
     props = [scipy.linalg.expm(model.drift_za * dt * (1.0 - xi)) for xi in x]
     for k, t0 in enumerate(starts):
         g = np.eye(model.dim)
@@ -499,6 +501,14 @@ def test_constant_weight_batch_matches_per_step_quadrature():
             )
         np.testing.assert_allclose(batch_g[k], g, rtol=1e-12, atol=1e-12 * np.abs(g).max())
         np.testing.assert_array_equal(batch_q[k][cza:], 0.0)
+
+
+def test_int_exp_small_argument_series():
+    # below |a dt| = 1e-8 the series replaces expm1(a dt) / a, which it matches
+    dt = 2.0
+    for a in (3e-9, -4.9e-9, 1e-13, -2e-17):
+        assert lfm._int_exp(a, dt) == pytest.approx(math.expm1(a * dt) / a, rel=1e-15)
+    assert lfm._int_exp(0.0, dt) == dt
 
 
 def test_assemble_validates_the_binary_input():
