@@ -9,9 +9,10 @@ This module knows nothing of how a model is discretized.  Both passes take
 one protocol: `step(k, mean)` returns the (G, Q or None, input term or
 None) of step k = 1 .. n_steps, read before the next call (so a step may
 rewrite them), and a jump callable maps the moments across the steps in a
-`changepoints` set.  Both record the predictive (mean, var) of state 0 at
-each step end; the caller knows the times.  The recursion is the standard
-one (Särkkä, *Bayesian Filtering and Smoothing*, 2013), in numpy alone.
+`changepoints` set; `kalman_pass` hands `step` its mean, the RBPF None.
+Both record the predictive (mean, var) of state 0 at each step end; the
+caller knows the times.  The recursion is the standard one (Särkkä,
+*Bayesian Filtering and Smoothing*, 2013), in numpy alone.
 """
 
 from __future__ import annotations
@@ -185,12 +186,12 @@ def rbpf_predict_day(
     """Day-ahead prediction with particles over the binary heater input.
 
     From the moments (mean, cov), step k = 1 .. n_steps takes the protocol
-    of `kalman_pass`: `step(k, means)`, called in order with the (P, C)
-    particle means, returns its (G, Q or None, b or None), b the input of a
-    heater that is on, read before the next call; `jump(means, cov)` maps
-    the particle means and shared covariance across a `changepoints` step.
-    The temperature is state 0.  `setpoints` holds the n_steps + 1 set
-    points at the pass start and each step end; none may be NaN, and
+    of `kalman_pass`, but `step(k, None)`, called in order, is handed no
+    mean: every particle takes its (G, Q or None, b or None), b the input of
+    a heater that is on, read before the next call; `jump(means, cov)` maps
+    the (P, C) particle means and shared covariance across a `changepoints`
+    step.  The temperature is state 0.  `setpoints` holds the n_steps + 1
+    set points at the pass start and each step end; none may be NaN, and
     another count raises InvalidParameterError.
 
     Per step and particle: the heater is on while the particle's last sampled
@@ -199,11 +200,15 @@ def rbpf_predict_day(
     sampled, and the Gaussian is conditioned on that sample.  All particles
     share G, Q, the covariance and the gain K; with H = e_0 and no noise,
     particle i's innovation is sd z_i (sd^2 the temperature variance, z_i
-    its draw), so conditioning adds g z^T with g = K sd.  The bank is thus
-    state-major, (C + 2, P): the means before the last conditioning, its
-    draws z and the heaters.  One product [G | G g | b] @ bank conditions,
-    predicts and heats every mean, 2 C (C + 2) P flops per step; the
-    covariance, G g and g take `predict` and `update`, O(C^3) per step.
+    its draw), so conditioning adds g z^T with g = K sd.  A step reads only
+    the temperatures, so the means move once per block of B = max(1, C // 2)
+    steps: the (C + 2B, P) bank holds the means at the block start (before
+    their last conditioning) and a draw row z and a heater row per step; the
+    means are R @ bank[:n], R's n columns I (n = C) at the block start and
+    [G R | G g | b] after a step.  A step forms the temperatures R[0] @ bank[:n],
+    at most 2 (C + 2B) P flops; a block ends, after B steps or at a jump, in
+    bank[:C] = R @ bank, 2 C (C + 2B) P flops.  The covariance, G g and g
+    take `predict` and `update`, O(C^3) per step.
 
     `draws` (`particle_draws`) is an (n_particles, n_steps) block, only read,
     so the methods predicted on one dataset share one block; row i holds
@@ -226,33 +231,38 @@ def rbpf_predict_day(
                                     f"{(n_particles, n_steps)}")
     columns = iter(draws.T)
     c = mean.size
-    bank = np.zeros((c + 2, n_particles))
+    bank = np.zeros((c + 2 * max(1, c // 2), n_particles))  # a block of max(1, C // 2) steps
     bank[:c] = mean[:, None]
     bank[c + 1] = mean[0] < setpoints[0]  # the heater from the known initial temperature
     no_gain, temperature, no_noise = np.zeros(c), np.eye(1, c), np.zeros((1, 1))
-    gain, product = no_gain, np.empty((c, c + 2))  # product: [G | G g | b]
+    gain, response, n = no_gain, np.eye(c, len(bank)), c  # the means are R[:, :n] @ bank[:n]
 
     records = []
     for k, sp in enumerate(setpoints[1:], start=1):
-        transition, noise, input_on = step(k, bank[:c].T)
-        product[:, c], cov = predict(gain, cov, transition, noise)
-        product[:, :c], product[:, c + 1] = transition, 0.0 if input_on is None else input_on
-        bank[:c] = product @ bank
-        if k in changepoints:
-            means, cov = jump(bank[:c].T, cov)
-            bank[:c] = means.T
+        transition, noise, input_on = step(k, None)
+        response[:, n], cov = predict(gain, cov, transition, noise)
+        response[:, :n] = np.dot(transition, response[:, :n])
+        response[:, n + 1] = 0.0 if input_on is None else input_on
+        n += 2
+        if n == len(bank) or k in changepoints:  # flush the block into the means
+            for j in range(0, n_particles, 256):  # by panels, with no (C, P) temporary
+                bank[:c, j:j + 256] = np.dot(response[:, :n], bank[:n, j:j + 256])
+            response[:, :c], n = np.eye(c), c
+            if k in changepoints:
+                means, cov = jump(bank[:c].T, cov)
+                bank[:c] = means.T
 
         var_t = float(cov[0, 0])
-        m_t = bank[0]
+        m_t = np.dot(response[0, :n], bank[:n])
         mix_mean = float(np.add.reduce(m_t) / n_particles)
         mix_var = var_t + float(np.add.reduce(m_t * m_t) / n_particles - mix_mean**2)
         records.append((mix_mean, mix_var))
 
         if var_t > 1e-14:
-            sd, bank[c] = math.sqrt(var_t), next(columns)
+            sd, bank[n] = math.sqrt(var_t), next(columns)
             gain, cov, _ = update(no_gain, cov, temperature, no_noise, [sd])
         else:
-            sd, gain, bank[c] = 0.0, no_gain, 0.0
-        bank[c + 1] = m_t + sd * bank[c] < sp
+            sd, gain, bank[n] = 0.0, no_gain, 0.0
+        bank[n + 1] = m_t + sd * bank[n] < sp
 
     return records

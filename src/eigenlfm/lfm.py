@@ -557,7 +557,8 @@ def relinearized_steps(model: AugmentedModel, dt: float):
     """Step builder of a model of one target state whose drift is
     relinearized to f at every step, coupled with unit weight to exactly one
     force, a one-state OU block or one periodic force (the model's own
-    target drift is not read): returns `step(slot, f)`, the (G, Q or None)
+    target drift is not read; any other model raises ContractViolationError,
+    naming its cause): returns `step(slot, f)`, the (G, Q or None)
     of `step_cycle`'s slot `slot` at drift f.  One G (and Q) and the rows
     of every slot are built once; a call rewrites row 0 of G (and row and
     column 0 of Q) in place.  Constant weights take the coupling from
@@ -567,6 +568,15 @@ def relinearized_steps(model: AugmentedModel, dt: float):
     in `discretize`, or the OU block with phi = 1; their decay e^{-c dt}
     and noise q (e^{-2c dt} - 1) / (-2c) fill the diagonals once.
     """
+    forces = model.nonperiodic + model.periodic
+    cause = (f"{model.layout.n_target} target states" if model.layout.n_target != 1
+             else f"{len(forces)} forces" if len(forces) != 1
+             else f"a {model.dim - 1}-state force block" if model.nonperiodic and model.dim != 2
+             else f"coupling {forces[0].coupling.tolist()}" if forces[0].coupling.tolist() != [1.0]
+             else None)
+    if cause is not None:
+        raise ContractViolationError(f"relinearized steps take one target state with unit "
+                                     f"coupling to one OU or periodic force, not {cause}")
     starts = dt * np.arange(cycle_steps(model, dt))
     g = np.eye(model.dim)
     g_row = g[0, 1:]

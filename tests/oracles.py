@@ -10,12 +10,20 @@ and weight-space results are checked against.
   tests/test_learn.py: `test_ou_scale_recovery_band`).
 - `stationary_lfm_kernel`: the kernel of a non-periodic LFM's first
   coordinate (tests/test_lfm.py: `test_hartikainen_equivalence_small`).
+
+One oracle is not a GP: `rbpf_reference`, the particle filter's bank moved
+by one product per step, against which the blocked bank of
+`filtering.rbpf_predict_day` is checked (tests/test_filtering.py:
+`test_rbpf_blocked_bank_matches_the_per_step_bank`).
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
 from eigenlfm import kernels, lti
+from eigenlfm.filtering import predict, update
 
 _NOISE_FLOOR = 1e-16  # keeps a noise-free Gram factorable
 
@@ -62,3 +70,39 @@ def stationary_lfm_kernel(drift, diffusion):
         return np.reshape(vals, np.shape(tau))
 
     return kern
+
+
+def rbpf_reference(mean, cov, n_steps, step, changepoints, setpoints, n_particles, draws, *,
+                   jump):
+    """The records of `filtering.rbpf_predict_day` with the bank moved every
+    step: the (C + 2, P) bank holds the means before their last conditioning,
+    the draws z and the heaters, and one product [G | G g | b] @ bank
+    conditions, predicts and heats every mean."""
+    columns = iter(draws.T)
+    c = mean.size
+    bank = np.zeros((c + 2, n_particles))
+    bank[:c] = mean[:, None]
+    bank[c + 1] = mean[0] < setpoints[0]
+    no_gain, temperature, no_noise = np.zeros(c), np.eye(1, c), np.zeros((1, 1))
+    gain, product = no_gain, np.empty((c, c + 2))  # product: [G | G g | b]
+    records = []
+    for k, sp in enumerate(setpoints[1:], start=1):
+        transition, noise, input_on = step(k, None)
+        product[:, c], cov = predict(gain, cov, transition, noise)
+        product[:, :c], product[:, c + 1] = transition, 0.0 if input_on is None else input_on
+        bank[:c] = product @ bank
+        if k in changepoints:
+            means, cov = jump(bank[:c].T, cov)
+            bank[:c] = means.T
+        var_t = float(cov[0, 0])
+        m_t = bank[0]
+        mix_mean = float(np.add.reduce(m_t) / n_particles)
+        records.append((mix_mean, var_t + float(np.add.reduce(m_t * m_t) / n_particles
+                                               - mix_mean**2)))
+        if var_t > 1e-14:
+            sd, bank[c] = math.sqrt(var_t), next(columns)
+            gain, cov, _ = update(no_gain, cov, temperature, no_noise, [sd])
+        else:
+            sd, gain, bank[c] = 0.0, no_gain, 0.0
+        bank[c + 1] = m_t + sd * bank[c] < sp
+    return records

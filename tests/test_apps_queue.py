@@ -6,7 +6,7 @@ import pytest
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import filtering, lfm
+from eigenlfm import filtering, lfm, lti
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.apps import synth
@@ -286,6 +286,37 @@ def test_every_relinearized_slot_matches_the_step_cycle(kind, params, tol):
     if n_cycle > 1:
         shifts = np.abs(np.diff(cycle.transitions, axis=0)).max(axis=(1, 2))
         assert shifts.min() > 1e3 * tol
+
+
+def _ou(coupling):
+    return lfm.NonPeriodicForce(lti.matern12_block(1.2, 120.0), np.array(coupling))
+
+
+def _periodic(coupling):
+    basis = eb.build(K.PeriodicMatern(0.5, 1.0, 0.5, 1440.0), 32, 1440.0, 0.01)
+    return lfm.periodic_force(basis, coupling)
+
+
+@pytest.mark.parametrize("drift, nonperiodic, periodic, cause", [
+    pytest.param(np.zeros((2, 2)), [_ou([1.0, 0.0])], [], "2 target states", id="two-targets"),
+    pytest.param(np.zeros((1, 1)), [], [], "0 forces", id="no-force"),
+    pytest.param(np.zeros((1, 1)), [_ou([1.0])], [_periodic([1.0])], "2 forces",
+                 id="two-forces"),
+    pytest.param(np.zeros((1, 1)), [_ou([1.0]), _ou([1.0])], [], "2 forces", id="two-ou"),
+    pytest.param(np.zeros((1, 1)),
+                 [lfm.NonPeriodicForce(lti.matern32_block(1.2, 120.0), np.array([1.0]))], [],
+                 "a 2-state force block", id="matern32"),
+    pytest.param(np.zeros((1, 1)), [_ou([2.0])], [], r"coupling \[2.0\]", id="ou-coupled-2"),
+    pytest.param(np.zeros((1, 1)), [], [_periodic([2.0])], r"coupling \[2.0\]",
+                 id="periodic-coupled-2"),
+])
+def test_relinearized_steps_refuse_a_model_they_would_step_wrong(drift, nonperiodic, periodic,
+                                                                  cause):
+    # the builder reads one force's first state, with unit coupling, into
+    # one target: any other model raises before a step, naming the cause
+    model = lfm.assemble(drift, nonperiodic=nonperiodic, periodic=periodic)
+    with pytest.raises(ContractViolationError, match=f"not {cause}$"):
+        lfm.relinearized_steps(model, 2.0)
 
 
 def test_queue_pass_from_a_nan_mean_raises(monkeypatch):

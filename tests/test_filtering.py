@@ -21,6 +21,7 @@ from eigenlfm.filtering import (
     rbpf_predict_day,
     update,
 )
+import oracles
 from helpers import one_step
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -590,3 +591,118 @@ def test_rbpf_matches_per_particle_reference(force_kind):
     assert len(recs) == len(ref) == 30
     for r, q in zip(recs, ref):
         assert r == pytest.approx(q, rel=1e-12, abs=1e-12)
+
+
+def _blocked_steps(c: int) -> int:
+    """Steps per block of the RBPF's bank at state size c."""
+    return max(1, c // 2)
+
+
+def _raw_moments(records) -> np.ndarray:
+    """The mixture's (mean, second moment) per record: its variance is a
+    difference of the two, so it carries their round-off, not its own."""
+    records = np.array(records)
+    return np.column_stack((records[:, 0], records[:, 1] + records[:, 0] ** 2))
+
+
+def _assert_matches_the_per_step_bank(args, kwargs):
+    got = rbpf_predict_day(*args, **kwargs)
+    ref = oracles.rbpf_reference(*args, **kwargs)
+    assert len(got) == len(ref) == args[2]
+    np.testing.assert_allclose(_raw_moments(got), _raw_moments(ref), rtol=1e-12, atol=0.0)
+
+
+def _thermal_rbpf_args(monkeypatch, kind, n_particles):
+    """The arguments `thermal_predict_day` hands the RBPF on a 2-day record
+    at the bench parameters."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return rbpf_predict_day(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, "rbpf_predict_day", recording)
+    dataset = thermal.generate_thermal_data(thermal.ThermalGenConfig(days=2), seed=3)
+    thermal.thermal_predict_day(dataset, kind, THERMAL_PARAMS[kind], n_particles=n_particles)
+    return calls[0]
+
+
+@pytest.mark.parametrize("kind, dim", [("with", 28), ("hart", 4)])
+def test_rbpf_blocked_bank_matches_the_per_step_bank_on_the_bench(monkeypatch, kind, dim):
+    args, kwargs = _thermal_rbpf_args(monkeypatch, kind, 256)
+    assert args[0].size == dim and args[2] == 144
+    _assert_matches_the_per_step_bank(args, kwargs)
+
+
+def test_rbpf_blocked_bank_jumps_inside_a_block():
+    # a quasi-sqm pass that starts 20 steps before the day boundary at the
+    # test start, so its jump flushes a block of 14 steps after 6
+    dataset = thermal.generate_thermal_data(thermal.ThermalGenConfig(days=2), seed=3)
+    cycle, mean, cov = thermal._trained_state(dataset, "quasi-sqm",
+                                              THERMAL_PARAMS["quasi-sqm"], False)
+    dt, n_steps = cycle.dt, 50
+    t_start = dataset.test_start - 20 * dt
+    slots, changepoints = lfm.pass_schedule(cycle.model, dt, t_start, n_steps)
+    assert changepoints == {20} and 20 % _blocked_steps(mean.size) != 0
+    minute = thermal._record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
+    _assert_matches_the_per_step_bank(
+        (mean, cov, n_steps, thermal._cycle_step(cycle, slots, [cycle.input_on] * n_steps),
+         changepoints, dataset.setpoint[minute], 64, particle_draws(1, 64, n_steps)),
+        dict(jump=functools.partial(lfm.apply_changepoint_moments, cycle.model)),
+    )
+
+
+@pytest.mark.parametrize("case", ["partial-block", "no-variance", "no-input", "one-particle"])
+def test_rbpf_blocked_bank_matches_the_per_step_bank(case):
+    # a cqm toy of 24 states, 12 steps per block, over 29 steps: 2 blocks
+    # and 5 steps.  "no-variance" starts from zero covariance and adds no
+    # noise on the first 4 steps, so they consume no draw column
+    model = _periodic_toy(0.1, "cqm")
+    cycle, n_steps, n_particles = lfm.step_cycle(model, 10.0), 29, 16
+    assert n_steps % _blocked_steps(model.dim) != 0
+    mean, cov = lfm.initial_state(model, [1.0], [[0.01]])
+    g, b = cycle.transitions, cycle.input_on
+    q = [cycle.noises[k % 20] for k in range(n_steps)]
+    if case == "no-variance":
+        cov = np.zeros_like(cov)
+        q[:4] = [None] * 4
+    inputs = [None if case == "no-input" and k % 3 else b for k in range(n_steps)]
+    if case == "one-particle":
+        n_particles = 1
+
+    def step(k, _):  # the cycle has 20 slots
+        return g[(k - 1) % 20], q[k - 1], inputs[k - 1]
+
+    setpoints = 0.8 + 0.2 * np.sin(np.arange(n_steps + 1) / 4.0)
+    args = (mean, cov, n_steps, step, set(), setpoints, n_particles,
+            particle_draws(7, n_particles, n_steps))
+    _assert_matches_the_per_step_bank(args, dict(jump=None))
+    if case == "no-variance":
+        records = rbpf_predict_day(*args, jump=None)
+        assert [var for _, var in records[:4]] == [0.0] * 4 and records[4][1] > 0.0
+
+
+def test_rbpf_takes_one_predict_and_update_per_step_and_passes_no_mean(monkeypatch):
+    # the shared covariance takes `filtering.predict` and `filtering.update`
+    # once per step, and every step is asked for with None as its mean
+    model = _periodic_toy(0.1, "sqm")
+    cycle, n_steps = lfm.step_cycle(model, 10.0), 30
+    slots, changepoints = lfm.pass_schedule(model, 10.0, 0.0, n_steps)
+    counts, means = {"predict": 0, "update": 0}, []
+    for name in counts:
+        def counting(*args, _call=getattr(filtering, name), _name=name):
+            counts[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(filtering, name, counting)
+
+    def step(k, mean):
+        means.append(mean)
+        return cycle.transitions[slots[k - 1]], cycle.noises[slots[k - 1]], cycle.input_on
+
+    init = lfm.initial_state(model, [1.0], [[0.01]])
+    rbpf_predict_day(*init, n_steps, step, changepoints, np.full(n_steps + 1, 0.8), 8,
+                     particle_draws(0, 8, n_steps),
+                     jump=functools.partial(lfm.apply_changepoint_moments, model))
+    assert counts == {"predict": n_steps, "update": n_steps}
+    assert means == [None] * n_steps
