@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .queueing import QueueDataset, QueueGenConfig, _omega_profile
+from .queueing import QueueDataset, QueueGenConfig
 from .synth import DAY_MINUTES
 from .thermal import ThermalDataset, ThermalGenConfig
 
@@ -147,7 +147,6 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
             f"queue_meas.csv: measurement at minute {meas_t[outside[0]]:g} lies outside the "
             f"record, which runs after minute {truth_t[0]:g} up to minute {truth_t[-1]:g}"
         )
-    config = QueueGenConfig(**{**config.__dict__, "days": days})
     return QueueDataset(
         times=truth_t,
         truth_queue=truth_v,
@@ -155,9 +154,7 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
         rate_values=rate_v,
         meas_times=meas_t,
         meas_values=meas_v,
-        test_start=(config.days - 1) * DAY_MINUTES,
-        omega=_omega_profile(config),
-        config=config,
+        config=QueueGenConfig(**{**config.__dict__, "days": days}),
     )
 
 
@@ -195,7 +192,6 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
             )
     else:
         meas_int, meas_ext = t_int.copy(), t_ext.copy()
-    config = ThermalGenConfig(**{**config.__dict__, "days": days})
     return ThermalDataset(
         minutes=minutes,
         t_int=t_int,
@@ -205,6 +201,5 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
         meas_int=meas_int,
         meas_ext=meas_ext,
         residual=np.zeros_like(minutes),
-        test_start=(config.days - 1) * DAY_MINUTES,
-        config=config,
+        config=ThermalGenConfig(**{**config.__dict__, "days": days}),
     )

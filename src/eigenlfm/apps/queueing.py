@@ -19,7 +19,7 @@ cycle period is one day (1440 minutes).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from ..filtering import kalman_pass
 # binding; ROADMAP item 2 drops it from that list, and then this import
 from ..filtering import update  # noqa: F401
 from .synth import (
-    DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, periodic_roster, roster_force, score,
+    DAY_MINUTES, daily_basis, draw_ou, draw_periodic_force, held_out_start, pass_length,
+    periodic_roster, roster_force, score,
 )
 
 __all__ = [
@@ -142,15 +143,21 @@ class QueueGenConfig:
 
 @dataclass
 class QueueDataset:
+    """A queue record and its config; `test_start` and `omega` derive from it."""
+
     times: np.ndarray            # filter grid, step-spaced over all days
     truth_queue: np.ndarray      # simulated mean queue length on `times`
     rate_times: np.ndarray       # 5-minute grid for the arrival-rate record
     rate_values: np.ndarray
     meas_times: np.ndarray
     meas_values: np.ndarray
-    test_start: float            # beginning of the held-out day
-    omega: object                # t -> service rate, for scalar or array t
     config: QueueGenConfig
+
+    test_start = property(lambda self: held_out_start(self.config))
+    omega = property(lambda self: _omega_profile(self.config))  # t -> service rate
+
+    def __post_init__(self):  # a config of bad service rates raises here
+        _omega_profile(self.config)
 
 
 def _omega_profile(config: QueueGenConfig):
@@ -165,7 +172,7 @@ def _omega_profile(config: QueueGenConfig):
     if not all(0.0 <= start < DAY_MINUTES for start in starts):
         raise InvalidParameterError(f"omega_test start minutes must lie in the test day "
                                     f"[0, {DAY_MINUTES:g}), got {starts}")
-    test_start = (config.days - 1) * DAY_MINUTES
+    test_start = held_out_start(config)
     pieces = sorted(config.omega_test)
 
     def omega(t):
@@ -218,7 +225,7 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
 
     truth = queue_simulate(times, arrival, omega, l0=0.0, substep=min(0.25, 2.5 / omega_max))
 
-    test_start = (config.days - 1) * DAY_MINUTES
+    test_start = held_out_start(config)
     train_times = np.arange(config.train_meas_every, test_start + 1e-9,
                             config.train_meas_every)
     test_times = np.arange(test_start + config.test_meas_every, horizon + 1e-9,
@@ -234,8 +241,6 @@ def generate_queue_data(config: QueueGenConfig, seed: int) -> QueueDataset:
         rate_values=np.interp(rate_grid, fine, rate_fine),
         meas_times=meas_times,
         meas_values=meas_values,
-        test_start=test_start,
-        omega=omega,
         config=config,
     )
 
@@ -260,21 +265,20 @@ def _queue_model(kind: str, params: dict, config: QueueGenConfig) -> lfm.Augment
     )
 
 
-def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
-    """One full `filtering.kalman_pass` over the dataset's grid, observing the
-    queue length (state 0) with noise std `sigma_obs`; returns its
-    (loglik, mean, cov, records), a record at each of `dataset.times[1:]`.
-    Step k relinearizes the drift at the filtered mean and reads its
-    `lfm.pass_schedule` slot of `lfm.relinearized_steps` over one cycle.
-    Measurements are looked up by integer step index, so a measurement time
-    off the step grid raises `ContractViolationError` instead of being
-    dropped, and so do one outside the pass and a repeated one.  The service
-    rate is evaluated on the step grid once."""
+def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float, n_steps: int):
+    """`filtering.kalman_pass` over the first `n_steps` steps of the dataset
+    (the whole record), observing the queue length (state 0) with noise std
+    `sigma_obs`; returns its (loglik, mean, cov, records), a record at each
+    of `dataset.times[1:n_steps + 1]`.  Step k relinearizes the drift at the
+    filtered mean and reads its `lfm.pass_schedule` slot of
+    `lfm.relinearized_steps` over one cycle.  Measurements are looked up by
+    integer step index on the whole grid, and those after step `n_steps`
+    left out: one off the grid, repeated or outside the record raises
+    `ContractViolationError`.  The service rate is evaluated once."""
     dt = dataset.config.step
     times = dataset.times
-    n_steps = times.size - 1
     slots, changepoints = lfm.pass_schedule(model, dt, times[0], n_steps)
-    meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, n_steps, "measurement")
+    meas_steps = lfm.grid_steps(dataset.meas_times, times[0], dt, times.size - 1, "measurement")
     _, first = np.unique(meas_steps, return_index=True)
     if first.size < meas_steps.size:  # a step end takes one update
         repeated = np.delete(dataset.meas_times, first)[0]
@@ -290,7 +294,8 @@ def _run_queue_filter(model, dataset: QueueDataset, sigma_obs: float):
     mean, cov = lfm.initial_state(model, [0.0], [[25.0]])
     return kalman_pass(
         mean, cov, n_steps, step, changepoints,
-        dict(zip(meas_steps.tolist(), dataset.meas_values[:, None])),
+        {k: y for k, y in zip(meas_steps.tolist(), dataset.meas_values[:, None])
+         if not n_steps < k < times.size},  # not the record's steps after the pass
         np.eye(1, model.dim), np.array([[sigma_obs**2]]),
         jump=functools.partial(lfm.apply_changepoint_moments, model),
     )
@@ -324,22 +329,14 @@ def queue_fit(
     seed: int = 0,
     restarts: int = 1,
 ) -> learn.FitResult:
-    """Maximum-likelihood hyperparameters from the training-day measurements."""
-    train = replace(
-        dataset,
-        times=dataset.times[dataset.times <= dataset.test_start + 1e-9],
-        meas_times=dataset.meas_times[dataset.meas_times <= dataset.test_start],
-        meas_values=dataset.meas_values[dataset.meas_times <= dataset.test_start],
+    """Maximum-likelihood hyperparameters from the training-day measurements:
+    the loglik of a pass over the steps up to the held-out start."""
+    n_train = pass_length(dataset.times[0], dataset.test_start, dataset.config.step, "held-out start")
+    return learn.fit(
+        lambda p: _run_queue_filter(_queue_model(kind, p, dataset.config), dataset,
+                                    p["sigma_obs"], n_train)[0],
+        _param_space(kind, dataset), budget=budget, restarts=restarts, seed=seed,
     )
-
-    def objective(p: dict) -> float:
-        loglik, _, _, _ = _run_queue_filter(
-            _queue_model(kind, p, dataset.config), train, p["sigma_obs"]
-        )
-        return loglik
-
-    return learn.fit(objective, _param_space(kind, dataset), budget=budget,
-                     restarts=restarts, seed=seed)
 
 
 def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
@@ -351,10 +348,10 @@ def queue_track(dataset: QueueDataset, kind: str, params: dict) -> dict:
     """
     _param_space(kind, dataset).check(params, kind)
     model = _queue_model(kind, params, dataset.config)
-    _, _, _, records = _run_queue_filter(model, dataset, params["sigma_obs"])
-    times = dataset.times[1:]
-    held_out = times > dataset.test_start + 1e-9
-    mean, var = np.array(records)[held_out].T
-    out = score(times[held_out], mean, var, dataset.times, dataset.truth_queue)
+    times = dataset.times
+    _, _, _, records = _run_queue_filter(model, dataset, params["sigma_obs"], times.size - 1)
+    n_train = pass_length(times[0], dataset.test_start, dataset.config.step, "held-out start")
+    mean, var = np.array(records[n_train:]).T
+    out = score(times[n_train + 1:], mean, var, times, dataset.truth_queue)
     out["n_basis"] = model.dim - model.layout.dim_za
     return out

@@ -1,8 +1,8 @@
 """What the two applications share: the daily period `DAY_MINUTES` (time
-is in minutes), the daily periodic eigenbasis of every generator and model
-(`daily_basis`), the force of a periodic roster entry on a basis
-(`roster_force`) and its changepoints (`periodic_roster`), the held-out
-scorer (`score`) and the synthetic draws.
+is in minutes), the held-out day's start and a pass's step count, the
+daily periodic eigenbasis of every generator and model (`daily_basis`),
+the force of a periodic roster entry on a basis (`roster_force`) and its
+changepoints (`periodic_roster`), the held-out scorer and the draws.
 
 Forces are drawn from the same priors the filters assume: a periodic draw
 takes the `roster_force` of its kind and follows that force's weight
@@ -24,12 +24,23 @@ from ..errors import ContractViolationError, InvalidParameterError
 from ..pade import expm
 
 __all__ = [
-    "DAY_MINUTES", "daily_basis", "roster_force", "periodic_roster", "score",
-    "draw_periodic_force", "draw_ou", "draw_matern32",
+    "DAY_MINUTES", "held_out_start", "pass_length", "daily_basis", "roster_force",
+    "periodic_roster", "score", "draw_periodic_force", "draw_ou", "draw_matern32",
 ]
 
 DAY_MINUTES = 1440.0
 MAX_BASIS = 30  # eigenfunctions a periodic roster entry may select
+
+
+def held_out_start(config) -> float:
+    """First minute of a record's held-out day, the last of `config.days`."""
+    return (config.days - 1) * DAY_MINUTES
+
+
+def pass_length(t_start: float, t_end: float, dt: float, what: str) -> int:
+    """Steps of a pass over [t_start, t_end] (`lfm.grid_steps`); a `t_end`
+    off the step grid t_start + k dt raises, naming it as `what`."""
+    return int(lfm.grid_steps([t_end], t_start, dt, round((t_end - t_start) / dt), what)[0])
 
 
 def daily_basis(sigma: float, ell: float, config) -> eb.EigenBasis:

@@ -34,8 +34,8 @@ from ..filtering import kalman_pass, particle_draws, rbpf_predict_day
 # binding; ROADMAP item 2 drops it from that list, and then this import
 from ..filtering import update  # noqa: F401
 from .synth import (
-    DAY_MINUTES, daily_basis, draw_matern32, draw_ou, draw_periodic_force, periodic_roster,
-    roster_force, score,
+    DAY_MINUTES, daily_basis, draw_matern32, draw_ou, draw_periodic_force, held_out_start,
+    pass_length, periodic_roster, roster_force, score,
 )
 
 __all__ = [
@@ -83,6 +83,8 @@ class ThermalGenConfig:
 
 @dataclass
 class ThermalDataset:
+    """A thermal record, its config and particle draws; `test_start` derives from `config`."""
+
     minutes: np.ndarray      # 1-minute grid
     t_int: np.ndarray        # true internal temperature
     t_ext: np.ndarray        # true external temperature
@@ -91,9 +93,10 @@ class ThermalDataset:
     meas_int: np.ndarray     # noisy record used by the filters
     meas_ext: np.ndarray
     residual: np.ndarray     # true residual force
-    test_start: float
     config: ThermalGenConfig
     draws: tuple = field(default=((), None), init=False, repr=False, compare=False)  # (key, block)
+
+    test_start = property(lambda self: held_out_start(self.config))
 
 
 def _setpoint_profile(config: ThermalGenConfig, minutes: np.ndarray) -> np.ndarray:
@@ -172,7 +175,6 @@ def generate_thermal_data(config: ThermalGenConfig, seed: int) -> ThermalDataset
         meas_int=t_int + config.obs_noise * rng.standard_normal(n),
         meas_ext=t_ext + config.obs_noise * rng.standard_normal(n),
         residual=residual,
-        test_start=(config.days - 1) * DAY_MINUTES,
         config=config,
     )
 
@@ -227,15 +229,15 @@ def thermal_build(
 def _initial_state(model, dataset: ThermalDataset, envelope: bool):
     """Prior (mean, cov), the external block conditioned on its first
     measurement.  The envelope's prior variance is that of the measured
-    inside-outside gap over the training minutes (up to `test_start`), so
-    the held-out day does not reach the prior."""
+    inside-outside gap over the training minutes (indices up to
+    `test_start`), so the held-out day does not reach the prior."""
     e = model.layout.n_target
     mean = np.zeros(e)
     mean[0] = dataset.meas_int[0]
     var = np.full(e, dataset.config.obs_noise**2 + 1e-4)
     if envelope:
         mean[1] = 0.5 * (dataset.meas_int[0] + dataset.meas_ext[0])
-        train = dataset.minutes <= dataset.test_start
+        train = slice(_record_minutes(dataset, np.array([dataset.test_start])).item() + 1)
         var[1] = np.var(dataset.meas_int[train] - dataset.meas_ext[train]) + 1.0
     mean, cov = lfm.initial_state(model, mean, np.diag(var))
     lo, _ = model.layout.nonperiodic_spans[0]
@@ -256,7 +258,7 @@ def _run_thermal_filter(
     up front; a time off that grid or past the record, or a `t_end` off the
     step grid, raises ContractViolationError."""
     model, dt = cycle.model, cycle.dt
-    n_steps = _pass_length(t_start, t_end, dt)
+    n_steps = pass_length(t_start, t_end, dt, "thermal pass end")
     slots, changepoints = lfm.pass_schedule(model, dt, t_start, n_steps)
     every = int(round(measure_every / dt))
     if every < 1 or not math.isclose(every * dt, measure_every, rel_tol=1e-9):
@@ -285,13 +287,6 @@ def _cycle_step(cycle: lfm.StepCycle, slots: list[int], inputs: list):
     """`step(k, mean)` of a pass: slot slots[k - 1] of `cycle`, input inputs[k - 1]."""
     g, q = cycle.transitions, cycle.noises
     return lambda k, _: (g[slots[k - 1]], q[slots[k - 1]], inputs[k - 1])
-
-
-def _pass_length(t_start: float, t_end: float, dt: float) -> int:
-    """Steps of a pass over [t_start, t_end] (`lfm.grid_steps`); a `t_end`
-    off the step grid t_start + k dt raises, naming it."""
-    span = int(np.rint((t_end - t_start) / dt))
-    return int(lfm.grid_steps([t_end], t_start, dt, span, "thermal pass end")[0])
 
 
 def _record_minutes(dataset: ThermalDataset, times: np.ndarray) -> np.ndarray:
@@ -425,7 +420,7 @@ def thermal_predict_day(
     The methods predicted on one dataset share its one block of particle draws."""
     cycle, mean, cov = _trained_state(dataset, kind, params, envelope)
     model, dt, t_start = cycle.model, cycle.dt, dataset.test_start
-    n_steps = _pass_length(t_start, t_start + DAY_MINUTES, dt)
+    n_steps = pass_length(t_start, t_start + DAY_MINUTES, dt, "thermal pass end")
     slots, changepoints = lfm.pass_schedule(model, dt, t_start, n_steps)
     minute = _record_minutes(dataset, t_start + dt * np.arange(n_steps + 1))
     key = (seed, n_particles, n_steps)

@@ -216,7 +216,8 @@ def rbpf_predict_day(
     step that does not (a vanishing temperature variance) consumes none, zeroing g and z.
 
     Returns one record per step: the (mean, var) of the equal-weight mixture
-    of the temperature marginals after the prediction.
+    of the temperature marginals after the prediction; var adds the mean
+    squared deviation of the particle temperatures from that mean.
     """
     if n_particles < 1:
         raise InvalidParameterError("need at least one particle")
@@ -255,8 +256,8 @@ def rbpf_predict_day(
         var_t = float(cov[0, 0])
         m_t = np.dot(response[0, :n], bank[:n])
         mix_mean = float(np.add.reduce(m_t) / n_particles)
-        mix_var = var_t + float(np.add.reduce(m_t * m_t) / n_particles - mix_mean**2)
-        records.append((mix_mean, mix_var))
+        dev = m_t - mix_mean
+        records.append((mix_mean, var_t + float(np.add.reduce(dev * dev) / n_particles)))
 
         if var_t > 1e-14:
             sd, bank[n] = math.sqrt(var_t), next(columns)

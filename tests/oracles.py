@@ -97,8 +97,8 @@ def rbpf_reference(mean, cov, n_steps, step, changepoints, setpoints, n_particle
         var_t = float(cov[0, 0])
         m_t = bank[0]
         mix_mean = float(np.add.reduce(m_t) / n_particles)
-        records.append((mix_mean, var_t + float(np.add.reduce(m_t * m_t) / n_particles
-                                               - mix_mean**2)))
+        dev = m_t - mix_mean
+        records.append((mix_mean, var_t + float(np.add.reduce(dev * dev) / n_particles)))
         if var_t > 1e-14:
             sd, bank[c] = math.sqrt(var_t), next(columns)
             gain, cov, _ = update(no_gain, cov, temperature, no_noise, [sd])

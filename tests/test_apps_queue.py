@@ -6,7 +6,7 @@ import pytest
 
 from eigenlfm import eigenbasis as eb
 from eigenlfm import kernels as K
-from eigenlfm import filtering, lfm, lti
+from eigenlfm import filtering, learn, lfm, lti
 from eigenlfm.apps import io as app_io
 from eigenlfm.apps import queueing as qa
 from eigenlfm.apps import synth
@@ -444,6 +444,44 @@ def test_variable_service_rate_runs():
     assert np.isfinite(out["rmse"])
 
 
+@pytest.mark.parametrize("kind", ["hart", "quasi-sqm"])
+def test_fit_objective_is_the_training_pass_of_a_truncated_copy(monkeypatch, kind):
+    # the fit used to run a copy of the record cut at the held-out start by
+    # float masks; it now runs the first steps of the one record.  The copy's
+    # full pass is the reference: 3 days, so quasi-sqm jumps inside it
+    ds = qa.generate_queue_data(qa.QueueGenConfig(days=3, step=4.0, kind=kind), seed=5)
+    train = dataclasses.replace(
+        ds,
+        times=ds.times[ds.times <= ds.test_start + 1e-9],
+        meas_times=ds.meas_times[ds.meas_times <= ds.test_start],
+        meas_values=ds.meas_values[ds.meas_times <= ds.test_start],
+    )
+    objectives = []
+    monkeypatch.setattr(learn, "fit", lambda objective, space, **_: objectives.append(objective))
+    qa.queue_fit(ds, kind)
+    for sigma_obs in (0.5, 1.5):
+        params = dict(ROSTER[kind], sigma_obs=sigma_obs)
+        model = qa._queue_model(kind, params, ds.config)
+        reference, _, _, records = qa._run_queue_filter(model, train, sigma_obs,
+                                                        train.times.size - 1)
+        assert len(records) == 720
+        assert objectives[0](params) == reference
+
+
+@pytest.mark.parametrize("run", [
+    lambda ds: qa.queue_fit(ds, "hart", budget=8),
+    lambda ds: qa.queue_track(ds, "hart", ROSTER["hart"]),
+], ids=["fit", "track"])
+def test_a_held_out_start_off_the_step_grid_raises(run):
+    # 7-minute steps miss minute 1440: the fit ran to minute 1435 and the
+    # track scored 206 steps from minute 1442, with no error
+    cfg = qa.QueueGenConfig(days=2, step=7.0, train_meas_every=28.0, test_meas_every=2100.0)
+    ds = qa.generate_queue_data(cfg, seed=0)
+    with pytest.raises(ContractViolationError,
+                       match=r"held-out start at 1440 is not on the step grid 0 \+ k \* 7"):
+        run(ds)
+
+
 def test_fit_improves_loglik_and_is_deterministic():
     cfg = qa.QueueGenConfig(days=2)
     ds = qa.generate_queue_data(cfg, seed=3)
@@ -487,13 +525,18 @@ def test_omega_test_starts_must_lie_in_the_day(tmp_path, start):
 
 
 def test_csv_roundtrip(tmp_path):
-    cfg = qa.QueueGenConfig(days=2)
+    cfg = qa.QueueGenConfig(days=2, omega_test=((0.0, 15.0), (720.0, 5.0)))
     ds = qa.generate_queue_data(cfg, seed=4)
     app_io.write_queue_dataset(tmp_path, ds)
     back = app_io.read_queue_dataset(tmp_path, cfg)
     np.testing.assert_allclose(back.truth_queue, ds.truth_queue, rtol=1e-9)
     np.testing.assert_allclose(back.meas_values, ds.meas_values, rtol=1e-9)
     assert back.test_start == ds.test_start
+    # the dataset stores neither: both derive from the config it was read with
+    assert {"test_start", "omega"}.isdisjoint(f.name for f in dataclasses.fields(back))
+    rates = back.omega(ds.times)
+    np.testing.assert_array_equal(rates, ds.omega(ds.times))
+    assert set(rates.tolist()) == {10.0, 15.0, 5.0}
 
 
 def test_csv_header_check(tmp_path):

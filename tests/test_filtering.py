@@ -593,23 +593,34 @@ def test_rbpf_matches_per_particle_reference(force_kind):
         assert r == pytest.approx(q, rel=1e-12, abs=1e-12)
 
 
+def test_rbpf_records_the_mixture_variance_without_cancellation():
+    # particle temperatures near 1e4 and about 1e-3 apart: a raw second
+    # moment less the squared mean keeps about two digits of the spread
+    # (9.537e-7 for 9.587e-7); the centred sum keeps it to round-off
+    n_particles = 2048
+    temps = 1e4 + 1e-3 * np.random.default_rng(5).standard_normal(n_particles)
+    records = rbpf_predict_day(
+        np.array([1e4]), np.zeros((1, 1)), 1, lambda k, _: (np.eye(1), None, None), {1},
+        np.zeros(2), n_particles, particle_draws(0, n_particles, 1),
+        jump=lambda means, cov: (temps[:, None].copy(), cov),  # sets the particle means
+    )
+    mean = math.fsum(temps) / n_particles
+    var = math.fsum((t - mean) ** 2 for t in temps) / n_particles
+    assert records[0][0] == pytest.approx(mean, rel=1e-15)
+    assert records[0][1] == pytest.approx(var, rel=1e-12)
+
+
 def _blocked_steps(c: int) -> int:
     """Steps per block of the RBPF's bank at state size c."""
     return max(1, c // 2)
-
-
-def _raw_moments(records) -> np.ndarray:
-    """The mixture's (mean, second moment) per record: its variance is a
-    difference of the two, so it carries their round-off, not its own."""
-    records = np.array(records)
-    return np.column_stack((records[:, 0], records[:, 1] + records[:, 0] ** 2))
 
 
 def _assert_matches_the_per_step_bank(args, kwargs):
     got = rbpf_predict_day(*args, **kwargs)
     ref = oracles.rbpf_reference(*args, **kwargs)
     assert len(got) == len(ref) == args[2]
-    np.testing.assert_allclose(_raw_moments(got), _raw_moments(ref), rtol=1e-12, atol=0.0)
+    # the mixture variance is a centred sum, so it is held to round-off too
+    np.testing.assert_allclose(np.array(got), np.array(ref), rtol=1e-12, atol=0.0)
 
 
 def _thermal_rbpf_args(monkeypatch, kind, n_particles):

@@ -25,6 +25,8 @@ Gram and the bounded blocks of eigenfunction rows) and by the basis
 comparison's true covariance.  Every public name is listed in its module's
 `__all__` and used in the package itself, and every dataclass field of an
 engine type is read there: what only a test reaches lives in `tests/`.
+No module takes another module's underscore name, by import or as an
+attribute of an imported module: a private name stays in its module.
 Every engine dataclass is frozen: a model, a basis or a fit result is built
 whole and never changed.  Only a fit
 (`learn.fit`) and the basis comparison (`baselines.comparison.linear_regress`)
@@ -33,8 +35,8 @@ module and track, predict, simulate and eigenbasis never pay for it; nor
 does it load jsonschema, which `config` no longer uses.  Only `apps/io`
 imports csv, so the dataset and pass files have one dialect.  Checked
 on the source with `ast`, so no module is imported, except the import pins,
-which import the CLI in a fresh interpreter; each of the last six pins is
-also run over a small package that breaks its rule, to show it can fail."""
+which import the CLI in a fresh interpreter; each of the last seven pins
+is also run over a small package that breaks its rule, to show it can fail."""
 
 import ast
 import os
@@ -372,6 +374,45 @@ def test_all_walk_reports_an_unlisted_public_name(tmp_path):
         "lfm": "def no_all(): pass\n",  # a module without __all__ lists nothing
     })
     assert _unlisted(root) == {"kernels.py": ["Unlisted", "unlisted"]}
+
+
+def _private_imports(root: Path) -> set[tuple[str, str]]:
+    """(file, name) of every underscore name that a module under `root` takes
+    from another module of the package: `from .m import _name`, or `m._name`
+    on a name `m` that a package import binds in that module."""
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        rel = str(path.relative_to(root))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "eigenlfm"
+            ):
+                found |= {(rel, a.name) for a in node.names if a.name.startswith("_")}
+                bound |= {a.asname or a.name for a in node.names}
+        found |= {
+            (rel, n.attr) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+            and isinstance(n.value, ast.Name) and n.value.id in bound
+        }
+    return found
+
+
+def test_no_module_takes_another_modules_private_name():
+    # `apps/io` rebuilt the service rate through queueing's `_omega_profile`;
+    # a dataset now derives it, and what a module keeps private stays there
+    assert _private_imports(PACKAGE) == set()
+
+
+def test_private_import_walk_reports_an_underscore_name(tmp_path):
+    root = _package(tmp_path, {
+        "kernels": "def _gram(): pass\n\ndef gram(): return _gram()\n",  # its own use
+        "lfm": "from .kernels import _gram, gram\n",
+        "learn": "from . import kernels as k\n\ndef fit(): return k._gram(), k.gram()\n",
+        "filtering": "import numpy as np\n\ndef f(): return np._NoValue\n",  # not the package
+    })
+    assert _private_imports(root) == {("lfm.py", "_gram"), ("learn.py", "_gram")}
 
 
 def _engine_dataclasses(root: Path) -> dict[str, ast.ClassDef]:
