@@ -6,11 +6,13 @@ Formats:
   thermal record      time_min,t_int,t_ext,setpoint,heater   (1-minute grid)
   thermal meas        time_min,t_int,t_ext                   (1-minute grid)
 
-Every dataset and pass CSV is written by `write_columns` in one dialect,
-without the csv module: comma-separated cells, `\r\n` line ends, each value
-formatted `%.10g` and never quoted, since a formatted number holds no comma
-or quote.  These are the bytes `csv.writer` writes for the same cells.
-`write_csv` writes rows of cells that are already strings.
+Every CSV the package writes, the dataset, pass and basis files, is written
+by `write_columns` in one dialect, without the csv module: comma-separated
+cells, `\r\n` line ends, each column in its printf format (`%.10g` unless the
+caller names another: the basis files write `%d` indices, `%s` method names
+and `%.12g` values) and never quoted, since no number, index or method name
+holds a comma or quote.  These are the bytes `csv.writer` writes for the
+same cells.
 """
 
 from __future__ import annotations
@@ -30,25 +32,16 @@ __all__ = [
     "read_queue_dataset",
     "write_thermal_dataset",
     "read_thermal_dataset",
-    "write_csv",
     "write_columns",
 ]
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write the header and the rows of formatted cells, making the directory."""
+def write_columns(path: Path, header, columns, formats=None) -> None:
+    """Write the rows of `columns` (equal-length sequences), each column in
+    its printf format of `formats`; by default every value to 10 significant
+    digits, the one precision of every dataset and pass CSV."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_columns(path: Path, header, columns) -> None:
-    """Write the rows of `columns` (equal-length sequences), each value to 10
-    significant digits: the one precision of every dataset and pass CSV."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["%.10g"] * len(columns)) + "\r\n"
+    row = ",".join(formats or ["%.10g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(row % values for values in zip(*(np.asarray(c).tolist() for c in columns)))

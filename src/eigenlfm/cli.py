@@ -6,6 +6,11 @@ Every command is deterministic given the configuration document and seed at
 a fixed BLAS thread count; the only nondeterministic output field is
 runtime_ms in the metrics records.
 
+Every command runs through one path, `_entry`: it loads and validates the
+command's config, runs the command's body (which computes, writes its files
+and returns the line to echo) and echoes that line.  A package error anywhere
+on that path, the writes included, ends in one `error:` line and exit code 1.
+
 The application subcommands share one seed worker, `_seed_work`; what
 differs per application (generator settings, dataset generate/read/write,
 fit, the scored pass of each subcommand, default methods) is looked up in
@@ -16,6 +21,7 @@ lives only in the function called (the application's, `eb.build`,
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -39,15 +45,21 @@ _PKG_ERRORS = (
 )
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+def _entry(ctx, schema: str, run: Callable[[dict, dict], str]) -> None:
+    """Load and validate the `schema` config, run `run(config, ctx.obj)` and
+    echo the line it returns; a package error ends in one error line."""
+    try:
+        click.echo(run(load_config(schema, ctx.obj["config_path"]), ctx.obj))
+    except _PKG_ERRORS as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON configuration document.")
-@click.option("--seed", type=int, default=None, help="Override the config seeds.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seeds.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               help="Output directory.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
@@ -67,53 +79,42 @@ def main(ctx, config_path, seed, out_dir, jobs):
 @click.pass_context
 def cmd_eigenbasis(ctx):
     """Emit the eigenvalue spectrum and eigenfunction grids as CSV."""
-    try:
-        config = load_config("eigenbasis", ctx.obj["config_path"])
-        kernel = kernels.kernel_from_config(config["kernel"])
-        period = float(config["period"])
-        basis = eb.build(
-            kernel, int(config.get("n_points", 100)), period, **_given(config, {"gamma": "gamma"})
-        )
-        grid_cfg = config.get("grid", {"start": 0.0, "stop": period, "count": 256})
-        grid = np.linspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"])
-        phi = eb.eigenfunction_matrix(basis, grid)
-    except _PKG_ERRORS as exc:
-        _fail(str(exc))
+    _entry(ctx, "eigenbasis", _eigenbasis)
 
-    out = ctx.obj["out"]
-    app_io.write_csv(
-        out / "spectrum.csv", ["j", "mu_scaled"],
-        [(int(j), f"{v:.12g}") for j, v in eb.spectrum_table(basis)],
+
+def _eigenbasis(config: dict, opts: dict) -> str:
+    kernel = kernels.kernel_from_config(config["kernel"])
+    period = float(config["period"])
+    basis = eb.build(
+        kernel, int(config.get("n_points", 100)), period, **_given(config, {"gamma": "gamma"})
     )
-    header = ["t"] + [f"phi_{int(j) + 1}" for j in basis.selected]
-    rows = [[f"{t:.10g}"] + [f"{v:.12g}" for v in row] for t, row in zip(grid, phi)]
-    app_io.write_csv(out / "eigenfunctions.csv", header, rows)
-    click.echo(f"wrote {basis.n_selected} eigenfunctions to {out}")
+    grid_cfg = config.get("grid", {"start": 0.0, "stop": period, "count": 256})
+    grid = np.linspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"])
+    phi = eb.eigenfunction_matrix(basis, grid)
+    out = opts["out"]
+    app_io.write_columns(out / "spectrum.csv", ["j", "mu_scaled"],
+                         [basis.selected, basis.scaled_eigenvalues()], ["%d", "%.12g"])
+    app_io.write_columns(
+        out / "eigenfunctions.csv", ["t"] + [f"phi_{j + 1}" for j in basis.selected.tolist()],
+        [grid, *phi.T], ["%.10g"] + ["%.12g"] * basis.n_selected,
+    )
+    return f"wrote {basis.n_selected} eigenfunctions to {out}"
 
 
 @main.command("compare-bases")
 @click.pass_context
 def cmd_compare_bases(ctx):
     """Eigenfunction vs sparse-spectrum comparison; emits a metrics CSV."""
-    try:
-        config = load_config("compare-bases", ctx.obj["config_path"])
-        seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 0
-        # the schema's keys are the function's keywords
-        rows = compare_linear_bases(**config, seed=seed)
-    except _PKG_ERRORS as exc:
-        _fail(str(exc))
+    _entry(ctx, "compare-bases", _compare_bases)
 
-    out = ctx.obj["out"]
-    app_io.write_csv(
-        out / "compare_bases.csv",
-        ["method", "basis_count", "max_cov_error", "rmse", "ell"],
-        [
-            (r["method"], r["basis_count"], f"{r['max_cov_error']:.12g}",
-             f"{r['rmse']:.12g}", f"{r['ell']:.12g}")
-            for r in rows
-        ],
-    )
-    click.echo(f"wrote comparison for {len(rows)} methods to {out}")
+
+def _compare_bases(config: dict, opts: dict) -> str:
+    # the schema's keys are the function's keywords
+    rows = compare_linear_bases(**config, seed=opts["seed"] or 0)
+    header = ["method", "basis_count", "max_cov_error", "rmse", "ell"]
+    app_io.write_columns(opts["out"] / "compare_bases.csv", header,
+                         [[r[k] for r in rows] for k in header], ["%s", "%d"] + ["%.12g"] * 3)
+    return f"wrote comparison for {len(rows)} methods to {opts['out']}"
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +245,16 @@ def _seed_work(args) -> list[dict]:
     return records
 
 
-def _run_seeds(app_name, config, ctx_obj, command) -> list[dict]:
-    seeds = [ctx_obj["seed"]] if ctx_obj["seed"] is not None else config.get("seeds", [0])
+def _run_app(app_name: str, command: str, config: dict, opts: dict) -> str:
+    """Run one application command over the config's seeds, write the
+    metrics of a scored pass and return the line to echo."""
+    seeds = [opts["seed"]] if opts["seed"] is not None else config.get("seeds", [0])
     if "data_dir" in config and len(seeds) > 1:
         raise InvalidParameterError(f"data_dir holds one dataset, but seeds lists "
                                     f"{len(seeds)}: give one seed (or --seed)")
-    jobs = min(ctx_obj["jobs"], len(seeds))
-    args = [(app_name, config, s, str(ctx_obj["out"]), command) for s in seeds]
+    jobs = min(opts["jobs"], len(seeds))
+    out = opts["out"]
+    args = [(app_name, config, s, str(out), command) for s in seeds]
     if jobs > 1:
         # imported here: the process pool costs about 65 ms of import time,
         # which a --jobs 1 run would pay for nothing
@@ -260,28 +264,16 @@ def _run_seeds(app_name, config, ctx_obj, command) -> list[dict]:
             results = list(pool.map(_seed_work, args))
     else:
         results = [_seed_work(a) for a in args]
-    records = [r for chunk in results for r in chunk]
-    return sorted(records, key=lambda r: (r["dataset"], r["method"]))
-
-
-def _app_entry(ctx, app_name, command) -> None:
-    """Run one application command over the config's seeds; write the
-    metrics of a scored pass."""
-    try:
-        config = load_config(app_name, ctx.obj["config_path"])
-        records = _run_seeds(app_name, config, ctx.obj, command)
-    except _PKG_ERRORS as exc:
-        _fail(str(exc))
-    out = ctx.obj["out"]
+    records = sorted((r for chunk in results for r in chunk),
+                     key=lambda r: (r["dataset"], r["method"]))
     if not records:
-        click.echo(f"outputs written to {out}")
-        return
+        return f"outputs written to {out}"
     for r in records:
         if not all(np.isfinite(v) for v in (r["rmse"], r["ell"])):
-            _fail(f"non-finite metrics for {r['dataset']}/{r['method']}")
+            raise NumericError(f"non-finite metrics for {r['dataset']}/{r['method']}")
     # each record's CSV is written under `out`, so the directory exists
     (out / "metrics.json").write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    click.echo(f"wrote {len(records)} metric records to {out / 'metrics.json'}")
+    return f"wrote {len(records)} metric records to {out / 'metrics.json'}"
 
 
 def _register(app_name: str, app: _App) -> None:
@@ -290,7 +282,8 @@ def _register(app_name: str, app: _App) -> None:
     group = click.Group(app_name, help=app.help)
     for command, (help_line, _) in app.commands.items():
         group.add_command(click.Command(command, help=help_line, callback=click.pass_context(
-            lambda ctx, command=command: _app_entry(ctx, app_name, command)
+            lambda ctx, command=command: _entry(
+                ctx, app_name, functools.partial(_run_app, app_name, command))
         )))
     main.add_command(group)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidParameterError, NumericError
 
-__all__ = ["EigenBasis", "build", "eigenfunction_matrix", "reconstruct", "spectrum_table"]
+__all__ = ["EigenBasis", "build", "eigenfunction_matrix", "reconstruct"]
 
 # kernel entries K(t_i, s_j) evaluated per block of eigenfunction rows
 BLOCK_ENTRIES = 2**14
@@ -156,9 +156,3 @@ def reconstruct(basis: EigenBasis, t, tp):
     if np.ndim(t) == 0 and np.ndim(tp) == 0:
         return float(out[0, 0])
     return out
-
-
-def spectrum_table(basis: EigenBasis) -> list[tuple[int, float]]:
-    """Rows (j, mu_j / N) for the selected eigenpairs, for CSV emission."""
-    scaled = basis.scaled_eigenvalues()
-    return [(int(j), float(s)) for j, s in zip(basis.selected, scaled)]

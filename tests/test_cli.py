@@ -76,6 +76,18 @@ def test_jobs_below_one_fail_and_name_the_option(tmp_path, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, command", [(QUEUE_CONFIG, ["queue", "track"]),
+                                             ({}, ["compare-bases"])],
+                         ids=["queue-track", "compare-bases"])
+def test_negative_seed_fails_and_names_the_option(tmp_path, config, command):
+    # a negative --seed bypassed the seeds schema and ended in "expected
+    # non-negative integer", which names no option
+    result, out = _invoke(tmp_path, config, "--seed", "-1", *command)
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("app", ["queue", "thermal"])
 def test_step_must_divide_the_day(tmp_path, app):
     config = {"generator": {"days": 2, "step": 7.0}}
@@ -199,7 +211,7 @@ def _fails_cleanly(result, text):
     # a package error ends in one "error: ..." line and exit 1, not a traceback
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "error:" in result.output and text in result.output
+    assert result.output.count("error:") == 1 and text in result.output
 
 
 @pytest.mark.parametrize(
@@ -290,6 +302,25 @@ def test_basis_config_errors_end_in_an_error_line(tmp_path, config, command, tex
     result, out = _invoke(tmp_path, config, *command)
     _fails_cleanly(result, text)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, command, block, text",
+    [
+        ({"kernel": {"variant": "se", "params": {"sigma": 1.0, "ell": 0.2}}, "period": 1.0},
+         ["eigenbasis"], lambda out: out.write_text(""), "File exists"),
+        ({"n_points": 40, "n_basis": 6, "n_draws": 2, "grid_count": 60}, ["compare-bases"],
+         lambda out: out.write_text(""), "File exists"),
+        ({**THERMAL_CONFIG, "seeds": [0]}, ["thermal", "track"],
+         lambda out: (out / "metrics.json").mkdir(parents=True), "Is a directory"),
+    ],
+    ids=["eigenbasis-out-is-a-file", "compare-bases-out-is-a-file", "metrics-json-is-a-dir"],
+)
+def test_write_errors_end_in_an_error_line(tmp_path, config, command, block, text):
+    # each of these writes ended in a traceback: it ran after the error path
+    block(tmp_path / "out")
+    result, _ = _invoke(tmp_path, config, *command)
+    _fails_cleanly(result, text)
 
 
 # data directory edits: (file, the line of minute 120 -> its new text, file to drop)

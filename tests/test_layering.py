@@ -33,10 +33,14 @@ whole and never changed.  Only a fit
 import scipy, inside the function, so `import eigenlfm.cli` loads no scipy
 module and track, predict, simulate and eigenbasis never pay for it; nor
 does it load jsonschema, which `config` no longer uses.  Only `apps/io`
-imports csv, so the dataset and pass files have one dialect.  Checked
-on the source with `ast`, so no module is imported, except the import pins,
-which import the CLI in a fresh interpreter; each of the last seven pins
-is also run over a small package that breaks its rule, to show it can fail."""
+imports csv, and it only reads with it: `write_columns` writes every
+CSV the package writes, in one dialect.  The CLI catches the package
+errors in one `except` clause, so every command fails in the same one
+error line.  Checked on the source with `ast`, so no module is imported,
+except the import pins, which import the CLI in a fresh interpreter; the
+pins that a `..._reports_...`, `..._counts_...` or `..._sees_...` test
+follows are also run over a small package that breaks their rule, to
+show they can fail."""
 
 import ast
 import os
@@ -88,12 +92,12 @@ STEP_BUILDERS = {
 }
 
 
-def _uses(names: set[str]) -> set[tuple[str, str, str]]:
+def _uses(names: set[str], root: Path = PACKAGE) -> set[tuple[str, str, str]]:
     """(file, enclosing top-level function, name) for every reference to one
-    of `names` in the package, by bare name or as an attribute, so a call
-    through an alias or `functools.partial` counts too."""
+    of `names` in the package under `root`, by bare name or as an attribute,
+    so a call through an alias or `functools.partial` counts too."""
     found = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text())
         for top in tree.body:
             for node in ast.walk(top):
@@ -105,7 +109,7 @@ def _uses(names: set[str]) -> set[tuple[str, str, str]]:
                     continue
                 if name in names:
                     where = getattr(top, "name", "<module>")
-                    found.add((str(path.relative_to(PACKAGE)), where, name))
+                    found.add((str(path.relative_to(root)), where, name))
     return found
 
 
@@ -524,6 +528,53 @@ def test_only_apps_io_imports_csv():
     # every CSV the package writes or reads goes through `apps/io`, which
     # holds the one dialect of the dataset and pass files
     assert _imports_of(PACKAGE, "csv") == {("apps/io.py", "<module>")}
+
+
+CSV_NAMES = {"reader", "writer", "DictReader", "DictWriter"}
+
+
+def test_apps_io_writes_no_csv_through_the_csv_module():
+    # `write_columns` formats every CSV the package writes; a csv.writer
+    # beside it would be a second writer with its own formatting
+    assert _uses(CSV_NAMES) == {("apps/io.py", "_read_csv", "reader")}
+
+
+def test_csv_walk_reports_a_writer(tmp_path):
+    root = _package(tmp_path, {
+        "lfm": "import csv\n\ndef dump(fh):\n    return csv.writer(fh), csv.reader(fh)\n",
+    })
+    assert _uses(CSV_NAMES, root) == {("lfm.py", "dump", "writer"), ("lfm.py", "dump", "reader")}
+
+
+def _except_clauses(root: Path, name: str) -> list[tuple[str, str]]:
+    """(file, enclosing top-level function) of every `except` clause under
+    `root` whose exception type names `name`, once per clause."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [
+                (str(path.relative_to(root)), getattr(top, "name", "<module>"))
+                for node in ast.walk(top)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node.type))
+            ]
+    return found
+
+
+def test_the_cli_catches_package_errors_in_one_place():
+    # every command runs through one entry, so a package error, a write's
+    # included, ends in the same one error line
+    assert _except_clauses(PACKAGE, "_PKG_ERRORS") == [("cli.py", "_entry")]
+
+
+def test_except_walk_counts_each_clause(tmp_path):
+    handler = "    try:\n        pass\n    except {}:\n        pass\n"
+    root = _package(tmp_path, {
+        "lfm": "E = (KeyError,)\n\n"
+               "def run():\n" + handler.format("E") + handler.format("(E, OSError) as exc") +
+               "\n\ndef other():\n" + handler.format("ValueError"),
+    })
+    assert _except_clauses(root, "E") == [("lfm.py", "run"), ("lfm.py", "run")]
 
 
 def _loads(root: Path, module: str, packages: set[str]) -> list[str]:
