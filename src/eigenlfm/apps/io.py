@@ -18,6 +18,7 @@ same cells.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +148,7 @@ def read_queue_dataset(data_dir, config: QueueGenConfig) -> QueueDataset:
         rate_values=rate_v,
         meas_times=meas_t,
         meas_values=meas_v,
-        config=QueueGenConfig(**{**config.__dict__, "days": days}),
+        config=dataclasses.replace(config, days=days),
     )
 
 
@@ -194,5 +195,5 @@ def read_thermal_dataset(data_dir, config: ThermalGenConfig) -> ThermalDataset:
         meas_int=meas_int,
         meas_ext=meas_ext,
         residual=np.zeros_like(minutes),
-        config=ThermalGenConfig(**{**config.__dict__, "days": days}),
+        config=dataclasses.replace(config, days=days),
     )

@@ -164,7 +164,8 @@ def _omega_profile(config: QueueGenConfig):
     """Service rate as a function of time: `omega_train` until the test day,
     then the `omega_test` pieces (each from its start minute in the day).
     The function takes a scalar or an array of times; a scalar gives a
-    scalar.  A rate <= 0, or a piece that does not start in the day, raises."""
+    scalar.  A rate <= 0, or a piece that does not start in the day or starts
+    at the minute of another, raises."""
     rates = [config.omega_train, *(rate for _, rate in config.omega_test)]
     if min(rates) <= 0.0:
         raise InvalidParameterError(f"service rates must be > 0, got {rates}")
@@ -172,6 +173,10 @@ def _omega_profile(config: QueueGenConfig):
     if not all(0.0 <= start < DAY_MINUTES for start in starts):
         raise InvalidParameterError(f"omega_test start minutes must lie in the test day "
                                     f"[0, {DAY_MINUTES:g}), got {starts}")
+    for i, start in enumerate(starts):  # else the last piece written would win
+        if start in starts[:i]:
+            raise InvalidParameterError(
+                f"omega_test start minute {start:g} is given more than once")
     test_start = held_out_start(config)
     pieces = sorted(config.omega_test)
 

@@ -225,7 +225,7 @@ def _seed_work(args) -> list[dict]:
     for method in config.get("methods", app.methods):
         started = time.perf_counter()
         params = config.get("params", {}).get(method)
-        if params is None:
+        if params is None or command == "fit":  # fit fits every method it lists
             fit = app.fit(dataset, method, config)
             params = fit.params
             out.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,9 @@
 """JSON run-configuration schemas.
 
 Every CLI command validates its configuration document before doing any
-work; unknown keys are rejected so typos fail loudly.
+work; unknown keys are rejected so typos fail loudly.  The `generator`
+section of an application derives from its settings dataclass: one key per
+field, a positive number unless the domain tables here give it its own.
 
 The schemas are JSON Schema (Draft 2020-12) dicts, checked by a short walker
 that implements only the keywords they use: `type`, `enum` and a local
@@ -22,6 +24,7 @@ with), and is stricter than JSON Schema in two ways:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import operator
@@ -62,64 +65,50 @@ _LIST = {"type": "array", "minItems": 1, "uniqueItems": True}  # a repeated item
 _DAY_MINUTE = {"type": "number", "minimum": 0, "exclusiveMaximum": DAY_MINUTES}
 _DAY_HOUR = {"type": "number", "minimum": 0, "maximum": 24}
 
-_QUEUE_GENERATOR = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(QUEUE_METHODS)},
-        "days": {"type": "integer", "minimum": 2},
-        "mean_peak": {"type": "number", "minimum": 0},
-        "mean_hour": {"type": "number"},
-        "mean_width_h": _POSITIVE,
-        "sigma_p": _POSITIVE,
-        "ell_p": _POSITIVE,
-        "ell_q": _POSITIVE,
-        "xi": _POSITIVE,
-        "ell_t": _POSITIVE,
-        "omega_train": _POSITIVE,
-        "omega_test": {
-            "type": "array",
-            "items": {  # [start minute in the test day, service rate]
-                "type": "array",
-                "prefixItems": [_DAY_MINUTE, _POSITIVE],
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "step": _POSITIVE,
-        "obs_noise": _POSITIVE,
-        "train_meas_every": _POSITIVE,
-        "test_meas_every": _POSITIVE,
-        "n_basis_points": {"type": "integer", "minimum": 2},
-        "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-    },
-    "additionalProperties": False,
+_SETTINGS = {"queue": QueueGenConfig, "thermal": ThermalGenConfig}
+
+
+def _generator_schema(settings, **domains) -> dict:
+    """The schema of a generator section: one key per field of the `settings`
+    dataclass, a positive number unless `domains` names its own domain."""
+    names = [f.name for f in dataclasses.fields(settings)]
+    stray = domains.keys() - set(names)  # a domain of no field is a typo
+    if stray:
+        raise TypeError(f"{settings.__name__} has no field(s) {sorted(stray)}")
+    properties = {name: domains.get(name, _POSITIVE) for name in names}
+    return {"type": "object", "properties": properties, "additionalProperties": False}
+
+
+_SHARED_DOMAINS = {
+    "days": {"type": "integer", "minimum": 2},
+    "n_basis_points": {"type": "integer", "minimum": 2},
+    "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
 }
 
-_THERMAL_GENERATOR = {
-    "type": "object",
-    "properties": {
-        "days": {"type": "integer", "minimum": 2},
-        "alpha": _POSITIVE,
-        "beta": _POSITIVE,
-        "sigma_ext": _POSITIVE,
-        "ell_ext": _POSITIVE,
-        "residual_kind": {"enum": [m for m in THERMAL_METHODS if m != "resonator"]},
-        "sigma_r": _POSITIVE,
-        "ell_r": _POSITIVE,
-        "ell_q": _POSITIVE,
-        "xi": _POSITIVE,
-        "setpoint_day": {"type": "number"},
-        "setpoint_night": {"type": "number"},
-        "day_start_h": _DAY_HOUR,
-        "day_end_h": _DAY_HOUR,
-        "step": _POSITIVE,
-        "obs_noise": _POSITIVE,
-        "n_basis_points": {"type": "integer", "minimum": 2},
-        "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "residual_scale": _POSITIVE,
+_QUEUE_GENERATOR = _generator_schema(
+    QueueGenConfig, **_SHARED_DOMAINS,
+    kind={"enum": list(QUEUE_METHODS)},
+    mean_peak={"type": "number", "minimum": 0},
+    mean_hour={"type": "number"},
+    omega_test={
+        "type": "array",
+        "items": {  # [start minute in the test day, service rate]
+            "type": "array",
+            "prefixItems": [_DAY_MINUTE, _POSITIVE],
+            "minItems": 2,
+            "maxItems": 2,
+        },
     },
-    "additionalProperties": False,
-}
+)
+
+_THERMAL_GENERATOR = _generator_schema(
+    ThermalGenConfig, **_SHARED_DOMAINS,
+    residual_kind={"enum": [m for m in THERMAL_METHODS if m != "resonator"]},
+    setpoint_day={"type": "number"},
+    setpoint_night={"type": "number"},
+    day_start_h=_DAY_HOUR,
+    day_end_h=_DAY_HOUR,
+)
 
 
 def _app_schema(generator: dict, methods, **extra) -> dict:
@@ -272,11 +261,10 @@ def validate_config(command: str, config: dict) -> dict:
         path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
         where = f"{path[1:]}: " if path else ""  # the failing key, e.g. generator.step
         raise InvalidParameterError(f"invalid {command} config: {where}{message}")
-    if command not in ("queue", "thermal"):
+    if command not in _SETTINGS:
         return config
-    defaults = QueueGenConfig() if command == "queue" else ThermalGenConfig()
     generator = config.get("generator", {})
-    step = generator.get("step", defaults.step)
+    step = generator.get("step", _SETTINGS[command]().step)
     # both applications cycle once a day: day boundaries (changepoints)
     # and the daily schedules must fall on step boundaries
     if not _whole_multiple(DAY_MINUTES, step):

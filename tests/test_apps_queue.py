@@ -524,6 +524,22 @@ def test_omega_test_starts_must_lie_in_the_day(tmp_path, start):
         app_io.read_queue_dataset(tmp_path, config)
 
 
+@pytest.mark.parametrize("pieces", [
+    ((300, 5.0), (300, 7.0)),
+    ((300.0, 7.0), (0.0, 15.0), (300, 5.0)),  # in either order, and 300 == 300.0
+])
+def test_omega_test_starts_must_differ(tmp_path, pieces):
+    # two pieces from one minute would leave the rate to the order of the
+    # pieces: the last one written would win, without a word
+    config = qa.QueueGenConfig(days=2, omega_test=pieces)
+    message = r"omega_test start minute 300 is given more than once"
+    with pytest.raises(InvalidParameterError, match=message):
+        qa.generate_queue_data(config, seed=0)
+    app_io.write_queue_dataset(tmp_path, qa.generate_queue_data(qa.QueueGenConfig(days=2), seed=0))
+    with pytest.raises(InvalidParameterError, match=message):
+        app_io.read_queue_dataset(tmp_path, config)
+
+
 def test_csv_roundtrip(tmp_path):
     cfg = qa.QueueGenConfig(days=2, omega_test=((0.0, 15.0), (720.0, 5.0)))
     ds = qa.generate_queue_data(cfg, seed=4)

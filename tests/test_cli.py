@@ -464,12 +464,18 @@ def test_simulate_writes_the_dataset(tmp_path, app, files):
 
 
 @pytest.mark.parametrize(
-    "config, app, method",
-    [(QUEUE_CONFIG, "queue", "hart"), (THERMAL_CONFIG, "thermal", "without")],
+    "config, app, method, given",
+    [
+        pytest.param(QUEUE_CONFIG, "queue", "hart", {}, id="config0-queue-hart"),
+        pytest.param(THERMAL_CONFIG, "thermal", "without", {}, id="config1-thermal-without"),
+        # params are read by the scored passes; fit fits the method all the same
+        pytest.param(QUEUE_CONFIG, "queue", "hart", {"params": QUEUE_CONFIG["params"]},
+                     id="queue-hart-given-params"),
+    ],
 )
-def test_fit_writes_a_fit_report(tmp_path, config, app, method):
+def test_fit_writes_a_fit_report(tmp_path, config, app, method, given):
     fit_config = {"generator": config["generator"], "methods": [method], "seeds": [0],
-                  "budget": 8}
+                  "budget": 8, **given}
     result, out = _invoke(tmp_path, fit_config, app, "fit")
     assert result.exit_code == 0, result.output
     report = json.loads((out / f"{app}-s0" / f"fit-{method}.json").read_text())

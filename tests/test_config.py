@@ -3,18 +3,20 @@ JSON Schema (a test-only dependency): on seeded mutations of valid configs
 both accept or both refuse, except where the walker is stricter on purpose."""
 
 import copy
+import inspect
 import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import jsonschema
 import pytest
 
 from eigenlfm.apps.queueing import QueueGenConfig
 from eigenlfm.apps.thermal import ThermalGenConfig
-from eigenlfm.config import KEYWORDS, SCHEMAS, _violation
+from eigenlfm.baselines.comparison import compare_linear_bases
+from eigenlfm.config import _POSITIVE, KEYWORDS, SCHEMAS, _generator_schema, _violation
 
 # one valid document per command, holding every key its schema names
 VALID = {
@@ -182,3 +184,24 @@ def test_the_walker_implements_exactly_the_keywords_the_schemas_use():
     assert _violation({}, nested, nested) is None  # raised when a document reaches it
     with pytest.raises(NotImplementedError, match="pattern"):
         _violation({"name": "x"}, nested, nested)
+
+
+@dataclass
+class _Toy:
+    days: int = 2
+    scale: float = 1.0
+
+
+def test_a_generator_field_is_a_positive_number_unless_given_a_domain():
+    days = {"type": "integer", "minimum": 2}
+    schema = _generator_schema(_Toy, days=days)
+    assert schema == {"type": "object", "properties": {"days": days, "scale": _POSITIVE},
+                      "additionalProperties": False}
+    with pytest.raises(TypeError, match=r"_Toy has no field\(s\) \['dayz'\]"):
+        _generator_schema(_Toy, dayz=days)
+
+
+def test_every_compare_bases_key_is_a_keyword_of_compare_linear_bases():
+    # the CLI passes the section on as keywords: a stray key would be a TypeError
+    keywords = inspect.signature(compare_linear_bases).parameters
+    assert set(SCHEMAS["compare-bases"]["properties"]) <= set(keywords) - {"seed"}
