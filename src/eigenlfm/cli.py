@@ -92,10 +92,11 @@ def _eigenbasis(config: dict, opts: dict) -> str:
     grid = np.linspace(grid_cfg["start"], grid_cfg["stop"], grid_cfg["count"])
     phi = eb.eigenfunction_matrix(basis, grid)
     out = opts["out"]
+    numbers = basis.selected + 1  # both files number the eigenpairs from 1, as mu_1 and phi_1
     app_io.write_columns(out / "spectrum.csv", ["j", "mu_scaled"],
-                         [basis.selected, basis.scaled_eigenvalues()], ["%d", "%.12g"])
+                         [numbers, basis.scaled_eigenvalues()], ["%d", "%.12g"])
     app_io.write_columns(
-        out / "eigenfunctions.csv", ["t"] + [f"phi_{j + 1}" for j in basis.selected.tolist()],
+        out / "eigenfunctions.csv", ["t"] + [f"phi_{j}" for j in numbers.tolist()],
         [grid, *phi.T], ["%.10g"] + ["%.12g"] * basis.n_selected,
     )
     return f"wrote {basis.n_selected} eigenfunctions to {out}"

@@ -1,11 +1,14 @@
 """Parametric covariance functions on the time axis.
 
-Every kernel is a small frozen dataclass; `eval_kernel` / `eval_matrix`
-dispatch on the variant and broadcast over numpy arrays.  Periodic variants
-are driven by the phase map ``kappa(tau) = |sin(pi tau / period)|`` so that a
-kernel of the phase is automatically periodic in time.  Quasi-periodic step
-variants (StepQuasi / WienerStepQuasi) depend on time only through the cycle
-index ``floor((t - epoch) / period)``; the continuous one is the OU kernel
+Every kernel is a callable ``k(t, t')`` that broadcasts over numpy arrays:
+a small frozen dataclass below or a plain function.  `eval_kernel` /
+`eval_matrix` check their inputs and call it.  A variant checks its fields
+at construction against the one domain table `_DOMAINS`: a field it does
+not name is finite and > 0.  Periodic variants are driven by the phase map
+``kappa(tau) = |sin(pi tau / period)|`` so that a kernel of the phase is
+automatically periodic in time.  Quasi-periodic step variants (StepQuasi /
+WienerStepQuasi) depend on time only through the cycle index
+``floor((t - epoch) / period)``; the continuous one is the OU kernel
 ``Matern(0.5, sigma, ell)``, which the config variant "cqm" builds.
 """
 
@@ -13,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +32,6 @@ __all__ = [
     "WienerStepQuasi",
     "Product",
     "NonStatPeriodic",
-    "Kernel",
     "KernelLike",
     "phase",
     "cycle_index",
@@ -38,36 +40,50 @@ __all__ = [
     "kernel_from_config",
 ]
 
+#: The one kernel type: a callable k(t, t') that broadcasts over numpy arrays.
+KernelLike = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 _SUPPORTED_ORDERS = (0.5, 1.5)
 
+_POSITIVE = (lambda v: np.isfinite(v) and v > 0.0, "{name} must be finite and > 0, got {value!r}")
+_FACTOR = (callable, "{name} factor must be a kernel, a callable k(t, t'), got {value!r}")
 
-def _require_positive(value: float, name: str) -> None:
-    if not np.isfinite(value) or value <= 0.0:
-        raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+#: Field name -> (predicate, message) of its domain; a field not named here
+#: is _POSITIVE.
+_DOMAINS = {
+    "nu": (lambda v: v in _SUPPORTED_ORDERS, f"order must be one of {_SUPPORTED_ORDERS}"),
+    "xi0": (lambda v: np.isfinite(v) and v >= 0.0, "{name} must be finite and >= 0, got {value!r}"),
+    "epoch": (np.isfinite, "epoch must be finite"),
+    "left": _FACTOR,
+    "right": _FACTOR,
+}
 
 
-def _require_nonnegative(value: float, name: str) -> None:
-    if not np.isfinite(value) or value < 0.0:
-        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+class _Variant:
+    """Checks every field of a kernel dataclass, in declaration order."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            valid, message = _DOMAINS.get(f.name, _POSITIVE)
+            if not valid(value):
+                raise InvalidParameterError(message.format(name=f.name, value=value))
 
 
 @dataclass(frozen=True)
-class Matern:
+class Matern(_Variant):
     """Stationary Matern kernel, orders 1/2 and 3/2 only."""
 
     nu: float
     sigma: float
     ell: float
 
-    def __post_init__(self):
-        if self.nu not in _SUPPORTED_ORDERS:
-            raise InvalidParameterError(f"order must be one of {_SUPPORTED_ORDERS}")
-        _require_positive(self.sigma, "sigma")
-        _require_positive(self.ell, "ell")
+    def __call__(self, t, tp):
+        return _matern_of(np.abs(t - tp) / self.ell, self.nu, self.sigma)
 
 
 @dataclass(frozen=True)
-class PeriodicMatern:
+class PeriodicMatern(_Variant):
     """Matern kernel of the phase kappa(t - t'), period `period`."""
 
     nu: float
@@ -75,40 +91,38 @@ class PeriodicMatern:
     ell: float
     period: float
 
-    def __post_init__(self):
-        if self.nu not in _SUPPORTED_ORDERS:
-            raise InvalidParameterError(f"order must be one of {_SUPPORTED_ORDERS}")
-        _require_positive(self.sigma, "sigma")
-        _require_positive(self.ell, "ell")
-        _require_positive(self.period, "period")
+    def __call__(self, t, tp):
+        # clip absorbs round-off outside [0, 1] before the Matern profile
+        kap = np.clip(phase(t - tp, self.period), 0.0, 1.0)
+        return _matern_of(kap / self.ell, self.nu, self.sigma)
 
 
 @dataclass(frozen=True)
-class PeriodicSE:
+class PeriodicSE(_Variant):
     """Squared-exponential of sin(pi tau / period), implicit unit output scale."""
 
     ell: float
     period: float
 
-    def __post_init__(self):
-        _require_positive(self.ell, "ell")
-        _require_positive(self.period, "period")
+    def __call__(self, t, tp):
+        s = np.sin(np.pi * (t - tp) / self.period)
+        return np.exp(-(s**2) / self.ell**2)
 
 
 @dataclass(frozen=True)
-class SquaredExponential:
+class SquaredExponential(_Variant):
     """Plain squared-exponential, k(tau) = sigma^2 exp(-tau^2 / (2 ell^2))."""
 
     sigma: float
     ell: float
 
-    def __post_init__(self):
-        _require_positive(self.sigma, "sigma")
-        _require_positive(self.ell, "ell")
+    def __call__(self, t, tp):
+        d = t - tp
+        return self.sigma**2 * np.exp(-(d**2) / (2.0 * self.ell**2))
 
 
 @dataclass(frozen=True)
-class StepQuasi:
+class StepQuasi(_Variant):
     """Variance-preserving decorrelation applied once per cycle boundary."""
 
     sigma: float
@@ -116,16 +130,15 @@ class StepQuasi:
     period: float
     epoch: float = 0.0
 
-    def __post_init__(self):
-        _require_positive(self.sigma, "sigma")
-        _require_positive(self.ell, "ell")
-        _require_positive(self.period, "period")
-        if not np.isfinite(self.epoch):
-            raise InvalidParameterError("epoch must be finite")
+    def __call__(self, t, tp):
+        dc = np.abs(
+            cycle_index(t, self.period, self.epoch) - cycle_index(tp, self.period, self.epoch)
+        )
+        return self.sigma**2 * np.exp(-dc / self.ell)
 
 
 @dataclass(frozen=True)
-class WienerStepQuasi:
+class WienerStepQuasi(_Variant):
     """Random-walk variance growth applied once per cycle boundary.
 
     The variance at cycle index c is xi0 + c * xi; valid for times at or
@@ -137,24 +150,27 @@ class WienerStepQuasi:
     period: float
     epoch: float = 0.0
 
-    def __post_init__(self):
-        _require_nonnegative(self.xi0, "xi0")
-        _require_positive(self.xi, "xi")
-        _require_positive(self.period, "period")
-        if not np.isfinite(self.epoch):
-            raise InvalidParameterError("epoch must be finite")
+    def __call__(self, t, tp):
+        cmin = np.minimum(
+            cycle_index(t, self.period, self.epoch),
+            cycle_index(tp, self.period, self.epoch),
+        )
+        return self.xi0 + cmin * self.xi
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Variant):
     """Pointwise product of two kernels."""
 
-    left: "Kernel"
-    right: "Kernel"
+    left: KernelLike
+    right: KernelLike
+
+    def __call__(self, t, tp):
+        return self.left(t, tp) * self.right(t, tp)
 
 
 @dataclass(frozen=True)
-class NonStatPeriodic:
+class NonStatPeriodic(_Variant):
     """Periodic Matern-3/2 of the phase, modulated by exp(-alpha kappa(t)^2)
     at each argument.  Perfectly periodic and non-stationary."""
 
@@ -163,27 +179,13 @@ class NonStatPeriodic:
     period: float
     alpha: float
 
-    def __post_init__(self):
-        _require_positive(self.sigma, "sigma")
-        _require_positive(self.ell, "ell")
-        _require_positive(self.period, "period")
-        _require_positive(self.alpha, "alpha")
-
-
-Kernel = Union[
-    Matern,
-    PeriodicMatern,
-    PeriodicSE,
-    SquaredExponential,
-    StepQuasi,
-    WienerStepQuasi,
-    Product,
-    NonStatPeriodic,
-]
-
-#: Anything accepted where a kernel is expected: a variant above or a plain
-#: callable k(t, t') that broadcasts over numpy arrays.
-KernelLike = Union[Kernel, Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    def __call__(self, t, tp):
+        kap = np.clip(phase(t - tp, self.period), 0.0, 1.0)
+        stationary = _matern_of(kap / self.ell, 1.5, self.sigma)
+        mod_t = np.exp(-self.alpha * phase(t, self.period) ** 2)
+        mod_tp = np.exp(-self.alpha * phase(tp, self.period) ** 2)
+        # grouping keeps the evaluation exactly symmetric in (t, t')
+        return stationary * (mod_t * mod_tp)
 
 
 def phase(tau, period: float):
@@ -220,48 +222,10 @@ def eval_kernel(kernel: KernelLike, t, tp):
     tp = np.asarray(tp, dtype=float)
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(tp))):
         raise InvalidParameterError("kernel inputs must be finite")
-    out = _eval(kernel, t, tp)
-    out = np.asarray(out, dtype=float)
+    if not callable(kernel):
+        raise InvalidParameterError(f"unknown kernel variant: {kernel!r}")
+    out = np.asarray(kernel(t, tp), dtype=float)
     return out if out.ndim else float(out)
-
-
-def _eval(kernel: KernelLike, t: np.ndarray, tp: np.ndarray):
-    if isinstance(kernel, Matern):
-        return _matern_of(np.abs(t - tp) / kernel.ell, kernel.nu, kernel.sigma)
-    if isinstance(kernel, PeriodicMatern):
-        # clip absorbs round-off outside [0, 1] before the Matern profile
-        kap = np.clip(phase(t - tp, kernel.period), 0.0, 1.0)
-        return _matern_of(kap / kernel.ell, kernel.nu, kernel.sigma)
-    if isinstance(kernel, PeriodicSE):
-        s = np.sin(np.pi * (t - tp) / kernel.period)
-        return np.exp(-(s**2) / kernel.ell**2)
-    if isinstance(kernel, SquaredExponential):
-        d = t - tp
-        return kernel.sigma**2 * np.exp(-(d**2) / (2.0 * kernel.ell**2))
-    if isinstance(kernel, StepQuasi):
-        dc = np.abs(
-            cycle_index(t, kernel.period, kernel.epoch)
-            - cycle_index(tp, kernel.period, kernel.epoch)
-        )
-        return kernel.sigma**2 * np.exp(-dc / kernel.ell)
-    if isinstance(kernel, WienerStepQuasi):
-        cmin = np.minimum(
-            cycle_index(t, kernel.period, kernel.epoch),
-            cycle_index(tp, kernel.period, kernel.epoch),
-        )
-        return kernel.xi0 + cmin * kernel.xi
-    if isinstance(kernel, Product):
-        return _eval(kernel.left, t, tp) * _eval(kernel.right, t, tp)
-    if isinstance(kernel, NonStatPeriodic):
-        kap = np.clip(phase(t - tp, kernel.period), 0.0, 1.0)
-        stationary = _matern_of(kap / kernel.ell, 1.5, kernel.sigma)
-        mod_t = np.exp(-kernel.alpha * phase(t, kernel.period) ** 2)
-        mod_tp = np.exp(-kernel.alpha * phase(tp, kernel.period) ** 2)
-        # grouping keeps the evaluation exactly symmetric in (t, t')
-        return stationary * (mod_t * mod_tp)
-    if callable(kernel):
-        return kernel(t, tp)
-    raise InvalidParameterError(f"unknown kernel variant: {kernel!r}")
 
 
 def eval_matrix(kernel: KernelLike, a, b) -> np.ndarray:
@@ -285,7 +249,7 @@ _VARIANT_TYPES = {
 }
 
 
-def kernel_from_config(config: dict) -> Kernel:
+def kernel_from_config(config: dict) -> KernelLike:
     """Kernel from its config {"variant": ..., "params": {...}}; a "product"
     carries "left" and "right" kernel configs instead of params.  A missing
     factor, and a key that the variant would drop, is an InvalidParameterError."""

@@ -79,22 +79,6 @@ class ParamSpace:
                     f"lies outside [{p.lower:g}, {p.upper:g}]"
                 )
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        return np.log(values)
-
-    def untransform(self, coords: np.ndarray) -> np.ndarray:
-        return np.clip(
-            np.exp(coords),
-            [p.lower for p in self.params],
-            [p.upper for p in self.params],
-        )
-
-    def initial(self) -> np.ndarray:
-        return np.array([p.init for p in self.params])
-
-    def bounds_transformed(self) -> list[tuple[float, float]]:
-        return [(np.log(p.lower), np.log(p.upper)) for p in self.params]
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -153,14 +137,15 @@ def fit(
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
-    bounds = space.bounds_transformed()
+    bounds = [(np.log(p.lower), np.log(p.upper)) for p in space.params]
+    lower, upper = [p.lower for p in space.params], [p.upper for p in space.params]
     trace: list[float] = []
 
     def negated(coords: np.ndarray) -> float:
         if len(trace) == 1 and np.array_equal(coords, start0):
             out = trace[0]  # Nelder-Mead's first vertex: the initial point, already scored
         else:
-            values = space.untransform(coords)
+            values = np.clip(np.exp(coords), lower, upper)
             try:
                 out = float(objective(dict(zip(space.names, values))))
             except NumericError:  # e.g. a singular innovation covariance: scored as non-finite
@@ -169,7 +154,7 @@ def fit(
         trace.append(out)
         return -out
 
-    start0 = space.transform(space.initial())
+    start0 = np.log(np.array([p.init for p in space.params]))
     first = negated(start0)
     if first >= _BAD:
         raise InvalidParameterError("objective is non-finite at the initial point")
@@ -209,7 +194,7 @@ def fit(
             best_value = -res.fun
             best_coords = res.x
 
-    values = space.untransform(best_coords)
+    values = np.clip(np.exp(best_coords), lower, upper)
     return FitResult(
         params=dict(zip(space.names, map(float, values))),
         value=float(best_value),

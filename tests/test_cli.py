@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from eigenlfm import kernels
 from eigenlfm.apps.io import write_queue_dataset, write_thermal_dataset
 from eigenlfm.apps.queueing import QueueGenConfig, generate_queue_data
 from eigenlfm.apps.thermal import ThermalGenConfig, generate_thermal_data
@@ -422,13 +423,31 @@ def test_queue_meas_every_must_be_a_multiple_of_the_step(tmp_path):
     _fails_cleanly(result, "measurement at 1620 is not on the step grid")
 
 
-def test_eigenbasis_writes_spectrum_and_eigenfunctions(tmp_path):
+_PERIODIC = {"variant": "periodic_matern",
+             "params": {"nu": 0.5, "sigma": 1.0, "ell": 0.5, "period": 10.0}}
+_CQM = {"variant": "cqm", "params": {"sigma": 1.2, "ell": 4.0}}
+# one small kernel config per variant name that kernel_from_config accepts
+_EIGENBASIS_KERNELS = {
+    "matern": {"variant": "matern", "params": {"nu": 1.5, "sigma": 1.0, "ell": 2.0}},
+    "periodic_matern": _PERIODIC,
+    "periodic_se": {"variant": "periodic_se", "params": {"ell": 0.7, "period": 10.0}},
+    "se": {"variant": "se", "params": {"sigma": 1.0, "ell": 2.0}},
+    "cqm": _CQM,
+    "sqm": {"variant": "sqm", "params": {"sigma": 1.5, "ell": 2.0, "period": 5.0}},
+    "wqm": {"variant": "wqm", "params": {"xi0": 1.0, "xi": 0.5, "period": 5.0}},
+    "nonstat_periodic": {"variant": "nonstat_periodic",
+                         "params": {"sigma": 1.0, "ell": 2.0, "period": 10.0, "alpha": 0.8}},
+    "product": {"variant": "product", "left": _PERIODIC, "right": _CQM},
+}
+
+
+@pytest.mark.parametrize("variant", [*kernels._VARIANT_TYPES, "product"])
+def test_eigenbasis_writes_spectrum_and_eigenfunctions(tmp_path, variant):
     config = {
-        "kernel": {"variant": "periodic_matern",
-                   "params": {"nu": 0.5, "sigma": 1.0, "ell": 0.5, "period": 24.0}},
-        "period": 24.0,
+        "kernel": _EIGENBASIS_KERNELS[variant],
+        "period": 10.0,
         "n_points": 40,
-        "grid": {"start": 0.0, "stop": 24.0, "count": 9},
+        "grid": {"start": 0.0, "stop": 10.0, "count": 9},
     }
     result, out = _invoke(tmp_path, config, "eigenbasis")
     assert result.exit_code == 0, result.output
@@ -436,6 +455,10 @@ def test_eigenbasis_writes_spectrum_and_eigenfunctions(tmp_path):
     grid = (out / "eigenfunctions.csv").read_text().splitlines()
     assert spectrum[0] == "j,mu_scaled" and len(spectrum) > 2
     assert len(grid) == 10 and len(grid[0].split(",")) == len(spectrum)
+    # row j of the spectrum is the eigenvalue of column phi_j, numbered from 1
+    numbers = [row.split(",")[0] for row in spectrum[1:]]
+    assert numbers[0] == "1"
+    assert numbers == [name.removeprefix("phi_") for name in grid[0].split(",")[1:]]
 
 
 def test_compare_bases_writes_one_row_per_method(tmp_path):

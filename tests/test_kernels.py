@@ -150,11 +150,17 @@ def test_eval_matrix_empty():
         lambda: K.WienerStepQuasi(1.0, 0.0, 5.0),
         lambda: K.NonStatPeriodic(1.0, 1.0, 10.0, 0.0),
         lambda: K.StepQuasi(1.0, 1.0, -2.0),
+        lambda: K.Product(K.Matern(0.5, 1.0, 1.0), 3.0),  # a factor that is not a kernel
     ],
 )
 def test_invalid_parameters(bad):
     with pytest.raises(InvalidParameterError):
         bad()
+
+
+def test_an_object_that_is_not_callable_is_no_kernel():
+    with pytest.raises(InvalidParameterError, match="unknown kernel variant"):
+        K.eval_kernel(object(), 0.0, 1.0)
 
 
 def test_config_roundtrip():
@@ -208,3 +214,11 @@ def test_product_config_with_empty_params_is_accepted():
     config = {"variant": "product", "params": {}, "left": _SE, "right": _SE}
     se = K.SquaredExponential(1.0, 2.0)
     assert K.kernel_from_config(config) == K.Product(se, se)
+
+
+def test_every_kernel_class_is_built_by_a_config_name():
+    # code that no CLI path reaches goes: cqm is a partial of Matern
+    built = {getattr(make, "func", make) for make in K._VARIANT_TYPES.values()}
+    built.add(type(K.kernel_from_config({"variant": "product", "left": _SE, "right": _SE})))
+    public = {getattr(K, name) for name in K.__all__}
+    assert {obj for obj in public if isinstance(obj, type)} == built
